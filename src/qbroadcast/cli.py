@@ -14,24 +14,10 @@ from dataclasses import dataclass
 
 from .cloner import OUTCOME_ORDER, buzek_baseline
 from .constants import SCAN_GRID, SCAN_TOL
-from .entanglement import (
-    broadcast_verdict,
-    concurrence,
-    eof,
-    measure_report,
-    ppt_verdict,
-    scan_predicate,
-    scan_threshold,
-)
+from .entanglement import concurrence, eof, ppt_verdict, scan_threshold
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, transmit_bits
-from .protocol import (
-    PAIR_KEYS,
-    branch_probabilities,
-    branch_report,
-    six_qubit_branch,
-)
-from .qstate import partial_trace
+from .protocol import PAIR_KEYS, branch_marginal, branch_report, broadcast_intervals
 from .swap import bsm, derive_corrections, swap_extend, verify_recovery
 
 __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
@@ -209,6 +195,9 @@ def _settings(args) -> Settings:
         beta_phase=beta_phase if beta_phase is not None else cfg.get("beta_phase", 0.0),
         seed=seed if seed is not None else cfg.get("seed", 0),
     )
+    for name in ("tol", "beta_phase"):
+        if not math.isfinite(getattr(s, name)):
+            raise UsageError(f"{name} must be finite, got {getattr(s, name)}")
     if s.tol <= 0:
         raise UsageError(f"tol must be positive, got {s.tol}")
     if s.grid < 50:
@@ -224,8 +213,16 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _json_text(payload) -> str:
+    """Strict JSON: a NaN or infinity in a result is a numerical fault."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ContractError(f"result is not finite: {exc}") from None
+
+
 def _emit_json(payload) -> int:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload))
     return 0
 
 
@@ -241,8 +238,8 @@ def _interval_dicts(intervals) -> list:
 
 
 def _pair_family(pair: str, branch: tuple[str, str], beta_phase: float):
-    def family(x: float):
-        return partial_trace(six_qubit_branch(x, branch, beta_phase), list(pair))
+    def family(xs):
+        return branch_marginal(xs, branch, pair, beta_phase)
 
     return family
 
@@ -273,23 +270,24 @@ def _cmd_sweep(args) -> int:
         span = args.to - args.from_
         values = [args.from_ + i * span / (args.steps - 1) for i in range(args.steps)]
 
+    # One stack per pair: all alpha^2 points of the pair are evaluated together.
+    clamped = [_clamp_alpha2(x) for x in values]
     rows: list[SweepRow] = []
-    for x in values:
-        six = six_qubit_branch(_clamp_alpha2(x), branch, s.beta_phase)
-        for pair in pairs:
-            marg = partial_trace(six, list(pair))
-            verdict = ppt_verdict(marg)
-            measures = measure_report(marg)
+    for pair in pairs:
+        marg = branch_marginal(clamped, branch, pair, s.beta_phase)
+        verdict = ppt_verdict(marg)
+        conc = concurrence(marg)
+        for i, x in enumerate(values):
             rows.append(
                 SweepRow(
                     alpha2=x,
                     pair=pair,
-                    min_pt_eigenvalue=verdict.min_pt_eigenvalue,
-                    w3=verdict.w3,
-                    w4=verdict.w4,
-                    concurrence=measures.concurrence,
-                    eof=measures.eof,
-                    entangled=int(verdict.entangled),
+                    min_pt_eigenvalue=float(verdict.min_pt_eigenvalue[i]),
+                    w3=float(verdict.w3[i]),
+                    w4=float(verdict.w4[i]),
+                    concurrence=float(conc[i]),
+                    eof=eof(float(conc[i])),
+                    entangled=int(verdict.entangled[i]),
                 )
             )
     rows.sort(key=lambda r: (r.alpha2, r.pair))
@@ -326,7 +324,7 @@ def _cmd_sweep(args) -> int:
             }
             for r in rows
         ]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -353,12 +351,7 @@ def _cmd_thresholds(args) -> int:
     ):
         ivs = scan_threshold(_pair_family(pair, branch, s.beta_phase), predicate, s.grid, s.tol)
         payload[key] = {"predicate": predicate, "intervals": _interval_dicts(ivs)}
-
-    def broadcast_at(x: float) -> bool:
-        ok, _ = broadcast_verdict(six_qubit_branch(x, branch, s.beta_phase))
-        return ok
-
-    ivs = scan_predicate(broadcast_at, s.grid, s.tol, "broadcast")
+    ivs = broadcast_intervals(branch, s.beta_phase, s.grid, s.tol)
     payload["broadcast"] = {"predicate": "broadcast", "intervals": _interval_dicts(ivs)}
     return _emit_json(payload)
 
@@ -385,8 +378,7 @@ def _cmd_swap(args) -> int:
     if not 0.0 < args.alpha2 < 1.0:
         raise UsageError(f"swap: --alpha2 must be in (0, 1), got {args.alpha2}")
     source = "published" if args.corrections in ("paper", "published") else "derived"
-    six = six_qubit_branch(args.alpha2, ("Q0", "Q0"), s.beta_phase)
-    rho325 = partial_trace(six, ["3", "2", "5"])
+    rho325 = branch_marginal(args.alpha2, ("Q0", "Q0"), "325", s.beta_phase)
     outcomes = bsm(swap_extend(rho325))
     fidelities = verify_recovery(rho325, source)
     words = (
@@ -454,11 +446,6 @@ def _fmt_ivs(intervals) -> str:
     return " union ".join(f"({iv.lo:.6f}, {iv.hi:.6f})" for iv in intervals)
 
 
-def _range_over(family, values) -> tuple[float, float]:
-    samples = [family(x) for x in values]
-    return min(samples), max(samples)
-
-
 def _cmd_report(args) -> int:
     s = _settings(args)
     out: list[str] = []
@@ -502,15 +489,8 @@ def _cmd_report(args) -> int:
         else:
             say(_line(what, "no interval", f"{pub}", "DIFFERS"))
 
-    def broadcast_scan(br: tuple[str, str]):
-        def at(x: float) -> bool:
-            ok, _ = broadcast_verdict(six_qubit_branch(x, br, s.beta_phase))
-            return ok
-
-        return scan_predicate(at, s.grid, s.tol, "broadcast")
-
     # Broadcast verdict per branch.
-    q0q0 = broadcast_scan(("Q0", "Q0"))
+    q0q0 = broadcast_intervals(("Q0", "Q0"), s.beta_phase, s.grid, s.tol)
     pub = PUBLISHED["broadcast_q0q0"]
     if len(q0q0) == 1 and _truncates(pub[0], q0q0[0].lo) and q0q0[0].hi == pub[1]:
         marker = "ok"
@@ -519,7 +499,7 @@ def _cmd_report(args) -> int:
     say(_line("broadcast interval, branch Q0Q0", _fmt_ivs(q0q0),
               f"({pub[0]}, {pub[1]})", f"{marker} (truncated)"))
 
-    q1q1 = broadcast_scan(("Q1", "Q1"))
+    q1q1 = broadcast_intervals(("Q1", "Q1"), s.beta_phase, s.grid, s.tol)
     pub = PUBLISHED["broadcast_q1q1"]
     if q1q1 and _near(q1q1[0].lo, pub[0], 0.01) and _near(q1q1[0].hi, pub[1], 0.01):
         marker = "ok"
@@ -532,7 +512,7 @@ def _cmd_report(args) -> int:
     # published split ranges correspond to.
     for name in ("Q0Q1", "Q1Q0"):
         br = _parse_branch(name)
-        ivs = broadcast_scan(br)
+        ivs = broadcast_intervals(br, s.beta_phase, s.grid, s.tol)
         lo_r = PUBLISHED["asym_low_range"]
         hi_r = PUBLISHED["asym_high_range"]
         marker = "DIFFERS" if not ivs else "check"
@@ -553,15 +533,9 @@ def _cmd_report(args) -> int:
     if scans["rho46"]:
         r_lo, r_hi = scans["rho46"][0].lo, scans["rho46"][0].hi
         values = [r_lo + (r_hi - r_lo) * k / 102 for k in range(1, 102)]
-
-        def c_of(pair: str):
-            def f(x: float) -> float:
-                return concurrence(partial_trace(six_qubit_branch(x, branch, s.beta_phase), list(pair)))
-
-            return f
-
         for pair, c_key, e_key in (("16", "c16_range", "eof16_range"), ("46", "c46_range", "eof46_range")):
-            c_min, c_max = _range_over(c_of(pair), values)
+            samples = concurrence(branch_marginal(values, branch, pair, s.beta_phase))
+            c_min, c_max = float(samples.min()), float(samples.max())
             e_min, e_max = eof(c_min), eof(c_max)
             pub_c = PUBLISHED[c_key]
             pub_e = PUBLISHED[e_key]
@@ -572,8 +546,7 @@ def _cmd_report(args) -> int:
 
     # Swapping: outcome statistics and both correction sets.
     for alpha2 in (0.3, 0.5, 0.8):
-        six = six_qubit_branch(alpha2, branch, s.beta_phase)
-        rho325 = partial_trace(six, ["3", "2", "5"])
+        rho325 = branch_marginal(alpha2, branch, "325", s.beta_phase)
         outcomes = bsm(swap_extend(rho325))
         p_str = ", ".join(f"{o.label} {o.probability:.6f}" for o in outcomes)
         say(_line(f"bell outcome probabilities at alpha2={alpha2}", p_str, "0.25 each", "info"))

@@ -13,16 +13,7 @@ import numpy as np
 
 from .constants import SCAN_GRID, SCAN_TOL
 from .errors import ContractError
-from .qstate import (
-    DensityOp,
-    MeasureBranch,
-    PureState,
-    Register,
-    apply_isometry,
-    partial_trace,
-    projective_measure,
-    to_density,
-)
+from .qstate import DensityOp, MeasureBranch, PureState, apply_isometry, projective_measure
 
 __all__ = [
     "BranchOutcome",
@@ -97,19 +88,6 @@ def machine_branches(state: PureState, machine_labels) -> list[BranchOutcome]:
     return out
 
 
-def _first_stage_pair(alpha2: float, beta_phase: float = 0.0) -> DensityOp:
-    """Machine-traced (no measurement) state of the nonlocal pair (1,4)."""
-    alpha = np.sqrt(alpha2)
-    beta = np.sqrt(1.0 - alpha2) * np.exp(1j * beta_phase)
-    amps = np.zeros(4, dtype=complex)
-    amps[0b00] = alpha
-    amps[0b11] = beta
-    psi = PureState(Register.qubits("1", "3"), amps)
-    chi = clone_subsystem(psi, "1", ("1", "2"), "A1")
-    chi = clone_subsystem(chi, "3", ("3", "4"), "B1")
-    return partial_trace(to_density(chi), ["1", "4"])
-
-
 def buzek_baseline(grid: int = SCAN_GRID, tol: float = SCAN_TOL) -> tuple[float, float]:
     """Inseparability interval of the single-stage nonlocal pair (1,4).
 
@@ -118,8 +96,12 @@ def buzek_baseline(grid: int = SCAN_GRID, tol: float = SCAN_TOL) -> tuple[float,
     (lo, hi) endpoints in alpha^2, located by scan plus bisection.
     """
     from .entanglement import scan_threshold
+    from .protocol import machine_traced_marginal
 
-    intervals = scan_threshold(_first_stage_pair, "entangled", grid=grid, tol=tol)
+    def pair14(xs: np.ndarray) -> DensityOp:
+        return machine_traced_marginal(xs, "14")
+
+    intervals = scan_threshold(pair14, "entangled", grid=grid, tol=tol)
     if len(intervals) != 1:
         raise ContractError(
             f"buzek_baseline: expected one inseparability interval, found {len(intervals)}"

@@ -5,17 +5,22 @@ The partial-transpose eigenvalue test is the authoritative verdict. The W3
 and W4 determinants of the transposed operator are computed alongside it as
 a cross-check; for two qubits a negative W4 is equivalent to a negative
 eigenvalue, while W3 can only go negative when the state is entangled.
+
+The tests and measures take one operator or a stack of them (a DensityOp
+with a leading stack axis) and answer with numbers or with arrays of the
+same length. Scans evaluate their predicate on whole arrays of alpha^2
+values, so a grid is one stacked evaluation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .constants import PPT_TOL, SCAN_GRID, SCAN_TOL
 from .errors import ContractError
-from .linalg import det_complex, eig_hermitian, sqrt_psd
+from .linalg import dagger, det_complex, eig_hermitian, sqrt_psd
 from .qstate import DensityOp, partial_trace, partial_transpose
 
 __all__ = [
@@ -23,21 +28,28 @@ __all__ = [
     "MeasureReport",
     "ThresholdInterval",
     "ppt_verdict",
+    "ppt_verdicts",
     "concurrence",
     "eof",
     "measure_report",
     "scan_predicate",
     "scan_threshold",
     "classify_triple",
+    "broadcast_holds",
     "broadcast_verdict",
 ]
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
+# Largest number of alpha^2 points a scan tests in one call, so that the
+# stacks a fine grid builds stay a few megabytes.
+_SCAN_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class PPTVerdict:
-    """Separability verdict for one two-qubit operator."""
+    """Separability verdict for one two-qubit operator; for a stack, each
+    field is an array with one entry per member."""
 
     min_pt_eigenvalue: float
     w3: float
@@ -70,31 +82,47 @@ def _require_two_qubits(rho: DensityOp, op: str) -> None:
         raise ContractError(f"{op}: expected a two-qubit operator, got dims {rho.register.dims}")
 
 
-def _real_det(mat: np.ndarray, what: str) -> float:
-    d = det_complex(mat)
-    if abs(d.imag) > 1e-10:
-        raise ContractError(f"ppt_verdict: {what} has imaginary residue {d.imag:.3e}")
-    return float(d.real)
+def _real_det(mats: np.ndarray, what: str) -> np.ndarray:
+    d = det_complex(mats)
+    residue = float(np.max(np.abs(d.imag))) if d.size else 0.0
+    if residue > 1e-10:
+        raise ContractError(f"ppt_verdict: {what} has imaginary residue {residue:.3e}")
+    return d.real
 
 
 def ppt_verdict(rho: DensityOp) -> PPTVerdict:
     """Eigenvalue PPT test plus the W3/W4 determinants of the transposed
     operator (transpose taken over the second subsystem)."""
-    _require_two_qubits(rho, "ppt_verdict")
-    pt = partial_transpose(rho, rho.register.labels[1])
-    min_eig = float(eig_hermitian(pt).values[0])
-    w3 = _real_det(pt[:3, :3], "W3")
-    w4 = _real_det(pt, "W4")
-    return PPTVerdict(
-        min_pt_eigenvalue=min_eig,
-        w3=w3,
-        w4=w4,
-        entangled=bool(min_eig < -PPT_TOL),
-    )
+    return ppt_verdicts([rho])[0]
 
 
-def concurrence(rho: DensityOp) -> float:
-    """Wootters concurrence of a two-qubit operator.
+def ppt_verdicts(rhos: Sequence[DensityOp]) -> list[PPTVerdict]:
+    """ppt_verdict of several two-qubit operators, or stacks of one length,
+    solved as one stack (one eigen-solve and two determinant calls)."""
+    if not rhos:
+        return []
+    for rho in rhos:
+        _require_two_qubits(rho, "ppt_verdict")
+    lead = rhos[0].matrix.shape[:-2]
+    if any(rho.matrix.shape[:-2] != lead for rho in rhos):
+        raise ContractError("ppt_verdict: operators stacked together must share one stack length")
+    pts = np.stack([partial_transpose(rho, rho.register.labels[1]) for rho in rhos]).reshape(-1, 4, 4)
+    shape = (len(rhos),) + lead
+    min_eig = eig_hermitian(pts).values[:, 0].reshape(shape)
+    w3 = _real_det(pts[:, :3, :3], "W3").reshape(shape)
+    w4 = _real_det(pts, "W4").reshape(shape)
+    entangled = min_eig < -PPT_TOL
+    if not lead:
+        return [
+            PPTVerdict(float(m), float(a), float(b), bool(e))
+            for m, a, b, e in zip(min_eig, w3, w4, entangled)
+        ]
+    return [PPTVerdict(*fields) for fields in zip(min_eig, w3, w4, entangled)]
+
+
+def concurrence(rho: DensityOp):
+    """Wootters concurrence of a two-qubit operator (a float), or of each
+    member of a stack (an array).
 
     Uses the Hermitian form: the lambda_i are the decreasing square roots of
     the eigenvalues of sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).
@@ -104,15 +132,15 @@ def concurrence(rho: DensityOp) -> float:
     tilde = yy @ rho.matrix.conj() @ yy
     root = sqrt_psd(rho.matrix)
     m = root @ tilde @ root
-    m = (m + m.conj().T) / 2.0
+    m = (m + dagger(m)) / 2.0
     vals = np.clip(eig_hermitian(m).values.real, 0.0, None)
     # Eigenvalues below the solver's relative resolution are roundoff; their
     # square roots (~1e-9 from ~1e-18) would otherwise leak into the sum.
-    floor = float(vals[-1]) * 1e-13
+    floor = vals[..., -1:] * 1e-13
     vals = np.where(vals < floor, 0.0, vals)
-    lam = np.sqrt(vals)[::-1]
-    c = float(lam[0] - lam[1] - lam[2] - lam[3])
-    return min(max(c, 0.0), 1.0)
+    lam = np.sqrt(vals)[..., ::-1]
+    c = np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def eof(c: float) -> float:
@@ -133,75 +161,88 @@ def measure_report(rho: DensityOp) -> MeasureReport:
     return MeasureReport(concurrence=c, eof=eof(c))
 
 
-def _grid_points(grid: int) -> list[float]:
-    return [k / (grid + 1) for k in range(1, grid + 1)]
+def _flags(test: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    flags = np.asarray(test(xs), dtype=bool)
+    if flags.shape != xs.shape:
+        raise ContractError(f"scan: predicate gave shape {flags.shape} for {xs.shape} points")
+    return flags
 
 
-def _bisect_edge(test: Callable[[float], bool], a: float, b: float, tol: float) -> float:
-    """Midpoint of the flip between a and b (test(a) != test(b))."""
-    fa = test(a)
-    while b - a > tol:
+def _bisect_edges(test, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float) -> np.ndarray:
+    """Midpoints of the flips between a[i] and b[i] (test(a[i]) = fa[i] !=
+    test(b[i])), all edges refined together: each step tests the midpoints
+    of the edges still open as one stack.
+
+    An edge closes when it is no wider than tol, or when its midpoint is one
+    of its endpoints (a and b are adjacent floats), so every tol ends.
+    """
+    a, b = a.copy(), b.copy()
+    while True:
         mid = (a + b) / 2.0
-        if test(mid) == fa:
-            a = mid
-        else:
-            b = mid
-    return (a + b) / 2.0
+        live = np.nonzero((b - a > tol) & (mid > a) & (mid < b))[0]
+        if not live.size:
+            return mid
+        same = _flags(test, mid[live]) == fa[live]
+        a[live[same]] = mid[live[same]]
+        b[live[~same]] = mid[live[~same]]
 
 
 def scan_predicate(
-    test: Callable[[float], bool],
+    test: Callable[[np.ndarray], np.ndarray],
     grid: int = SCAN_GRID,
     tol: float = SCAN_TOL,
     name: str = "predicate",
 ) -> list[ThresholdInterval]:
     """Locate all maximal alpha^2 intervals on (0,1) where test holds.
 
-    A coarse grid of `grid` interior points finds the sign structure;
-    bisection refines each interior edge to `tol`. A predicate that is
-    constant across the whole grid yields no crossings and an empty list.
+    test maps a 1-D array of alpha^2 values to booleans of the same length.
+    A coarse grid of `grid` interior points, tested as one array (in chunks
+    of _SCAN_CHUNK points), finds the sign structure; bisection refines
+    each interior edge to `tol`. A predicate that is constant across the
+    whole grid yields no crossings and an empty list.
     """
     if grid < 50:
         raise ContractError(f"scan: grid {grid} is too coarse (need >= 50)")
-    if tol <= 0:
-        raise ContractError("scan: tolerance must be positive")
-    pts = _grid_points(grid)
-    flags = [bool(test(x)) for x in pts]
-    if all(flags) or not any(flags):
+    if not 0.0 < tol < float("inf"):
+        raise ContractError("scan: tolerance must be positive and finite")
+    pts = np.arange(1, grid + 1) / (grid + 1)
+    flags = np.concatenate([_flags(test, pts[i:i + _SCAN_CHUNK]) for i in range(0, grid, _SCAN_CHUNK)])
+    if flags.all() or not flags.any():
         return []
-    out = []
-    i = 0
-    while i < len(pts):
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(pts) and flags[j + 1]:
-            j += 1
-        lo = 0.0 if i == 0 else _bisect_edge(test, pts[i - 1], pts[i], tol)
-        hi = 1.0 if j == len(pts) - 1 else _bisect_edge(test, pts[j], pts[j + 1], tol)
-        out.append(ThresholdInterval(lo=lo, hi=hi, tolerance=tol, predicate_name=name))
-        i = j + 1
-    return out
+    last = len(pts) - 1
+    starts = [i for i in range(last + 1) if flags[i] and (i == 0 or not flags[i - 1])]
+    ends = [j for j in range(last + 1) if flags[j] and (j == last or not flags[j + 1])]
+    left = np.array([i - 1 for i in starts if i > 0] + [j for j in ends if j < last], dtype=int)
+    edge = dict(zip(left.tolist(), _bisect_edges(test, pts[left], pts[left + 1], flags[left], tol).tolist()))
+    return [
+        ThresholdInterval(
+            lo=edge[i - 1] if i > 0 else 0.0,
+            hi=edge[j] if j < last else 1.0,
+            tolerance=tol,
+            predicate_name=name,
+        )
+        for i, j in zip(starts, ends)
+    ]
 
 
 def scan_threshold(
-    family: Callable[[float], DensityOp],
+    family: Callable[[np.ndarray], DensityOp],
     predicate: str,
     grid: int = SCAN_GRID,
     tol: float = SCAN_TOL,
 ) -> list[ThresholdInterval]:
     """Scan a two-qubit family alpha^2 -> rho for PPT-based thresholds.
 
+    family maps a 1-D array of alpha^2 values to the stacked operators.
     predicate is "entangled" or "separable"; the boolean tested on the grid
-    is the PPT verdict (or its negation) of family(alpha^2).
+    is the PPT verdict (or its negation) of each member.
     """
     if predicate not in ("entangled", "separable"):
         raise ContractError(f"scan_threshold: unknown predicate {predicate!r}")
     want = predicate == "entangled"
 
-    def test(x: float) -> bool:
-        return ppt_verdict(family(x)).entangled == want
+    def test(xs: np.ndarray) -> np.ndarray:
+        return ppt_verdict(family(xs)).entangled == want
 
     return scan_predicate(test, grid=grid, tol=tol, name=predicate)
 
@@ -217,11 +258,45 @@ def classify_triple(rho: DensityOp) -> tuple[str, dict[str, PPTVerdict]]:
             f"classify_triple: expected a three-qubit operator, got dims {rho.register.dims}"
         )
     a, b, c = rho.register.labels
-    report: dict[str, PPTVerdict] = {}
-    for x, y in ((a, b), (b, c), (a, c)):
-        report[f"{x}{y}"] = ppt_verdict(partial_trace(rho, [x, y]))
+    report = _pair_report(rho, ((a, b), (b, c), (a, c)))
     kind = "closed" if all(v.entangled for v in report.values()) else "open"
     return kind, report
+
+
+def _pair_report(rho: DensityOp, pairs) -> dict[str, PPTVerdict]:
+    """Verdicts of the pair marginals of rho, solved as one stack, keyed by
+    concatenated labels."""
+    verdicts = ppt_verdicts([partial_trace(rho, [x, y]) for x, y in pairs])
+    return {f"{x}{y}": v for (x, y), v in zip(pairs, verdicts)}
+
+
+def _broadcast_pairs(alice, bob):
+    a1, a2, a3 = (str(x) for x in alice)
+    b1, b2, b3 = (str(x) for x in bob)
+    separable = ((a1, a2), (a1, a3), (b1, b2), (b1, b3))
+    entangled = ((a2, a3), (b2, b3), (a2, b1), (b1, a3), (a1, b2), (a1, b3))
+    return separable, entangled
+
+
+def broadcast_holds(
+    report: dict[str, PPTVerdict],
+    alice: tuple[str, str, str] = ("1", "2", "5"),
+    bob: tuple[str, str, str] = ("3", "4", "6"),
+):
+    """The broadcasting verdict from per-pair PPT verdicts keyed by
+    concatenated labels: a bool, or a boolean array for stacked verdicts.
+
+    Each party holds one original qubit (first label) and two clones. The
+    verdict is true when both parties' original-clone pairs are separable
+    while the clone-clone pairs and the four original-to-remote-clone pairs
+    are all entangled.
+    """
+    separable, entangled = _broadcast_pairs(alice, bob)
+    ok = np.logical_and.reduce(
+        [~np.asarray(report[x + y].entangled) for x, y in separable]
+        + [np.asarray(report[x + y].entangled) for x, y in entangled]
+    )
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def broadcast_verdict(
@@ -229,21 +304,8 @@ def broadcast_verdict(
     alice: tuple[str, str, str] = ("1", "2", "5"),
     bob: tuple[str, str, str] = ("3", "4", "6"),
 ) -> tuple[bool, dict[str, PPTVerdict]]:
-    """Three-qubit broadcasting test on a six-qubit state.
-
-    Each party holds one original qubit (first label) and two clones. The
-    verdict is true when both parties' original-clone pairs are separable
-    while the clone-clone pairs and the four original-to-remote-clone pairs
-    are all entangled. Returns (verdict, per-pair reports).
-    """
-    a1, a2, a3 = (str(x) for x in alice)
-    b1, b2, b3 = (str(x) for x in bob)
-    separable_pairs = ((a1, a2), (a1, a3), (b1, b2), (b1, b3))
-    entangled_pairs = ((a2, a3), (b2, b3), (a2, b1), (b1, a3), (a1, b2), (a1, b3))
-    report: dict[str, PPTVerdict] = {}
-    for x, y in separable_pairs + entangled_pairs:
-        report[f"{x}{y}"] = ppt_verdict(partial_trace(six, [x, y]))
-    ok = all(not report[f"{x}{y}"].entangled for x, y in separable_pairs) and all(
-        report[f"{x}{y}"].entangled for x, y in entangled_pairs
-    )
-    return ok, report
+    """Three-qubit broadcasting test on a six-qubit state (see
+    broadcast_holds). Returns (verdict, per-pair reports)."""
+    separable, entangled = _broadcast_pairs(alice, bob)
+    report = _pair_report(six, separable + entangled)
+    return broadcast_holds(report, alice, bob), report

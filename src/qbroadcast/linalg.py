@@ -27,12 +27,13 @@ __all__ = [
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each member of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def hermitian_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of a from its conjugate transpose."""
+    """Largest entrywise deviation of a (or of any stack member) from its
+    conjugate transpose."""
     return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
 
 
@@ -43,132 +44,173 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigensystem of a Hermitian matrix.
+    """Eigensystem of a Hermitian matrix, or of each member of a stack.
 
-    values are real and ascending; vectors holds the matching orthonormal
-    eigenvectors as columns, so a = vectors @ diag(values) @ vectors^dagger.
+    values are real and ascending along the last axis; vectors holds the
+    matching orthonormal eigenvectors as columns, so
+    a = vectors @ diag(values) @ vectors^dagger (member by member).
     """
 
     values: np.ndarray
     vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ dagger(self.vectors)
+        return (self.vectors * self.values[..., None, :]) @ dagger(self.vectors)
 
 
 def _check_square(a: np.ndarray, op: str) -> np.ndarray:
+    """A square matrix (n, n) or a stack of them (G, n, n), finite."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractError(f"{op}: expected a square matrix, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ContractError(f"{op}: expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise ContractError(f"{op}: matrix has non-finite entries")
     return a
 
 
+def _stacked(op: str, a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Checked input with a leading stack axis, and whether one was added."""
+    a = _check_square(a, op)
+    return (a[None], True) if a.ndim == 2 else (a, False)
+
+
 def eig_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize Hermitian matrices by cyclic Jacobi rotations.
 
     Args:
-        a: square Hermitian matrix (defect above tol is rejected; symmetrize
-           with (a + a^dagger)/2 before calling if needed).
+        a: square Hermitian matrix (n, n), or a stack of them (G, n, n)
+           solved together (defect above tol is rejected; symmetrize with
+           (a + a^dagger)/2 before calling if needed).
         tol: largest accepted Hermiticity defect.
 
     Returns:
-        EigenDecomposition with ascending real eigenvalues.
+        EigenDecomposition with ascending real eigenvalues, shaped like the
+        input: values (n,) or (G, n), vectors (n, n) or (G, n, n).
+
+    Each member goes through the same rotations it would get alone: a
+    rotation is skipped for the members whose (p, q) entry is already below
+    their own stopping threshold, and the sweeps end when every member has
+    converged.
     """
-    a = _check_square(a, "eig_hermitian")
-    if hermitian_defect(a) > tol:
-        raise ContractError(
-            f"eig_hermitian: matrix is not Hermitian (defect {hermitian_defect(a):.3e})"
-        )
-    n = a.shape[0]
+    a, single = _stacked("eig_hermitian", a)
+    defect = hermitian_defect(a)
+    if defect > tol:
+        raise ContractError(f"eig_hermitian: matrix is not Hermitian (defect {defect:.3e})")
+    g, n, _ = a.shape
     # Work on an exactly Hermitian copy so roundoff cannot accumulate a drift.
     w = (a + dagger(a)) / 2.0
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return EigenDecomposition(values=w.real.diagonal().copy(), vectors=v)
+    v = np.broadcast_to(np.eye(n, dtype=complex), w.shape).copy()
+    if n > 1 and g:
+        scale = np.maximum(1.0, np.max(np.abs(w.diagonal(axis1=1, axis2=2).real), axis=1))
+        stop = 1e-15 * scale
+        off_diagonal = ~np.eye(n, dtype=bool)
+        for _ in range(100):
+            if np.all(np.max(np.abs(w[:, off_diagonal]), axis=1) <= stop):
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    _rotate(w, v, p, q, stop)
+        else:
+            raise ContractError("eig_hermitian: Jacobi sweep limit reached without convergence")
 
-    scale = max(1.0, float(np.max(np.abs(w.diagonal().real))))
-    stop = 1e-15 * scale
-    for _ in range(100):
-        off = np.abs(w - np.diag(w.diagonal()))
-        if off.max() <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                r = abs(apq)
-                if r <= stop:
-                    continue
-                app = w[p, p].real
-                aqq = w[q, q].real
-                phase = apq.conjugate() / r
-                tau = (aqq - app) / (2.0 * r)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # Plane unitary J = [[c, s], [-phase*s, phase*c]] on (p, q).
-                colp = w[:, p].copy()
-                colq = w[:, q].copy()
-                w[:, p] = c * colp - phase * s * colq
-                w[:, q] = s * colp + phase * c * colq
-                rowp = w[p, :].copy()
-                rowq = w[q, :].copy()
-                w[p, :] = c * rowp - phase.conjugate() * s * rowq
-                w[q, :] = s * rowp + phase.conjugate() * c * rowq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                w[p, p] = w[p, p].real
-                w[q, q] = w[q, q].real
-                colp = v[:, p].copy()
-                colq = v[:, q].copy()
-                v[:, p] = c * colp - phase * s * colq
-                v[:, q] = s * colp + phase * c * colq
-    else:
-        raise ContractError("eig_hermitian: Jacobi sweep limit reached without convergence")
+    values = w.diagonal(axis1=1, axis2=2).real
+    order = np.argsort(values, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    vectors = np.take_along_axis(v, order[:, None, :], axis=2)
+    if single:
+        return EigenDecomposition(values=values[0], vectors=vectors[0])
+    return EigenDecomposition(values=values, vectors=vectors)
 
-    values = w.diagonal().real.copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values=values[order], vectors=v[:, order])
+
+def _rotate(w: np.ndarray, v: np.ndarray, p: int, q: int, stop: np.ndarray) -> None:
+    """One Jacobi rotation on plane (p, q) of every stack member, in place.
+
+    Members whose |w[p, q]| is at or below their stop value get the identity
+    (c = 1, s = 0) and keep their (p, q) entry.
+    """
+    apq = w[:, p, q].copy()
+    r = np.abs(apq)
+    live = r > stop
+    if not live.any():
+        return
+    safe_r = np.where(live, r, 1.0)
+    phase = np.where(live, apq.conjugate() / safe_r, 1.0)
+    tau = (w[:, q, q].real - w[:, p, p].real) / (2.0 * safe_r)
+    t = np.where(tau != 0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)), 1.0)
+    c = np.where(live, 1.0 / np.hypot(1.0, t), 1.0)[:, None]
+    s = np.where(live, t * c[:, 0], 0.0)[:, None]
+    phase = phase[:, None]
+    # Plane unitary J = [[c, s], [-phase*s, phase*c]] on (p, q).
+    colp = w[:, :, p].copy()
+    colq = w[:, :, q].copy()
+    w[:, :, p] = c * colp - phase * s * colq
+    w[:, :, q] = s * colp + phase * c * colq
+    rowp = w[:, p, :].copy()
+    rowq = w[:, q, :].copy()
+    w[:, p, :] = c * rowp - phase.conjugate() * s * rowq
+    w[:, q, :] = s * rowp + phase.conjugate() * c * rowq
+    w[:, p, q] = np.where(live, 0.0, apq)
+    w[:, q, p] = np.where(live, 0.0, apq.conjugate())
+    w[:, p, p] = w[:, p, p].real
+    w[:, q, q] = w[:, q, q].real
+    colp = v[:, :, p].copy()
+    colq = v[:, :, q].copy()
+    v[:, :, p] = c * colp - phase * s * colq
+    v[:, :, q] = s * colp + phase * c * colq
 
 
 def sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix, or of each
+    member of a stack.
 
     Eigenvalues in [-PSD_FAIL, 0) are treated as roundoff and clamped to 0;
     anything lower raises, since the input was not PSD to begin with.
     """
     eig = eig_hermitian(a)
-    lo = float(eig.values[0])
+    lo = float(np.min(eig.values[..., 0]))
     if lo < -PSD_FAIL:
         raise ContractError(f"sqrt_psd: matrix is not PSD (min eigenvalue {lo:.3e})")
     vals = np.where(eig.values < 0.0, 0.0, eig.values)
-    return (eig.vectors * np.sqrt(vals)) @ dagger(eig.vectors)
+    return (eig.vectors * np.sqrt(vals)[..., None, :]) @ dagger(eig.vectors)
 
 
-def det_complex(a: np.ndarray) -> complex:
-    """Determinant by Gaussian elimination with partial pivoting."""
-    a = _check_square(a, "det_complex").copy()
-    n = a.shape[0]
-    det = 1.0 + 0.0j
+def det_complex(a: np.ndarray):
+    """Determinant by Gaussian elimination with partial pivoting.
+
+    a is a square matrix (returns a complex) or a stack of them (returns a
+    complex array with one determinant per member).
+    """
+    a, single = _stacked("det_complex", a)
+    a = a.copy()
+    g, n, _ = a.shape
+    rows = np.arange(g)
+    det = np.ones(g, dtype=complex)
+    singular = np.zeros(g, dtype=bool)
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) == 0.0:
-            return 0.0 + 0.0j
-        if piv != k:
-            a[[k, piv], :] = a[[piv, k], :]
-            det = -det
-        det *= a[k, k]
-        a[k + 1:, k:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k:])
-    return complex(det)
+        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        # A zero pivot column makes the determinant 0; later steps divide by
+        # a unit pivot for those members so they stay finite.
+        singular |= np.abs(a[rows, piv, k]) == 0.0
+        swap = piv != k
+        if swap.any():
+            top = a[rows, k, :].copy()
+            a[rows, k, :] = a[rows, piv, :]
+            a[rows, piv, :] = top
+            det[swap] = -det[swap]
+        pivot = a[:, k, k]
+        det *= pivot
+        pivot = np.where(pivot == 0.0, 1.0, pivot)
+        a[:, k + 1:, k:] -= (a[:, k + 1:, k] / pivot[:, None])[:, :, None] * a[:, None, k, k:]
+    det[singular] = 0.0
+    return complex(det[0]) if single else det
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
     rho = _check_square(rho, "fidelity")
     sigma = _check_square(sigma, "fidelity")
-    if rho.shape != sigma.shape:
-        raise ContractError(f"fidelity: shape mismatch {rho.shape} vs {sigma.shape}")
+    if rho.shape != sigma.shape or rho.ndim != 2:
+        raise ContractError(f"fidelity: expected two matrices of one shape, got {rho.shape} and {sigma.shape}")
     root = sqrt_psd(rho)
     inner = root @ sigma @ root
     inner = (inner + dagger(inner)) / 2.0

@@ -5,11 +5,25 @@ marginal extraction, and per-branch broadcastability reports.
 Labels: Alice holds qubits 1, 2, 5 (1 is her original, 2 and 5 its clones);
 Bob holds 3, 4, 6. Machine registers A1/B1 belong to the first cloning round
 and are measured; A2/B2 belong to the second round and are traced out.
+
+Every stage is linear in the input alpha|00> + beta|11>, so each branch's
+unnormalized eight-qubit state is alpha*v00 + beta*v11, where v00 and v11
+are the pipeline's outputs for the basis inputs |00> and |11> (weighted by
+the square root of their branch probability). A marginal on any labels is
+then, with x = alpha^2 and beta = sqrt(1 - x) e^{i phi},
+
+    x*G00 + (1 - x)*G11 + sqrt(x(1 - x)) * (e^{-i phi}*G01 + h.c.)
+
+divided by its trace, where Gij is the partial trace of |vi><vj| over the
+other labels. The vectors are built on first use and the Gram blocks are
+kept per (branch, labels), so an alpha^2 family costs one small linear
+combination per point, evaluated for a whole array of points at once.
+run_second_stage and machine_traced_six remain as the per-point routes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -17,12 +31,13 @@ from .cloner import OUTCOME_ORDER, BranchOutcome, clone_subsystem, machine_branc
 from .constants import SCAN_GRID, SCAN_TOL
 from .entanglement import (
     ThresholdInterval,
-    broadcast_verdict,
-    classify_triple,
+    broadcast_holds,
+    ppt_verdicts,
     scan_predicate,
 )
 from .errors import ContractError
 from .gvchannel import DeliveryRecord, GvConfig, secure_send
+from .linalg import dagger
 from .qstate import DensityOp, PureState, Register, partial_trace, to_density
 
 __all__ = [
@@ -35,7 +50,10 @@ __all__ = [
     "run_second_stage",
     "machine_traced_six",
     "six_qubit_branch",
+    "branch_marginal",
+    "machine_traced_marginal",
     "extract_marginals",
+    "broadcast_intervals",
     "branch_report",
     "run_protocol",
 ]
@@ -134,21 +152,93 @@ def _as_branch(branch) -> tuple[str, str]:
     return pair
 
 
-@lru_cache(maxsize=2048)
-def _six_qubit_branch(alpha2: float, branch: tuple[str, str], beta_phase: float) -> DensityOp:
-    psi = build_initial(float(np.sqrt(alpha2)), beta_phase)
-    _, branches = run_first_stage(psi)
-    sel = next(b for b in branches if b.machine_labels == branch)
-    if sel.state is None:
-        raise ContractError(f"branch {branch} has vanishing probability at alpha2={alpha2}")
-    return run_second_stage(sel.state)
+def _basis_input(index: int) -> PureState:
+    amps = np.zeros(4, dtype=complex)
+    amps[index] = 1.0
+    return PureState(Register.qubits("1", "3"), amps)
+
+
+@cache
+def _first_stage_runs() -> tuple[tuple[PureState, list[BranchOutcome]], ...]:
+    """run_first_stage for the basis inputs |00> and |11>, in that order."""
+    return tuple(run_first_stage(_basis_input(index)) for index in (0b00, 0b11))
+
+
+@cache
+def _basis_images(branch: tuple[str, str] | None) -> tuple[Register, np.ndarray, np.ndarray]:
+    """Register and images v00, v11 of the basis inputs |00>, |11>.
+
+    For a branch: the unnormalized eight-qubit states sqrt(p)*state after
+    the branch's selection and the second cloning round. For None: the
+    first-round state with the machines A1, B1 left unmeasured.
+    """
+    runs = _first_stage_runs()
+    if branch is None:
+        return runs[0][0].register, runs[0][0].amplitudes, runs[1][0].amplitudes
+    images = []
+    for _, branches in runs:
+        sel = next(b for b in branches if b.machine_labels == branch)
+        phi = clone_subsystem(sel.state, "2", ("2", "5"), "A2")
+        phi = clone_subsystem(phi, "4", ("4", "6"), "B2")
+        images.append(np.sqrt(sel.probability) * phi.amplitudes)
+    return phi.register, images[0], images[1]
+
+
+@lru_cache(maxsize=128)
+def _gram_blocks(branch: tuple[str, str] | None, labels: tuple[str, ...]):
+    """Register of the kept labels and the blocks G00, G01, G11."""
+    reg, v00, v11 = _basis_images(branch)
+    if not labels or len(set(labels)) != len(labels):
+        raise ContractError(f"marginal: labels {list(labels)} are empty or repeat")
+    axes = [reg.axis(label) for label in labels]
+    rest = [i for i in range(len(reg.labels)) if i not in axes]
+    kept = Register(labels, tuple(reg.dims[a] for a in axes))
+
+    def rows(v: np.ndarray) -> np.ndarray:
+        return v.reshape(reg.dims).transpose(axes + rest).reshape(kept.dim, -1)
+
+    a, b = rows(v00), rows(v11)
+    g00 = a @ dagger(a)
+    g11 = b @ dagger(b)
+    return kept, (g00 + dagger(g00)) / 2.0, a @ dagger(b), (g11 + dagger(g11)) / 2.0
+
+
+def _marginal(branch: tuple[str, str] | None, labels, alpha2, beta_phase: float) -> DensityOp:
+    x = np.asarray(alpha2, dtype=float)
+    if x.ndim > 1 or not np.all((x > 0.0) & (x < 1.0)):
+        raise ValueError(f"alpha2 must be a number or a 1-D array in (0, 1), got {alpha2!r}")
+    kept, g00, g01, g11 = _gram_blocks(branch, tuple(str(label) for label in labels))
+    # The amplitudes as build_initial forms them, so both routes share the
+    # input's rounding: alpha*alpha + beta*beta is 1 only to roundoff.
+    alpha = np.sqrt(x)[..., None, None]
+    beta = np.sqrt(1.0 - alpha * alpha)
+    cross = (alpha * beta) * (np.exp(-1j * float(beta_phase)) * g01)
+    mat = (alpha * alpha) * g00 + (beta * beta) * g11 + (cross + dagger(cross))
+    return DensityOp(kept, mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None])
+
+
+def branch_marginal(alpha2, branch, labels, beta_phase: float = 0.0) -> DensityOp:
+    """Marginal on `labels` of one branch's six-qubit state.
+
+    alpha2 is a number (one operator) or a 1-D array (a stack with one
+    member per value). labels is a sequence of labels; a string such as
+    "46" or "325" lists single-character labels.
+    """
+    return _marginal(_as_branch(branch), labels, alpha2, beta_phase)
+
+
+def machine_traced_marginal(alpha2, labels, beta_phase: float = 0.0) -> DensityOp:
+    """Marginal on `labels` (from 1, 2, 3, 4) after the first cloning round
+    with both machines traced out instead of measured; alpha2 as in
+    branch_marginal."""
+    return _marginal(None, labels, alpha2, beta_phase)
 
 
 def six_qubit_branch(
     alpha2: float, branch=("Q0", "Q0"), beta_phase: float = 0.0
 ) -> DensityOp:
-    """Six-qubit state of one machine branch (cached: scans revisit points)."""
-    return _six_qubit_branch(float(alpha2), _as_branch(branch), float(beta_phase))
+    """Six-qubit state of one machine branch, on SIX_LABELS."""
+    return branch_marginal(alpha2, branch, SIX_LABELS, beta_phase)
 
 
 def branch_probabilities(alpha2: float, beta_phase: float = 0.0) -> dict[tuple[str, str], float]:
@@ -166,6 +256,23 @@ def extract_marginals(six: DensityOp) -> dict[str, DensityOp]:
     return out
 
 
+def broadcast_intervals(
+    branch,
+    beta_phase: float = 0.0,
+    grid: int = SCAN_GRID,
+    tol: float = SCAN_TOL,
+) -> list[ThresholdInterval]:
+    """alpha^2 intervals on which one branch broadcasts (broadcast_holds over
+    the ten pair marginals), by grid scan plus bisection."""
+    pair = _as_branch(branch)
+
+    def test(xs: np.ndarray) -> np.ndarray:
+        margs = [branch_marginal(xs, pair, key, beta_phase) for key in PAIR_KEYS]
+        return broadcast_holds(dict(zip(PAIR_KEYS, ppt_verdicts(margs))))
+
+    return scan_predicate(test, grid, tol, "broadcast")
+
+
 def branch_report(
     branch,
     reference_alpha2: float = 0.5,
@@ -176,21 +283,17 @@ def branch_report(
     """Scan broadcastability and closed-triple ranges for one branch."""
     pair = _as_branch(branch)
 
-    def broadcast_at(x: float) -> bool:
-        ok, _ = broadcast_verdict(six_qubit_branch(x, pair, beta_phase))
-        return ok
-
-    def closed_at(x: float) -> bool:
-        rho146 = partial_trace(six_qubit_branch(x, pair, beta_phase), ["1", "4", "6"])
-        kind, _ = classify_triple(rho146)
-        return kind == "closed"
+    def closed_at(xs: np.ndarray) -> np.ndarray:
+        # rho146 is closed when its pairs (1,4), (4,6) and (1,6) are all entangled
+        verdicts = ppt_verdicts([branch_marginal(xs, pair, key, beta_phase) for key in ("14", "46", "16")])
+        return np.logical_and.reduce([v.entangled for v in verdicts])
 
     prob = branch_probabilities(reference_alpha2, beta_phase)[pair]
     return BranchReport(
         branch=pair,
         probability=prob,
         reference_alpha2=reference_alpha2,
-        broadcast_intervals=tuple(scan_predicate(broadcast_at, grid, tol, "broadcast")),
+        broadcast_intervals=tuple(broadcast_intervals(pair, beta_phase, grid, tol)),
         rho146_closed_intervals=tuple(scan_predicate(closed_at, grid, tol, "closed-146")),
     )
 

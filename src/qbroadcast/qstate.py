@@ -112,12 +112,18 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOp:
-    """Density operator over a labeled register.
+    """Density operator over a labeled register, or a stack of them.
 
-    Construction checks Hermiticity, unit trace and finiteness; the PSD
-    spectrum check is available separately via validate_psd (it costs a full
-    eigendecomposition, which the 64 x 64 pipeline states do not need on
-    every construction).
+    matrix is (d, d) for one operator, or (G, d, d) for G operators on the
+    same register that are evaluated together (an alpha^2 family on a
+    grid). Stacks go through partial_trace, partial_transpose and the
+    entanglement tests; apply_isometry and permute_subsystems take one
+    operator.
+
+    Construction checks Hermiticity, unit trace and finiteness of every
+    member; the PSD spectrum check is available separately via
+    validate_psd (it costs a full eigendecomposition, which the 64 x 64
+    pipeline states do not need on every construction).
     """
 
     register: Register
@@ -126,27 +132,33 @@ class DensityOp:
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         d = self.register.dim
-        if mat.shape != (d, d):
-            raise ContractError(f"DensityOp: matrix shape {mat.shape} != ({d}, {d})")
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d):
+            raise ContractError(f"DensityOp: matrix shape {mat.shape} is not ({d}, {d}) or (G, {d}, {d})")
         if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
             raise ContractError("DensityOp: non-finite entries")
         defect = hermitian_defect(mat)
         if defect > HERM_TOL:
             raise ContractError(f"DensityOp: not Hermitian (defect {defect:.3e})")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-8:
-            raise ContractError(f"DensityOp: trace {tr} is not 1")
+        tr = np.trace(mat, axis1=-2, axis2=-1).reshape(-1)
+        if tr.size:
+            worst = complex(tr[np.argmax(np.abs(tr - 1.0))])
+            if abs(worst - 1.0) > 1e-8:
+                raise ContractError(f"DensityOp: trace {worst} is not 1")
         object.__setattr__(self, "matrix", mat)
 
+    @property
+    def stacked(self) -> bool:
+        return self.matrix.ndim == 3
+
     def validate_psd(self, tol: float = 1e-9) -> float:
-        """Return the minimum eigenvalue; raise if below -tol."""
-        lo = float(eig_hermitian(self.matrix).values[0])
+        """Return the minimum eigenvalue (over all members); raise if below -tol."""
+        lo = float(np.min(eig_hermitian(self.matrix).values[..., 0]))
         if lo < -tol:
             raise ContractError(f"DensityOp: negative eigenvalue {lo:.3e}")
         return lo
 
     def tensorized(self) -> np.ndarray:
-        return self.matrix.reshape(self.register.dims * 2)
+        return self.matrix.reshape(self.matrix.shape[:-2] + self.register.dims * 2)
 
 
 @dataclass(frozen=True)
@@ -196,6 +208,7 @@ def permute_subsystems(obj, new_order) -> "PureState | DensityOp":
         t = obj.tensorized().transpose(perm)
         return PureState(new_reg, t.reshape(-1))
     if isinstance(obj, DensityOp):
+        _require_single(obj, "permute")
         n = len(reg.labels)
         t = obj.tensorized().transpose(perm + [p + n for p in perm])
         return DensityOp(new_reg, t.reshape(new_reg.dim, new_reg.dim))
@@ -259,6 +272,7 @@ def apply_isometry(obj, v: np.ndarray, target, new_labels) -> "PureState | Densi
         t = _contract_axis(obj.tensorized(), v, axis, new_dims)
         return PureState(new_reg, t.reshape(-1))
     if isinstance(obj, DensityOp):
+        _require_single(obj, "apply_isometry")
         n = len(reg.labels)
         t = _contract_axis(obj.tensorized(), v, axis, new_dims)
         # After the ket-side contraction the bra-side target has shifted by k-1.
@@ -268,7 +282,8 @@ def apply_isometry(obj, v: np.ndarray, target, new_labels) -> "PureState | Densi
 
 
 def partial_trace(rho: DensityOp, keep) -> DensityOp:
-    """Reduced operator on the kept labels, ordered as listed."""
+    """Reduced operator on the kept labels, ordered as listed (member by
+    member for a stack)."""
     names = [_norm_label(x) for x in keep]
     if not names:
         raise ContractError("partial_trace: keep list is empty")
@@ -278,29 +293,37 @@ def partial_trace(rho: DensityOp, keep) -> DensityOp:
     axes_keep = [reg.axis(n) for n in names]
     axes_tr = [i for i in range(len(reg.labels)) if i not in axes_keep]
     n = len(reg.labels)
-    perm = axes_keep + axes_tr + [a + n for a in axes_keep] + [a + n for a in axes_tr]
+    lead = rho.matrix.shape[:-2]
+    k = len(lead)
+    perm = list(range(k)) + [k + a for a in axes_keep + axes_tr + [a + n for a in axes_keep + axes_tr]]
     t = rho.tensorized().transpose(perm)
     dk = 1
     for a in axes_keep:
         dk *= reg.dims[a]
     dt = reg.dim // dk
-    t = t.reshape(dk, dt, dk, dt)
-    out = np.einsum("aibi->ab", t)
+    t = t.reshape(lead + (dk, dt, dk, dt))
+    out = np.einsum("...aibi->...ab", t)
     new_reg = Register(tuple(names), tuple(reg.dims[a] for a in axes_keep))
     return DensityOp(new_reg, out)
 
 
 def partial_transpose(rho: DensityOp, over) -> np.ndarray:
-    """Partial transpose of a two-subsystem operator, as a plain matrix."""
+    """Partial transpose of a two-subsystem operator (or of each member of a
+    stack), as a plain matrix or stack."""
     reg = rho.register
     if len(reg.labels) != 2:
         raise ContractError(
             f"partial_transpose: register must have exactly two subsystems, got {list(reg.labels)}"
         )
     axis = reg.axis(over)
-    t = rho.tensorized()  # (d1, d2, d1, d2)
-    t = t.transpose((2, 1, 0, 3)) if axis == 0 else t.transpose((0, 3, 2, 1))
-    return t.reshape(reg.dim, reg.dim)
+    t = rho.tensorized()  # (..., d1, d2, d1, d2)
+    t = np.swapaxes(t, -4, -2) if axis == 0 else np.swapaxes(t, -3, -1)
+    return t.reshape(rho.matrix.shape)
+
+
+def _require_single(rho: DensityOp, op: str) -> None:
+    if rho.stacked:
+        raise ContractError(f"{op}: expected one density operator, got a stack of {len(rho.matrix)}")
 
 
 def _rank_one_vector(p: np.ndarray, name: str) -> np.ndarray:

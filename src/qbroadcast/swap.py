@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import PROB_FLOOR
 from .errors import ContractError
-from .linalg import eig_hermitian, sqrt_psd
+from .linalg import dagger, eig_hermitian, sqrt_psd
 from .qstate import DensityOp, PureState, Register, permute_subsystems, tensor, to_density
 
 __all__ = [
@@ -142,11 +142,24 @@ def published_corrections() -> dict[str, np.ndarray]:
     }
 
 
-def _fidelity_against_root(root: np.ndarray, mat: np.ndarray) -> float:
-    inner = root @ mat @ root
-    inner = (inner + inner.conj().T) / 2.0
+def _fidelities_against_root(root: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Fidelity of each member of a stack of states against the target whose
+    square root is root."""
+    inner = root @ mats @ root
+    inner = (inner + dagger(inner)) / 2.0
     vals = np.clip(eig_hermitian(inner).values.real, 0.0, None)
-    return float(np.sum(np.sqrt(vals)) ** 2)
+    # As in concurrence: eigenvalues below the solver's relative resolution
+    # are roundoff, and their square roots (~1e-9 from ~1e-18) would
+    # otherwise push the fidelity of a perfect recovery above 1.
+    vals = np.where(vals < vals[:, -1:] * 1e-13, 0.0, vals)
+    return np.sum(np.sqrt(vals), axis=1) ** 2
+
+
+def _pauli_words() -> tuple[list[str], np.ndarray]:
+    """All 64 Pauli words on (3, 5, 7) in search order, with their unitaries."""
+    words = list(itertools.product(_PAULI, repeat=3))
+    names = [n3 + n5 + n7 for (n3, _), (n5, _), (n7, _) in words]
+    return names, np.stack([np.kron(p3, np.kron(p5, p7)) for (_, p3), (_, p5), (_, p7) in words])
 
 
 def derive_corrections(rho325: DensityOp) -> dict[str, CorrectionPlan]:
@@ -155,20 +168,22 @@ def derive_corrections(rho325: DensityOp) -> dict[str, CorrectionPlan]:
     Searches all 64 words over qubits (3, 5, 7); ties go to the first word
     in lexicographic order (i < x < y < z, qubit order 3, 5, 7). Every
     outcome must reach fidelity 1 against the recovery target, since the
-    shared resource is a maximally entangled pair.
+    shared resource is a maximally entangled pair. All words of all
+    outcomes are scored as one stack.
     """
     target = recovery_target(rho325)
     root = sqrt_psd(target.matrix)
+    names, unitaries = _pauli_words()
+    outcomes = bsm(swap_extend(rho325))
+    posts = np.stack([outcome.post_state.matrix for outcome in outcomes])
+    corrected = unitaries[None] @ posts[:, None] @ dagger(unitaries)[None]
+    scores = _fidelities_against_root(root, corrected.reshape(-1, 8, 8)).reshape(len(outcomes), -1)
     plans: dict[str, CorrectionPlan] = {}
-    for outcome in bsm(swap_extend(rho325)):
-        best_word = ""
-        best_u = np.eye(8, dtype=complex)
-        best_f = -1.0
-        for (n3, p3), (n5, p5), (n7, p7) in itertools.product(_PAULI, repeat=3):
-            u = np.kron(p3, np.kron(p5, p7))
-            f = _fidelity_against_root(root, u @ outcome.post_state.matrix @ u.conj().T)
+    for outcome, fids in zip(outcomes, scores):
+        best, best_f = 0, -1.0
+        for i, f in enumerate(fids.tolist()):
             if f > best_f + 1e-12:
-                best_word, best_u, best_f = n3 + n5 + n7, u, f
+                best, best_f = i, f
         if best_f < 1.0 - 1e-9:
             raise ContractError(
                 f"derive_corrections: outcome {outcome.label} only reaches "
@@ -176,10 +191,10 @@ def derive_corrections(rho325: DensityOp) -> dict[str, CorrectionPlan]:
             )
         plans[outcome.label] = CorrectionPlan(
             outcome=outcome.label,
-            unitary=best_u,
+            unitary=unitaries[best],
             source="derived",
             achieved_fidelity=best_f,
-            word=best_word,
+            word=names[best],
         )
     return plans
 
@@ -201,10 +216,9 @@ def verify_recovery(rho325: DensityOp, plan_source: str = "derived") -> dict[str
         unitaries = published_corrections()
     target = recovery_target(rho325)
     root = sqrt_psd(target.matrix)
-    out: dict[str, float] = {}
-    for outcome in bsm(swap_extend(rho325)):
-        u = unitaries[outcome.label]
-        out[outcome.label] = _fidelity_against_root(
-            root, u @ outcome.post_state.matrix @ u.conj().T
-        )
-    return out
+    outcomes = bsm(swap_extend(rho325))
+    corrected = np.stack(
+        [unitaries[o.label] @ o.post_state.matrix @ dagger(unitaries[o.label]) for o in outcomes]
+    )
+    fids = _fidelities_against_root(root, corrected)
+    return {outcome.label: float(f) for outcome, f in zip(outcomes, fids)}

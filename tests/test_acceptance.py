@@ -65,6 +65,7 @@ from published_forms import (
     published_rho46,
     truncated,
 )
+from stacks import pointwise
 
 _BASE_LO = 0.5 - np.sqrt(39.0) / 16.0
 _BASE_HI = 0.5 + np.sqrt(39.0) / 16.0
@@ -341,7 +342,7 @@ def _recovered_intervals(pair):
         fixed = DensityOp(post.register, u @ post.matrix @ u.conj().T)
         return partial_trace(fixed, list(pair))
 
-    return tuple(scan_threshold(family, "entangled"))
+    return tuple(scan_threshold(pointwise(family), "entangled"))
 
 
 def test_criterion_09_swap_recovery(capsys):

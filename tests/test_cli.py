@@ -165,6 +165,54 @@ def test_config_missing_file_and_coarse_grid(tmp_path, capsys):
     assert "grid" in err
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_tol_below_float_spacing_ends_with_valid_intervals(capsys):
+    code, out, _ = _run(capsys, ["thresholds", "--grid", "50", "--tol", "1e-300"])
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["tol"] == 1e-300
+    for key in ("rho14", "rho16", "rho46", "rho12", "broadcast"):
+        ivs = payload[key]["intervals"]
+        assert len(ivs) == 1
+        assert 0.0 < ivs[0]["lo"] < ivs[0]["hi"] == 1.0
+    t46 = (9.0 + 8.0 * np.sqrt(3.0)) / 37.0
+    assert payload["rho46"]["intervals"][0]["lo"] == pytest.approx(t46, abs=1e-8)
+    assert payload["broadcast"]["intervals"][0]["lo"] == pytest.approx(t46, abs=1e-8)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_settings_are_usage_errors(tmp_path, capsys, value):
+    code, out, err = _run(capsys, ["thresholds", "--grid", "50", f"--tol={value}"])
+    assert (code, out) == (2, "")
+    assert "tol" in err
+    cfg = tmp_path / "scan.cfg"
+    for key in ("tol", "beta_phase"):
+        cfg.write_text(f"grid = 50\n{key} = {value}\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["baseline", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert key in err
+    code, out, _ = _run(capsys, ["sweep", "--pairs", "16", "--from", "0.2", "--to", "0.4",
+                                 "--steps", "2", f"--beta-phase={value}"])
+    assert (code, out) == (2, "")
+
+
+def test_non_finite_results_never_reach_json(capsys, monkeypatch):
+    def nan_concurrence(rho):
+        return np.full(len(rho.matrix), np.nan)
+
+    monkeypatch.setattr("qbroadcast.cli.concurrence", nan_concurrence)
+    code, out, err = _run(capsys, ["sweep", "--pairs", "16", "--from", "0.2", "--to", "0.4",
+                                   "--steps", "2", "--format", "json"])
+    assert (code, out) == (1, "")
+    assert "not finite" in err
+
+
 # -------------------------------------------------------------- exit codes
 
 

@@ -6,6 +6,7 @@ from qbroadcast import (
     DensityOp,
     PureState,
     Register,
+    broadcast_holds,
     broadcast_verdict,
     buzek_baseline,
     classify_triple,
@@ -13,11 +14,13 @@ from qbroadcast import (
     eof,
     measure_report,
     ppt_verdict,
+    ppt_verdicts,
     scan_predicate,
     scan_threshold,
     tensor,
     to_density,
 )
+from stacks import pointwise
 
 _S = 1.0 / np.sqrt(2.0)
 
@@ -172,7 +175,7 @@ def test_concurrence_ppt_and_determinant_agree_on_random_states():
 
 
 def test_scan_predicate_locates_known_window():
-    ivs = scan_predicate(lambda x: 0.3 < x < 0.7, grid=100, tol=1e-5, name="window")
+    ivs = scan_predicate(pointwise(lambda x: 0.3 < x < 0.7), grid=100, tol=1e-5, name="window")
     assert len(ivs) == 1
     assert ivs[0].lo == pytest.approx(0.3, abs=2e-5)
     assert ivs[0].hi == pytest.approx(0.7, abs=2e-5)
@@ -181,7 +184,7 @@ def test_scan_predicate_locates_known_window():
 
 
 def test_scan_predicate_edge_intervals_and_unions():
-    ivs = scan_predicate(lambda x: x < 0.3 or x > 0.7, grid=100, tol=1e-5)
+    ivs = scan_predicate(pointwise(lambda x: x < 0.3 or x > 0.7), grid=100, tol=1e-5)
     assert len(ivs) == 2
     assert ivs[0].lo == 0.0
     assert ivs[0].hi == pytest.approx(0.3, abs=2e-5)
@@ -190,8 +193,8 @@ def test_scan_predicate_edge_intervals_and_unions():
 
 
 def test_scan_predicate_constant_yields_nothing():
-    assert scan_predicate(lambda x: True, grid=60, tol=1e-4) == []
-    assert scan_predicate(lambda x: False, grid=60, tol=1e-4) == []
+    assert scan_predicate(pointwise(lambda x: True), grid=60, tol=1e-4) == []
+    assert scan_predicate(pointwise(lambda x: False), grid=60, tol=1e-4) == []
 
 
 def test_scan_predicate_rejects_bad_settings():
@@ -203,11 +206,11 @@ def test_scan_predicate_rejects_bad_settings():
 
 def test_scan_threshold_on_werner_family():
     # Werner states are entangled exactly above p = 1/3
-    ivs = scan_threshold(_werner, "entangled", grid=100, tol=1e-5)
+    ivs = scan_threshold(pointwise(_werner), "entangled", grid=100, tol=1e-5)
     assert len(ivs) == 1
     assert ivs[0].lo == pytest.approx(1.0 / 3.0, abs=2e-5)
     assert ivs[0].hi == 1.0
-    seps = scan_threshold(_werner, "separable", grid=100, tol=1e-5)
+    seps = scan_threshold(pointwise(_werner), "separable", grid=100, tol=1e-5)
     assert len(seps) == 1
     assert seps[0].lo == 0.0
     assert seps[0].hi == pytest.approx(1.0 / 3.0, abs=2e-5)
@@ -269,3 +272,98 @@ def test_broadcast_verdict_rejects_missing_labels():
     six = to_density(PureState(Register.qubits("1", "2", "5", "3", "4", "9"), amps))
     with pytest.raises(ContractError):
         broadcast_verdict(six)
+
+
+# ------------------------------------------------------------------ stacks
+
+
+def _stack(rhos):
+    return DensityOp(rhos[0].register, np.stack([rho.matrix for rho in rhos]))
+
+
+def test_stacked_verdicts_and_concurrence_match_members():
+    rng = np.random.default_rng(606)
+    rhos = [_random_two_qubit(rng, i % 3) for i in range(30)] + [_werner(0.2), _pair_pure(_S)]
+    stacked = ppt_verdict(_stack(rhos))
+    conc = concurrence(_stack(rhos))
+    assert stacked.min_pt_eigenvalue.shape == conc.shape == (len(rhos),)
+    for i, rho in enumerate(rhos):
+        alone = ppt_verdict(rho)
+        assert isinstance(alone.min_pt_eigenvalue, float) and isinstance(alone.entangled, bool)
+        assert stacked.min_pt_eigenvalue[i] == pytest.approx(alone.min_pt_eigenvalue, abs=1e-12)
+        assert stacked.w3[i] == pytest.approx(alone.w3, abs=1e-12)
+        assert stacked.w4[i] == pytest.approx(alone.w4, abs=1e-12)
+        assert stacked.entangled[i] == alone.entangled
+        assert conc[i] == pytest.approx(concurrence(rho), abs=1e-12)
+
+
+def test_ppt_verdicts_solve_several_operators_together():
+    rhos = [_werner(p) for p in (0.1, 0.5, 0.9)]
+    together = ppt_verdicts(rhos)
+    assert [v.entangled for v in together] == [False, True, True]
+    stacks = [_stack(rhos), _stack(rhos[::-1])]
+    first, second = ppt_verdicts(stacks)
+    assert list(first.entangled) == [False, True, True]
+    assert list(second.entangled) == [True, True, False]
+    with pytest.raises(ContractError):
+        ppt_verdicts([_stack(rhos), _stack(rhos[:2])])
+
+
+def test_broadcast_holds_on_stacked_reports():
+    entangled = ppt_verdict(_stack([_werner(0.9), _werner(0.9)]))
+    separable = ppt_verdict(_stack([_werner(0.1), _werner(0.9)]))
+    report = {key: entangled for key in ("25", "46", "23", "35", "14", "16")}
+    report.update({key: separable for key in ("12", "15", "34", "36")})
+    assert list(broadcast_holds(report)) == [True, False]
+
+
+def test_scan_predicate_tests_the_grid_as_one_array():
+    calls = []
+
+    def test(xs):
+        calls.append(len(xs))
+        return (xs > 0.25) & (xs < 0.6)
+
+    ivs = scan_predicate(test, grid=80, tol=1e-6)
+    assert [(round(iv.lo, 5), round(iv.hi, 5)) for iv in ivs] == [(0.25, 0.6)]
+    # the grid first, then both edges refined together, one point each
+    assert calls[0] == 80
+    assert set(calls[1:]) == {2}
+
+
+def test_scan_predicate_tests_fine_grids_in_chunks():
+    calls = []
+
+    def test(xs):
+        calls.append(len(xs))
+        return xs > 0.3
+
+    ivs = scan_predicate(test, grid=10000, tol=1e-6)
+    assert len(ivs) == 1 and ivs[0].lo == pytest.approx(0.3, abs=1e-6)
+    assert calls[:3] == [4096, 4096, 1808]
+    assert set(calls[3:]) == {1}
+
+
+def test_scan_predicate_ends_below_the_float_spacing():
+    # adjacent floats cannot be split further; bisection stops there
+    calls = []
+
+    def test(xs):
+        calls.append(len(xs))
+        if len(calls) > 1000:
+            raise AssertionError("bisection does not end")
+        return xs > 0.3
+
+    ivs = scan_predicate(test, grid=60, tol=1e-300)
+    assert len(ivs) == 1
+    assert abs(ivs[0].lo - 0.3) <= np.spacing(0.3)
+    assert ivs[0].hi == 1.0
+    assert len(calls) < 100
+
+
+def test_scan_predicate_rejects_non_finite_tol_and_bad_shapes():
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ContractError):
+            scan_predicate(pointwise(lambda x: x > 0.5), grid=60, tol=tol)
+    with pytest.raises(ContractError):
+        scan_predicate(lambda xs: True, grid=60, tol=1e-4)

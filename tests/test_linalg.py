@@ -138,3 +138,104 @@ def test_fidelity_symmetric_on_random_states():
 def test_fidelity_shape_mismatch():
     with pytest.raises(ContractError):
         fidelity(np.eye(2) / 2.0, np.eye(4) / 4.0)
+
+
+# ------------------------------------------------------------------ stacks
+#
+# numpy.linalg is used here only as a reference; the package solves with its
+# own Jacobi iteration and elimination.
+
+
+def _hermitian_stack(rng, g, n):
+    a = rng.standard_normal((g, n, n)) + 1j * rng.standard_normal((g, n, n))
+    return (a + np.swapaxes(a.conj(), 1, 2)) / 2.0
+
+
+def _degenerate_stack(rng, n):
+    """Random unitary conjugates of spectra with repeated eigenvalues."""
+    out = []
+    for spectrum in ([1.0] * n, [0.0] * (n // 2) + [2.0] * (n - n // 2), [-1.0, -1.0] + [3.0] * (n - 2)):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        out.append(q @ np.diag(spectrum[:n]) @ q.conj().T)
+    return np.stack(out)
+
+
+def test_stacked_eig_matches_numpy():
+    rng = np.random.default_rng(101)
+    for n in (1, 2, 3, 4, 8):
+        stacks = [_hermitian_stack(rng, 16, n), np.stack([np.diag(rng.standard_normal(n))] * 3)]
+        if n >= 2:
+            stacks.append(_degenerate_stack(rng, n))
+        for stack in stacks:
+            got = eig_hermitian(stack)
+            assert got.values.shape == stack.shape[:2]
+            assert got.vectors.shape == stack.shape
+            assert np.max(np.abs(got.values - np.linalg.eigvalsh(stack))) < 1e-12
+            assert np.all(np.diff(got.values, axis=1) >= -1e-12)
+            eye = np.eye(n)
+            assert np.max(np.abs(dagger(got.vectors) @ got.vectors - eye)) < 1e-12
+            assert np.max(np.abs(got.reconstruct() - stack)) < 1e-12
+
+
+def test_stacked_eig_leaves_diagonal_inputs_exact():
+    d = np.stack([np.diag([3.0, -1.0, 2.0, 0.5]), np.diag([1.0, 1.0, 1.0, 1.0])]).astype(complex)
+    got = eig_hermitian(d)
+    assert np.array_equal(got.values, [[-1.0, 0.5, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0]])
+    assert np.array_equal(np.abs(got.reconstruct() - d), np.zeros_like(d, dtype=float))
+
+
+def test_stack_equals_members_solved_one_at_a_time():
+    rng = np.random.default_rng(202)
+    for n in (3, 4, 8):
+        stack = np.concatenate([_hermitian_stack(rng, 12, n), _degenerate_stack(rng, n)])
+        together = eig_hermitian(stack)
+        dets = det_complex(stack)
+        for i, member in enumerate(stack):
+            alone = eig_hermitian(member)
+            assert np.max(np.abs(together.values[i] - alone.values)) < 1e-12
+            assert np.max(np.abs(together.reconstruct()[i] - alone.reconstruct())) < 1e-12
+            single = det_complex(member)
+            assert isinstance(single, complex)
+            assert abs(dets[i] - single) <= 1e-12 * max(1.0, abs(single))
+
+
+def test_stacked_det_matches_numpy():
+    rng = np.random.default_rng(303)
+    for n in (1, 2, 3, 4, 8):
+        stack = rng.standard_normal((10, n, n)) + 1j * rng.standard_normal((10, n, n))
+        stack = np.concatenate([stack, _hermitian_stack(rng, 4, n), np.zeros((1, n, n))])
+        got = det_complex(stack)
+        want = np.linalg.det(stack)
+        assert got.shape == (15,)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert got[-1] == 0.0
+
+
+def test_stacked_det_of_singular_members():
+    # a zero pivot column makes that member's determinant exactly 0 and
+    # leaves the other members alone
+    a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    singular = np.array([[0.0, 1.0], [0.0, 5.0]], dtype=complex)
+    got = det_complex(np.stack([a, singular, a]))
+    assert list(got) == [pytest.approx(-2.0), 0.0, pytest.approx(-2.0)]
+
+
+def test_stack_checks_every_member():
+    rng = np.random.default_rng(404)
+    stack = _hermitian_stack(rng, 5, 4)
+    bad = stack.copy()
+    bad[3, 0, 1] += 1e-6
+    with pytest.raises(ContractError):
+        eig_hermitian(bad)
+    bad = stack.copy()
+    bad[2, 1, 1] = np.inf
+    with pytest.raises(ContractError):
+        eig_hermitian(bad)
+    with pytest.raises(ContractError):
+        det_complex(bad)
+    with pytest.raises(ContractError):
+        eig_hermitian(np.zeros((2, 2, 4, 4)))
+    psd = stack @ stack
+    psd[4] = -psd[4]
+    with pytest.raises(ContractError):
+        sqrt_psd(psd)

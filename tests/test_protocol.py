@@ -7,10 +7,14 @@ from qbroadcast import (
     ContractError,
     PureState,
     Register,
+    branch_marginal,
     branch_probabilities,
     branch_report,
+    broadcast_intervals,
+    broadcast_verdict,
     build_initial,
     extract_marginals,
+    machine_traced_marginal,
     machine_traced_six,
     partial_trace,
     permute_subsystems,
@@ -21,6 +25,7 @@ from qbroadcast import (
     six_qubit_branch,
     to_density,
 )
+from qbroadcast.cloner import OUTCOME_ORDER
 from qbroadcast.protocol import PAIR_KEYS, SIX_LABELS, TRIPLE_KEYS
 from published_forms import (
     published_rho12 as _published_rho12,
@@ -98,6 +103,76 @@ def test_branch_mixture_equals_machine_traced_state():
         )
         direct = machine_traced_six(build_initial(np.sqrt(alpha2), phi))
         assert np.max(np.abs(mix - direct.matrix)) < 1e-10
+
+
+# ------------------------------------------------------------- linear map
+
+
+def _reference_six(alpha2, branch, phi):
+    """The branch's six-qubit state through the per-point pipeline."""
+    _, branches = run_first_stage(build_initial(np.sqrt(alpha2), phi))
+    sel = next(b for b in branches if b.machine_labels == branch)
+    return run_second_stage(sel.state)
+
+
+def _map_points(seed):
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([[1e-6, 1.0 - 1e-6], rng.uniform(0.0, 1.0, 4)])
+    return xs, [0.0] + list(rng.uniform(0.0, 2.0 * np.pi, 2))
+
+
+@pytest.mark.parametrize("branch", OUTCOME_ORDER)
+def test_linear_map_matches_the_per_point_pipeline(branch):
+    xs, phases = _map_points(314)
+    for phi in phases:
+        refs = [_reference_six(x, branch, phi) for x in xs]
+        for x, ref in zip(xs, refs):
+            got = six_qubit_branch(x, branch, phi)
+            assert got.register.labels == SIX_LABELS
+            assert np.max(np.abs(got.matrix - ref.matrix)) < 1e-12
+        for key in PAIR_KEYS + TRIPLE_KEYS:
+            stack = branch_marginal(xs, branch, key, phi)
+            assert stack.register.labels == tuple(key)
+            assert stack.matrix.shape[0] == len(xs)
+            for member, ref in zip(stack.matrix, refs):
+                assert np.max(np.abs(member - partial_trace(ref, list(key)).matrix)) < 1e-12
+
+
+def test_machine_traced_marginal_matches_the_first_stage():
+    xs, phases = _map_points(2718)
+    for phi in phases:
+        for key in ("14", ["1", "2", "3", "4"], ["1", "A1"]):
+            stack = machine_traced_marginal(xs, key, phi)
+            for x, member in zip(xs, stack.matrix):
+                chi, _ = run_first_stage(build_initial(np.sqrt(x), phi))
+                want = partial_trace(to_density(chi), list(key)).matrix
+                assert np.max(np.abs(member - want)) < 1e-12
+
+
+def test_branch_marginal_checks_its_inputs():
+    for bad in (0.0, 1.0, -0.1, float("nan"), [0.5, 1.0], [[0.5]]):
+        with pytest.raises(ValueError):
+            branch_marginal(bad, ("Q0", "Q0"), "46")
+    with pytest.raises(ValueError):
+        branch_marginal(0.5, ("Q0", "Q2"), "46")
+    with pytest.raises(ContractError):
+        branch_marginal(0.5, ("Q0", "Q0"), "47")
+    with pytest.raises(ContractError):
+        branch_marginal(0.5, ("Q0", "Q0"), "44")
+    with pytest.raises(ContractError):
+        branch_marginal(0.5, ("Q0", "Q0"), "")
+
+
+def test_broadcast_intervals_agree_with_the_per_point_verdict():
+    # the stacked scan and broadcast_verdict on six-qubit states built one
+    # point at a time must flip at the same places
+    for branch in (("Q0", "Q0"), ("Q0", "Q1")):
+        ivs = broadcast_intervals(branch, 0.4, grid=60, tol=1e-4)
+        for x in np.linspace(0.01, 0.99, 25):
+            inside = any(iv.lo < x < iv.hi for iv in ivs)
+            near = any(abs(x - e) < 1e-3 for iv in ivs for e in (iv.lo, iv.hi))
+            if not near:
+                assert broadcast_verdict(six_qubit_branch(x, branch, 0.4))[0] == inside
 
 
 # ------------------------------------------------- published marginal forms

@@ -329,3 +329,45 @@ def test_measure_rejects_incomplete_or_non_rank_one_sets():
         projective_measure(psi, half, ["a"])
     with pytest.raises(ContractError):
         projective_measure(psi, [("big", np.eye(4))], ["a"])
+
+
+# ------------------------------------------------------------------ stacks
+
+
+def test_density_stack_checks_every_member():
+    reg = Register.qubits("a", "b")
+    good = np.stack([np.eye(4) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0])]).astype(complex)
+    stack = DensityOp(reg, good)
+    assert stack.stacked and not DensityOp(reg, good[0]).stacked
+    assert stack.validate_psd() == pytest.approx(0.0)
+    bad = good.copy()
+    bad[1, 0, 0] = 2.0  # trace 2 in one member
+    with pytest.raises(ContractError):
+        DensityOp(reg, bad)
+    bad = good.copy()
+    bad[0, 0, 1] = 0.1  # not Hermitian in one member
+    with pytest.raises(ContractError):
+        DensityOp(reg, bad)
+    bad = good.copy()
+    bad[1, 2, 2] = np.nan
+    with pytest.raises(ContractError):
+        DensityOp(reg, bad)
+    with pytest.raises(ContractError):
+        DensityOp(reg, good[None])  # two stack axes
+
+
+def test_partial_trace_and_transpose_act_member_by_member():
+    rng = np.random.default_rng(9)
+    members = [to_density(_random_pure(rng, ["a", "b", "c"])) for _ in range(3)]
+    stack = DensityOp(members[0].register, np.stack([m.matrix for m in members]))
+    traced = partial_trace(stack, ["c", "a"])
+    assert traced.register.labels == ("c", "a")
+    for i, m in enumerate(members):
+        alone = partial_trace(m, ["c", "a"])
+        assert np.max(np.abs(traced.matrix[i] - alone.matrix)) < 1e-15
+        for label in ("c", "a"):
+            assert np.max(np.abs(partial_transpose(traced, label)[i] - partial_transpose(alone, label))) < 1e-15
+    with pytest.raises(ContractError):
+        permute_subsystems(stack, ["c", "b", "a"])
+    with pytest.raises(ContractError):
+        apply_isometry(stack, np.eye(2), "a", ["a"])

@@ -18,6 +18,7 @@ from qbroadcast import (
 )
 from qbroadcast.swap import BELL_ORDER
 from published_forms import published_b1p_post as _published_b1p_post
+from stacks import pointwise
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -184,11 +185,11 @@ def test_recovered_state_reproduces_pair_thresholds():
 
         return f
 
-    ivs = scan_threshold(pair_family("37"), "entangled", grid=60, tol=1e-4)
+    ivs = scan_threshold(pointwise(pair_family("37")), "entangled", grid=60, tol=1e-4)
     assert len(ivs) == 1
     assert ivs[0].lo == pytest.approx(9.0 / 49.0, abs=2e-4)
     assert ivs[0].hi == 1.0
-    ivs = scan_threshold(pair_family("57"), "entangled", grid=60, tol=1e-4)
+    ivs = scan_threshold(pointwise(pair_family("57")), "entangled", grid=60, tol=1e-4)
     assert len(ivs) == 1
     assert ivs[0].lo == pytest.approx((9.0 + 8.0 * np.sqrt(3.0)) / 37.0, abs=2e-4)
     assert ivs[0].hi == 1.0
