@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from .cloner import OUTCOME_ORDER, buzek_baseline
 from .constants import SCAN_GRID, SCAN_TOL
-from .entanglement import concurrence, eof, ppt_verdict, scan_threshold
+from .entanglement import concurrence, eof, ppt_verdict
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, transmit_bits
-from .protocol import PAIR_KEYS, branch_marginal, branch_report, broadcast_intervals
+from .protocol import PAIR_KEYS, branch_marginal, branch_probabilities, branch_scan
 from .swap import bsm, derive_corrections, swap_extend, verify_recovery
 
 __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
@@ -148,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--eve", choices=("none", "intercept"), default="none")
     p.add_argument("--seed", type=int)
-    p.add_argument("--delay", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=1)
     p.set_defaults(handler=_cmd_gv)
 
@@ -237,13 +236,6 @@ def _interval_dicts(intervals) -> list:
     ]
 
 
-def _pair_family(pair: str, branch: tuple[str, str], beta_phase: float):
-    def family(xs):
-        return branch_marginal(xs, branch, pair, beta_phase)
-
-    return family
-
-
 # --------------------------------------------------------------- handlers
 
 
@@ -263,6 +255,9 @@ def _cmd_sweep(args) -> int:
             raise UsageError(f"sweep: unknown pair {pair!r} (choose from {', '.join(PAIR_KEYS)})")
     if args.steps < 1:
         raise UsageError("sweep: --steps must be >= 1")
+    for flag, x in (("--from", args.from_), ("--to", args.to)):
+        if not 0.0 <= x <= 1.0:
+            raise UsageError(f"sweep: {flag} must be in [0, 1], got {x}")
     branch = _parse_branch(args.branch)
     if args.steps == 1:
         values = [args.from_]
@@ -343,31 +338,33 @@ def _cmd_thresholds(args) -> int:
         "tol": s.tol,
         "beta_phase": s.beta_phase,
     }
-    for key, pair, predicate in (
-        ("rho14", "14", "entangled"),
-        ("rho16", "16", "entangled"),
-        ("rho46", "46", "entangled"),
-        ("rho12", "12", "separable"),
-    ):
-        ivs = scan_threshold(_pair_family(pair, branch, s.beta_phase), predicate, s.grid, s.tol)
-        payload[key] = {"predicate": predicate, "intervals": _interval_dicts(ivs)}
-    ivs = broadcast_intervals(branch, s.beta_phase, s.grid, s.tol)
-    payload["broadcast"] = {"predicate": "broadcast", "intervals": _interval_dicts(ivs)}
+    rows = {
+        "rho14": "14:entangled",
+        "rho16": "16:entangled",
+        "rho46": "46:entangled",
+        "rho12": "12:separable",
+        "broadcast": "broadcast",
+    }
+    scans = branch_scan(branch, rows.values(), s.beta_phase, s.grid, s.tol)
+    for key, row in rows.items():
+        payload[key] = {"predicate": row.rpartition(":")[2], "intervals": _interval_dicts(scans[row])}
     return _emit_json(payload)
 
 
 def _cmd_branches(args) -> int:
     s = _settings(args)
+    # The outcome distribution depends on the input weight; it is reported at 1/2.
+    probabilities = branch_probabilities(0.5, s.beta_phase)
     payload = []
     for branch in OUTCOME_ORDER:
-        rep = branch_report(branch, 0.5, s.beta_phase, s.grid, s.tol)
+        scans = branch_scan(branch, ("broadcast", "closed-146"), s.beta_phase, s.grid, s.tol)
         payload.append(
             {
-                "branch": "".join(rep.branch),
-                "probability": rep.probability,
-                "reference_alpha2": rep.reference_alpha2,
-                "broadcast_intervals": _interval_dicts(rep.broadcast_intervals),
-                "closed_146_intervals": _interval_dicts(rep.rho146_closed_intervals),
+                "branch": "".join(branch),
+                "probability": probabilities[branch],
+                "reference_alpha2": 0.5,
+                "broadcast_intervals": _interval_dicts(scans["broadcast"]),
+                "closed_146_intervals": _interval_dicts(scans["closed-146"]),
             }
         )
     return _emit_json(payload)
@@ -403,12 +400,10 @@ def _cmd_gv(args) -> int:
     s = _settings(args)
     if args.bits < 1:
         raise UsageError(f"gv: --bits must be >= 1, got {args.bits}")
-    if args.delay <= 0:
-        raise UsageError(f"gv: --delay must be positive, got {args.delay}")
     if args.trials < 1:
         raise UsageError(f"gv: --trials must be >= 1, got {args.trials}")
     strategy = "none" if args.eve == "none" else "intercept_resend"
-    config = GvConfig(delay=args.delay, trials=args.trials, seed=s.seed)
+    config = GvConfig(trials=args.trials, seed=s.seed)
     pattern = [i % 2 for i in range(args.bits)]
     res = transmit_bits(pattern, strategy, config)
     return _emit_json(
@@ -446,6 +441,17 @@ def _fmt_ivs(intervals) -> str:
     return " union ".join(f"({iv.lo:.6f}, {iv.hi:.6f})" for iv in intervals)
 
 
+# Rows the report reads from each branch's scan. After the broadcast row,
+# the asymmetric branches list the separable original-clone pair, the
+# entangled original-clone pair and the entangled clone-clone pair.
+_REPORT_ROWS = {
+    "Q0Q0": ("broadcast", "16:entangled", "46:entangled", "12:separable"),
+    "Q1Q1": ("broadcast",),
+    "Q0Q1": ("broadcast", "12:separable", "34:entangled", "46:entangled"),
+    "Q1Q0": ("broadcast", "34:separable", "12:entangled", "25:entangled"),
+}
+
+
 def _cmd_report(args) -> int:
     s = _settings(args)
     out: list[str] = []
@@ -461,26 +467,27 @@ def _cmd_report(args) -> int:
     say(_line("baseline inseparability interval", f"({lo:.6f}, {hi:.6f})",
               f"({pub_lo}, {pub_hi})", f"{marker} (tol 0.002)"))
 
-    # Main-branch pair thresholds.
+    # One scan per branch: the main-branch pair thresholds, every branch's
+    # broadcast verdict, and the asymmetric branches' per-pair crossings the
+    # published split ranges correspond to.
+    scans = {
+        name: branch_scan(_parse_branch(name), rows, s.beta_phase, s.grid, s.tol)
+        for name, rows in _REPORT_ROWS.items()
+    }
     branch = ("Q0", "Q0")
-    scans = {}
-    for key, pair, predicate in (
-        ("rho16", "16", "entangled"),
-        ("rho46", "46", "entangled"),
-        ("rho12", "12", "separable"),
-    ):
-        scans[key] = scan_threshold(_pair_family(pair, branch, s.beta_phase), predicate, s.grid, s.tol)
 
     # 0.61 is the rho46 threshold (9 + 8 sqrt 3)/37 = 0.6177 cut, not
     # rounded, to two decimals
     near = (lambda pub, got: _near(got, pub, 0.005), "tol 0.005")
     cut = (_truncates, "truncated")
-    for key, pub_key, what, (same, how) in (
-        ("rho16", "rho16_lo", "rho16 entangled above", near),
-        ("rho46", "rho46_lo", "rho46 entangled above", cut),
-        ("rho12", "rho12_sep_lo", "rho12 separable above", near),
+    for row, pub_key, (same, how) in (
+        ("16:entangled", "rho16_lo", near),
+        ("46:entangled", "rho46_lo", cut),
+        ("12:separable", "rho12_sep_lo", near),
     ):
-        ivs = scans[key]
+        pair, _, predicate = row.partition(":")
+        what = f"rho{pair} {predicate} above"
+        ivs = scans["Q0Q0"][row]
         pub = PUBLISHED[pub_key]
         if ivs:
             got = ivs[0].lo
@@ -489,8 +496,7 @@ def _cmd_report(args) -> int:
         else:
             say(_line(what, "no interval", f"{pub}", "DIFFERS"))
 
-    # Broadcast verdict per branch.
-    q0q0 = broadcast_intervals(("Q0", "Q0"), s.beta_phase, s.grid, s.tol)
+    q0q0 = scans["Q0Q0"]["broadcast"]
     pub = PUBLISHED["broadcast_q0q0"]
     if len(q0q0) == 1 and _truncates(pub[0], q0q0[0].lo) and q0q0[0].hi == pub[1]:
         marker = "ok"
@@ -499,7 +505,7 @@ def _cmd_report(args) -> int:
     say(_line("broadcast interval, branch Q0Q0", _fmt_ivs(q0q0),
               f"({pub[0]}, {pub[1]})", f"{marker} (truncated)"))
 
-    q1q1 = broadcast_intervals(("Q1", "Q1"), s.beta_phase, s.grid, s.tol)
+    q1q1 = scans["Q1Q1"]["broadcast"]
     pub = PUBLISHED["broadcast_q1q1"]
     if q1q1 and _near(q1q1[0].lo, pub[0], 0.01) and _near(q1q1[0].hi, pub[1], 0.01):
         marker = "ok"
@@ -508,30 +514,25 @@ def _cmd_report(args) -> int:
     say(_line("broadcast interval, branch Q1Q1", _fmt_ivs(q1q1),
               f"({pub[0]}, {pub[1]})", f"{marker} (tol 0.01)"))
 
-    # Asymmetric branches: full verdict plus the per-pair crossings the
-    # published split ranges correspond to.
-    for name in ("Q0Q1", "Q1Q0"):
-        br = _parse_branch(name)
-        ivs = broadcast_intervals(br, s.beta_phase, s.grid, s.tol)
+    asymmetric = ("Q0Q1", "Q1Q0")
+    for name in asymmetric:
+        ivs = scans[name]["broadcast"]
         lo_r = PUBLISHED["asym_low_range"]
         hi_r = PUBLISHED["asym_high_range"]
         marker = "DIFFERS" if not ivs else "check"
         say(_line(f"broadcast interval, branch {name}", _fmt_ivs(ivs),
                   f"({lo_r[0]}, {lo_r[1]}) u ({hi_r[0]}, {hi_r[1]})", marker))
 
-    for name, pairs in (("Q0Q1", ("12", "34", "46")), ("Q1Q0", ("34", "12", "25"))):
-        br = _parse_branch(name)
-        sep_pair, ent_pair, deep_pair = pairs
-        sep = scan_threshold(_pair_family(sep_pair, br, s.beta_phase), "separable", s.grid, s.tol)
-        ent = scan_threshold(_pair_family(ent_pair, br, s.beta_phase), "entangled", s.grid, s.tol)
-        deep = scan_threshold(_pair_family(deep_pair, br, s.beta_phase), "entangled", s.grid, s.tol)
-        say(_line(f"  {name} rho{sep_pair} separable range", _fmt_ivs(sep), "boundary 0.60", "info"))
-        say(_line(f"  {name} rho{ent_pair} entangled range", _fmt_ivs(ent), "boundary 0.40", "info"))
-        say(_line(f"  {name} rho{deep_pair} entangled range", _fmt_ivs(deep), "boundary 0.14", "info"))
+    for name in asymmetric:
+        for row, boundary in zip(_REPORT_ROWS[name][1:], ("0.60", "0.40", "0.14")):
+            pair, _, predicate = row.partition(":")
+            say(_line(f"  {name} rho{pair} {predicate} range", _fmt_ivs(scans[name][row]),
+                      f"boundary {boundary}", "info"))
 
     # Concurrence / EoF ranges over the computed rho46 entangled interval.
-    if scans["rho46"]:
-        r_lo, r_hi = scans["rho46"][0].lo, scans["rho46"][0].hi
+    rho46 = scans["Q0Q0"]["46:entangled"]
+    if rho46:
+        r_lo, r_hi = rho46[0].lo, rho46[0].hi
         values = [r_lo + (r_hi - r_lo) * k / 102 for k in range(1, 102)]
         for pair, c_key, e_key in (("16", "c16_range", "eof16_range"), ("46", "c46_range", "eof46_range")):
             samples = concurrence(branch_marginal(values, branch, pair, s.beta_phase))

@@ -33,6 +33,7 @@ __all__ = [
     "eof",
     "measure_report",
     "scan_predicate",
+    "scan_predicates",
     "scan_threshold",
     "classify_triple",
     "broadcast_holds",
@@ -161,17 +162,19 @@ def measure_report(rho: DensityOp) -> MeasureReport:
     return MeasureReport(concurrence=c, eof=eof(c))
 
 
-def _flags(test: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+def _flags(test: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, rows: int) -> np.ndarray:
     flags = np.asarray(test(xs), dtype=bool)
-    if flags.shape != xs.shape:
-        raise ContractError(f"scan: predicate gave shape {flags.shape} for {xs.shape} points")
+    if flags.shape != (rows,) + xs.shape:
+        raise ContractError(f"scan: predicates gave shape {flags.shape} for {rows} rows of {xs.shape} points")
     return flags
 
 
-def _bisect_edges(test, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float) -> np.ndarray:
-    """Midpoints of the flips between a[i] and b[i] (test(a[i]) = fa[i] !=
-    test(b[i])), all edges refined together: each step tests the midpoints
-    of the edges still open as one stack.
+def _bisect_edges(
+    test, rows: int, row: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float
+) -> np.ndarray:
+    """Midpoints of the flips of predicate row[i] between a[i] and b[i]
+    (fa[i] is its value at a[i]), all edges refined together: each step
+    tests the midpoints of the edges still open in one call.
 
     An edge closes when it is no wider than tol, or when its midpoint is one
     of its endpoints (a and b are adjacent floats), so every tol ends.
@@ -182,9 +185,49 @@ def _bisect_edges(test, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float
         live = np.nonzero((b - a > tol) & (mid > a) & (mid < b))[0]
         if not live.size:
             return mid
-        same = _flags(test, mid[live]) == fa[live]
+        same = _flags(test, mid[live], rows)[row[live], np.arange(live.size)] == fa[live]
         a[live[same]] = mid[live[same]]
         b[live[~same]] = mid[live[~same]]
+
+
+def scan_predicates(
+    test: Callable[[np.ndarray], np.ndarray],
+    names: Sequence[str],
+    grid: int = SCAN_GRID,
+    tol: float = SCAN_TOL,
+) -> dict[str, list[ThresholdInterval]]:
+    """Locate all maximal alpha^2 intervals on (0,1) where each of several
+    predicates holds, keyed by predicate name.
+
+    test maps a 1-D array of n alpha^2 values to booleans of shape
+    (len(names), n), one row per name. A coarse grid of `grid` interior
+    points, tested as one array (in chunks of _SCAN_CHUNK points), finds
+    each row's sign structure; bisection refines the interior edges of all
+    rows together to `tol`, one test call per step. A row that is constant
+    across the whole grid yields no crossings and an empty list.
+    """
+    if grid < 50:
+        raise ContractError(f"scan: grid {grid} is too coarse (need >= 50)")
+    if not 0.0 < tol < float("inf"):
+        raise ContractError("scan: tolerance must be positive and finite")
+    names = tuple(names)
+    pts = np.arange(1, grid + 1) / (grid + 1)
+    flags = np.concatenate(
+        [_flags(test, pts[i:i + _SCAN_CHUNK], len(names)) for i in range(0, grid, _SCAN_CHUNK)], axis=1
+    )
+    row, left = np.nonzero(flags[:, 1:] != flags[:, :-1])
+    edges = _bisect_edges(test, len(names), row, pts[left], pts[left + 1], flags[row, left], tol)
+    out = {}
+    for r, name in enumerate(names):
+        # Cut points alternate between the row's entries and exits, starting
+        # with an exit when the row holds at the first grid point.
+        cuts = [0.0, *edges[row == r].tolist(), 1.0]
+        start = 0 if flags[r, 0] else 1
+        out[name] = [] if len(cuts) == 2 else [
+            ThresholdInterval(lo=lo, hi=hi, tolerance=tol, predicate_name=name)
+            for lo, hi in zip(cuts[start::2], cuts[start + 1::2])
+        ]
+    return out
 
 
 def scan_predicate(
@@ -193,36 +236,13 @@ def scan_predicate(
     tol: float = SCAN_TOL,
     name: str = "predicate",
 ) -> list[ThresholdInterval]:
-    """Locate all maximal alpha^2 intervals on (0,1) where test holds.
+    """scan_predicates for one predicate: test maps a 1-D array of alpha^2
+    values to booleans of the same length."""
 
-    test maps a 1-D array of alpha^2 values to booleans of the same length.
-    A coarse grid of `grid` interior points, tested as one array (in chunks
-    of _SCAN_CHUNK points), finds the sign structure; bisection refines
-    each interior edge to `tol`. A predicate that is constant across the
-    whole grid yields no crossings and an empty list.
-    """
-    if grid < 50:
-        raise ContractError(f"scan: grid {grid} is too coarse (need >= 50)")
-    if not 0.0 < tol < float("inf"):
-        raise ContractError("scan: tolerance must be positive and finite")
-    pts = np.arange(1, grid + 1) / (grid + 1)
-    flags = np.concatenate([_flags(test, pts[i:i + _SCAN_CHUNK]) for i in range(0, grid, _SCAN_CHUNK)])
-    if flags.all() or not flags.any():
-        return []
-    last = len(pts) - 1
-    starts = [i for i in range(last + 1) if flags[i] and (i == 0 or not flags[i - 1])]
-    ends = [j for j in range(last + 1) if flags[j] and (j == last or not flags[j + 1])]
-    left = np.array([i - 1 for i in starts if i > 0] + [j for j in ends if j < last], dtype=int)
-    edge = dict(zip(left.tolist(), _bisect_edges(test, pts[left], pts[left + 1], flags[left], tol).tolist()))
-    return [
-        ThresholdInterval(
-            lo=edge[i - 1] if i > 0 else 0.0,
-            hi=edge[j] if j < last else 1.0,
-            tolerance=tol,
-            predicate_name=name,
-        )
-        for i, j in zip(starts, ends)
-    ]
+    def one_row(xs: np.ndarray) -> np.ndarray:
+        return np.asarray(test(xs))[None]
+
+    return scan_predicates(one_row, (name,), grid, tol)[name]
 
 
 def scan_threshold(

@@ -45,20 +45,13 @@ _STRATEGIES = ("none", "intercept_resend")
 
 @dataclass(frozen=True)
 class GvConfig:
-    """Channel settings: packet delay (abstract units), trial count, seed.
+    """Channel settings: trial count and seed. `trials` repeats the whole
+    bit sequence that many times."""
 
-    Any positive delay enforces the model premise that the eavesdropper
-    only ever holds one packet; the value itself does not enter the
-    statistics. `trials` repeats the whole bit sequence that many times.
-    """
-
-    delay: float = 1.0
     trials: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if not self.delay > 0:
-            raise ValueError(f"GvConfig: delay must be positive, got {self.delay}")
         if self.trials < 1:
             raise ValueError(f"GvConfig: trials must be >= 1, got {self.trials}")
 

@@ -63,7 +63,7 @@ def _check_square(a: np.ndarray, op: str) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ContractError(f"{op}: expected a square matrix or a stack of them, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise ContractError(f"{op}: matrix has non-finite entries")
     return a
 
@@ -205,17 +205,28 @@ def det_complex(a: np.ndarray):
     return complex(det[0]) if single else det
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+def fidelity(rho: np.ndarray, sigma: np.ndarray):
+    """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+
+    rho is one matrix; sigma is a matrix of the same shape (returns a
+    float) or a stack of them (returns one fidelity per member).
+    """
     rho = _check_square(rho, "fidelity")
     sigma = _check_square(sigma, "fidelity")
-    if rho.shape != sigma.shape or rho.ndim != 2:
-        raise ContractError(f"fidelity: expected two matrices of one shape, got {rho.shape} and {sigma.shape}")
+    if rho.ndim != 2 or sigma.shape[-2:] != rho.shape:
+        raise ContractError(
+            f"fidelity: expected a matrix and matrices of its shape, got {rho.shape} and {sigma.shape}"
+        )
     root = sqrt_psd(rho)
     inner = root @ sigma @ root
     inner = (inner + dagger(inner)) / 2.0
-    eig = eig_hermitian(inner)
-    if float(eig.values[0]) < -PSD_FAIL:
+    vals = eig_hermitian(inner).values
+    if float(np.min(vals[..., 0])) < -PSD_FAIL:
         raise ContractError("fidelity: inner operator not PSD; are both inputs states?")
-    vals = np.where(eig.values < 0.0, 0.0, eig.values)
-    return float(np.sum(np.sqrt(vals)) ** 2)
+    vals = np.where(vals < 0.0, 0.0, vals)
+    # As in concurrence: eigenvalues below the solver's relative resolution
+    # are roundoff, and their square roots (~1e-9 from ~1e-18) would
+    # otherwise push the fidelity of equal states above 1.
+    vals = np.where(vals < vals[..., -1:] * 1e-13, 0.0, vals)
+    f = np.sum(np.sqrt(vals), axis=-1) ** 2
+    return float(f) if f.ndim == 0 else f

@@ -1,6 +1,6 @@
 """End-to-end pipeline: initial two-qubit state, two rounds of local
 cloning with machine-outcome selection in between, six-qubit state assembly,
-marginal extraction, and per-branch broadcastability reports.
+marginal extraction, and per-branch scans of the pair verdicts.
 
 Labels: Alice holds qubits 1, 2, 5 (1 is her original, 2 and 5 its clones);
 Bob holds 3, 4, 6. Machine registers A1/B1 belong to the first cloning round
@@ -22,7 +22,7 @@ run_second_stage and machine_traced_six remain as the per-point routes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 
 import numpy as np
@@ -33,7 +33,7 @@ from .entanglement import (
     ThresholdInterval,
     broadcast_holds,
     ppt_verdicts,
-    scan_predicate,
+    scan_predicates,
 )
 from .errors import ContractError
 from .gvchannel import DeliveryRecord, GvConfig, secure_send
@@ -42,7 +42,6 @@ from .qstate import DensityOp, PureState, Register, partial_trace, to_density
 
 __all__ = [
     "ProtocolRun",
-    "BranchReport",
     "PAIR_KEYS",
     "TRIPLE_KEYS",
     "build_initial",
@@ -53,8 +52,7 @@ __all__ = [
     "branch_marginal",
     "machine_traced_marginal",
     "extract_marginals",
-    "broadcast_intervals",
-    "branch_report",
+    "branch_scan",
     "run_protocol",
 ]
 
@@ -75,21 +73,6 @@ class ProtocolRun:
     six_qubit_state: DensityOp
     message_log: tuple[tuple[str, str, DeliveryRecord], ...]
     compromised: bool
-
-
-@dataclass(frozen=True)
-class BranchReport:
-    """Broadcastability ranges for one machine branch.
-
-    probability is evaluated at reference_alpha2 (the outcome distribution
-    depends on the input weight).
-    """
-
-    branch: tuple[str, str]
-    probability: float
-    reference_alpha2: float
-    broadcast_intervals: tuple[ThresholdInterval, ...]
-    rho146_closed_intervals: tuple[ThresholdInterval, ...]
 
 
 def build_initial(alpha: float, beta_phase: float = 0.0) -> PureState:
@@ -256,46 +239,49 @@ def extract_marginals(six: DensityOp) -> dict[str, DensityOp]:
     return out
 
 
-def broadcast_intervals(
+def _scan_row(name: str):
+    """The predicate named `name` over a report of per-pair verdicts."""
+    if name == "broadcast":
+        return broadcast_holds
+    if name == "closed-146":
+        # rho146 is closed when its pairs (1,4), (4,6) and (1,6) are all entangled
+        return lambda report: report["14"].entangled & report["46"].entangled & report["16"].entangled
+    key, _, predicate = name.partition(":")
+    if key not in PAIR_KEYS or predicate not in ("entangled", "separable"):
+        raise ValueError(f"branch_scan: unknown row {name!r}")
+    want = predicate == "entangled"
+    return lambda report: report[key].entangled == want
+
+
+def branch_scan(
     branch,
+    names,
     beta_phase: float = 0.0,
     grid: int = SCAN_GRID,
     tol: float = SCAN_TOL,
-) -> list[ThresholdInterval]:
-    """alpha^2 intervals on which one branch broadcasts (broadcast_holds over
-    the ten pair marginals), by grid scan plus bisection."""
+) -> dict[str, list[ThresholdInterval]]:
+    """alpha^2 intervals of one branch for each named row, from one scan.
+
+    A row is "<pair>:entangled" or "<pair>:separable" for a pair in
+    PAIR_KEYS, "broadcast" (broadcast_holds) or "closed-146" (pairs 14, 46
+    and 16 all entangled). Each test call solves the ten pair marginals as
+    one stack, and the edges of all rows are bisected together. Pair rows'
+    intervals are named by their predicate, as scan_threshold names them.
+    """
     pair = _as_branch(branch)
+    names = tuple(names)
+    rows = [_scan_row(name) for name in names]
 
     def test(xs: np.ndarray) -> np.ndarray:
-        margs = [branch_marginal(xs, pair, key, beta_phase) for key in PAIR_KEYS]
-        return broadcast_holds(dict(zip(PAIR_KEYS, ppt_verdicts(margs))))
+        verdicts = ppt_verdicts([branch_marginal(xs, pair, key, beta_phase) for key in PAIR_KEYS])
+        report = dict(zip(PAIR_KEYS, verdicts))
+        return np.stack([row(report) for row in rows])
 
-    return scan_predicate(test, grid, tol, "broadcast")
-
-
-def branch_report(
-    branch,
-    reference_alpha2: float = 0.5,
-    beta_phase: float = 0.0,
-    grid: int = SCAN_GRID,
-    tol: float = SCAN_TOL,
-) -> BranchReport:
-    """Scan broadcastability and closed-triple ranges for one branch."""
-    pair = _as_branch(branch)
-
-    def closed_at(xs: np.ndarray) -> np.ndarray:
-        # rho146 is closed when its pairs (1,4), (4,6) and (1,6) are all entangled
-        verdicts = ppt_verdicts([branch_marginal(xs, pair, key, beta_phase) for key in ("14", "46", "16")])
-        return np.logical_and.reduce([v.entangled for v in verdicts])
-
-    prob = branch_probabilities(reference_alpha2, beta_phase)[pair]
-    return BranchReport(
-        branch=pair,
-        probability=prob,
-        reference_alpha2=reference_alpha2,
-        broadcast_intervals=tuple(broadcast_intervals(pair, beta_phase, grid, tol)),
-        rho146_closed_intervals=tuple(scan_predicate(closed_at, grid, tol, "closed-146")),
-    )
+    scans = scan_predicates(test, names, grid, tol)
+    return {
+        name: [replace(iv, predicate_name=name.rpartition(":")[2]) for iv in ivs]
+        for name, ivs in scans.items()
+    }
 
 
 def _message_seeds(seed: int | None) -> tuple[int, int]:

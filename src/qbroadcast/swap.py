@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import PROB_FLOOR
 from .errors import ContractError
-from .linalg import dagger, eig_hermitian, sqrt_psd
+from .linalg import dagger, fidelity
 from .qstate import DensityOp, PureState, Register, permute_subsystems, tensor, to_density
 
 __all__ = [
@@ -142,19 +142,6 @@ def published_corrections() -> dict[str, np.ndarray]:
     }
 
 
-def _fidelities_against_root(root: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Fidelity of each member of a stack of states against the target whose
-    square root is root."""
-    inner = root @ mats @ root
-    inner = (inner + dagger(inner)) / 2.0
-    vals = np.clip(eig_hermitian(inner).values.real, 0.0, None)
-    # As in concurrence: eigenvalues below the solver's relative resolution
-    # are roundoff, and their square roots (~1e-9 from ~1e-18) would
-    # otherwise push the fidelity of a perfect recovery above 1.
-    vals = np.where(vals < vals[:, -1:] * 1e-13, 0.0, vals)
-    return np.sum(np.sqrt(vals), axis=1) ** 2
-
-
 def _pauli_words() -> tuple[list[str], np.ndarray]:
     """All 64 Pauli words on (3, 5, 7) in search order, with their unitaries."""
     words = list(itertools.product(_PAULI, repeat=3))
@@ -172,12 +159,11 @@ def derive_corrections(rho325: DensityOp) -> dict[str, CorrectionPlan]:
     outcomes are scored as one stack.
     """
     target = recovery_target(rho325)
-    root = sqrt_psd(target.matrix)
     names, unitaries = _pauli_words()
     outcomes = bsm(swap_extend(rho325))
     posts = np.stack([outcome.post_state.matrix for outcome in outcomes])
     corrected = unitaries[None] @ posts[:, None] @ dagger(unitaries)[None]
-    scores = _fidelities_against_root(root, corrected.reshape(-1, 8, 8)).reshape(len(outcomes), -1)
+    scores = fidelity(target.matrix, corrected.reshape(-1, 8, 8)).reshape(len(outcomes), -1)
     plans: dict[str, CorrectionPlan] = {}
     for outcome, fids in zip(outcomes, scores):
         best, best_f = 0, -1.0
@@ -215,10 +201,9 @@ def verify_recovery(rho325: DensityOp, plan_source: str = "derived") -> dict[str
     else:
         unitaries = published_corrections()
     target = recovery_target(rho325)
-    root = sqrt_psd(target.matrix)
     outcomes = bsm(swap_extend(rho325))
     corrected = np.stack(
         [unitaries[o.label] @ o.post_state.matrix @ dagger(unitaries[o.label]) for o in outcomes]
     )
-    fids = _fidelities_against_root(root, corrected)
+    fids = fidelity(target.matrix, corrected)
     return {outcome.label: float(f) for outcome, f in zip(outcomes, fids)}

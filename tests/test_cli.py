@@ -97,6 +97,16 @@ def test_sweep_rejects_bad_pairs_and_steps(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "lo,hi", [("nan", "0.5"), ("0.2", "inf"), ("-1", "0.5"), ("0.2", "2"), ("1e400", "1")]
+)
+def test_sweep_rejects_endpoints_outside_the_unit_interval(capsys, lo, hi):
+    code, out, err = _run(capsys, ["sweep", "--pairs", "16", "--from", lo, "--to", hi, "--steps", "2"])
+    assert code == 2
+    assert out == ""
+    assert "must be in [0, 1]" in err
+
+
 # -------------------------------------------------------------- thresholds
 
 
@@ -298,6 +308,7 @@ def test_gv_quiet_channel(capsys):
 
 def test_gv_rejects_bad_counts(capsys):
     assert _run(capsys, ["gv", "--bits", "0"])[0] == 2
+    # gv has no --delay flag; argparse rejects it as a usage error
     assert _run(capsys, ["gv", "--bits", "10", "--delay", "0"])[0] == 2
     assert _run(capsys, ["gv", "--bits", "10", "--trials", "0"])[0] == 2
 

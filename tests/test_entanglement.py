@@ -16,6 +16,7 @@ from qbroadcast import (
     ppt_verdict,
     ppt_verdicts,
     scan_predicate,
+    scan_predicates,
     scan_threshold,
     tensor,
     to_density,
@@ -367,3 +368,49 @@ def test_scan_predicate_rejects_non_finite_tol_and_bad_shapes():
             scan_predicate(pointwise(lambda x: x > 0.5), grid=60, tol=tol)
     with pytest.raises(ContractError):
         scan_predicate(lambda xs: True, grid=60, tol=1e-4)
+
+
+# Rows of one multi-predicate scan: a window, a union of two edge-touching
+# intervals, one interval touching each edge, two constant rows, and a
+# window sharing its left edge with the first row.
+_ROWS = {
+    "window": lambda xs: (xs > 0.3) & (xs < 0.7),
+    "union": lambda xs: (xs < 0.25) | (xs > 0.8),
+    "low": lambda xs: xs < 0.41,
+    "high": lambda xs: xs > 0.9,
+    "always": lambda xs: xs == xs,
+    "never": lambda xs: xs != xs,
+    "shared": lambda xs: (xs > 0.3) & (xs < 0.55),
+}
+
+
+def test_scan_predicates_rows_equal_separate_scans():
+    calls = []
+
+    def test(xs):
+        calls.append(len(xs))
+        return np.stack([row(xs) for row in _ROWS.values()])
+
+    scans = scan_predicates(test, _ROWS, grid=100, tol=1e-5)
+    assert list(scans) == list(_ROWS)
+    for name, row in _ROWS.items():
+        assert scans[name] == scan_predicate(row, grid=100, tol=1e-5, name=name), name
+    assert scans["always"] == scans["never"] == []
+    assert len(scans["union"]) == 2
+    assert scans["union"][0].lo == scans["low"][0].lo == 0.0
+    assert scans["union"][1].hi == scans["high"][0].hi == 1.0
+    # the grid in one call, then one call per bisection step testing the
+    # midpoints of all eight edges
+    assert calls[0] == 100
+    assert set(calls[1:]) == {8}
+
+
+def test_scan_predicates_checks_the_row_count_and_settings():
+    with pytest.raises(ContractError):
+        scan_predicates(lambda xs: np.stack([xs > 0.5]), ("a", "b"), grid=60, tol=1e-4)
+    with pytest.raises(ContractError):
+        scan_predicates(lambda xs: xs > 0.5, ("a",), grid=60, tol=1e-4)
+    with pytest.raises(ContractError):
+        scan_predicates(lambda xs: np.stack([xs > 0.5]), ("a",), grid=10, tol=1e-4)
+    with pytest.raises(ContractError):
+        scan_predicates(lambda xs: np.stack([xs > 0.5]), ("a",), grid=60, tol=float("nan"))

@@ -239,3 +239,48 @@ def test_stack_checks_every_member():
     psd[4] = -psd[4]
     with pytest.raises(ContractError):
         sqrt_psd(psd)
+
+
+def test_non_contiguous_inputs_are_accepted():
+    # transposed, Fortran-ordered and axis-swapped views hold the same
+    # numbers as their contiguous copies and must give the same results
+    rng = np.random.default_rng(505)
+    h = _hermitian_stack(rng, 1, 4)[0]
+    got = eig_hermitian(h.T)
+    assert np.array_equal(got.values, eig_hermitian(np.ascontiguousarray(h.T)).values)
+    assert det_complex(np.asfortranarray(h)) == det_complex(h)
+    stack = _hermitian_stack(rng, 3, 4)
+    psd = stack @ stack
+    view = np.swapaxes(psd, 1, 2)
+    assert np.array_equal(sqrt_psd(view), sqrt_psd(np.ascontiguousarray(view)))
+
+
+def _rank_two_state(rng, n):
+    g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_fidelity_of_a_state_with_itself_stays_at_one():
+    # a rank-2 state has n - 2 roundoff eigenvalues; their square roots
+    # must not push F(r, r) above 1
+    rng = np.random.default_rng(606)
+    for _ in range(50):
+        r = _rank_two_state(rng, 8)
+        assert abs(fidelity(r, r) - 1.0) <= 1e-12
+
+
+def test_fidelity_against_a_stack_equals_its_members():
+    rng = np.random.default_rng(707)
+    rho = _rank_two_state(rng, 8)
+    sigmas = np.stack([_rank_two_state(rng, 8) for _ in range(5)] + [rho])
+    together = fidelity(rho, sigmas)
+    assert together.shape == (6,)
+    for f, sigma in zip(together, sigmas):
+        alone = fidelity(rho, sigma)
+        assert isinstance(alone, float)
+        assert abs(f - alone) <= 1e-12
+    with pytest.raises(ContractError):
+        fidelity(sigmas, rho)
+    with pytest.raises(ContractError):
+        fidelity(rho, np.stack([np.eye(4) / 4.0]))

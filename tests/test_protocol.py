@@ -9,8 +9,8 @@ from qbroadcast import (
     Register,
     branch_marginal,
     branch_probabilities,
-    branch_report,
-    broadcast_intervals,
+    branch_scan,
+    broadcast_holds,
     broadcast_verdict,
     build_initial,
     extract_marginals,
@@ -18,9 +18,11 @@ from qbroadcast import (
     machine_traced_six,
     partial_trace,
     permute_subsystems,
+    ppt_verdicts,
     run_first_stage,
     run_protocol,
     run_second_stage,
+    scan_predicate,
     scan_threshold,
     six_qubit_branch,
     to_density,
@@ -163,11 +165,11 @@ def test_branch_marginal_checks_its_inputs():
         branch_marginal(0.5, ("Q0", "Q0"), "")
 
 
-def test_broadcast_intervals_agree_with_the_per_point_verdict():
+def test_branch_scan_broadcast_agrees_with_the_per_point_verdict():
     # the stacked scan and broadcast_verdict on six-qubit states built one
     # point at a time must flip at the same places
     for branch in (("Q0", "Q0"), ("Q0", "Q1")):
-        ivs = broadcast_intervals(branch, 0.4, grid=60, tol=1e-4)
+        ivs = branch_scan(branch, ("broadcast",), 0.4, grid=60, tol=1e-4)["broadcast"]
         for x in np.linspace(0.01, 0.99, 25):
             inside = any(iv.lo < x < iv.hi for iv in ivs)
             near = any(abs(x - e) < 1e-3 for iv in ivs for e in (iv.lo, iv.hi))
@@ -268,24 +270,49 @@ def test_beta_phase_leaves_thresholds_alone():
         assert moved[0].hi == base[0].hi == 1.0
 
 
-# ----------------------------------------------------------- branch report
+# ------------------------------------------------------------- branch scan
 
 
-def test_branch_report_main_branch():
-    rep = branch_report(("Q0", "Q0"), grid=60, tol=1e-3)
-    assert rep.branch == ("Q0", "Q0")
-    assert rep.probability == pytest.approx((3 * 0.5 + 1) / 9.0, abs=1e-12)
-    assert rep.reference_alpha2 == 0.5
-    assert len(rep.broadcast_intervals) == 1
-    assert rep.broadcast_intervals[0].lo == pytest.approx(0.6177, abs=3e-3)
-    assert rep.broadcast_intervals[0].hi == 1.0
-    assert len(rep.rho146_closed_intervals) == 1
-    assert rep.rho146_closed_intervals[0].lo == pytest.approx(0.6177, abs=3e-3)
+def test_branch_scan_main_branch():
+    scans = branch_scan(("Q0", "Q0"), ("broadcast", "closed-146"), grid=60, tol=1e-3)
+    assert list(scans) == ["broadcast", "closed-146"]
+    assert branch_probabilities(0.5)[("Q0", "Q0")] == pytest.approx((3 * 0.5 + 1) / 9.0, abs=1e-12)
+    assert len(scans["broadcast"]) == 1
+    assert scans["broadcast"][0].lo == pytest.approx(0.6177, abs=3e-3)
+    assert scans["broadcast"][0].hi == 1.0
+    assert scans["broadcast"][0].predicate_name == "broadcast"
+    assert len(scans["closed-146"]) == 1
+    assert scans["closed-146"][0].lo == pytest.approx(0.6177, abs=3e-3)
+    assert scans["closed-146"][0].predicate_name == "closed-146"
 
 
-def test_branch_report_rejects_unknown_branch():
+def test_branch_scan_rejects_unknown_branches_and_rows():
     with pytest.raises(ValueError):
-        branch_report(("Q0", "Q2"))
+        branch_scan(("Q0", "Q2"), ("broadcast",))
+    for name in ("47:entangled", "46:closed", "46", "closed-325", "entangled", ""):
+        with pytest.raises(ValueError):
+            branch_scan(("Q0", "Q0"), ("broadcast", name), grid=60, tol=1e-3)
+
+
+@pytest.mark.parametrize("branch", OUTCOME_ORDER)
+def test_branch_scan_rows_equal_their_own_scans(branch):
+    # one scan of all rows must give exactly what each row's own scan gives
+    phi = 0.4
+    rows = [f"{key}:{predicate}" for key in PAIR_KEYS for predicate in ("entangled", "separable")]
+    scans = branch_scan(branch, rows + ["broadcast"], phi, grid=60, tol=1e-4)
+    for row in rows:
+        key, _, predicate = row.partition(":")
+
+        def family(xs, key=key):
+            return branch_marginal(xs, branch, key, phi)
+
+        assert scans[row] == scan_threshold(family, predicate, grid=60, tol=1e-4), row
+
+    def broadcast(xs):
+        margs = [branch_marginal(xs, branch, key, phi) for key in PAIR_KEYS]
+        return broadcast_holds(dict(zip(PAIR_KEYS, ppt_verdicts(margs))))
+
+    assert scans["broadcast"] == scan_predicate(broadcast, grid=60, tol=1e-4, name="broadcast")
 
 
 # ------------------------------------------------------------ run_protocol
