@@ -17,7 +17,7 @@ from .constants import SCAN_GRID, SCAN_TOL
 from .entanglement import concurrence, eof, ppt_verdict
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, transmit_bits
-from .protocol import PAIR_KEYS, branch_marginal, branch_probabilities, branch_scan
+from .protocol import PAIR_KEYS, branch_marginal, branch_probabilities, branch_scan, pair_marginals
 from .swap import bsm, derive_corrections, swap_extend, verify_recovery
 
 __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
@@ -226,7 +226,9 @@ def _emit_json(payload) -> int:
 
 
 def _clamp_alpha2(x: float) -> float:
-    return min(max(x, 1e-9), 1.0 - 1e-9)
+    """The marginals take alpha^2 in the open interval (0, 1), so the edges
+    0 and 1 are evaluated at 1e-9 and 1 - 1e-9; every other value as it is."""
+    return 1e-9 if x == 0.0 else 1.0 - 1e-9 if x == 1.0 else x
 
 
 def _interval_dicts(intervals) -> list:
@@ -263,16 +265,16 @@ def _cmd_sweep(args) -> int:
         values = [args.from_]
     else:
         span = args.to - args.from_
-        values = [args.from_ + i * span / (args.steps - 1) for i in range(args.steps)]
+        # Rounding can carry the last point a few ulps past 0 or 1.
+        values = [min(max(args.from_ + i * span / (args.steps - 1), 0.0), 1.0) for i in range(args.steps)]
 
-    # One stack per pair: all alpha^2 points of the pair are evaluated together.
-    clamped = [_clamp_alpha2(x) for x in values]
+    # One stack of the distinct pairs at all alpha^2 points, solved together.
+    stack, runs = pair_marginals([_clamp_alpha2(x) for x in values], branch, pairs, s.beta_phase)
+    verdict = ppt_verdict(stack)
+    conc = concurrence(stack)
     rows: list[SweepRow] = []
     for pair in pairs:
-        marg = branch_marginal(clamped, branch, pair, s.beta_phase)
-        verdict = ppt_verdict(marg)
-        conc = concurrence(marg)
-        for i, x in enumerate(values):
+        for i, x in enumerate(values, start=runs[pair].start):
             rows.append(
                 SweepRow(
                     alpha2=x,
@@ -322,7 +324,11 @@ def _cmd_sweep(args) -> int:
         text = _json_text(payload)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"sweep: cannot write {args.out}: {exc}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

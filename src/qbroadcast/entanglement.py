@@ -1,10 +1,11 @@
 """Separability tests and entanglement measures for two-qubit operators,
 plus threshold scanning over the input weight alpha^2.
 
-The partial-transpose eigenvalue test is the authoritative verdict. The W3
-and W4 determinants of the transposed operator are computed alongside it as
-a cross-check; for two qubits a negative W4 is equivalent to a negative
-eigenvalue, while W3 can only go negative when the state is entangled.
+The partial-transpose eigenvalue test is the authoritative verdict
+(ppt_entangled, which scans use). ppt_verdict computes the W3 and W4
+determinants of the transposed operator alongside it as a cross-check; for
+two qubits a negative W4 is equivalent to a negative eigenvalue, while W3
+can only go negative when the state is entangled.
 
 The tests and measures take one operator or a stack of them (a DensityOp
 with a leading stack axis) and answer with numbers or with arrays of the
@@ -27,6 +28,7 @@ __all__ = [
     "PPTVerdict",
     "MeasureReport",
     "ThresholdInterval",
+    "ppt_entangled",
     "ppt_verdict",
     "ppt_verdicts",
     "concurrence",
@@ -91,6 +93,30 @@ def _real_det(mats: np.ndarray, what: str) -> np.ndarray:
     return d.real
 
 
+def _pt_rule(rhos: Sequence[DensityOp]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The PPT verdict rule for two-qubit operators, or stacks of one length:
+    their partial transposes over the second subsystem, stacked (m, 4, 4);
+    the smallest eigenvalue of each, from one eigen-solve; and whether it
+    lies below -PPT_TOL. The last two are shaped (len(rhos),) + stack shape.
+    """
+    for rho in rhos:
+        _require_two_qubits(rho, "ppt_verdict")
+    lead = rhos[0].matrix.shape[:-2]
+    if any(rho.matrix.shape[:-2] != lead for rho in rhos):
+        raise ContractError("ppt_verdict: operators stacked together must share one stack length")
+    pts = np.stack([partial_transpose(rho, rho.register.labels[1]) for rho in rhos]).reshape(-1, 4, 4)
+    min_eig = eig_hermitian(pts).values[:, 0].reshape((len(rhos),) + lead)
+    return pts, min_eig, min_eig < -PPT_TOL
+
+
+def ppt_entangled(rho: DensityOp):
+    """The PPT verdict alone: whether the partial transpose of a two-qubit
+    operator has an eigenvalue below -PPT_TOL (a bool), or of each member
+    of a stack (a boolean array). ppt_verdict adds the W3/W4 witnesses."""
+    entangled = _pt_rule([rho])[2][0]
+    return bool(entangled) if entangled.ndim == 0 else entangled
+
+
 def ppt_verdict(rho: DensityOp) -> PPTVerdict:
     """Eigenvalue PPT test plus the W3/W4 determinants of the transposed
     operator (transpose taken over the second subsystem)."""
@@ -102,18 +128,10 @@ def ppt_verdicts(rhos: Sequence[DensityOp]) -> list[PPTVerdict]:
     solved as one stack (one eigen-solve and two determinant calls)."""
     if not rhos:
         return []
-    for rho in rhos:
-        _require_two_qubits(rho, "ppt_verdict")
-    lead = rhos[0].matrix.shape[:-2]
-    if any(rho.matrix.shape[:-2] != lead for rho in rhos):
-        raise ContractError("ppt_verdict: operators stacked together must share one stack length")
-    pts = np.stack([partial_transpose(rho, rho.register.labels[1]) for rho in rhos]).reshape(-1, 4, 4)
-    shape = (len(rhos),) + lead
-    min_eig = eig_hermitian(pts).values[:, 0].reshape(shape)
-    w3 = _real_det(pts[:, :3, :3], "W3").reshape(shape)
-    w4 = _real_det(pts, "W4").reshape(shape)
-    entangled = min_eig < -PPT_TOL
-    if not lead:
+    pts, min_eig, entangled = _pt_rule(rhos)
+    w3 = _real_det(pts[:, :3, :3], "W3").reshape(min_eig.shape)
+    w4 = _real_det(pts, "W4").reshape(min_eig.shape)
+    if min_eig.ndim == 1:
         return [
             PPTVerdict(float(m), float(a), float(b), bool(e))
             for m, a, b, e in zip(min_eig, w3, w4, entangled)
@@ -255,14 +273,14 @@ def scan_threshold(
 
     family maps a 1-D array of alpha^2 values to the stacked operators.
     predicate is "entangled" or "separable"; the boolean tested on the grid
-    is the PPT verdict (or its negation) of each member.
+    is the PPT verdict (ppt_entangled, or its negation) of each member.
     """
     if predicate not in ("entangled", "separable"):
         raise ContractError(f"scan_threshold: unknown predicate {predicate!r}")
     want = predicate == "entangled"
 
     def test(xs: np.ndarray) -> np.ndarray:
-        return ppt_verdict(family(xs)).entangled == want
+        return ppt_entangled(family(xs)) == want
 
     return scan_predicate(test, grid=grid, tol=tol, name=predicate)
 
@@ -299,22 +317,23 @@ def _broadcast_pairs(alice, bob):
 
 
 def broadcast_holds(
-    report: dict[str, PPTVerdict],
+    entangled: dict,
     alice: tuple[str, str, str] = ("1", "2", "5"),
     bob: tuple[str, str, str] = ("3", "4", "6"),
 ):
     """The broadcasting verdict from per-pair PPT verdicts keyed by
-    concatenated labels: a bool, or a boolean array for stacked verdicts.
+    concatenated labels (the `entangled` flag of each pair: a bool, or a
+    boolean array for stacked verdicts), as a bool or a boolean array.
 
     Each party holds one original qubit (first label) and two clones. The
     verdict is true when both parties' original-clone pairs are separable
     while the clone-clone pairs and the four original-to-remote-clone pairs
     are all entangled.
     """
-    separable, entangled = _broadcast_pairs(alice, bob)
+    separable, pairs = _broadcast_pairs(alice, bob)
     ok = np.logical_and.reduce(
-        [~np.asarray(report[x + y].entangled) for x, y in separable]
-        + [np.asarray(report[x + y].entangled) for x, y in entangled]
+        [~np.asarray(entangled[x + y]) for x, y in separable]
+        + [np.asarray(entangled[x + y]) for x, y in pairs]
     )
     return bool(ok) if ok.ndim == 0 else ok
 
@@ -328,4 +347,5 @@ def broadcast_verdict(
     broadcast_holds). Returns (verdict, per-pair reports)."""
     separable, entangled = _broadcast_pairs(alice, bob)
     report = _pair_report(six, separable + entangled)
-    return broadcast_holds(report, alice, bob), report
+    flags = {key: verdict.entangled for key, verdict in report.items()}
+    return broadcast_holds(flags, alice, bob), report

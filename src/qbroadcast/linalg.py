@@ -200,7 +200,16 @@ def det_complex(a: np.ndarray):
         pivot = a[:, k, k]
         det *= pivot
         pivot = np.where(pivot == 0.0, 1.0, pivot)
-        a[:, k + 1:, k:] -= (a[:, k + 1:, k] / pivot[:, None])[:, :, None] * a[:, None, k, k:]
+        col = a[:, k + 1:, k]
+        # numpy's complex division overflows when the divisor is subnormal
+        # (its reciprocal is not finite), so those members divide after
+        # scaling the pivot and its column, no larger by the pivoting, by
+        # the exact factor 2^600.
+        tiny = np.abs(pivot) < 2.0 ** -600
+        ratio = col / np.where(tiny, 1.0, pivot)[:, None]
+        if tiny.any():
+            ratio[tiny] = (col[tiny] * 2.0 ** 600) / (pivot[tiny] * 2.0 ** 600)[:, None]
+        a[:, k + 1:, k:] -= ratio[:, :, None] * a[:, None, k, k:]
     det[singular] = 0.0
     return complex(det[0]) if single else det
 

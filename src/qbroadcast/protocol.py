@@ -18,7 +18,10 @@ divided by its trace, where Gij is the partial trace of |vi><vj| over the
 other labels. The vectors are built on first use and the Gram blocks are
 kept per (branch, labels), so an alpha^2 family costs one small linear
 combination per point, evaluated for a whole array of points at once.
-run_second_stage and machine_traced_six remain as the per-point routes.
+The ten pair marginals of a branch share one stack of blocks in which
+bitwise-equal blocks are kept once (pair_marginals), so a scan step forms
+and solves each distinct pair once. run_second_stage and
+machine_traced_six remain as the per-point routes.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .constants import SCAN_GRID, SCAN_TOL
 from .entanglement import (
     ThresholdInterval,
     broadcast_holds,
-    ppt_verdicts,
+    ppt_entangled,
     scan_predicates,
 )
 from .errors import ContractError
@@ -50,6 +53,8 @@ __all__ = [
     "machine_traced_six",
     "six_qubit_branch",
     "branch_marginal",
+    "PAIR_REGISTER",
+    "pair_marginals",
     "machine_traced_marginal",
     "extract_marginals",
     "branch_scan",
@@ -61,6 +66,9 @@ PAIR_KEYS = ("12", "15", "34", "36", "25", "46", "23", "35", "14", "16")
 TRIPLE_KEYS = ("146", "325")
 
 SIX_LABELS = ("1", "2", "5", "3", "4", "6")
+
+# Register of a pair_marginals stack: the first and second qubit of a pair.
+PAIR_REGISTER = Register.qubits("first", "second")
 
 
 @dataclass(frozen=True)
@@ -186,18 +194,31 @@ def _gram_blocks(branch: tuple[str, str] | None, labels: tuple[str, ...]):
     return kept, (g00 + dagger(g00)) / 2.0, a @ dagger(b), (g11 + dagger(g11)) / 2.0
 
 
-def _marginal(branch: tuple[str, str] | None, labels, alpha2, beta_phase: float) -> DensityOp:
+def _alpha2_values(alpha2) -> np.ndarray:
     x = np.asarray(alpha2, dtype=float)
     if x.ndim > 1 or not np.all((x > 0.0) & (x < 1.0)):
         raise ValueError(f"alpha2 must be a number or a 1-D array in (0, 1), got {alpha2!r}")
-    kept, g00, g01, g11 = _gram_blocks(branch, tuple(str(label) for label in labels))
+    return x
+
+
+def _combine(g00, g01, g11, x: np.ndarray, beta_phase: float) -> np.ndarray:
+    """The normalized marginals of blocks stacked (E, d, d) at x, a number
+    or a 1-D array of n values: shape (E, d, d) or (E, n, d, d)."""
+    if x.ndim:
+        g00, g01, g11 = g00[:, None], g01[:, None], g11[:, None]
     # The amplitudes as build_initial forms them, so both routes share the
     # input's rounding: alpha*alpha + beta*beta is 1 only to roundoff.
     alpha = np.sqrt(x)[..., None, None]
     beta = np.sqrt(1.0 - alpha * alpha)
     cross = (alpha * beta) * (np.exp(-1j * float(beta_phase)) * g01)
     mat = (alpha * alpha) * g00 + (beta * beta) * g11 + (cross + dagger(cross))
-    return DensityOp(kept, mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None])
+    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _marginal(branch: tuple[str, str] | None, labels, alpha2, beta_phase: float) -> DensityOp:
+    x = _alpha2_values(alpha2)
+    kept, *blocks = _gram_blocks(branch, tuple(str(label) for label in labels))
+    return DensityOp(kept, _combine(*(g[None] for g in blocks), x, beta_phase)[0])
 
 
 def branch_marginal(alpha2, branch, labels, beta_phase: float = 0.0) -> DensityOp:
@@ -215,6 +236,52 @@ def machine_traced_marginal(alpha2, labels, beta_phase: float = 0.0) -> DensityO
     with both machines traced out instead of measured; alpha2 as in
     branch_marginal."""
     return _marginal(None, labels, alpha2, beta_phase)
+
+
+@cache
+def _pair_blocks(branch: tuple[str, str]) -> tuple[tuple[np.ndarray, ...], dict[str, int]]:
+    """The Gram blocks of a branch's PAIR_KEYS marginals, one entry per set
+    of bitwise-equal blocks, stacked (E, 4, 4) as G00, G01, G11, and the
+    entry of each key.
+
+    The symmetric second cloning round makes clones 2, 5 and 4, 6
+    interchangeable, so several pairs share their blocks exactly (5 entries
+    on Q0Q0 and Q1Q1, 7 on Q0Q1 and Q1Q0); equal blocks give equal
+    marginals and equal verdicts, so each is formed and solved once.
+    """
+    entries: list[list[np.ndarray]] = []
+    entry: dict[str, int] = {}
+    for key in PAIR_KEYS:
+        _, *blocks = _gram_blocks(branch, tuple(key))
+        same = [j for j, other in enumerate(entries) if all(map(np.array_equal, blocks, other))]
+        if not same:
+            entries.append(blocks)
+        entry[key] = same[0] if same else len(entries) - 1
+    g00, g01, g11 = (np.stack(g) for g in zip(*entries))
+    return (g00, g01, g11), entry
+
+
+def pair_marginals(alpha2, branch, keys, beta_phase: float = 0.0) -> tuple[DensityOp, dict[str, slice]]:
+    """The distinct marginals among the pairs `keys` (from PAIR_KEYS) of one
+    branch, as one stack, and the slice of that stack that holds each key.
+
+    alpha2 is a number or a 1-D array of n values; the stack holds one run
+    of n members (one for a number) per distinct marginal, and the run of
+    key k, stack.matrix[runs[k]], equals branch_marginal(alpha2, branch, k,
+    beta_phase).matrix bitwise. Its members sit on different pairs, so the
+    stack's register names the positions in a pair, PAIR_REGISTER.
+    """
+    x = _alpha2_values(alpha2)
+    (g00, g01, g11), entry = _pair_blocks(_as_branch(branch))
+    keys = [str(key) for key in keys]
+    unknown = [key for key in keys if key not in entry]
+    if unknown:
+        raise ValueError(f"pair_marginals: unknown pairs {unknown} (choose from {', '.join(PAIR_KEYS)})")
+    used = list(dict.fromkeys(entry[key] for key in keys))
+    mats = _combine(g00[used], g01[used], g11[used], x, beta_phase).reshape(-1, 4, 4)
+    start = {e: j * x.size for j, e in enumerate(used)}
+    runs = {key: slice(start[entry[key]], start[entry[key]] + x.size) for key in keys}
+    return DensityOp(PAIR_REGISTER, mats), runs
 
 
 def six_qubit_branch(
@@ -240,17 +307,17 @@ def extract_marginals(six: DensityOp) -> dict[str, DensityOp]:
 
 
 def _scan_row(name: str):
-    """The predicate named `name` over a report of per-pair verdicts."""
+    """The predicate named `name` over the entangled flags of the pairs."""
     if name == "broadcast":
         return broadcast_holds
     if name == "closed-146":
         # rho146 is closed when its pairs (1,4), (4,6) and (1,6) are all entangled
-        return lambda report: report["14"].entangled & report["46"].entangled & report["16"].entangled
+        return lambda entangled: entangled["14"] & entangled["46"] & entangled["16"]
     key, _, predicate = name.partition(":")
     if key not in PAIR_KEYS or predicate not in ("entangled", "separable"):
         raise ValueError(f"branch_scan: unknown row {name!r}")
     want = predicate == "entangled"
-    return lambda report: report[key].entangled == want
+    return lambda entangled: entangled[key] == want
 
 
 def branch_scan(
@@ -264,18 +331,21 @@ def branch_scan(
 
     A row is "<pair>:entangled" or "<pair>:separable" for a pair in
     PAIR_KEYS, "broadcast" (broadcast_holds) or "closed-146" (pairs 14, 46
-    and 16 all entangled). Each test call solves the ten pair marginals as
-    one stack, and the edges of all rows are bisected together. Pair rows'
-    intervals are named by their predicate, as scan_threshold names them.
+    and 16 all entangled). Each test call forms the distinct pair marginals
+    as one pair_marginals stack and solves their PPT verdicts
+    (ppt_entangled) at once, and the edges of all rows are bisected
+    together. Pair rows' intervals are named by their predicate, as
+    scan_threshold names them.
     """
     pair = _as_branch(branch)
     names = tuple(names)
     rows = [_scan_row(name) for name in names]
 
     def test(xs: np.ndarray) -> np.ndarray:
-        verdicts = ppt_verdicts([branch_marginal(xs, pair, key, beta_phase) for key in PAIR_KEYS])
-        report = dict(zip(PAIR_KEYS, verdicts))
-        return np.stack([row(report) for row in rows])
+        stack, runs = pair_marginals(xs, pair, PAIR_KEYS, beta_phase)
+        flags = ppt_entangled(stack)
+        entangled = {key: flags[run] for key, run in runs.items()}
+        return np.stack([row(entangled) for row in rows])
 
     scans = scan_predicates(test, names, grid, tol)
     return {

@@ -3,8 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import qbroadcast.entanglement as entanglement_module
+import qbroadcast.protocol as protocol_module
 from qbroadcast.cli import CSV_HEADER, run_command
+from qbroadcast.entanglement import concurrence, ppt_verdict
 from qbroadcast.errors import ContractError
+from qbroadcast.linalg import eig_hermitian
+from qbroadcast.protocol import branch_marginal
+from qbroadcast.qstate import DensityOp
 
 
 def _run(capsys, argv):
@@ -85,6 +91,66 @@ def test_sweep_writes_output_file(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert text.startswith(CSV_HEADER + "\n")
     assert len(text.rstrip("\n").split("\n")) == 2
+
+
+def test_sweep_rows_near_the_edges_are_computed_at_their_labels(capsys):
+    # only exactly 0 and 1 are moved; 1e-320 is evaluated as it is
+    code, out, _ = _run(capsys, ["sweep", "--pairs", "16,46", "--from", "1e-320", "--to", "1e-9",
+                                 "--steps", "2", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    labels = sorted({row["alpha2"] for row in rows})
+    assert 0.0 < labels[0] < 1e-9
+    for pair in ("16", "46"):
+        marg = branch_marginal(labels, ("Q0", "Q0"), pair)
+        verdict, conc = ppt_verdict(marg), concurrence(marg)
+        got = [row for row in rows if row["pair"] == pair]
+        assert [row["alpha2"] for row in got] == labels
+        assert [row["min_pt_eigenvalue"] for row in got] == list(verdict.min_pt_eigenvalue)
+        assert [row["w4"] for row in got] == list(verdict.w4)
+        assert [row["concurrence"] for row in got] == list(conc)
+    # the row at 1e-320 is not the row at 1e-9
+    assert rows[0]["w3"] != rows[2]["w3"]
+
+
+@pytest.mark.parametrize("lo,hi,steps", [("0.2", "1", "4"), ("0.1", "0", "4")])
+def test_sweep_grid_rounding_stays_in_the_unit_interval(capsys, lo, hi, steps):
+    # lo + 3*(hi - lo)/3 rounds to 1.0000000000000002 and -1.4e-17 here
+    code, out, _ = _run(capsys, ["sweep", "--pairs", "16", "--from", lo, "--to", hi,
+                                 "--steps", steps, "--format", "json"])
+    assert code == 0
+    assert {row["alpha2"] for row in json.loads(out)} >= {float(hi)}
+
+
+def test_sweep_out_errors_are_usage_errors(tmp_path, capsys):
+    argv = ["sweep", "--pairs", "16", "--from", "0.5", "--to", "0.5", "--steps", "1", "--out"]
+    for target in (tmp_path / "missing" / "rows.csv", tmp_path):
+        code, out, err = _run(capsys, argv + [str(target)])
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err
+
+
+def test_sweep_solves_one_pair_stack(capsys, monkeypatch):
+    # one stack of the distinct pairs, one PPT eigen-solve and one
+    # concurrence solve per sweep, whatever the number of pairs
+    argv = ["sweep", "--pairs", "12,15,34,36,25,46,23,35,14,16", "--from", "0.1", "--to", "0.9",
+            "--steps", "20"]
+    assert _run(capsys, argv)[0] == 0
+    calls = {"stacks": [], "eig": 0}
+
+    def stack(register, matrix):
+        calls["stacks"].append(matrix.shape)
+        return DensityOp(register, matrix)
+
+    def eig(a, *args):
+        calls["eig"] += 1
+        return eig_hermitian(a, *args)
+
+    monkeypatch.setattr(protocol_module, "DensityOp", stack)
+    monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
+    assert _run(capsys, argv)[0] == 0
+    assert calls == {"stacks": [(5 * 20, 4, 4)], "eig": 2}
 
 
 def test_sweep_rejects_bad_pairs_and_steps(capsys):

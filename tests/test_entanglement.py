@@ -13,6 +13,7 @@ from qbroadcast import (
     concurrence,
     eof,
     measure_report,
+    ppt_entangled,
     ppt_verdict,
     ppt_verdicts,
     scan_predicate,
@@ -21,6 +22,7 @@ from qbroadcast import (
     tensor,
     to_density,
 )
+import qbroadcast.entanglement as entanglement_module
 from stacks import pointwise
 
 _S = 1.0 / np.sqrt(2.0)
@@ -298,6 +300,23 @@ def test_stacked_verdicts_and_concurrence_match_members():
         assert conc[i] == pytest.approx(concurrence(rho), abs=1e-12)
 
 
+def test_ppt_entangled_is_the_verdict_without_witnesses(monkeypatch):
+    rng = np.random.default_rng(707)
+    rhos = [_random_two_qubit(rng, i % 3) for i in range(12)] + [_werner(0.2), _werner(0.9)]
+    want = [ppt_verdict(rho).entangled for rho in rhos]
+
+    def no_det(a):
+        raise AssertionError("the verdict alone needs no determinant")
+
+    monkeypatch.setattr(entanglement_module, "det_complex", no_det)
+    alone = [ppt_entangled(rho) for rho in rhos]
+    assert all(isinstance(flag, bool) for flag in alone)
+    assert alone == want
+    assert list(ppt_entangled(_stack(rhos))) == want
+    with pytest.raises(ContractError):
+        ppt_entangled(tensor(_werner(0.5), to_density(PureState(Register.qubits("X"), np.array([1.0, 0.0])))))
+
+
 def test_ppt_verdicts_solve_several_operators_together():
     rhos = [_werner(p) for p in (0.1, 0.5, 0.9)]
     together = ppt_verdicts(rhos)
@@ -311,8 +330,8 @@ def test_ppt_verdicts_solve_several_operators_together():
 
 
 def test_broadcast_holds_on_stacked_reports():
-    entangled = ppt_verdict(_stack([_werner(0.9), _werner(0.9)]))
-    separable = ppt_verdict(_stack([_werner(0.1), _werner(0.9)]))
+    entangled = ppt_verdict(_stack([_werner(0.9), _werner(0.9)])).entangled
+    separable = ppt_verdict(_stack([_werner(0.1), _werner(0.9)])).entangled
     report = {key: entangled for key in ("25", "46", "23", "35", "14", "16")}
     report.update({key: separable for key in ("12", "15", "34", "36")})
     assert list(broadcast_holds(report)) == [True, False]

@@ -220,6 +220,18 @@ def test_stacked_det_of_singular_members():
     assert list(got) == [pytest.approx(-2.0), 0.0, pytest.approx(-2.0)]
 
 
+def test_det_with_subnormal_pivots_stays_finite():
+    # dividing by a subnormal pivot overflowed numpy's complex division and
+    # gave nan; the determinants here are exact
+    diag = np.diag([1e-320, 1.0, 1.0]).astype(complex)
+    lower = np.array([[1e-320, 1.0, 0.0], [1e-320, 3.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
+    normal = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    with np.errstate(over="raise", invalid="raise"):
+        got = det_complex(np.stack([diag, lower, normal]))
+    assert list(got) == [1e-320, 4 * 1e-320, -2.0]
+    assert det_complex(diag) == 1e-320
+
+
 def test_stack_checks_every_member():
     rng = np.random.default_rng(404)
     stack = _hermitian_stack(rng, 5, 4)

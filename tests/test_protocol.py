@@ -27,8 +27,13 @@ from qbroadcast import (
     six_qubit_branch,
     to_density,
 )
+import qbroadcast.entanglement as entanglement_module
+import qbroadcast.protocol as protocol_module
 from qbroadcast.cloner import OUTCOME_ORDER
-from qbroadcast.protocol import PAIR_KEYS, SIX_LABELS, TRIPLE_KEYS
+from qbroadcast.entanglement import concurrence, ppt_entangled, ppt_verdict, scan_predicates
+from qbroadcast.linalg import eig_hermitian
+from qbroadcast.protocol import PAIR_KEYS, PAIR_REGISTER, SIX_LABELS, TRIPLE_KEYS, pair_marginals
+from qbroadcast.qstate import DensityOp
 from published_forms import (
     published_rho12 as _published_rho12,
     published_rho146 as _published_rho146,
@@ -163,6 +168,91 @@ def test_branch_marginal_checks_its_inputs():
         branch_marginal(0.5, ("Q0", "Q0"), "44")
     with pytest.raises(ContractError):
         branch_marginal(0.5, ("Q0", "Q0"), "")
+
+
+@pytest.mark.parametrize("branch", OUTCOME_ORDER)
+def test_pair_stack_runs_equal_branch_marginal(branch):
+    # bitwise: the stack's runs, verdicts and concurrences are exactly the
+    # per-pair ones, so routing sweeps and scans through it moves no output
+    xs, phases = _map_points(1618)
+    for phi in phases:
+        stack, runs = pair_marginals(xs, branch, PAIR_KEYS, phi)
+        assert sorted(runs) == sorted(PAIR_KEYS)
+        verdict, flags, conc = ppt_verdict(stack), ppt_entangled(stack), concurrence(stack)
+        for key, run in runs.items():
+            alone = branch_marginal(xs, branch, key, phi)
+            assert np.array_equal(stack.matrix[run], alone.matrix), key
+            want = ppt_verdict(alone)
+            for field in ("min_pt_eigenvalue", "w3", "w4", "entangled"):
+                assert np.array_equal(getattr(verdict, field)[run], getattr(want, field)), (key, field)
+            assert np.array_equal(flags[run], want.entangled), key
+            assert np.array_equal(conc[run], concurrence(alone)), key
+
+
+def test_pair_stack_keeps_each_distinct_pair_once():
+    # the symmetric second cloning round makes clones 2, 5 and 4, 6
+    # interchangeable; these counts keep a change to the cloner arithmetic
+    # from losing the shared entries unnoticed
+    xs = np.array([0.2, 0.5, 0.7])
+    distinct = {("Q0", "Q0"): 5, ("Q0", "Q1"): 7, ("Q1", "Q0"): 7, ("Q1", "Q1"): 5}
+    for branch, count in distinct.items():
+        stack, runs = pair_marginals(xs, branch, PAIR_KEYS, 0.3)
+        assert stack.register == PAIR_REGISTER
+        assert stack.matrix.shape == (count * len(xs), 4, 4)
+        assert len({(run.start, run.stop) for run in runs.values()}) == count
+        assert all(run.stop - run.start == len(xs) for run in runs.values())
+        assert runs["12"] == runs["15"] and runs["34"] == runs["36"] and runs["14"] == runs["16"]
+        one, only = pair_marginals(xs, branch, ["16"], 0.3)
+        assert one.matrix.shape == (len(xs), 4, 4)
+        assert only == {"16": slice(0, len(xs))}
+    # a number gives runs of one member; 25 and 46 share an entry on Q0Q0
+    stack, runs = pair_marginals(0.4, ("Q0", "Q0"), ["46", "23", "25"])
+    assert stack.matrix.shape == (2, 4, 4)
+    assert runs == {"46": slice(0, 1), "23": slice(1, 2), "25": slice(0, 1)}
+
+
+def test_pair_marginals_checks_its_inputs():
+    for bad in (0.0, 1.0, float("nan"), [0.5, 1.0], [[0.5]]):
+        with pytest.raises(ValueError):
+            pair_marginals(bad, ("Q0", "Q0"), ["46"])
+    with pytest.raises(ValueError):
+        pair_marginals(0.5, ("Q0", "Q2"), ["46"])
+    for keys in (["47"], ["46", "146"], ["64"]):
+        with pytest.raises(ValueError):
+            pair_marginals(0.5, ("Q0", "Q0"), keys)
+
+
+def test_branch_scan_solves_one_pair_stack_per_step(monkeypatch):
+    # one stack, one PPT eigen-solve and no W3/W4 determinant per test call
+    pair_marginals(0.5, ("Q0", "Q1"), PAIR_KEYS)
+    counts = {"test": 0, "stacks": 0, "eig": 0}
+
+    def scan(test, names, grid, tol):
+        def counted(xs):
+            counts["test"] += 1
+            return test(xs)
+
+        return scan_predicates(counted, names, grid, tol)
+
+    def stack(register, matrix):
+        counts["stacks"] += 1
+        return DensityOp(register, matrix)
+
+    def eig(a, *args):
+        counts["eig"] += 1
+        return eig_hermitian(a, *args)
+
+    def no_det(a):
+        raise AssertionError("a scan computed a W3/W4 determinant")
+
+    monkeypatch.setattr(protocol_module, "scan_predicates", scan)
+    monkeypatch.setattr(protocol_module, "DensityOp", stack)
+    monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
+    monkeypatch.setattr(entanglement_module, "det_complex", no_det)
+    scans = branch_scan(("Q0", "Q1"), ("12:separable", "broadcast", "closed-146"), 0.4, grid=60, tol=1e-4)
+    assert scans["12:separable"]
+    assert counts["test"] > 1
+    assert counts["stacks"] == counts["eig"] == counts["test"]
 
 
 def test_branch_scan_broadcast_agrees_with_the_per_point_verdict():
@@ -310,7 +400,7 @@ def test_branch_scan_rows_equal_their_own_scans(branch):
 
     def broadcast(xs):
         margs = [branch_marginal(xs, branch, key, phi) for key in PAIR_KEYS]
-        return broadcast_holds(dict(zip(PAIR_KEYS, ppt_verdicts(margs))))
+        return broadcast_holds({key: v.entangled for key, v in zip(PAIR_KEYS, ppt_verdicts(margs))})
 
     assert scans["broadcast"] == scan_predicate(broadcast, grid=60, tol=1e-4, name="broadcast")
 
