@@ -18,13 +18,17 @@ from .entanglement import concurrence, eof, ppt_verdict
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, transmit_bits
 from .protocol import PAIR_KEYS, branch_marginal, branch_probabilities, branch_scan, pair_marginals
-from .swap import bsm, derive_corrections, swap_extend, verify_recovery
+from .swap import bsm, correction_plans, swap_extend
 
 __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
 
 CSV_HEADER = "alpha2,pair,min_pt_eigenvalue,w3,w4,concurrence,eof,entangled"
 
 BRANCH_NAMES = tuple("".join(b) for b in OUTCOME_ORDER)
+
+# Most bits one gv call sends (--bits times --trials): each is held as a
+# Python int, and the sequence is repeated in memory once per trial.
+GV_MAX_BITS = 10**6
 
 # Published reference values the report compares against. Interval endpoints
 # are quoted to the precision they were stated with.
@@ -201,6 +205,8 @@ def _settings(args) -> Settings:
         raise UsageError(f"tol must be positive, got {s.tol}")
     if s.grid < 50:
         raise UsageError(f"grid must be at least 50, got {s.grid}")
+    if s.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {s.seed}")
     return s
 
 
@@ -383,21 +389,13 @@ def _cmd_swap(args) -> int:
     source = "published" if args.corrections in ("paper", "published") else "derived"
     rho325 = branch_marginal(args.alpha2, ("Q0", "Q0"), "325", s.beta_phase)
     outcomes = bsm(swap_extend(rho325))
-    fidelities = verify_recovery(rho325, source)
-    words = (
-        {label: plan.word for label, plan in derive_corrections(rho325).items()}
-        if source == "derived"
-        else None
-    )
+    plans = correction_plans(rho325, (source,), outcomes)[source]
     rows = []
     for outcome in outcomes:
-        row = {
-            "label": outcome.label,
-            "probability": outcome.probability,
-            "fidelity": fidelities[outcome.label],
-        }
-        if words is not None:
-            row["word"] = words[outcome.label]
+        plan = plans[outcome.label]
+        row = {"label": outcome.label, "probability": outcome.probability, "fidelity": plan.achieved_fidelity}
+        if source == "derived":
+            row["word"] = plan.word
         rows.append(row)
     return _emit_json({"alpha2": args.alpha2, "corrections": source, "outcomes": rows})
 
@@ -408,6 +406,8 @@ def _cmd_gv(args) -> int:
         raise UsageError(f"gv: --bits must be >= 1, got {args.bits}")
     if args.trials < 1:
         raise UsageError(f"gv: --trials must be >= 1, got {args.trials}")
+    if args.bits * args.trials > GV_MAX_BITS:
+        raise UsageError(f"gv: --bits x --trials is {args.bits * args.trials}, above {GV_MAX_BITS}")
     strategy = "none" if args.eve == "none" else "intercept_resend"
     config = GvConfig(trials=args.trials, seed=s.seed)
     pattern = [i % 2 for i in range(args.bits)]
@@ -557,13 +557,11 @@ def _cmd_report(args) -> int:
         outcomes = bsm(swap_extend(rho325))
         p_str = ", ".join(f"{o.label} {o.probability:.6f}" for o in outcomes)
         say(_line(f"bell outcome probabilities at alpha2={alpha2}", p_str, "0.25 each", "info"))
-        derived = verify_recovery(rho325, "derived")
-        published = verify_recovery(rho325, "published")
-        d_str = ", ".join(f"{k} {v:.6f}" for k, v in derived.items())
-        p2_str = ", ".join(f"{k} {v:.6f}" for k, v in published.items())
-        marker = "ok" if all(v >= 1 - 1e-9 for v in derived.values()) else "DIFFERS"
-        say(_line("  derived-correction fidelities", d_str, "1.0 each", marker))
-        say(_line("  published-correction fidelities", p2_str, "1.0 each", "report"))
+        plans = correction_plans(rho325, ("derived", "published"), outcomes)
+        # correction_plans raises unless every derived plan reaches fidelity 1.
+        for source, marker in (("derived", "ok"), ("published", "report")):
+            fids = ", ".join(f"{k} {p.achieved_fidelity:.6f}" for k, p in plans[source].items())
+            say(_line(f"  {source}-correction fidelities", fids, "1.0 each", marker))
 
     # Channel statistics.
     res = transmit_bits([i % 2 for i in range(10000)], "intercept_resend", GvConfig(seed=s.seed))

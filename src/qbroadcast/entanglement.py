@@ -70,8 +70,8 @@ class MeasureReport:
 class ThresholdInterval:
     """Maximal alpha^2 interval on which a predicate holds.
 
-    Endpoints are bisection midpoints accurate to `tolerance`; 0.0 and 1.0
-    mark intervals running into the domain edge.
+    Endpoints are bisection midpoints accurate to `tolerance` (the setting,
+    or float spacing where that is wider); 0.0 and 1.0 mark the domain edge.
     """
 
     lo: float

@@ -122,6 +122,19 @@ def eig_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
+def _plane(x: np.ndarray, gap: np.ndarray, live: np.ndarray):
+    """Cosine, sine and phase, as (G, 1) columns, of the Jacobi rotation
+    that zeroes a coupling x between two planes whose diagonal weights
+    differ by gap (q minus p); the identity for members not live."""
+    safe_r = np.where(live, np.abs(x), 1.0)
+    phase = np.where(live, x / safe_r, 1.0)
+    tau = gap / (2.0 * safe_r)
+    t = np.where(tau != 0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)), 1.0)
+    c = np.where(live, 1.0 / np.hypot(1.0, t), 1.0)[:, None]
+    s = np.where(live, t * c[:, 0], 0.0)[:, None]
+    return c, s, phase[:, None]
+
+
 def _rotate(w: np.ndarray, v: np.ndarray, p: int, q: int, stop: np.ndarray) -> None:
     """One Jacobi rotation on plane (p, q) of every stack member, in place.
 
@@ -129,17 +142,10 @@ def _rotate(w: np.ndarray, v: np.ndarray, p: int, q: int, stop: np.ndarray) -> N
     (c = 1, s = 0) and keep their (p, q) entry.
     """
     apq = w[:, p, q].copy()
-    r = np.abs(apq)
-    live = r > stop
+    live = np.abs(apq) > stop
     if not live.any():
         return
-    safe_r = np.where(live, r, 1.0)
-    phase = np.where(live, apq.conjugate() / safe_r, 1.0)
-    tau = (w[:, q, q].real - w[:, p, p].real) / (2.0 * safe_r)
-    t = np.where(tau != 0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)), 1.0)
-    c = np.where(live, 1.0 / np.hypot(1.0, t), 1.0)[:, None]
-    s = np.where(live, t * c[:, 0], 0.0)[:, None]
-    phase = phase[:, None]
+    c, s, phase = _plane(apq.conjugate(), w[:, q, q].real - w[:, p, p].real, live)
     # Plane unitary J = [[c, s], [-phase*s, phase*c]] on (p, q).
     colp = w[:, :, p].copy()
     colq = w[:, :, q].copy()
@@ -198,7 +204,12 @@ def det_complex(a: np.ndarray):
             a[rows, piv, :] = top
             det[swap] = -det[swap]
         pivot = a[:, k, k]
-        det *= pivot
+        # In real arithmetic: numpy's complex multiply rounds a length-1
+        # array otherwise than a longer one, and a matrix must get the same
+        # bits alone as inside a stack.
+        det = (det.real * pivot.real - det.imag * pivot.imag) + 1j * (
+            det.real * pivot.imag + det.imag * pivot.real
+        )
         pivot = np.where(pivot == 0.0, 1.0, pivot)
         col = a[:, k + 1:, k]
         # numpy's complex division overflows when the divisor is subnormal
@@ -214,6 +225,38 @@ def det_complex(a: np.ndarray):
     return complex(det[0]) if single else det
 
 
+def _singular_values(g: np.ndarray) -> np.ndarray:
+    """Singular values of each member of a stack (G, n, n), in no order,
+    by one-sided Jacobi: column pairs are rotated until orthogonal to 1e-15
+    of their norms, and the column norms are the singular values, each to
+    its own relative accuracy. A column below 1e-15 of the member's norm
+    counts as converged, or a null column would be rotated until it
+    underflows. Members are rotated together, as in eig_hermitian.
+    """
+    g = g.copy()
+    n = g.shape[-1]
+    negligible = 1e-30 * np.sum(np.abs(g) ** 2, axis=(1, 2))
+    for _ in range(100):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                gp = g[:, :, p].copy()
+                gq = g[:, :, q].copy()
+                a = np.sum(np.abs(gp) ** 2, axis=1)
+                b = np.sum(np.abs(gq) ** 2, axis=1)
+                overlap = np.sum(gp.conj() * gq, axis=1)
+                live = (np.abs(overlap) > 1e-15 * np.sqrt(a * b)) & (np.minimum(a, b) > negligible)
+                if not live.any():
+                    continue
+                rotated = True
+                c, s, phase = _plane(overlap, b - a, live)
+                g[:, :, p] = c * gp - s * phase.conjugate() * gq
+                g[:, :, q] = s * phase * gp + c * gq
+        if not rotated:
+            return np.sqrt(np.sum(np.abs(g) ** 2, axis=1))
+    raise ContractError("singular values: Jacobi sweep limit reached without convergence")
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray):
     """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
@@ -226,16 +269,20 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray):
         raise ContractError(
             f"fidelity: expected a matrix and matrices of its shape, got {rho.shape} and {sigma.shape}"
         )
-    root = sqrt_psd(rho)
-    inner = root @ sigma @ root
-    inner = (inner + dagger(inner)) / 2.0
-    vals = eig_hermitian(inner).values
-    if float(np.min(vals[..., 0])) < -PSD_FAIL:
-        raise ContractError("fidelity: inner operator not PSD; are both inputs states?")
-    vals = np.where(vals < 0.0, 0.0, vals)
-    # As in concurrence: eigenvalues below the solver's relative resolution
-    # are roundoff, and their square roots (~1e-9 from ~1e-18) would
-    # otherwise push the fidelity of equal states above 1.
-    vals = np.where(vals < vals[..., -1:] * 1e-13, 0.0, vals)
-    f = np.sum(np.sqrt(vals), axis=-1) ** 2
-    return float(f) if f.ndim == 0 else f
+    # F is the squared sum of the singular values of sqrt(rho) sqrt(sigma),
+    # here diag(sqrt p) V^dagger W diag(sqrt s) in the eigenbases of both.
+    # Each comes out to its own relative accuracy: an eigenvalue p ~ 1e-10
+    # shared by rho and sigma counts as p, and a zero stays at roundoff, not
+    # at its square root (~1e-8). Eigenvalues below 1e-15 of the largest
+    # are roundoff of a rank-deficient state and count as 0.
+    roots = []
+    for name, state in (("rho", rho), ("sigma", sigma if sigma.ndim == 3 else sigma[None])):
+        eig = eig_hermitian(state)
+        lo = float(np.min(eig.values[..., 0]))
+        if lo < -PSD_FAIL:
+            raise ContractError(f"fidelity: {name} is not PSD (min eigenvalue {lo:.3e})")
+        floor = eig.values[..., -1:] * 1e-15
+        roots.append((eig.vectors, np.sqrt(np.where(eig.values < floor, 0.0, eig.values))))
+    (v, p), (w, s) = roots
+    f = np.sum(_singular_values(p[:, None] * (dagger(v) @ w) * s[:, None, :]), axis=-1) ** 2
+    return float(f[0]) if sigma.ndim == 2 else f

@@ -2,12 +2,13 @@
 qubits (2, 8), and correct Carol's qubit to hand her qubit 2's role.
 
 The correction plans come in two flavors: the published set of four
-unitaries, and an independently derived set found by brute-force search
-over all three-qubit Pauli words. The derived set is authoritative for the
+Pauli words, and an independently derived set found by searching all
+three-qubit Pauli words. The derived set is authoritative for the
 recovery claim; the published one is measured and reported.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ __all__ = [
     "bsm",
     "recovery_target",
     "published_corrections",
+    "correction_plans",
     "derive_corrections",
     "verify_recovery",
 ]
@@ -132,57 +134,91 @@ def recovery_target(rho325: DensityOp) -> DensityOp:
     return DensityOp(Register.qubits("3", "5", "7"), reordered.matrix)
 
 
+# The published correction set, as Pauli words on (3, 5, 7).
+PUBLISHED_WORDS = {"B1+": "izx", "B1-": "iix", "B2+": "iiz", "B2-": "iii"}
+
+
 def published_corrections() -> dict[str, np.ndarray]:
     """The published correction set, one unitary on (3, 5, 7) per outcome."""
-    return {
-        "B1+": np.kron(_I2, np.kron(_SZ, _SX)),
-        "B1-": np.kron(_I2, np.kron(_I2, _SX)),
-        "B2+": np.kron(_I2, np.kron(_I2, _SZ)),
-        "B2-": np.eye(8, dtype=complex),
-    }
+    names, unitaries = _pauli_words()
+    return {label: unitaries[names.index(word)] for label, word in PUBLISHED_WORDS.items()}
 
 
-def _pauli_words() -> tuple[list[str], np.ndarray]:
-    """All 64 Pauli words on (3, 5, 7) in search order, with their unitaries."""
+@functools.cache
+def _pauli_words() -> tuple[tuple[str, ...], np.ndarray]:
+    """All 64 Pauli words on (3, 5, 7) in search order, with their unitaries
+    (built once, read-only)."""
     words = list(itertools.product(_PAULI, repeat=3))
-    names = [n3 + n5 + n7 for (n3, _), (n5, _), (n7, _) in words]
-    return names, np.stack([np.kron(p3, np.kron(p5, p7)) for (_, p3), (_, p5), (_, p7) in words])
+    names = tuple(n3 + n5 + n7 for (n3, _), (n5, _), (n7, _) in words)
+    unitaries = np.stack([np.kron(p3, np.kron(p5, p7)) for (_, p3), (_, p5), (_, p7) in words])
+    unitaries.flags.writeable = False
+    return names, unitaries
+
+
+def _searched_words(posts: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Index of the word with the smallest entrywise residual
+    max|U post U^dagger - target| for each post state, over all 64 words.
+
+    Each post state is a Pauli conjugate of the target, so that residual is
+    roundoff. Residuals within 1e-12 of the smallest tie (the parity
+    symmetry of rho325 makes two words exact), and ties go to the first
+    word in lexicographic order (i < x < y < z, qubit order 3, 5, 7).
+    """
+    _, unitaries = _pauli_words()
+    corrected = unitaries[None] @ posts[:, None] @ dagger(unitaries)[None]
+    residual = np.max(np.abs(corrected - target), axis=(-2, -1))
+    return np.argmax(residual <= residual.min(axis=1, keepdims=True) + 1e-12, axis=1)
+
+
+def correction_plans(
+    rho325: DensityOp, sources=("derived",), outcomes: list[BellOutcome] | None = None
+) -> dict[str, dict[str, CorrectionPlan]]:
+    """The plan of each source ("derived" or "published") for each Bell
+    outcome, with the fidelity it reaches against the recovery target.
+
+    Derived words are searched by residual, with no fidelity (see
+    _searched_words). Only the chosen words of every source are scored, in
+    one fidelity call, and every derived word must reach fidelity 1, since
+    the shared resource is a maximally entangled pair. outcomes is
+    bsm(swap_extend(rho325)), measured here unless the caller passes it.
+    """
+    if not set(sources) <= {"derived", "published"}:
+        raise ValueError(f"correction_plans: unknown sources in {sources!r}")
+    target = recovery_target(rho325).matrix
+    if outcomes is None:
+        outcomes = bsm(swap_extend(rho325))
+    names, unitaries = _pauli_words()
+    posts = np.stack([outcome.post_state.matrix for outcome in outcomes])
+    words = np.array(
+        [
+            _searched_words(posts, target)
+            if source == "derived"
+            else [names.index(PUBLISHED_WORDS[outcome.label]) for outcome in outcomes]
+            for source in sources
+        ]
+    )
+    chosen = unitaries[words]
+    scores = fidelity(target, (chosen @ posts @ dagger(chosen)).reshape(-1, 8, 8)).reshape(words.shape)
+    plans = {
+        source: {
+            outcome.label: CorrectionPlan(outcome.label, unitaries[w], source, float(f), names[w])
+            for outcome, w, f in zip(outcomes, row.tolist(), fids)
+        }
+        for source, row, fids in zip(sources, words, scores)
+    }
+    for plan in plans.get("derived", {}).values():
+        if plan.achieved_fidelity < 1.0 - 1e-9:
+            raise ContractError(
+                f"derive_corrections: outcome {plan.outcome} only reaches "
+                f"fidelity {plan.achieved_fidelity:.12f}"
+            )
+    return plans
 
 
 def derive_corrections(rho325: DensityOp) -> dict[str, CorrectionPlan]:
-    """Brute-force the best Pauli-word correction for each Bell outcome.
-
-    Searches all 64 words over qubits (3, 5, 7); ties go to the first word
-    in lexicographic order (i < x < y < z, qubit order 3, 5, 7). Every
-    outcome must reach fidelity 1 against the recovery target, since the
-    shared resource is a maximally entangled pair. All words of all
-    outcomes are scored as one stack.
-    """
-    target = recovery_target(rho325)
-    names, unitaries = _pauli_words()
-    outcomes = bsm(swap_extend(rho325))
-    posts = np.stack([outcome.post_state.matrix for outcome in outcomes])
-    corrected = unitaries[None] @ posts[:, None] @ dagger(unitaries)[None]
-    scores = fidelity(target.matrix, corrected.reshape(-1, 8, 8)).reshape(len(outcomes), -1)
-    plans: dict[str, CorrectionPlan] = {}
-    for outcome, fids in zip(outcomes, scores):
-        best, best_f = 0, -1.0
-        for i, f in enumerate(fids.tolist()):
-            if f > best_f + 1e-12:
-                best, best_f = i, f
-        if best_f < 1.0 - 1e-9:
-            raise ContractError(
-                f"derive_corrections: outcome {outcome.label} only reaches "
-                f"fidelity {best_f:.12f}"
-            )
-        plans[outcome.label] = CorrectionPlan(
-            outcome=outcome.label,
-            unitary=unitaries[best],
-            source="derived",
-            achieved_fidelity=best_f,
-            word=names[best],
-        )
-    return plans
+    """The searched Pauli-word correction for each Bell outcome; see
+    correction_plans."""
+    return correction_plans(rho325)["derived"]
 
 
 def verify_recovery(rho325: DensityOp, plan_source: str = "derived") -> dict[str, float]:
@@ -191,19 +227,8 @@ def verify_recovery(rho325: DensityOp, plan_source: str = "derived") -> dict[str
     plan_source selects the correction set: "derived" (search result) or
     "published" (alias "paper").
     """
-    source = {"derived": "derived", "published": "published", "paper": "published"}.get(
-        plan_source
-    )
+    source = {"derived": "derived", "published": "published", "paper": "published"}.get(plan_source)
     if source is None:
         raise ValueError(f"verify_recovery: unknown plan source {plan_source!r}")
-    if source == "derived":
-        unitaries = {label: plan.unitary for label, plan in derive_corrections(rho325).items()}
-    else:
-        unitaries = published_corrections()
-    target = recovery_target(rho325)
-    outcomes = bsm(swap_extend(rho325))
-    corrected = np.stack(
-        [unitaries[o.label] @ o.post_state.matrix @ dagger(unitaries[o.label]) for o in outcomes]
-    )
-    fids = fidelity(target.matrix, corrected)
-    return {outcome.label: float(f) for outcome, f in zip(outcomes, fids)}
+    plans = correction_plans(rho325, (source,))[source]
+    return {label: plan.achieved_fidelity for label, plan in plans.items()}

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import qbroadcast.cli as cli_module
 import qbroadcast.entanglement as entanglement_module
 import qbroadcast.protocol as protocol_module
-from qbroadcast.cli import CSV_HEADER, run_command
+import qbroadcast.swap as swap_module
+from qbroadcast.cli import CSV_HEADER, GV_MAX_BITS, run_command
 from qbroadcast.entanglement import concurrence, ppt_verdict
 from qbroadcast.errors import ContractError
 from qbroadcast.linalg import eig_hermitian
@@ -151,6 +153,21 @@ def test_sweep_solves_one_pair_stack(capsys, monkeypatch):
     monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
     assert _run(capsys, argv)[0] == 0
     assert calls == {"stacks": [(5 * 20, 4, 4)], "eig": 2}
+
+
+@pytest.mark.parametrize(
+    "pair,branch,alpha2,phase",
+    [("16", "Q1Q1", "0.16", "3.68"), ("14", "Q1Q0", "0.44", "3.77"), ("35", "Q0Q1", "0.69", "3.8"),
+     ("23", "Q0Q0", "0.38", "0.48")],
+)
+def test_one_step_sweep_prints_the_witnesses_of_a_longer_one(capsys, pair, branch, alpha2, phase):
+    # a one-point sweep solves a stack of one determinant, a two-point
+    # sweep a stack of two; the shared row must carry the same bits
+    argv = ["sweep", "--pairs", pair, "--branch", branch, "--beta-phase", phase, "--format", "json",
+            "--from", alpha2]
+    one = json.loads(_run(capsys, argv + ["--to", alpha2, "--steps", "1"])[1])
+    two = json.loads(_run(capsys, argv + ["--to", "1", "--steps", "2"])[1])
+    assert one == two[:1]
 
 
 def test_sweep_rejects_bad_pairs_and_steps(capsys):
@@ -346,6 +363,44 @@ def test_swap_rejects_bad_alpha2(capsys):
     assert _run(capsys, ["swap", "--alpha2", "1.5"])[0] == 2
 
 
+@pytest.mark.parametrize("alpha2", ["0.999", "0.99999999", "0.9958020988654668"])
+def test_swap_recovers_near_the_edge(capsys, alpha2):
+    # the target has an eigenvalue near 1e-7 here; its square root must
+    # count in the fidelity, which once read 1 - 2e-7 and tripped the contract
+    code, out, err = _run(capsys, ["swap", "--alpha2", alpha2])
+    assert code == 0, err
+    for o in json.loads(out)["outcomes"]:
+        assert abs(o["fidelity"] - 1.0) <= 1e-12
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args):
+        # a fidelity call is recorded with the shape of its stack
+        calls.append((name, args[1].shape if name == "fidelity" else None))
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "argv,points,members",
+    [(["swap", "--alpha2", "0.3"], 1, 4), (["swap", "--alpha2", "0.3", "--corrections", "published"], 1, 4),
+     (["report", "--grid", "50", "--tol", "1e-2"], 3, 8)],
+)
+def test_each_swap_point_measures_once_and_scores_once(capsys, monkeypatch, argv, points, members):
+    # per point one Bell measurement, shared by the derived search, the
+    # published check and the printed probabilities, and one fidelity call
+    # over every corrected state the point reports
+    calls = []
+    for module in (cli_module, swap_module):
+        _count_calls(monkeypatch, module, "bsm", calls)
+    _count_calls(monkeypatch, swap_module, "fidelity", calls)
+    assert _run(capsys, argv)[0] == 0
+    assert calls == [("bsm", None), ("fidelity", (members, 8, 8))] * points
+
+
 # ---------------------------------------------------------------------- gv
 
 
@@ -377,6 +432,39 @@ def test_gv_rejects_bad_counts(capsys):
     # gv has no --delay flag; argparse rejects it as a usage error
     assert _run(capsys, ["gv", "--bits", "10", "--delay", "0"])[0] == 2
     assert _run(capsys, ["gv", "--bits", "10", "--trials", "0"])[0] == 2
+
+
+def test_gv_bounds_bits_times_trials_before_sending(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("transmit_bits called above the bound")
+
+    monkeypatch.setattr(cli_module, "transmit_bits", refuse)
+    for bits, trials in ((GV_MAX_BITS + 1, 1), (GV_MAX_BITS, 2), (1, GV_MAX_BITS + 1), (10**30, 10**30)):
+        code, out, err = _run(capsys, ["gv", "--bits", str(bits), "--trials", str(trials)])
+        assert (code, out) == (2, "")
+        assert f"above {GV_MAX_BITS}" in err
+
+
+def test_gv_sends_at_the_bound(capsys):
+    code, out, _ = _run(capsys, ["gv", "--bits", str(GV_MAX_BITS // 4), "--trials", "4"])
+    assert code == 0
+    assert json.loads(out)["bits_sent"] == GV_MAX_BITS
+
+
+@pytest.mark.parametrize("eve", ["none", "intercept"])
+def test_gv_rejects_a_negative_seed(capsys, eve):
+    code, out, err = _run(capsys, ["gv", "--bits", "4", "--seed", "-1", "--eve", eve])
+    assert (code, out) == (2, "")
+    assert "seed must be >= 0" in err
+
+
+def test_config_rejects_a_negative_seed(tmp_path, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=-5\n", encoding="utf-8")
+    for argv in (["report", "--grid", "50"], ["gv", "--bits", "4", "--eve", "intercept"]):
+        code, out, err = _run(capsys, argv + ["--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert "seed must be >= 0, got -5" in err
 
 
 # ------------------------------------------------------------------ report

@@ -232,6 +232,70 @@ def test_det_with_subnormal_pivots_stays_finite():
     assert det_complex(diag) == 1e-320
 
 
+def test_det_of_a_matrix_alone_has_the_bits_it_has_in_a_stack():
+    # numpy multiplies complex arrays of length one in a loop that rounds
+    # otherwise; about two thirds of these differed in the last bit
+    rng = np.random.default_rng(808)
+    stack = rng.standard_normal((64, 4, 4)) + 1j * rng.standard_normal((64, 4, 4))
+    together = det_complex(stack)
+    for i, m in enumerate(stack):
+        assert det_complex(m) == together[i]
+        assert det_complex(m[None])[0] == together[i]
+        assert det_complex(stack[i:i + 2])[0] == together[i]
+    assert det_complex(stack[:0]).shape == (0,)
+
+
+def _factor(rng, n, rank):
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    return g / np.linalg.norm(g)
+
+
+def _reference_fidelity(a, b):
+    # F(a a^dagger, b b^dagger) is the squared trace norm of a^dagger b,
+    # which has the singular values of sqrt(rho) sqrt(sigma): LAPACK finds
+    # them to absolute accuracy from the exact-rank factors, so no roundoff
+    # eigenvalue of a rank-deficient state enters
+    return float(np.sum(np.linalg.svd(a.conj().T @ b, compute_uv=False)) ** 2)
+
+
+def test_fidelity_keeps_small_eigenvalues_of_near_equal_states():
+    # eigenvalues 1e-7 .. 1e-9 of rho square to 1e-14 .. 1e-18 in
+    # sqrt(rho) sigma sqrt(rho); F(rho, sigma) for sigma equal to rho up to
+    # roundoff once lost their square roots and read 1 - 2e-7
+    rng = np.random.default_rng(909)
+    for small in (1e-7, 3e-8, 1e-9):
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        p = np.array([0.0, 0.0, small, 1e-4, 2e-4, 2e-4, 0.3, 0.0])
+        p[-1] = 1.0 - p.sum()
+        rho = (q * p) @ q.conj().T
+        sigma = rho + 1e-17 * _random_hermitian(rng, 8)
+        assert abs(fidelity(rho, sigma) - 1.0) <= 1e-12
+        assert abs(fidelity(rho, np.stack([rho, sigma]))[0] - 1.0) <= 1e-12
+
+
+def test_fidelity_matches_the_singular_value_route():
+    # rho of every rank against a full-rank, a pure and a rank-2 sigma, and
+    # one that shares part of rho's support: zero singular values must stay
+    # zero, where their square roots once added ~1e-8 to F
+    rng = np.random.default_rng(1010)
+    for _ in range(40):
+        n = int(rng.choice([2, 4, 8]))
+        a = _factor(rng, n, int(rng.integers(1, n + 1)))
+        shared = np.concatenate([a[:, :1], _factor(rng, n, 1)], axis=1)
+        for b in (_factor(rng, n, n), _factor(rng, n, 1), _factor(rng, n, 2), shared / np.linalg.norm(shared)):
+            want = _reference_fidelity(a, b)
+            assert abs(fidelity(a @ a.conj().T, b @ b.conj().T) - want) <= 1e-12
+            assert abs(fidelity(a @ a.conj().T, np.stack([b @ b.conj().T] * 2))[1] - want) <= 1e-12
+
+
+def test_fidelity_rejects_inputs_that_are_not_psd():
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    with pytest.raises(ContractError, match="rho is not PSD"):
+        fidelity(-rho, rho)
+    with pytest.raises(ContractError, match="sigma is not PSD"):
+        fidelity(rho, np.stack([rho, -rho]))
+
+
 def test_stack_checks_every_member():
     rng = np.random.default_rng(404)
     stack = _hermitian_stack(rng, 5, 4)

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,9 @@ from qbroadcast import (
     ContractError,
     DensityOp,
     Register,
+    branch_marginal,
     bsm,
+    correction_plans,
     derive_corrections,
     partial_trace,
     permute_subsystems,
@@ -16,6 +21,7 @@ from qbroadcast import (
     swap_extend,
     verify_recovery,
 )
+from qbroadcast.linalg import fidelity
 from qbroadcast.swap import BELL_ORDER
 from published_forms import published_b1p_post as _published_b1p_post
 from stacks import pointwise
@@ -30,11 +36,34 @@ def _rho325(alpha2, phi=0.0):
     return partial_trace(six_qubit_branch(alpha2, ("Q0", "Q0"), phi), ["3", "2", "5"])
 
 
-def _random_325(seed):
+def _random_325(seed, rank=8):
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    g = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
     mat = g @ g.conj().T
     return DensityOp(Register.qubits("3", "2", "5"), mat / np.trace(mat).real)
+
+
+def _fidelity_route(rho325, outcomes):
+    """Reference search: every outcome scored against every one of the 64
+    Pauli words by Uhlmann fidelity; the first word reaching the best
+    fidelity (within 1e-12) wins, and every outcome must reach 1."""
+    paulis = (("i", _I2), ("x", _SX), ("y", _SY), ("z", _SZ))
+    words = list(itertools.product(paulis, repeat=3))
+    names = [a + b + c for (a, _), (b, _), (c, _) in words]
+    unitaries = [np.kron(p, np.kron(q, r)) for (_, p), (_, q), (_, r) in words]
+    target = recovery_target(rho325).matrix
+    chosen = {}
+    for outcome in outcomes:
+        post = outcome.post_state.matrix
+        fids = fidelity(target, np.stack([u @ post @ u.conj().T for u in unitaries]))
+        best, best_f = 0, -1.0
+        for i, f in enumerate(fids.tolist()):
+            if f > best_f + 1e-12:
+                best, best_f = i, f
+        if best_f < 1.0 - 1e-9:
+            raise ContractError(f"outcome {outcome.label} only reaches fidelity {best_f}")
+        chosen[outcome.label] = (names[best], best_f)
+    return chosen
 
 
 # ----------------------------------------------------------------- extend
@@ -140,6 +169,79 @@ def test_derived_words_do_not_depend_on_input_weight():
     for alpha2 in (0.1, 0.3, 0.65, 0.9):
         words = {l: p.word for l, p in derive_corrections(_rho325(alpha2)).items()}
         assert words == baseline
+
+
+def _search_cases():
+    rng = np.random.default_rng(2024)
+    for branch in (("Q0", "Q0"), ("Q0", "Q1"), ("Q1", "Q0"), ("Q1", "Q1")):
+        for _ in range(3):
+            alpha2, phi = rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * np.pi)
+            yield branch_marginal(alpha2, branch, "325", phi)
+    for seed, rank in ((1, 8), (2, 8), (3, 2), (4, 1), (5, 1)):
+        yield _random_325(seed, rank)
+
+
+@pytest.mark.parametrize("rho", list(_search_cases()))
+def test_residual_search_picks_the_fidelity_routes_words(rho):
+    outcomes = bsm(swap_extend(rho))
+    want = _fidelity_route(rho, outcomes)
+    plans = correction_plans(rho, ("derived",), outcomes)["derived"]
+    assert {label: plan.word for label, plan in plans.items()} == {k: w for k, (w, _) in want.items()}
+    for label, plan in plans.items():
+        assert plan.achieved_fidelity == pytest.approx(want[label][1], abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_residual_search_fails_where_the_fidelity_route_fails(seed):
+    # outcomes of another state are no Pauli conjugates of this target
+    rho, other = _random_325(seed), _random_325(seed + 100, rank=2)
+    outcomes = bsm(swap_extend(other))
+    with pytest.raises(ContractError):
+        _fidelity_route(rho, outcomes)
+    with pytest.raises(ContractError, match="only reaches fidelity"):
+        correction_plans(rho, ("derived",), outcomes)
+    # the published set is measured, not held to fidelity 1
+    assert set(correction_plans(rho, ("published",), outcomes)["published"]) == set(BELL_ORDER)
+
+
+def test_words_exact_up_to_roundoff_tie_to_the_first():
+    # iiy and zzx both correct B1+ (rho325 is invariant under ZZZ). Break
+    # that symmetry at 1e-14 and let zzx be the bitwise-exact word: iiy is
+    # off by roundoff only, so the tie still goes to it, the earlier word.
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    noise = (g + g.conj().T) / 2.0
+    noise -= np.trace(noise).real / 8.0 * np.eye(8)
+    rho = _rho325(0.5)
+    rho = DensityOp(rho.register, rho.matrix + 1e-14 * noise)
+    zzx = np.kron(_SZ, np.kron(_SZ, _SX))
+    post = zzx.conj().T @ recovery_target(rho).matrix @ zzx
+    outcomes = bsm(swap_extend(rho))
+    outcomes[0] = dataclasses.replace(outcomes[0], post_state=DensityOp(Register.qubits("3", "5", "7"), post))
+    assert correction_plans(rho, ("derived",), outcomes)["derived"]["B1+"].word == "iiy"
+    assert _fidelity_route(rho, outcomes)["B1+"][0] == "iiy"
+
+
+def test_correction_plans_score_both_sets_like_their_own_calls():
+    rho = _rho325(0.3, 4.71)
+    outcomes = bsm(swap_extend(rho))
+    plans = correction_plans(rho, ("derived", "published"), outcomes)
+    alone = derive_corrections(rho)
+    for label in BELL_ORDER:
+        assert plans["derived"][label].word == alone[label].word
+        assert plans["derived"][label].achieved_fidelity == pytest.approx(
+            alone[label].achieved_fidelity, abs=1e-12
+        )
+    published = verify_recovery(rho, "published")
+    assert {k: p.word for k, p in plans["published"].items()} == {
+        "B1+": "izx", "B1-": "iix", "B2+": "iiz", "B2-": "iii"
+    }
+    for label, plan in plans["published"].items():
+        assert plan.source == "published"
+        assert np.array_equal(plan.unitary, published_corrections()[label])
+        assert plan.achieved_fidelity == pytest.approx(published[label], abs=1e-12)
+    with pytest.raises(ValueError):
+        correction_plans(rho, ("paper",), outcomes)
 
 
 def test_verify_recovery_derived_is_exact():
