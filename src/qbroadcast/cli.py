@@ -12,6 +12,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cloner import OUTCOME_ORDER, buzek_baseline
 from .constants import SCAN_GRID, SCAN_TOL
 from .entanglement import concurrence, eof, ppt_verdict
@@ -26,8 +28,8 @@ CSV_HEADER = "alpha2,pair,min_pt_eigenvalue,w3,w4,concurrence,eof,entangled"
 
 BRANCH_NAMES = tuple("".join(b) for b in OUTCOME_ORDER)
 
-# Most bits one gv call sends (--bits times --trials): each is held as a
-# Python int, and the sequence is repeated in memory once per trial.
+# Most bits one gv call sends (--bits times --trials): the channel holds
+# them in one array, tiled once per trial, with three random draws per bit.
 GV_MAX_BITS = 10**6
 
 # Published reference values the report compares against. Interval endpoints
@@ -50,18 +52,6 @@ PUBLISHED = {
 
 class UsageError(Exception):
     """Bad flags or config content; mapped to exit code 2."""
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    alpha2: float
-    pair: str
-    min_pt_eigenvalue: float
-    w3: float
-    w4: float
-    concurrence: float
-    eof: float
-    entangled: int
 
 
 @dataclass(frozen=True)
@@ -278,56 +268,23 @@ def _cmd_sweep(args) -> int:
     stack, runs = pair_marginals([_clamp_alpha2(x) for x in values], branch, pairs, s.beta_phase)
     verdict = ppt_verdict(stack)
     conc = concurrence(stack)
-    rows: list[SweepRow] = []
-    for pair in pairs:
-        for i, x in enumerate(values, start=runs[pair].start):
-            rows.append(
-                SweepRow(
-                    alpha2=x,
-                    pair=pair,
-                    min_pt_eigenvalue=float(verdict.min_pt_eigenvalue[i]),
-                    w3=float(verdict.w3[i]),
-                    w4=float(verdict.w4[i]),
-                    concurrence=float(conc[i]),
-                    eof=eof(float(conc[i])),
-                    entangled=int(verdict.entangled[i]),
-                )
-            )
-    rows.sort(key=lambda r: (r.alpha2, r.pair))
+    # One row per (alpha^2, pair), its fields in CSV_HEADER order.
+    rows = [
+        (x, pair, float(verdict.min_pt_eigenvalue[i]), float(verdict.w3[i]), float(verdict.w4[i]),
+         float(conc[i]), eof(float(conc[i])), int(verdict.entangled[i]))
+        for pair in pairs
+        for i, x in enumerate(values, start=runs[pair].start)
+    ]
+    rows.sort(key=lambda r: r[:2])
 
     if args.format == "csv":
-        lines = [CSV_HEADER]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(r.alpha2),
-                        r.pair,
-                        _fmt(r.min_pt_eigenvalue),
-                        _fmt(r.w3),
-                        _fmt(r.w4),
-                        _fmt(r.concurrence),
-                        _fmt(r.eof),
-                        str(r.entangled),
-                    )
-                )
-            )
+        lines = [CSV_HEADER] + [
+            f"{_fmt(x)},{pair},{_fmt(m)},{_fmt(w3)},{_fmt(w4)},{_fmt(c)},{_fmt(e)},{entangled}"
+            for x, pair, m, w3, w4, c, e, entangled in rows
+        ]
         text = "\n".join(lines) + "\n"
     else:
-        payload = [
-            {
-                "alpha2": r.alpha2,
-                "pair": r.pair,
-                "min_pt_eigenvalue": r.min_pt_eigenvalue,
-                "w3": r.w3,
-                "w4": r.w4,
-                "concurrence": r.concurrence,
-                "eof": r.eof,
-                "entangled": r.entangled,
-            }
-            for r in rows
-        ]
-        text = _json_text(payload)
+        text = _json_text([dict(zip(CSV_HEADER.split(","), r)) for r in rows])
 
     if args.out:
         try:
@@ -410,8 +367,7 @@ def _cmd_gv(args) -> int:
         raise UsageError(f"gv: --bits x --trials is {args.bits * args.trials}, above {GV_MAX_BITS}")
     strategy = "none" if args.eve == "none" else "intercept_resend"
     config = GvConfig(trials=args.trials, seed=s.seed)
-    pattern = [i % 2 for i in range(args.bits)]
-    res = transmit_bits(pattern, strategy, config)
+    res = transmit_bits(np.arange(args.bits) % 2, strategy, config)
     return _emit_json(
         {
             "strategy": strategy,
@@ -564,7 +520,7 @@ def _cmd_report(args) -> int:
             say(_line(f"  {source}-correction fidelities", fids, "1.0 each", marker))
 
     # Channel statistics.
-    res = transmit_bits([i % 2 for i in range(10000)], "intercept_resend", GvConfig(seed=s.seed))
+    res = transmit_bits(np.arange(10000) % 2, "intercept_resend", GvConfig(seed=s.seed))
     rate = res.detection_events / res.bits_sent
     say(_line("channel per-bit detection rate (10^4 bits)", f"{rate:.4f}",
               f"{ANALYTIC_DETECTION_RATE}", "info"))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import PPT_TOL, SCAN_GRID, SCAN_TOL
 from .errors import ContractError
-from .linalg import dagger, det_complex, eig_hermitian, sqrt_psd
+from .linalg import _psd_roots, _singular_values, dagger, det_complex, eig_hermitian
 from .qstate import DensityOp, partial_trace, partial_transpose
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 # Largest number of alpha^2 points a scan tests in one call, so that the
 # stacks a fine grid builds stay a few megabytes.
@@ -143,23 +144,19 @@ def concurrence(rho: DensityOp):
     """Wootters concurrence of a two-qubit operator (a float), or of each
     member of a stack (an array).
 
-    Uses the Hermitian form: the lambda_i are the decreasing square roots of
-    the eigenvalues of sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).
+    The lambda_i are the singular values of sqrt(rho) sqrt(rho~), with
+    rho~ = (sy x sy) rho* (sy x sy). From one eigen-solve rho = V diag(p)
+    V^dagger, rho~ has eigenvectors (sy x sy) V* and the same p, so they are
+    the singular values of diag(sqrt p) V^dagger (sy x sy) V* diag(sqrt p),
+    each to its own relative accuracy (linalg._psd_roots); then
+    C = max(0, 2 max lambda - sum lambda).
     """
     _require_two_qubits(rho, "concurrence")
-    yy = np.kron(_SIGMA_Y, _SIGMA_Y)
-    tilde = yy @ rho.matrix.conj() @ yy
-    root = sqrt_psd(rho.matrix)
-    m = root @ tilde @ root
-    m = (m + dagger(m)) / 2.0
-    vals = np.clip(eig_hermitian(m).values.real, 0.0, None)
-    # Eigenvalues below the solver's relative resolution are roundoff; their
-    # square roots (~1e-9 from ~1e-18) would otherwise leak into the sum.
-    floor = vals[..., -1:] * 1e-13
-    vals = np.where(vals < floor, 0.0, vals)
-    lam = np.sqrt(vals)[..., ::-1]
-    c = np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
-    return float(c) if c.ndim == 0 else c
+    m = rho.matrix
+    v, r = _psd_roots(m if m.ndim == 3 else m[None], "concurrence: rho")
+    lam = _singular_values(r[:, :, None] * (dagger(v) @ _YY @ v.conj()) * r[:, None, :])
+    c = np.clip(2.0 * np.max(lam, axis=1) - np.sum(lam, axis=1), 0.0, 1.0)
+    return float(c[0]) if m.ndim == 2 else c
 
 
 def eof(c: float) -> float:

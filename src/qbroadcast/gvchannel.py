@@ -78,17 +78,18 @@ class DeliveryRecord:
 def transmit_bits(bits, strategy: str, config: GvConfig) -> GvResult:
     """Send a bit sequence through the channel under the given eavesdropper.
 
+    bits is a one-dimensional sequence or array of 0/1 (or bool) entries.
     The sequence is repeated config.trials times; results are deterministic
     for a fixed seed.
     """
-    seq = [int(b) for b in bits]
-    if not seq:
-        raise ValueError("transmit_bits: empty bit list")
-    if any(b not in (0, 1) for b in seq):
+    seq = np.asarray(bits)
+    if seq.ndim != 1 or seq.size == 0:
+        raise ValueError(f"transmit_bits: expected a non-empty bit sequence, got shape {seq.shape}")
+    if not np.all((seq == 0) | (seq == 1)):
         raise ValueError("transmit_bits: bits must be 0 or 1")
     if strategy not in _STRATEGIES:
         raise ValueError(f"transmit_bits: unknown strategy {strategy!r}")
-    sent = np.array(seq * config.trials, dtype=bool)
+    sent = np.tile(seq.astype(bool), config.trials)
     n = sent.shape[0]
     if strategy == "none":
         return GvResult(bits_sent=n, bit_errors=0, eve_detected=False, detection_events=0)

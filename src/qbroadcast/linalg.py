@@ -16,9 +16,7 @@ from .errors import ContractError
 
 __all__ = [
     "EigenDecomposition",
-    "kron",
     "eig_hermitian",
-    "sqrt_psd",
     "det_complex",
     "fidelity",
     "dagger",
@@ -35,11 +33,6 @@ def hermitian_defect(a: np.ndarray) -> float:
     """Largest entrywise deviation of a (or of any stack member) from its
     conjugate transpose."""
     return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor most significant."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -74,14 +67,13 @@ def _stacked(op: str, a: np.ndarray) -> tuple[np.ndarray, bool]:
     return (a[None], True) if a.ndim == 2 else (a, False)
 
 
-def eig_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> EigenDecomposition:
+def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
     """Diagonalize Hermitian matrices by cyclic Jacobi rotations.
 
     Args:
         a: square Hermitian matrix (n, n), or a stack of them (G, n, n)
-           solved together (defect above tol is rejected; symmetrize with
-           (a + a^dagger)/2 before calling if needed).
-        tol: largest accepted Hermiticity defect.
+           solved together (defect above HERM_TOL is rejected; symmetrize
+           with (a + a^dagger)/2 before calling if needed).
 
     Returns:
         EigenDecomposition with ascending real eigenvalues, shaped like the
@@ -94,7 +86,7 @@ def eig_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> EigenDecomposition:
     """
     a, single = _stacked("eig_hermitian", a)
     defect = hermitian_defect(a)
-    if defect > tol:
+    if defect > HERM_TOL:
         raise ContractError(f"eig_hermitian: matrix is not Hermitian (defect {defect:.3e})")
     g, n, _ = a.shape
     # Work on an exactly Hermitian copy so roundoff cannot accumulate a drift.
@@ -163,21 +155,6 @@ def _rotate(w: np.ndarray, v: np.ndarray, p: int, q: int, stop: np.ndarray) -> N
     colq = v[:, :, q].copy()
     v[:, :, p] = c * colp - phase * s * colq
     v[:, :, q] = s * colp + phase * c * colq
-
-
-def sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix, or of each
-    member of a stack.
-
-    Eigenvalues in [-PSD_FAIL, 0) are treated as roundoff and clamped to 0;
-    anything lower raises, since the input was not PSD to begin with.
-    """
-    eig = eig_hermitian(a)
-    lo = float(np.min(eig.values[..., 0]))
-    if lo < -PSD_FAIL:
-        raise ContractError(f"sqrt_psd: matrix is not PSD (min eigenvalue {lo:.3e})")
-    vals = np.where(eig.values < 0.0, 0.0, eig.values)
-    return (eig.vectors * np.sqrt(vals)[..., None, :]) @ dagger(eig.vectors)
 
 
 def det_complex(a: np.ndarray):
@@ -257,6 +234,25 @@ def _singular_values(g: np.ndarray) -> np.ndarray:
     raise ContractError("singular values: Jacobi sweep limit reached without convergence")
 
 
+def _psd_roots(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors V and square roots r of the eigenvalues of a positive
+    semidefinite matrix, or of each member of a stack: a = V diag(r^2) V^dagger.
+
+    The singular values of diag(r) V^dagger W diag(t), for another such
+    pair (W, t), are those of sqrt(a) sqrt(b), each to its own relative
+    accuracy: an eigenvalue p ~ 1e-10 shared by a and b counts as p, and a
+    zero stays at roundoff, not at its square root (~1e-8). Eigenvalues
+    below 1e-15 of the largest are roundoff of a rank-deficient state and
+    count as 0; one below -PSD_FAIL raises, the input was not PSD.
+    """
+    eig = eig_hermitian(a)
+    lo = float(np.min(eig.values[..., 0]))
+    if lo < -PSD_FAIL:
+        raise ContractError(f"{what} is not PSD (min eigenvalue {lo:.3e})")
+    floor = eig.values[..., -1:] * 1e-15
+    return eig.vectors, np.sqrt(np.where(eig.values < floor, 0.0, eig.values))
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray):
     """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
@@ -271,18 +267,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray):
         )
     # F is the squared sum of the singular values of sqrt(rho) sqrt(sigma),
     # here diag(sqrt p) V^dagger W diag(sqrt s) in the eigenbases of both.
-    # Each comes out to its own relative accuracy: an eigenvalue p ~ 1e-10
-    # shared by rho and sigma counts as p, and a zero stays at roundoff, not
-    # at its square root (~1e-8). Eigenvalues below 1e-15 of the largest
-    # are roundoff of a rank-deficient state and count as 0.
-    roots = []
-    for name, state in (("rho", rho), ("sigma", sigma if sigma.ndim == 3 else sigma[None])):
-        eig = eig_hermitian(state)
-        lo = float(np.min(eig.values[..., 0]))
-        if lo < -PSD_FAIL:
-            raise ContractError(f"fidelity: {name} is not PSD (min eigenvalue {lo:.3e})")
-        floor = eig.values[..., -1:] * 1e-15
-        roots.append((eig.vectors, np.sqrt(np.where(eig.values < floor, 0.0, eig.values))))
-    (v, p), (w, s) = roots
+    v, p = _psd_roots(rho, "fidelity: rho")
+    w, s = _psd_roots(sigma if sigma.ndim == 3 else sigma[None], "fidelity: sigma")
     f = np.sum(_singular_values(p[:, None] * (dagger(v) @ w) * s[:, None, :]), axis=-1) ** 2
     return float(f[0]) if sigma.ndim == 2 else f

@@ -5,6 +5,7 @@ import pytest
 
 import qbroadcast.cli as cli_module
 import qbroadcast.entanglement as entanglement_module
+import qbroadcast.linalg as linalg_module
 import qbroadcast.protocol as protocol_module
 import qbroadcast.swap as swap_module
 from qbroadcast.cli import CSV_HEADER, GV_MAX_BITS, run_command
@@ -135,7 +136,8 @@ def test_sweep_out_errors_are_usage_errors(tmp_path, capsys):
 
 def test_sweep_solves_one_pair_stack(capsys, monkeypatch):
     # one stack of the distinct pairs, one PPT eigen-solve and one
-    # concurrence solve per sweep, whatever the number of pairs
+    # concurrence eigen-solve per sweep, whatever the number of pairs,
+    # counted wherever the solver is called
     argv = ["sweep", "--pairs", "12,15,34,36,25,46,23,35,14,16", "--from", "0.1", "--to", "0.9",
             "--steps", "20"]
     assert _run(capsys, argv)[0] == 0
@@ -151,6 +153,7 @@ def test_sweep_solves_one_pair_stack(capsys, monkeypatch):
 
     monkeypatch.setattr(protocol_module, "DensityOp", stack)
     monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
+    monkeypatch.setattr(linalg_module, "eig_hermitian", eig)
     assert _run(capsys, argv)[0] == 0
     assert calls == {"stacks": [(5 * 20, 4, 4)], "eig": 2}
 

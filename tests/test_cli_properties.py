@@ -2,8 +2,8 @@
 or 2 without raising, and what it prints is strict JSON or the sweep CSV.
 
 Sizes are kept small (grids of 50-80 points, at most 30 sweep steps, a few
-swap and gv calls) so the module stays a few seconds; nothing here starts
-a thread or process.
+swap, gv and report calls) so the module stays a few seconds; nothing here
+starts a thread or process.
 """
 import contextlib
 import io
@@ -83,7 +83,9 @@ def test_sweep_ends_with_strict_output(pairs, branch, lo, hi, steps, phase, fmt)
 
 @CHECKS
 @given(
-    command=st.sampled_from([["thresholds", "--branch", name] for name in BRANCH_NAMES] + [["branches"]]),
+    command=st.sampled_from(
+        [["thresholds", "--branch", name] for name in BRANCH_NAMES] + [["branches"], ["baseline"]]
+    ),
     grid=st.integers(min_value=50, max_value=80),
     tol=TOLS,
 )
@@ -140,3 +142,53 @@ def test_gv_ends_with_strict_json(sizes, seed, eve):
     assert code == (0 if seed >= 0 and bits * trials <= GV_MAX_BITS else 2), argv
     if code == 0:
         assert json.loads(out, parse_constant=_strict_float)["bits_sent"] == bits * trials
+
+
+GOOD_VALUES = {
+    "tol": st.floats(min_value=1e-6, max_value=1e-2).map(repr),
+    "grid": st.integers(min_value=50, max_value=80).map(str),
+    "beta_phase": st.floats(min_value=-10.0, max_value=10.0).map(repr),
+    "seed": st.integers(min_value=0, max_value=2**70).map(str),
+}
+BAD_VALUES = {
+    "tol": st.sampled_from(["nan", "inf", "0", "-1e-3", "", "x", "1e400"]),
+    "grid": st.sampled_from(["49", "-3", "1.5", "x"]),
+    "beta_phase": st.sampled_from(["nan", "inf", "-inf", "x"]),
+    "seed": st.sampled_from(["-1", "1.0", "x"]),
+}
+BAD_LINES = st.sampled_from(["colour=red", "novalue", "=3"])
+
+
+@st.composite
+def configs(draw, defect):
+    """Lines of a config file that sets every key to a good value except
+    for the defect: a bad value for that key, or with "line" a line that is
+    no key=value of a known key. Comments and blank lines are mixed in."""
+    values = draw(st.fixed_dictionaries(GOOD_VALUES))
+    if defect in BAD_VALUES:
+        values[defect] = draw(BAD_VALUES[defect])
+    lines = [f"{key}={value}" for key, value in values.items()]
+    lines += draw(st.lists(st.sampled_from(["# comment", ""]), max_size=2))
+    if defect == "line":
+        lines.append(draw(BAD_LINES))
+    return draw(st.permutations(lines)), values
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "settings.cfg"
+
+
+@pytest.mark.parametrize("defect", [None, *BAD_VALUES, "line"])
+@pytest.mark.parametrize("command", ["baseline", "report"])
+@FEW_CHECKS
+@given(data=st.data())
+def test_config_files_end_with_exit_0_or_2(config_path, command, defect, data):
+    lines, values = data.draw(configs(defect))
+    config_path.write_text("\n".join(lines) + "\n")
+    code, out = _call([command, "--config", str(config_path)])
+    assert code == (0 if defect is None else 2), lines
+    if code == 0 and command == "baseline":
+        assert json.loads(out, parse_constant=_strict_float)["tolerance"] == float(values["tol"])
+    if code == 0 and command == "report":
+        assert out.startswith("reproduction report (") and out.endswith("\n")

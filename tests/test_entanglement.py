@@ -116,6 +116,61 @@ def test_concurrence_is_local_unitary_invariant():
             assert concurrence(rotated) == pytest.approx(c0, abs=1e-9)
 
 
+_YY = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def _hermitian_form_concurrence(mat):
+    """Reference route: the lambda_i as the decreasing square roots of the
+    eigenvalues of sqrt(rho) rho~ sqrt(rho), those below 1e-13 of the
+    largest taken as roundoff, with numpy's eigensolver throughout."""
+    vals, vecs = np.linalg.eigh(mat)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    m = root @ _YY @ mat.conj() @ _YY @ root
+    lam2 = np.clip(np.linalg.eigvalsh((m + m.conj().T) / 2.0), 0.0, None)
+    lam = np.sqrt(np.where(lam2 < lam2[-1] * 1e-13, 0.0, lam2))[::-1]
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def _exact_rank_concurrence(a):
+    """Reference route for rho = a a^dagger of unit trace: the lambda_i are
+    the singular values of a^dagger (sy x sy) a*, by LAPACK."""
+    lam = np.linalg.svd(a.conj().T @ _YY @ a.conj(), compute_uv=False)
+    return max(0.0, 2.0 * lam.max() - lam.sum())
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9, 1e-12])
+def test_concurrence_keeps_a_small_weight_beside_a_bell_state(eps):
+    # lambda = (1 - eps, eps, 0, 0), so C = 1 - 2 eps: a floor on the
+    # squared lambda_i relative to the largest would lose eps
+    phi = np.array([_S, 0.0, 0.0, _S])
+    psi = np.array([0.0, _S, _S, 0.0])
+    mat = (1.0 - eps) * np.outer(phi, phi) + eps * np.outer(psi, psi)
+    assert abs(concurrence(DensityOp(Register.qubits("L", "R"), mat)) - (1.0 - 2.0 * eps)) <= 1e-14
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_concurrence_matches_independent_routes(rank):
+    rng = np.random.default_rng(707 + rank)
+    reg = Register.qubits("L", "R")
+    factors = []
+    for i in range(20):
+        a = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        # every other state leans on a Bell state, so most of them are entangled
+        a[:, 0] += (i % 2) * 2.0 * np.array([_S, 0.0, 0.0, _S])
+        factors.append(a / np.linalg.norm(a))
+    mats = np.stack([a @ a.conj().T for a in factors])
+    stacked = concurrence(DensityOp(reg, mats))
+    for a, mat, c in zip(factors, mats, stacked):
+        want = _exact_rank_concurrence(a)
+        assert abs(c - want) <= 1e-12
+        assert abs(concurrence(DensityOp(reg, mat)) - want) <= 1e-12
+        if rank == 1:
+            assert abs(c - 2.0 * abs(a[0, 0] * a[3, 0] - a[1, 0] * a[2, 0])) <= 1e-12
+        if rank == 4:
+            assert abs(c - _hermitian_form_concurrence(mat)) <= 1e-10
+    assert np.count_nonzero(stacked) >= 10
+
+
 # -------------------------------------------------------------------- eof
 
 

@@ -70,12 +70,20 @@ def test_trials_repeat_the_sequence():
 
 
 def test_transmit_validates_inputs():
-    with pytest.raises(ValueError):
-        transmit_bits([], "none", GvConfig())
-    with pytest.raises(ValueError):
-        transmit_bits([0, 2], "none", GvConfig())
+    for bits in ([], np.zeros(0), [0, 2], [1, -1], np.array([0, 1, 2]), np.array([-1])):
+        with pytest.raises(ValueError):
+            transmit_bits(bits, "none", GvConfig())
     with pytest.raises(ValueError):
         transmit_bits([0, 1], "mirror", GvConfig())
+
+
+@pytest.mark.parametrize("strategy", ["none", "intercept_resend"])
+def test_list_int_array_and_bool_array_send_alike(strategy):
+    config = GvConfig(trials=3, seed=19)
+    want = transmit_bits(_pattern(257), strategy, config)
+    assert want.bits_sent == 3 * 257
+    for bits in (np.arange(257) % 2, np.arange(257) % 2 == 1):
+        assert transmit_bits(bits, strategy, config) == want
 
 
 def test_config_validation():

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from qbroadcast import ContractError
+from qbroadcast import ContractError, DensityOp, Register, concurrence
 from qbroadcast.linalg import (
     dagger,
     det_complex,
     eig_hermitian,
     fidelity,
     hermitian_defect,
-    kron,
-    sqrt_psd,
 )
 
 
@@ -24,13 +22,6 @@ def test_dagger_and_defect():
     assert hermitian_defect(a) > 0.1
     h = (a + dagger(a)) / 2.0
     assert hermitian_defect(h) == 0.0
-
-
-def test_kron_matches_numpy():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    b = np.eye(2)
-    assert np.array_equal(kron(a, b), np.kron(a, b))
-    assert kron(a, b).dtype == complex
 
 
 def test_eig_agrees_with_numpy_across_sizes():
@@ -94,21 +85,6 @@ def test_det_agrees_with_numpy_on_random():
     for n in (2, 3, 5, 8):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert det_complex(a) == pytest.approx(complex(np.linalg.det(a)), rel=1e-10)
-
-
-def test_sqrt_psd_squares_back():
-    rng = np.random.default_rng(23)
-    for n in (2, 4, 8):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        psd = g @ g.conj().T
-        root = sqrt_psd(psd)
-        assert hermitian_defect(root) < 1e-12
-        assert np.max(np.abs(root @ root - psd)) < 1e-9 * max(1.0, np.abs(psd).max())
-
-
-def test_sqrt_psd_rejects_indefinite():
-    with pytest.raises(ContractError):
-        sqrt_psd(np.diag([1.0, -0.5]).astype(complex))
 
 
 def test_fidelity_examples():
@@ -312,9 +288,10 @@ def test_stack_checks_every_member():
     with pytest.raises(ContractError):
         eig_hermitian(np.zeros((2, 2, 4, 4)))
     psd = stack @ stack
-    psd[4] = -psd[4]
-    with pytest.raises(ContractError):
-        sqrt_psd(psd)
+    states = psd / np.trace(psd, axis1=1, axis2=2).real[:, None, None]
+    states[4] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(ContractError, match="concurrence: rho is not PSD"):
+        concurrence(DensityOp(Register.qubits("A", "B"), states))
 
 
 def test_non_contiguous_inputs_are_accepted():
@@ -328,7 +305,8 @@ def test_non_contiguous_inputs_are_accepted():
     stack = _hermitian_stack(rng, 3, 4)
     psd = stack @ stack
     view = np.swapaxes(psd, 1, 2)
-    assert np.array_equal(sqrt_psd(view), sqrt_psd(np.ascontiguousarray(view)))
+    contiguous = np.ascontiguousarray(view)
+    assert np.array_equal(fidelity(view[0], view), fidelity(contiguous[0], contiguous))
 
 
 def _rank_two_state(rng, n):
