@@ -5,21 +5,15 @@ classical channel for the outcome announcements.
 """
 from .cloner import BranchOutcome, bh_isometry, buzek_baseline, clone_subsystem, machine_branches
 from .entanglement import (
-    MeasureReport,
     PPTVerdict,
     ThresholdInterval,
     broadcast_holds,
     broadcast_verdict,
-    classify_triple,
     concurrence,
     eof,
-    measure_report,
     ppt_entangled,
     ppt_verdict,
-    ppt_verdicts,
-    scan_predicate,
     scan_predicates,
-    scan_threshold,
 )
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, GvResult, secure_send, transmit_bits
@@ -29,13 +23,10 @@ from .protocol import (
     branch_probabilities,
     branch_scan,
     build_initial,
-    extract_marginals,
     machine_traced_marginal,
-    machine_traced_six,
     pair_marginals,
     run_first_stage,
     run_protocol,
-    run_second_stage,
     six_qubit_branch,
 )
 from .qstate import (
@@ -55,11 +46,9 @@ from .swap import (
     CorrectionPlan,
     bsm,
     correction_plans,
-    derive_corrections,
     published_corrections,
     recovery_target,
     swap_extend,
-    verify_recovery,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +62,6 @@ __all__ = [
     "DensityOp",
     "GvConfig",
     "GvResult",
-    "MeasureReport",
     "PPTVerdict",
     "ProtocolRun",
     "PureState",
@@ -89,38 +77,28 @@ __all__ = [
     "bsm",
     "build_initial",
     "buzek_baseline",
-    "classify_triple",
     "clone_subsystem",
     "concurrence",
     "correction_plans",
-    "derive_corrections",
     "eof",
-    "extract_marginals",
     "machine_branches",
     "machine_traced_marginal",
-    "machine_traced_six",
-    "measure_report",
     "partial_trace",
     "partial_transpose",
     "pair_marginals",
     "permute_subsystems",
     "ppt_entangled",
     "ppt_verdict",
-    "ppt_verdicts",
     "projective_measure",
     "published_corrections",
     "recovery_target",
     "run_first_stage",
     "run_protocol",
-    "run_second_stage",
-    "scan_predicate",
     "scan_predicates",
-    "scan_threshold",
     "secure_send",
     "six_qubit_branch",
     "swap_extend",
     "tensor",
     "to_density",
     "transmit_bits",
-    "verify_recovery",
 ]

@@ -32,6 +32,14 @@ BRANCH_NAMES = tuple("".join(b) for b in OUTCOME_ORDER)
 # them in one array, tiled once per trial, with three random draws per bit.
 GV_MAX_BITS = 10**6
 
+# Largest scan grid (--grid, or grid= in a config file): the grid is tested
+# as one array, and thresholds takes about 0.5 s per 2 * 10^4 points.
+SCAN_MAX_GRID = 10**5
+
+# Most rows one sweep computes (--steps times the number of pairs): 10^5 rows
+# take about 1.7 s and 124 MB, held in one stack.
+SWEEP_MAX_ROWS = 10**5
+
 # Published reference values the report compares against. Interval endpoints
 # are quoted to the precision they were stated with.
 PUBLISHED = {
@@ -195,6 +203,8 @@ def _settings(args) -> Settings:
         raise UsageError(f"tol must be positive, got {s.tol}")
     if s.grid < 50:
         raise UsageError(f"grid must be at least 50, got {s.grid}")
+    if s.grid > SCAN_MAX_GRID:
+        raise UsageError(f"grid must be at most {SCAN_MAX_GRID}, got {s.grid}")
     if s.seed < 0:
         raise UsageError(f"seed must be >= 0, got {s.seed}")
     return s
@@ -253,6 +263,8 @@ def _cmd_sweep(args) -> int:
             raise UsageError(f"sweep: unknown pair {pair!r} (choose from {', '.join(PAIR_KEYS)})")
     if args.steps < 1:
         raise UsageError("sweep: --steps must be >= 1")
+    if args.steps * len(pairs) > SWEEP_MAX_ROWS:
+        raise UsageError(f"sweep: --steps x pairs is {args.steps * len(pairs)}, above {SWEEP_MAX_ROWS}")
     for flag, x in (("--from", args.from_), ("--to", args.to)):
         if not 0.0 <= x <= 1.0:
             raise UsageError(f"sweep: {flag} must be in [0, 1], got {x}")
@@ -496,8 +508,10 @@ def _cmd_report(args) -> int:
     if rho46:
         r_lo, r_hi = rho46[0].lo, rho46[0].hi
         values = [r_lo + (r_hi - r_lo) * k / 102 for k in range(1, 102)]
+        stack, runs = pair_marginals(values, branch, ("16", "46"), s.beta_phase)
+        conc = concurrence(stack)
         for pair, c_key, e_key in (("16", "c16_range", "eof16_range"), ("46", "c46_range", "eof46_range")):
-            samples = concurrence(branch_marginal(values, branch, pair, s.beta_phase))
+            samples = conc[runs[pair]]
             c_min, c_max = float(samples.min()), float(samples.max())
             e_min, e_max = eof(c_min), eof(c_max)
             pub_c = PUBLISHED[c_key]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import SCAN_GRID, SCAN_TOL
 from .errors import ContractError
-from .qstate import DensityOp, MeasureBranch, PureState, apply_isometry, projective_measure
+from .qstate import MeasureBranch, PureState, apply_isometry, projective_measure
 
 __all__ = [
     "BranchOutcome",
@@ -95,13 +95,13 @@ def buzek_baseline(grid: int = SCAN_GRID, tol: float = SCAN_TOL) -> tuple[float,
     convention the two-qubit broadcasting bound is stated in. Returns the
     (lo, hi) endpoints in alpha^2, located by scan plus bisection.
     """
-    from .entanglement import scan_threshold
+    from .entanglement import ppt_entangled, scan_predicates
     from .protocol import machine_traced_marginal
 
-    def pair14(xs: np.ndarray) -> DensityOp:
-        return machine_traced_marginal(xs, "14")
+    def entangled(xs: np.ndarray) -> np.ndarray:
+        return ppt_entangled(machine_traced_marginal(xs, "14"))[None]
 
-    intervals = scan_threshold(pair14, "entangled", grid=grid, tol=tol)
+    intervals = scan_predicates(entangled, ("entangled",), grid, tol)["entangled"]
     if len(intervals) != 1:
         raise ContractError(
             f"buzek_baseline: expected one inseparability interval, found {len(intervals)}"

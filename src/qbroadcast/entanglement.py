@@ -22,22 +22,16 @@ import numpy as np
 from .constants import PPT_TOL, SCAN_GRID, SCAN_TOL
 from .errors import ContractError
 from .linalg import _psd_roots, _singular_values, dagger, det_complex, eig_hermitian
-from .qstate import DensityOp, partial_trace, partial_transpose
+from .qstate import PAIR_REGISTER, DensityOp, partial_trace, partial_transpose
 
 __all__ = [
     "PPTVerdict",
-    "MeasureReport",
     "ThresholdInterval",
     "ppt_entangled",
     "ppt_verdict",
-    "ppt_verdicts",
     "concurrence",
     "eof",
-    "measure_report",
-    "scan_predicate",
     "scan_predicates",
-    "scan_threshold",
-    "classify_triple",
     "broadcast_holds",
     "broadcast_verdict",
 ]
@@ -59,12 +53,6 @@ class PPTVerdict:
     w3: float
     w4: float
     entangled: bool
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    concurrence: float
-    eof: float
 
 
 @dataclass(frozen=True)
@@ -94,19 +82,15 @@ def _real_det(mats: np.ndarray, what: str) -> np.ndarray:
     return d.real
 
 
-def _pt_rule(rhos: Sequence[DensityOp]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The PPT verdict rule for two-qubit operators, or stacks of one length:
-    their partial transposes over the second subsystem, stacked (m, 4, 4);
-    the smallest eigenvalue of each, from one eigen-solve; and whether it
-    lies below -PPT_TOL. The last two are shaped (len(rhos),) + stack shape.
+def _pt_rule(rho: DensityOp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The PPT verdict rule for a two-qubit operator or a stack of them: the
+    partial transposes over the second subsystem, stacked (m, 4, 4); the
+    smallest eigenvalue of each, from one eigen-solve; and whether it lies
+    below -PPT_TOL.
     """
-    for rho in rhos:
-        _require_two_qubits(rho, "ppt_verdict")
-    lead = rhos[0].matrix.shape[:-2]
-    if any(rho.matrix.shape[:-2] != lead for rho in rhos):
-        raise ContractError("ppt_verdict: operators stacked together must share one stack length")
-    pts = np.stack([partial_transpose(rho, rho.register.labels[1]) for rho in rhos]).reshape(-1, 4, 4)
-    min_eig = eig_hermitian(pts).values[:, 0].reshape((len(rhos),) + lead)
+    _require_two_qubits(rho, "ppt_verdict")
+    pts = partial_transpose(rho, rho.register.labels[1]).reshape(-1, 4, 4)
+    min_eig = eig_hermitian(pts).values[:, 0]
     return pts, min_eig, min_eig < -PPT_TOL
 
 
@@ -114,30 +98,21 @@ def ppt_entangled(rho: DensityOp):
     """The PPT verdict alone: whether the partial transpose of a two-qubit
     operator has an eigenvalue below -PPT_TOL (a bool), or of each member
     of a stack (a boolean array). ppt_verdict adds the W3/W4 witnesses."""
-    entangled = _pt_rule([rho])[2][0]
-    return bool(entangled) if entangled.ndim == 0 else entangled
+    entangled = _pt_rule(rho)[2]
+    return entangled if rho.stacked else bool(entangled[0])
 
 
 def ppt_verdict(rho: DensityOp) -> PPTVerdict:
     """Eigenvalue PPT test plus the W3/W4 determinants of the transposed
-    operator (transpose taken over the second subsystem)."""
-    return ppt_verdicts([rho])[0]
-
-
-def ppt_verdicts(rhos: Sequence[DensityOp]) -> list[PPTVerdict]:
-    """ppt_verdict of several two-qubit operators, or stacks of one length,
-    solved as one stack (one eigen-solve and two determinant calls)."""
-    if not rhos:
-        return []
-    pts, min_eig, entangled = _pt_rule(rhos)
-    w3 = _real_det(pts[:, :3, :3], "W3").reshape(min_eig.shape)
-    w4 = _real_det(pts, "W4").reshape(min_eig.shape)
-    if min_eig.ndim == 1:
-        return [
-            PPTVerdict(float(m), float(a), float(b), bool(e))
-            for m, a, b, e in zip(min_eig, w3, w4, entangled)
-        ]
-    return [PPTVerdict(*fields) for fields in zip(min_eig, w3, w4, entangled)]
+    operator (transpose taken over the second subsystem), for one operator
+    or, as arrays, for each member of a stack (one eigen-solve and two
+    determinant calls)."""
+    pts, min_eig, entangled = _pt_rule(rho)
+    w3 = _real_det(pts[:, :3, :3], "W3")
+    w4 = _real_det(pts, "W4")
+    if rho.stacked:
+        return PPTVerdict(min_eig, w3, w4, entangled)
+    return PPTVerdict(float(min_eig[0]), float(w3[0]), float(w4[0]), bool(entangled[0]))
 
 
 def concurrence(rho: DensityOp):
@@ -170,11 +145,6 @@ def eof(c: float) -> float:
     if x >= 1.0:
         return 0.0
     return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
-
-
-def measure_report(rho: DensityOp) -> MeasureReport:
-    c = concurrence(rho)
-    return MeasureReport(concurrence=c, eof=eof(c))
 
 
 def _flags(test: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, rows: int) -> np.ndarray:
@@ -245,66 +215,6 @@ def scan_predicates(
     return out
 
 
-def scan_predicate(
-    test: Callable[[np.ndarray], np.ndarray],
-    grid: int = SCAN_GRID,
-    tol: float = SCAN_TOL,
-    name: str = "predicate",
-) -> list[ThresholdInterval]:
-    """scan_predicates for one predicate: test maps a 1-D array of alpha^2
-    values to booleans of the same length."""
-
-    def one_row(xs: np.ndarray) -> np.ndarray:
-        return np.asarray(test(xs))[None]
-
-    return scan_predicates(one_row, (name,), grid, tol)[name]
-
-
-def scan_threshold(
-    family: Callable[[np.ndarray], DensityOp],
-    predicate: str,
-    grid: int = SCAN_GRID,
-    tol: float = SCAN_TOL,
-) -> list[ThresholdInterval]:
-    """Scan a two-qubit family alpha^2 -> rho for PPT-based thresholds.
-
-    family maps a 1-D array of alpha^2 values to the stacked operators.
-    predicate is "entangled" or "separable"; the boolean tested on the grid
-    is the PPT verdict (ppt_entangled, or its negation) of each member.
-    """
-    if predicate not in ("entangled", "separable"):
-        raise ContractError(f"scan_threshold: unknown predicate {predicate!r}")
-    want = predicate == "entangled"
-
-    def test(xs: np.ndarray) -> np.ndarray:
-        return ppt_entangled(family(xs)) == want
-
-    return scan_predicate(test, grid=grid, tol=tol, name=predicate)
-
-
-def classify_triple(rho: DensityOp) -> tuple[str, dict[str, PPTVerdict]]:
-    """Closed/open classification of a three-qubit operator.
-
-    Closed means all three pairwise marginals are PPT-entangled; the
-    verdicts are returned keyed by concatenated pair labels.
-    """
-    if rho.register.dims != (2, 2, 2):
-        raise ContractError(
-            f"classify_triple: expected a three-qubit operator, got dims {rho.register.dims}"
-        )
-    a, b, c = rho.register.labels
-    report = _pair_report(rho, ((a, b), (b, c), (a, c)))
-    kind = "closed" if all(v.entangled for v in report.values()) else "open"
-    return kind, report
-
-
-def _pair_report(rho: DensityOp, pairs) -> dict[str, PPTVerdict]:
-    """Verdicts of the pair marginals of rho, solved as one stack, keyed by
-    concatenated labels."""
-    verdicts = ppt_verdicts([partial_trace(rho, [x, y]) for x, y in pairs])
-    return {f"{x}{y}": v for (x, y), v in zip(pairs, verdicts)}
-
-
 def _broadcast_pairs(alice, bob):
     a1, a2, a3 = (str(x) for x in alice)
     b1, b2, b3 = (str(x) for x in bob)
@@ -340,9 +250,24 @@ def broadcast_verdict(
     alice: tuple[str, str, str] = ("1", "2", "5"),
     bob: tuple[str, str, str] = ("3", "4", "6"),
 ) -> tuple[bool, dict[str, PPTVerdict]]:
-    """Three-qubit broadcasting test on a six-qubit state (see
-    broadcast_holds). Returns (verdict, per-pair reports)."""
+    """Three-qubit broadcasting test on a six-qubit state, or on each member
+    of a stack (see broadcast_holds). Returns (verdict, per-pair reports
+    keyed by concatenated labels).
+
+    The ten pair marginals are solved as one stack of PAIR_REGISTER
+    operators, pair by pair, with one ppt_verdict call.
+    """
     separable, entangled = _broadcast_pairs(alice, bob)
-    report = _pair_report(six, separable + entangled)
-    flags = {key: verdict.entangled for key, verdict in report.items()}
+    pairs = separable + entangled
+    mats = np.stack([partial_trace(six, [x, y]).matrix for x, y in pairs])
+    verdict = ppt_verdict(DensityOp(PAIR_REGISTER, mats.reshape((-1,) + mats.shape[-2:])))
+    fields = [
+        np.reshape(field, mats.shape[:-2])
+        for field in (verdict.min_pt_eigenvalue, verdict.w3, verdict.w4, verdict.entangled)
+    ]
+    report = {
+        f"{x}{y}": PPTVerdict(*(f[i] if six.stacked else f[i].item() for f in fields))
+        for i, (x, y) in enumerate(pairs)
+    }
+    flags = {key: v.entangled for key, v in report.items()}
     return broadcast_holds(flags, alice, bob), report

@@ -20,8 +20,8 @@ kept per (branch, labels), so an alpha^2 family costs one small linear
 combination per point, evaluated for a whole array of points at once.
 The ten pair marginals of a branch share one stack of blocks in which
 bitwise-equal blocks are kept once (pair_marginals), so a scan step forms
-and solves each distinct pair once. run_second_stage and
-machine_traced_six remain as the per-point routes.
+and solves each distinct pair once. The per-point routes the tests hold
+this map to are kept in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -41,34 +41,26 @@ from .entanglement import (
 from .errors import ContractError
 from .gvchannel import DeliveryRecord, GvConfig, secure_send
 from .linalg import dagger
-from .qstate import DensityOp, PureState, Register, partial_trace, to_density
+from .qstate import PAIR_REGISTER, DensityOp, PureState, Register
 
 __all__ = [
     "ProtocolRun",
     "PAIR_KEYS",
-    "TRIPLE_KEYS",
     "build_initial",
     "run_first_stage",
-    "run_second_stage",
-    "machine_traced_six",
     "six_qubit_branch",
     "branch_marginal",
     "PAIR_REGISTER",
     "pair_marginals",
     "machine_traced_marginal",
-    "extract_marginals",
     "branch_scan",
     "run_protocol",
 ]
 
 # Marginals the sweep and report tooling works with, in report order.
 PAIR_KEYS = ("12", "15", "34", "36", "25", "46", "23", "35", "14", "16")
-TRIPLE_KEYS = ("146", "325")
 
 SIX_LABELS = ("1", "2", "5", "3", "4", "6")
-
-# Register of a pair_marginals stack: the first and second qubit of a pair.
-PAIR_REGISTER = Register.qubits("first", "second")
 
 
 @dataclass(frozen=True)
@@ -107,33 +99,6 @@ def run_first_stage(psi13: PureState) -> tuple[PureState, list[BranchOutcome]]:
     chi = clone_subsystem(psi13, "1", ("1", "2"), "A1")
     chi = clone_subsystem(chi, "3", ("3", "4"), "B1")
     return chi, machine_branches(chi, ["A1", "B1"])
-
-
-def run_second_stage(zeta: PureState) -> DensityOp:
-    """Clone qubit 2 -> (2,5) and qubit 4 -> (4,6), trace out both machines.
-
-    Input is a branch state on qubits (1,2,3,4); output is the six-qubit
-    operator on labels (1,2,5,3,4,6).
-    """
-    if set(zeta.register.labels) != {"1", "2", "3", "4"}:
-        raise ContractError(
-            f"run_second_stage: expected qubits 1-4, got {zeta.register.labels}"
-        )
-    phi = clone_subsystem(zeta, "2", ("2", "5"), "A2")
-    phi = clone_subsystem(phi, "4", ("4", "6"), "B2")
-    return partial_trace(to_density(phi), list(SIX_LABELS))
-
-
-def machine_traced_six(psi13: PureState) -> DensityOp:
-    """Six-qubit state when the first-round machines are traced out instead
-    of measured (no branch selection). Used by the total-probability check:
-    the branch mixture weighted by outcome probabilities must equal this.
-    """
-    chi, _ = run_first_stage(psi13)
-    rho4 = partial_trace(to_density(chi), ["1", "2", "3", "4"])
-    rho = clone_subsystem(rho4, "2", ("2", "5"), "A2")
-    rho = clone_subsystem(rho, "4", ("4", "6"), "B2")
-    return partial_trace(rho, list(SIX_LABELS))
 
 
 def _as_branch(branch) -> tuple[str, str]:
@@ -298,14 +263,6 @@ def branch_probabilities(alpha2: float, beta_phase: float = 0.0) -> dict[tuple[s
     return {b.machine_labels: b.probability for b in branches}
 
 
-def extract_marginals(six: DensityOp) -> dict[str, DensityOp]:
-    """All report marginals of the six-qubit state, keyed by label string."""
-    out: dict[str, DensityOp] = {}
-    for key in PAIR_KEYS + TRIPLE_KEYS:
-        out[key] = partial_trace(six, list(key))
-    return out
-
-
 def _scan_row(name: str):
     """The predicate named `name` over the entangled flags of the pairs."""
     if name == "broadcast":
@@ -334,8 +291,8 @@ def branch_scan(
     and 16 all entangled). Each test call forms the distinct pair marginals
     as one pair_marginals stack and solves their PPT verdicts
     (ppt_entangled) at once, and the edges of all rows are bisected
-    together. Pair rows' intervals are named by their predicate, as
-    scan_threshold names them.
+    together. Pair rows' intervals are named by their predicate
+    ("entangled" or "separable").
     """
     pair = _as_branch(branch)
     names = tuple(names)

@@ -18,6 +18,7 @@ from .linalg import dagger, eig_hermitian, hermitian_defect
 
 __all__ = [
     "Register",
+    "PAIR_REGISTER",
     "PureState",
     "DensityOp",
     "MeasureBranch",
@@ -75,6 +76,11 @@ class Register:
         gone = set(names)
         kept = [(l, d) for l, d in zip(self.labels, self.dims) if l not in gone]
         return Register(tuple(l for l, _ in kept), tuple(d for _, d in kept))
+
+
+# Register of a stack of two-qubit marginals taken on different pairs: the
+# first and second qubit of a pair.
+PAIR_REGISTER = Register.qubits("first", "second")
 
 
 @dataclass(frozen=True)

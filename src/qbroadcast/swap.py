@@ -28,8 +28,6 @@ __all__ = [
     "recovery_target",
     "published_corrections",
     "correction_plans",
-    "derive_corrections",
-    "verify_recovery",
 ]
 
 BELL_ORDER = ("B1+", "B1-", "B2+", "B2-")
@@ -209,26 +207,7 @@ def correction_plans(
     for plan in plans.get("derived", {}).values():
         if plan.achieved_fidelity < 1.0 - 1e-9:
             raise ContractError(
-                f"derive_corrections: outcome {plan.outcome} only reaches "
+                f"correction_plans: outcome {plan.outcome} only reaches "
                 f"fidelity {plan.achieved_fidelity:.12f}"
             )
     return plans
-
-
-def derive_corrections(rho325: DensityOp) -> dict[str, CorrectionPlan]:
-    """The searched Pauli-word correction for each Bell outcome; see
-    correction_plans."""
-    return correction_plans(rho325)["derived"]
-
-
-def verify_recovery(rho325: DensityOp, plan_source: str = "derived") -> dict[str, float]:
-    """Fidelity of each corrected Bell-outcome state against the target.
-
-    plan_source selects the correction set: "derived" (search result) or
-    "published" (alias "paper").
-    """
-    source = {"derived": "derived", "published": "published", "paper": "published"}.get(plan_source)
-    if source is None:
-        raise ValueError(f"verify_recovery: unknown plan source {plan_source!r}")
-    plans = correction_plans(rho325, (source,))[source]
-    return {label: plan.achieved_fidelity for label, plan in plans.items()}

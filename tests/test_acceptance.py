@@ -42,16 +42,13 @@ from qbroadcast import (
     buzek_baseline,
     clone_subsystem,
     concurrence,
-    derive_corrections,
+    correction_plans,
     partial_trace,
     ppt_verdict,
-    scan_predicate,
-    scan_threshold,
     six_qubit_branch,
     swap_extend,
     to_density,
     transmit_bits,
-    verify_recovery,
 )
 from qbroadcast.cli import run_command
 from qbroadcast.constants import SCAN_TOL
@@ -65,7 +62,7 @@ from published_forms import (
     published_rho46,
     truncated,
 )
-from stacks import pointwise
+from stacks import pointwise, scan_family, scan_row
 
 _BASE_LO = 0.5 - np.sqrt(39.0) / 16.0
 _BASE_HI = 0.5 + np.sqrt(39.0) / 16.0
@@ -86,7 +83,7 @@ def _pair_intervals(pair, predicate, branch=("Q0", "Q0")):
     def family(x):
         return partial_trace(six_qubit_branch(x, branch, 0.0), list(pair))
 
-    return tuple(scan_threshold(family, predicate))
+    return tuple(scan_family(family, predicate))
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +94,7 @@ def _broadcast_intervals(branch, swap_roles=False):
             return broadcast_verdict(six, alice=("3", "4", "6"), bob=("1", "2", "5"))[0]
         return broadcast_verdict(six)[0]
 
-    return tuple(scan_predicate(test, name="broadcast"))
+    return tuple(scan_row(test, name="broadcast"))
 
 
 def _one_interval(intervals, what, problems):
@@ -334,7 +331,7 @@ def _random_two_qubit(rng, kind):
 def _recovered_intervals(pair):
     # correction word is weight independent, so derive it once
     mid = partial_trace(six_qubit_branch(0.5, ("Q0", "Q0"), 0.0), ["3", "2", "5"])
-    u = derive_corrections(mid)["B1+"].unitary
+    u = correction_plans(mid)["derived"]["B1+"].unitary
 
     def family(x):
         rho = partial_trace(six_qubit_branch(x, ("Q0", "Q0"), 0.0), ["3", "2", "5"])
@@ -342,7 +339,7 @@ def _recovered_intervals(pair):
         fixed = DensityOp(post.register, u @ post.matrix @ u.conj().T)
         return partial_trace(fixed, list(pair))
 
-    return tuple(scan_threshold(pointwise(family), "entangled"))
+    return tuple(scan_family(pointwise(family), "entangled"))
 
 
 def test_criterion_09_swap_recovery(capsys):
@@ -355,10 +352,14 @@ def test_criterion_09_swap_recovery(capsys):
                 problems.append(
                     f"outcome {outcome.label} at alpha2={x}: probability {outcome.probability:.12f}"
                 )
-        for label, f in verify_recovery(rho, "derived").items():
+        fids = {
+            source: {label: plan.achieved_fidelity for label, plan in plans.items()}
+            for source, plans in correction_plans(rho, ("derived", "published")).items()
+        }
+        for label, f in fids["derived"].items():
             if f < 1.0 - 1e-9:
                 problems.append(f"derived correction {label} at alpha2={x}: fidelity {f:.12f}")
-        pub = verify_recovery(rho, "published")
+        pub = fids["published"]
         report_lines.append(f"published first-outcome fidelity at alpha2={x}: {pub['B1+']:.6f}")
     targets = [("37", _pair_intervals("16", "entangled")), ("57", _pair_intervals("46", "entangled"))]
     for pair, reference in targets:
@@ -381,7 +382,7 @@ def _pair_lo_coarse(pair, predicate, phi):
     def family(x):
         return partial_trace(six_qubit_branch(x, ("Q0", "Q0"), phi), list(pair))
 
-    ivs = scan_threshold(family, predicate, grid=60, tol=SCAN_TOL)
+    ivs = scan_family(family, predicate, grid=60, tol=SCAN_TOL)
     return ivs[-1].lo if ivs else None
 
 
@@ -390,7 +391,7 @@ def _broadcast_lo_coarse(phi):
     def test(x):
         return broadcast_verdict(six_qubit_branch(x, ("Q0", "Q0"), phi))[0]
 
-    ivs = scan_predicate(test, grid=60, tol=SCAN_TOL, name="broadcast")
+    ivs = scan_row(test, grid=60, tol=SCAN_TOL, name="broadcast")
     return ivs[-1].lo if ivs else None
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import qbroadcast.entanglement as entanglement_module
 import qbroadcast.linalg as linalg_module
 import qbroadcast.protocol as protocol_module
 import qbroadcast.swap as swap_module
-from qbroadcast.cli import CSV_HEADER, GV_MAX_BITS, run_command
+from qbroadcast.cli import CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, SWEEP_MAX_ROWS, run_command
 from qbroadcast.entanglement import concurrence, ppt_verdict
 from qbroadcast.errors import ContractError
 from qbroadcast.linalg import eig_hermitian
@@ -259,6 +260,49 @@ def test_config_missing_file_and_coarse_grid(tmp_path, capsys):
     code, _, err = _run(capsys, ["baseline", "--config", str(cfg)])
     assert code == 2
     assert "grid" in err
+
+
+class _Reached(Exception):
+    """Raised by a stand-in for the computation a size bound guards."""
+
+
+def _guard(monkeypatch, *names):
+    def reached(*args, **kwargs):
+        raise _Reached()
+
+    for name in names:
+        monkeypatch.setattr(cli_module, name, reached)
+
+
+def _refused(capsys, argv, bound):
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, ""), argv
+    assert f"{bound}" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("command", ["baseline", "thresholds", "branches", "report"])
+def test_grid_above_the_bound_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    # the scans are replaced, so a bound checked too late fails here at once
+    _guard(monkeypatch, "branch_scan", "buzek_baseline")
+    cfg = tmp_path / "grid.cfg"
+    for grid in (SCAN_MAX_GRID + 1, 10**13):
+        _refused(capsys, [command, "--grid", str(grid)], f"grid must be at most {SCAN_MAX_GRID}, got {grid}")
+        cfg.write_text(f"grid={grid}\n", encoding="utf-8")
+        _refused(capsys, [command, "--config", str(cfg)], f"grid must be at most {SCAN_MAX_GRID}, got {grid}")
+    with pytest.raises(_Reached):
+        run_command([command, "--grid", str(SCAN_MAX_GRID)])
+
+
+def test_sweep_rows_above_the_bound_are_a_usage_error(capsys, monkeypatch):
+    _guard(monkeypatch, "pair_marginals")
+    ten = "12,15,34,36,25,46,23,35,14,16"
+    for pairs, steps in (("16", 10**13), ("16", SWEEP_MAX_ROWS + 1), (ten, SWEEP_MAX_ROWS // 10 + 1)):
+        argv = ["sweep", "--pairs", pairs, "--from", "0", "--to", "1", "--steps", str(steps)]
+        _refused(capsys, argv, f"above {SWEEP_MAX_ROWS}")
+    with pytest.raises(_Reached):
+        run_command(["sweep", "--pairs", ten, "--from", "0", "--to", "1", "--steps", str(SWEEP_MAX_ROWS // 10)])
 
 
 def _strict_json(text):

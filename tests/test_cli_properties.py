@@ -15,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qbroadcast.cli import BRANCH_NAMES, CSV_HEADER, GV_MAX_BITS, run_command  # noqa: E402
+from qbroadcast.cli import BRANCH_NAMES, CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, run_command  # noqa: E402
 from qbroadcast.protocol import PAIR_KEYS  # noqa: E402
 
 # A fixed draw per test, so the suite gives the same verdict on every run,
@@ -192,3 +192,31 @@ def test_config_files_end_with_exit_0_or_2(config_path, command, defect, data):
         assert json.loads(out, parse_constant=_strict_float)["tolerance"] == float(values["tol"])
     if code == 0 and command == "report":
         assert out.startswith("reproduction report (") and out.endswith("\n")
+
+
+# Flags and files draw from disjoint ranges, so the header shows which won.
+@settings(CHECKS, max_examples=20)
+@given(
+    flag_grid=st.one_of(st.none(), st.integers(min_value=50, max_value=64)),
+    flag_tol=st.one_of(st.none(), st.sampled_from(["nan", "inf", "0"]), st.floats(2e-2, 5e-2).map(repr)),
+    file_grid=st.one_of(st.integers(min_value=65, max_value=80).map(str), st.sampled_from(["49", str(SCAN_MAX_GRID + 1)])),
+    file_tol=st.one_of(GOOD_VALUES["tol"], st.sampled_from(["0", "nan"])),
+    data=st.data(),
+)
+def test_report_flags_beat_the_config_file(config_path, flag_grid, flag_tol, file_grid, file_tol, data):
+    # the file sets every key; a flag replaces the file's value, bad or good
+    values = data.draw(st.fixed_dictionaries(GOOD_VALUES)) | {"grid": file_grid, "tol": file_tol}
+    config_path.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+    argv = ["report", "--config", str(config_path)]
+    if flag_grid is not None:
+        argv += ["--grid", str(flag_grid)]
+    if flag_tol is not None:
+        argv.append(f"--tol={flag_tol}")
+    code, out = _call(argv)
+    grid = int(file_grid) if flag_grid is None else flag_grid
+    tol = float(file_tol if flag_tol is None else flag_tol)
+    valid = 50 <= grid <= SCAN_MAX_GRID and math.isfinite(tol) and tol > 0.0
+    assert code == (0 if valid else 2), argv
+    if code == 0:
+        header = f"reproduction report (grid={grid}, tol={tol}, beta_phase={float(values['beta_phase'])})\n"
+        assert out.startswith(header), (argv, out.splitlines()[0])

@@ -9,21 +9,18 @@ from qbroadcast import (
     broadcast_holds,
     broadcast_verdict,
     buzek_baseline,
-    classify_triple,
     concurrence,
     eof,
-    measure_report,
+    partial_trace,
     ppt_entangled,
     ppt_verdict,
-    ppt_verdicts,
-    scan_predicate,
     scan_predicates,
-    scan_threshold,
+    six_qubit_branch,
     tensor,
     to_density,
 )
 import qbroadcast.entanglement as entanglement_module
-from stacks import pointwise
+from stacks import pointwise, scan_family, scan_row
 
 _S = 1.0 / np.sqrt(2.0)
 
@@ -199,13 +196,6 @@ def test_eof_domain():
     assert eof(1.0 + 1e-13) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_measure_report_is_consistent():
-    rho = _werner(0.8)
-    rep = measure_report(rho)
-    assert rep.concurrence == pytest.approx(concurrence(rho), abs=1e-12)
-    assert rep.eof == pytest.approx(eof(rep.concurrence), abs=1e-12)
-
-
 # ----------------------------------------- concurrence vs ppt, determinants
 
 
@@ -233,7 +223,7 @@ def test_concurrence_ppt_and_determinant_agree_on_random_states():
 
 
 def test_scan_predicate_locates_known_window():
-    ivs = scan_predicate(pointwise(lambda x: 0.3 < x < 0.7), grid=100, tol=1e-5, name="window")
+    ivs = scan_row(pointwise(lambda x: 0.3 < x < 0.7), grid=100, tol=1e-5, name="window")
     assert len(ivs) == 1
     assert ivs[0].lo == pytest.approx(0.3, abs=2e-5)
     assert ivs[0].hi == pytest.approx(0.7, abs=2e-5)
@@ -242,7 +232,7 @@ def test_scan_predicate_locates_known_window():
 
 
 def test_scan_predicate_edge_intervals_and_unions():
-    ivs = scan_predicate(pointwise(lambda x: x < 0.3 or x > 0.7), grid=100, tol=1e-5)
+    ivs = scan_row(pointwise(lambda x: x < 0.3 or x > 0.7), grid=100, tol=1e-5)
     assert len(ivs) == 2
     assert ivs[0].lo == 0.0
     assert ivs[0].hi == pytest.approx(0.3, abs=2e-5)
@@ -251,32 +241,27 @@ def test_scan_predicate_edge_intervals_and_unions():
 
 
 def test_scan_predicate_constant_yields_nothing():
-    assert scan_predicate(pointwise(lambda x: True), grid=60, tol=1e-4) == []
-    assert scan_predicate(pointwise(lambda x: False), grid=60, tol=1e-4) == []
+    assert scan_row(pointwise(lambda x: True), grid=60, tol=1e-4) == []
+    assert scan_row(pointwise(lambda x: False), grid=60, tol=1e-4) == []
 
 
 def test_scan_predicate_rejects_bad_settings():
     with pytest.raises(ContractError):
-        scan_predicate(lambda x: x > 0.5, grid=10, tol=1e-4)
+        scan_row(lambda x: x > 0.5, grid=10, tol=1e-4)
     with pytest.raises(ContractError):
-        scan_predicate(lambda x: x > 0.5, grid=100, tol=0.0)
+        scan_row(lambda x: x > 0.5, grid=100, tol=0.0)
 
 
 def test_scan_threshold_on_werner_family():
     # Werner states are entangled exactly above p = 1/3
-    ivs = scan_threshold(pointwise(_werner), "entangled", grid=100, tol=1e-5)
+    ivs = scan_family(pointwise(_werner), "entangled", grid=100, tol=1e-5)
     assert len(ivs) == 1
     assert ivs[0].lo == pytest.approx(1.0 / 3.0, abs=2e-5)
     assert ivs[0].hi == 1.0
-    seps = scan_threshold(pointwise(_werner), "separable", grid=100, tol=1e-5)
+    seps = scan_family(pointwise(_werner), "separable", grid=100, tol=1e-5)
     assert len(seps) == 1
     assert seps[0].lo == 0.0
     assert seps[0].hi == pytest.approx(1.0 / 3.0, abs=2e-5)
-
-
-def test_scan_threshold_rejects_unknown_predicate():
-    with pytest.raises(ContractError):
-        scan_threshold(_werner, "magic", grid=100, tol=1e-4)
 
 
 def test_baseline_scan_is_grid_stable():
@@ -289,25 +274,23 @@ def test_baseline_scan_is_grid_stable():
 # ----------------------------------------------------------------- triples
 
 
+# A triple is closed when all three of its pair marginals are PPT-entangled
+# (branch_scan's "closed-146" row), and open otherwise.
+
+
+def _pair_flags(rho):
+    return [ppt_entangled(partial_trace(rho, pair)) for pair in (["a", "b"], ["b", "c"], ["a", "c"])]
+
+
 def test_classify_triple_ghz_is_open():
     ghz = PureState(Register.qubits("a", "b", "c"), np.array([_S, 0, 0, 0, 0, 0, 0, _S]))
-    kind, report = classify_triple(to_density(ghz))
-    assert kind == "open"
-    assert set(report) == {"ab", "bc", "ac"}
-    assert not any(v.entangled for v in report.values())
+    assert _pair_flags(to_density(ghz)) == [False, False, False]
 
 
 def test_classify_triple_w_state_is_closed():
     w = np.zeros(8, dtype=complex)
     w[0b001] = w[0b010] = w[0b100] = 1.0 / np.sqrt(3.0)
-    kind, report = classify_triple(to_density(PureState(Register.qubits("a", "b", "c"), w)))
-    assert kind == "closed"
-    assert all(v.entangled for v in report.values())
-
-
-def test_classify_triple_requires_three_qubits():
-    with pytest.raises(ContractError):
-        classify_triple(_werner(0.5))
+    assert _pair_flags(to_density(PureState(Register.qubits("a", "b", "c"), w))) == [True, True, True]
 
 
 # --------------------------------------------------------------- broadcast
@@ -322,6 +305,21 @@ def test_broadcast_verdict_on_product_state():
     assert not ok
     assert set(report) == {"12", "15", "34", "36", "25", "46", "23", "35", "14", "16"}
     assert not any(v.entangled for v in report.values())
+
+
+def test_broadcast_verdict_on_a_stack_equals_its_members():
+    # the ten pairs of every member are solved as one stack; each member's
+    # verdict and reports are those of its own call, bit for bit
+    xs = [0.3, 0.8, 0.65]
+    ok, report = broadcast_verdict(six_qubit_branch(np.array(xs), ("Q0", "Q0"), 0.4))
+    assert list(ok) == [False, True, True]
+    for i, x in enumerate(xs):
+        alone_ok, alone = broadcast_verdict(six_qubit_branch(x, ("Q0", "Q0"), 0.4))
+        assert alone_ok == ok[i]
+        for key, verdict in alone.items():
+            assert isinstance(verdict.min_pt_eigenvalue, float) and isinstance(verdict.entangled, bool)
+            for field in ("min_pt_eigenvalue", "w3", "w4", "entangled"):
+                assert getattr(report[key], field)[i] == getattr(verdict, field), (key, field)
 
 
 def test_broadcast_verdict_rejects_missing_labels():
@@ -374,14 +372,9 @@ def test_ppt_entangled_is_the_verdict_without_witnesses(monkeypatch):
 
 def test_ppt_verdicts_solve_several_operators_together():
     rhos = [_werner(p) for p in (0.1, 0.5, 0.9)]
-    together = ppt_verdicts(rhos)
-    assert [v.entangled for v in together] == [False, True, True]
-    stacks = [_stack(rhos), _stack(rhos[::-1])]
-    first, second = ppt_verdicts(stacks)
-    assert list(first.entangled) == [False, True, True]
-    assert list(second.entangled) == [True, True, False]
-    with pytest.raises(ContractError):
-        ppt_verdicts([_stack(rhos), _stack(rhos[:2])])
+    together = ppt_verdict(_stack(rhos + rhos[::-1]))
+    assert list(together.entangled) == [False, True, True, True, True, False]
+    assert together.w4.shape == together.w3.shape == (6,)
 
 
 def test_broadcast_holds_on_stacked_reports():
@@ -399,7 +392,7 @@ def test_scan_predicate_tests_the_grid_as_one_array():
         calls.append(len(xs))
         return (xs > 0.25) & (xs < 0.6)
 
-    ivs = scan_predicate(test, grid=80, tol=1e-6)
+    ivs = scan_row(test, grid=80, tol=1e-6)
     assert [(round(iv.lo, 5), round(iv.hi, 5)) for iv in ivs] == [(0.25, 0.6)]
     # the grid first, then both edges refined together, one point each
     assert calls[0] == 80
@@ -413,7 +406,7 @@ def test_scan_predicate_tests_fine_grids_in_chunks():
         calls.append(len(xs))
         return xs > 0.3
 
-    ivs = scan_predicate(test, grid=10000, tol=1e-6)
+    ivs = scan_row(test, grid=10000, tol=1e-6)
     assert len(ivs) == 1 and ivs[0].lo == pytest.approx(0.3, abs=1e-6)
     assert calls[:3] == [4096, 4096, 1808]
     assert set(calls[3:]) == {1}
@@ -429,7 +422,7 @@ def test_scan_predicate_ends_below_the_float_spacing():
             raise AssertionError("bisection does not end")
         return xs > 0.3
 
-    ivs = scan_predicate(test, grid=60, tol=1e-300)
+    ivs = scan_row(test, grid=60, tol=1e-300)
     assert len(ivs) == 1
     assert abs(ivs[0].lo - 0.3) <= np.spacing(0.3)
     assert ivs[0].hi == 1.0
@@ -439,9 +432,9 @@ def test_scan_predicate_ends_below_the_float_spacing():
 def test_scan_predicate_rejects_non_finite_tol_and_bad_shapes():
     for tol in (float("nan"), float("inf")):
         with pytest.raises(ContractError):
-            scan_predicate(pointwise(lambda x: x > 0.5), grid=60, tol=tol)
+            scan_row(pointwise(lambda x: x > 0.5), grid=60, tol=tol)
     with pytest.raises(ContractError):
-        scan_predicate(lambda xs: True, grid=60, tol=1e-4)
+        scan_row(lambda xs: True, grid=60, tol=1e-4)
 
 
 # Rows of one multi-predicate scan: a window, a union of two edge-touching
@@ -468,7 +461,7 @@ def test_scan_predicates_rows_equal_separate_scans():
     scans = scan_predicates(test, _ROWS, grid=100, tol=1e-5)
     assert list(scans) == list(_ROWS)
     for name, row in _ROWS.items():
-        assert scans[name] == scan_predicate(row, grid=100, tol=1e-5, name=name), name
+        assert scans[name] == scan_row(row, grid=100, tol=1e-5, name=name), name
     assert scans["always"] == scans["never"] == []
     assert len(scans["union"]) == 2
     assert scans["union"][0].lo == scans["low"][0].lo == 0.0

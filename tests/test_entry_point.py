@@ -1,0 +1,67 @@
+"""The CLI run as a program, and the README's library example.
+
+The other CLI tests call run_command in-process. These start
+`python -m qbroadcast.cli`, the module the console script runs, in a child
+interpreter and check its exit code and both streams. The last test
+executes the README's "Library use" block, so a change to the public API
+cannot leave that example stale.
+"""
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from qbroadcast.cli import SCAN_MAX_GRID
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _cli(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qbroadcast.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in JSON output")
+
+
+def test_thresholds_prints_strict_json():
+    proc = _cli("thresholds", "--grid", "50")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert payload["grid"] == 50 and payload["broadcast"]["intervals"]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["grid above the bound", "unknown flag", "nan tol in a config file"])
+def test_usage_errors_exit_2_without_a_traceback(tmp_path, case):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("tol=nan\n", encoding="utf-8")
+    argv = {
+        "grid above the bound": ["thresholds", "--grid", str(SCAN_MAX_GRID + 1)],
+        "unknown flag": ["thresholds", "--frobnicate"],
+        "nan tol in a config file": ["thresholds", "--config", str(cfg)],
+    }[case]
+    proc = _cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("True ")
+    assert "lo=0.6177" in lines[1] and "hi=1.0" in lines[1] and "lo=0.6177" in lines[2]
+    assert "lo=0.0" in lines[3] and "hi=0.3822" in lines[3]

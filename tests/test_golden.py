@@ -1,8 +1,9 @@
 """CLI output against outputs written by the per-point pipeline.
 
 The files under golden/ were produced when every alpha^2 point still built
-its own six-qubit state through run_first_stage and run_second_stage, and
-every scan tested one point at a time. The commands are run at
+its own six-qubit state through run_first_stage and run_second_stage (the
+per-point pipeline tests/reference.py keeps), and every scan tested one
+point at a time. The commands are run at
 beta_phase 0 and 4.71 (set through a config file).
 
 report, branches, thresholds and baseline print verdicts, bisection

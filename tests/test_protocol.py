@@ -13,17 +13,11 @@ from qbroadcast import (
     broadcast_holds,
     broadcast_verdict,
     build_initial,
-    extract_marginals,
     machine_traced_marginal,
-    machine_traced_six,
     partial_trace,
     permute_subsystems,
-    ppt_verdicts,
     run_first_stage,
     run_protocol,
-    run_second_stage,
-    scan_predicate,
-    scan_threshold,
     six_qubit_branch,
     to_density,
 )
@@ -32,8 +26,10 @@ import qbroadcast.protocol as protocol_module
 from qbroadcast.cloner import OUTCOME_ORDER
 from qbroadcast.entanglement import concurrence, ppt_entangled, ppt_verdict, scan_predicates
 from qbroadcast.linalg import eig_hermitian
-from qbroadcast.protocol import PAIR_KEYS, PAIR_REGISTER, SIX_LABELS, TRIPLE_KEYS, pair_marginals
+from qbroadcast.protocol import PAIR_KEYS, PAIR_REGISTER, SIX_LABELS, pair_marginals
 from qbroadcast.qstate import DensityOp
+from reference import TRIPLE_KEYS, extract_marginals, machine_traced_six, run_second_stage
+from stacks import scan_family, scan_row
 from published_forms import (
     published_rho12 as _published_rho12,
     published_rho146 as _published_rho146,
@@ -352,9 +348,9 @@ def test_beta_phase_leaves_thresholds_alone():
 
         return f
 
-    base = scan_threshold(family(0.0), "entangled", grid=60, tol=1e-4)
+    base = scan_family(family(0.0), "entangled", grid=60, tol=1e-4)
     for phi in (np.pi / 4.0, np.pi / 2.0):
-        moved = scan_threshold(family(phi), "entangled", grid=60, tol=1e-4)
+        moved = scan_family(family(phi), "entangled", grid=60, tol=1e-4)
         assert len(moved) == len(base) == 1
         assert moved[0].lo == pytest.approx(base[0].lo, abs=2e-4)
         assert moved[0].hi == base[0].hi == 1.0
@@ -396,13 +392,12 @@ def test_branch_scan_rows_equal_their_own_scans(branch):
         def family(xs, key=key):
             return branch_marginal(xs, branch, key, phi)
 
-        assert scans[row] == scan_threshold(family, predicate, grid=60, tol=1e-4), row
+        assert scans[row] == scan_family(family, predicate, grid=60, tol=1e-4), row
 
     def broadcast(xs):
-        margs = [branch_marginal(xs, branch, key, phi) for key in PAIR_KEYS]
-        return broadcast_holds({key: v.entangled for key, v in zip(PAIR_KEYS, ppt_verdicts(margs))})
+        return broadcast_holds({key: ppt_verdict(branch_marginal(xs, branch, key, phi)).entangled for key in PAIR_KEYS})
 
-    assert scans["broadcast"] == scan_predicate(broadcast, grid=60, tol=1e-4, name="broadcast")
+    assert scans["broadcast"] == scan_row(broadcast, grid=60, tol=1e-4, name="broadcast")
 
 
 # ------------------------------------------------------------ run_protocol

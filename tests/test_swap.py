@@ -11,20 +11,17 @@ from qbroadcast import (
     branch_marginal,
     bsm,
     correction_plans,
-    derive_corrections,
     partial_trace,
     permute_subsystems,
     published_corrections,
     recovery_target,
-    scan_threshold,
     six_qubit_branch,
     swap_extend,
-    verify_recovery,
 )
 from qbroadcast.linalg import fidelity
 from qbroadcast.swap import BELL_ORDER
 from published_forms import published_b1p_post as _published_b1p_post
-from stacks import pointwise
+from stacks import pointwise, scan_family
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -153,8 +150,12 @@ def test_published_corrections_structure():
         assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-12
 
 
+def _derived(rho325):
+    return correction_plans(rho325)["derived"]
+
+
 def test_derived_correction_words():
-    plans = derive_corrections(_rho325(0.5))
+    plans = _derived(_rho325(0.5))
     words = {label: plan.word for label, plan in plans.items()}
     assert words == {"B1+": "iiy", "B1-": "iix", "B2+": "iiz", "B2-": "iii"}
     for plan in plans.values():
@@ -165,9 +166,9 @@ def test_derived_correction_words():
 
 
 def test_derived_words_do_not_depend_on_input_weight():
-    baseline = {l: p.word for l, p in derive_corrections(_rho325(0.5)).items()}
+    baseline = {l: p.word for l, p in _derived(_rho325(0.5)).items()}
     for alpha2 in (0.1, 0.3, 0.65, 0.9):
-        words = {l: p.word for l, p in derive_corrections(_rho325(alpha2)).items()}
+        words = {l: p.word for l, p in _derived(_rho325(alpha2)).items()}
         assert words == baseline
 
 
@@ -226,27 +227,31 @@ def test_correction_plans_score_both_sets_like_their_own_calls():
     rho = _rho325(0.3, 4.71)
     outcomes = bsm(swap_extend(rho))
     plans = correction_plans(rho, ("derived", "published"), outcomes)
-    alone = derive_corrections(rho)
+    alone = _derived(rho)
     for label in BELL_ORDER:
         assert plans["derived"][label].word == alone[label].word
         assert plans["derived"][label].achieved_fidelity == pytest.approx(
             alone[label].achieved_fidelity, abs=1e-12
         )
-    published = verify_recovery(rho, "published")
+    published = correction_plans(rho, ("published",))["published"]
     assert {k: p.word for k, p in plans["published"].items()} == {
         "B1+": "izx", "B1-": "iix", "B2+": "iiz", "B2-": "iii"
     }
     for label, plan in plans["published"].items():
         assert plan.source == "published"
         assert np.array_equal(plan.unitary, published_corrections()[label])
-        assert plan.achieved_fidelity == pytest.approx(published[label], abs=1e-12)
+        assert plan.achieved_fidelity == pytest.approx(published[label].achieved_fidelity, abs=1e-12)
     with pytest.raises(ValueError):
         correction_plans(rho, ("paper",), outcomes)
 
 
+def _fidelities(rho325, source):
+    return {label: plan.achieved_fidelity for label, plan in correction_plans(rho325, (source,))[source].items()}
+
+
 def test_verify_recovery_derived_is_exact():
     for alpha2 in (0.3, 0.5, 0.8):
-        fids = verify_recovery(_rho325(alpha2), "derived")
+        fids = _fidelities(_rho325(alpha2), "derived")
         assert set(fids) == set(BELL_ORDER)
         for f in fids.values():
             assert f >= 1.0 - 1e-9
@@ -257,16 +262,16 @@ def test_verify_recovery_published_set():
     # first outcome's does not, and its shortfall shrinks with alpha^2
     want_b1p = {0.3: 0.740587, 0.5: 0.830177, 0.8: 0.943670}
     for alpha2, want in want_b1p.items():
-        fids = verify_recovery(_rho325(alpha2), "published")
+        fids = _fidelities(_rho325(alpha2), "published")
         for label in ("B1-", "B2+", "B2-"):
             assert fids[label] >= 1.0 - 1e-9
         assert fids["B1+"] == pytest.approx(want, abs=1e-5)
-    assert verify_recovery(_rho325(0.5), "paper") == verify_recovery(_rho325(0.5), "published")
 
 
 def test_verify_recovery_rejects_unknown_source():
-    with pytest.raises(ValueError):
-        verify_recovery(_rho325(0.5), "guess")
+    for sources in (("guess",), ("derived", "guess")):
+        with pytest.raises(ValueError):
+            correction_plans(_rho325(0.5), sources)
 
 
 # ------------------------------------------------- thresholds after recovery
@@ -275,7 +280,7 @@ def test_verify_recovery_rejects_unknown_source():
 def test_recovered_state_reproduces_pair_thresholds():
     # after the derived correction the teleported triple carries the same
     # pair entanglement boundaries as the triple it replaces
-    u = derive_corrections(_rho325(0.5))["B1+"].unitary
+    u = _derived(_rho325(0.5))["B1+"].unitary
 
     def recovered(x):
         post = bsm(swap_extend(_rho325(x)))[0].post_state
@@ -287,11 +292,11 @@ def test_recovered_state_reproduces_pair_thresholds():
 
         return f
 
-    ivs = scan_threshold(pointwise(pair_family("37")), "entangled", grid=60, tol=1e-4)
+    ivs = scan_family(pointwise(pair_family("37")), "entangled", grid=60, tol=1e-4)
     assert len(ivs) == 1
     assert ivs[0].lo == pytest.approx(9.0 / 49.0, abs=2e-4)
     assert ivs[0].hi == 1.0
-    ivs = scan_threshold(pointwise(pair_family("57")), "entangled", grid=60, tol=1e-4)
+    ivs = scan_family(pointwise(pair_family("57")), "entangled", grid=60, tol=1e-4)
     assert len(ivs) == 1
     assert ivs[0].lo == pytest.approx((9.0 + 8.0 * np.sqrt(3.0)) / 37.0, abs=2e-4)
     assert ivs[0].hi == 1.0
