@@ -10,7 +10,7 @@ import qbroadcast.linalg as linalg_module
 import qbroadcast.protocol as protocol_module
 import qbroadcast.swap as swap_module
 from qbroadcast.cli import CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, SWEEP_MAX_ROWS, run_command
-from qbroadcast.entanglement import concurrence, ppt_verdict
+from qbroadcast.entanglement import ThresholdInterval, concurrence, ppt_verdict
 from qbroadcast.errors import ContractError
 from qbroadcast.linalg import eig_hermitian
 from qbroadcast.protocol import branch_marginal
@@ -533,3 +533,128 @@ def test_report_runs_and_shows_comparisons(capsys):
     for line in out.splitlines():
         if line.startswith(("baseline", "rho", "broadcast")):
             assert "computed" in line and "published" in line
+
+
+# Scan rows that agree with every published figure the report compares; a
+# case below replaces some of them. Each row is a list of (lo, hi) ends.
+_AGREEING_SCANS = {
+    "Q0Q0": {
+        "16:entangled": [(0.184, 1.0)],
+        "46:entangled": [(0.6177, 1.0)],
+        "12:separable": [(0.273, 1.0)],
+        "broadcast": [(0.6177, 1.0)],
+    },
+    "Q1Q1": {"broadcast": [(0.38, 0.73)]},
+    "Q0Q1": {
+        "broadcast": [(0.2, 0.3)],
+        "12:separable": [(0.6, 1.0)],
+        "34:entangled": [(0.4, 1.0)],
+        "46:entangled": [(0.0, 0.14)],
+    },
+    "Q1Q0": {
+        "broadcast": [(0.2, 0.3)],
+        "34:separable": [(0.6, 1.0)],
+        "12:entangled": [(0.4, 1.0)],
+        "25:entangled": [(0.0, 0.14)],
+    },
+}
+_CONCURRENCE_LINES = [
+    f"{what}(rho{pair}) over computed interval" for pair in ("16", "46") for what in ("concurrence", "eof")
+]
+_BROADCAST = "broadcast interval, branch "
+_EMPTY = {branch: dict.fromkeys(rows, []) for branch, rows in _AGREEING_SCANS.items()}
+
+
+def _ends(*pairs):
+    return " union ".join(f"({lo:.6f}, {hi:.6f})" for lo, hi in pairs)
+
+
+# Each case: scan rows replaced, the baseline ends, and for each report line
+# it pins, the computed column and the marker the line ends with.
+_MARKER_CASES = {
+    "within": (
+        {"Q0Q0": {"16:entangled": [(0.1841, 1.0)], "46:entangled": [(0.6101, 1.0)],
+                  "12:separable": [(0.2741, 1.0)], "broadcast": [(0.6199, 1.0)]},
+         "Q1Q1": {"broadcast": [(0.389, 0.721)]}},
+        (0.1111, 0.8888),
+        {"baseline inseparability interval": (_ends((0.1111, 0.8888)), "ok (tol 0.002)"),
+         "rho16 entangled above": ("0.184100", "ok (tol 0.005)"),
+         "rho46 entangled above": ("0.610100", "ok (truncated)"),
+         "rho12 separable above": ("0.274100", "ok (tol 0.005)"),
+         _BROADCAST + "Q0Q0": (_ends((0.6199, 1.0)), "ok (truncated)"),
+         _BROADCAST + "Q1Q1": (_ends((0.389, 0.721)), "ok (tol 0.01)"),
+         _BROADCAST + "Q0Q1": (_ends((0.2, 0.3)), "check"),
+         _BROADCAST + "Q1Q0": (_ends((0.2, 0.3)), "check"),
+         "  Q0Q1 rho12 separable range": (_ends((0.6, 1.0)), "info"),
+         "  Q1Q0 rho25 entangled range": (_ends((0.0, 0.14)), "info")},
+    ),
+    "above": (
+        {"Q0Q0": {"16:entangled": [(0.186, 1.0)], "46:entangled": [(0.62, 1.0)],
+                  "12:separable": [(0.276, 1.0)], "broadcast": [(0.6177, 0.99)]},
+         "Q1Q1": {"broadcast": [(0.38, 0.7401)]}},
+        (0.1122, 0.89031),
+        {"baseline inseparability interval": (_ends((0.1122, 0.89031)), "DIFFERS (tol 0.002)"),
+         "rho16 entangled above": ("0.186000", "DIFFERS (tol 0.005)"),
+         "rho46 entangled above": ("0.620000", "DIFFERS (truncated)"),
+         "rho12 separable above": ("0.276000", "DIFFERS (tol 0.005)"),
+         _BROADCAST + "Q0Q0": (_ends((0.6177, 0.99)), "DIFFERS (truncated)"),
+         _BROADCAST + "Q1Q1": (_ends((0.38, 0.7401)), "DIFFERS (tol 0.01)")},
+    ),
+    "below": (
+        {"Q0Q0": {"16:entangled": [(0.174, 1.0)], "46:entangled": [(0.6099, 1.0)],
+                  "12:separable": [(0.264, 1.0)], "broadcast": [(0.6099, 1.0)]},
+         "Q1Q1": {"broadcast": [(0.3699, 0.73)]}},
+        (0.10969, 0.8878),
+        {"baseline inseparability interval": (_ends((0.10969, 0.8878)), "DIFFERS (tol 0.002)"),
+         "rho16 entangled above": ("0.174000", "DIFFERS (tol 0.005)"),
+         "rho46 entangled above": ("0.609900", "DIFFERS (truncated)"),
+         "rho12 separable above": ("0.264000", "DIFFERS (tol 0.005)"),
+         _BROADCAST + "Q0Q0": (_ends((0.6099, 1.0)), "DIFFERS (truncated)"),
+         _BROADCAST + "Q1Q1": (_ends((0.3699, 0.73)), "DIFFERS (tol 0.01)")},
+    ),
+    "several intervals": (
+        {"Q0Q0": {"broadcast": [(0.6177, 0.7), (0.8, 1.0)]},
+         "Q1Q1": {"broadcast": [(0.38, 0.73), (0.8, 0.9)]}},
+        (0.10969, 0.89031),
+        {_BROADCAST + "Q0Q0": (_ends((0.6177, 0.7), (0.8, 1.0)), "DIFFERS (truncated)"),
+         _BROADCAST + "Q1Q1": (_ends((0.38, 0.73), (0.8, 0.9)), "ok (tol 0.01)")},
+    ),
+    "empty": (
+        _EMPTY,
+        (0.10969, 0.89031),
+        {"rho16 entangled above": ("no interval", "DIFFERS"),
+         "rho46 entangled above": ("no interval", "DIFFERS"),
+         "rho12 separable above": ("no interval", "DIFFERS"),
+         _BROADCAST + "Q0Q0": ("none", "DIFFERS (truncated)"),
+         _BROADCAST + "Q1Q1": ("none", "DIFFERS (tol 0.01)"),
+         _BROADCAST + "Q0Q1": ("none", "DIFFERS"),
+         _BROADCAST + "Q1Q0": ("none", "DIFFERS"),
+         "  Q0Q1 rho34 entangled range": ("none", "info"),
+         "  Q1Q0 rho34 separable range": ("none", "info")},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MARKER_CASES))
+def test_report_markers_follow_the_published_rules(capsys, monkeypatch, case):
+    replaced, baseline, want = _MARKER_CASES[case]
+    scans = {branch: {**rows, **replaced.get(branch, {})} for branch, rows in _AGREEING_SCANS.items()}
+
+    def scan(branch, names, *args, **kwargs):
+        rows = scans["".join(branch)]
+        return {
+            name: [ThresholdInterval(lo, hi, 1e-4, name.rpartition(":")[2]) for lo, hi in rows[name]]
+            for name in names
+        }
+
+    monkeypatch.setattr(cli_module, "branch_scan", scan)
+    monkeypatch.setattr(cli_module, "buzek_baseline", lambda *args, **kwargs: baseline)
+    code, out, _ = _run(capsys, ["report", "--grid", "50"])
+    assert code == 0
+    lines = {line[:46].rstrip(): line for line in out.splitlines()[2:]}
+    for name, (computed, marker) in want.items():
+        assert f" computed {computed} " in lines[name], (name, lines[name])
+        assert lines[name].endswith(f" {marker}"), (name, lines[name])
+    # the concurrence/EoF lines sample the rho46 entangled interval
+    shown = [name for name in _CONCURRENCE_LINES if name in lines]
+    assert shown == ([] if case == "empty" else _CONCURRENCE_LINES)
