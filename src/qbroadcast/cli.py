@@ -40,24 +40,6 @@ SCAN_MAX_GRID = 10**5
 # take about 1.7 s and 124 MB, held in one stack.
 SWEEP_MAX_ROWS = 10**5
 
-# Published reference values the report compares against. Interval endpoints
-# are quoted to the precision they were stated with.
-PUBLISHED = {
-    "baseline": (0.10969, 0.89031),
-    "rho16_lo": 0.18,
-    "rho46_lo": 0.61,
-    "rho12_sep_lo": 0.27,
-    "broadcast_q0q0": (0.61, 1.0),
-    "broadcast_q1q1": (0.38, 0.73),
-    "asym_low_range": (0.14, 0.40),
-    "asym_high_range": (0.60, 1.00),
-    "c16_range": (0.17, 0.29),
-    "c46_range": (0.08, 0.15),
-    "eof16_range": (0.06, 0.15),
-    "eof46_range": (0.01, 0.03),
-}
-
-
 class UsageError(Exception):
     """Bad flags or config content; mapped to exit code 2."""
 
@@ -400,126 +382,117 @@ def _line(name: str, computed: str, published: str, marker: str) -> str:
     return f"{name:<46} computed {computed:<24} published {published:<16} {marker}"
 
 
-def _near(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol
+@dataclass(frozen=True)
+class Published:
+    """One report line that sets a computed figure beside a published one.
+
+    source is (branch, branch_scan row), or None for the single-stage
+    baseline. A float figure is an edge: the line shows and compares the
+    lower end of the row's first interval. A tuple figure lists (lo, hi)
+    intervals: the line shows all of the row's intervals and compares the
+    ends of the first with the first pair. A str figure is only shown.
+    rule is a tolerance on each compared end, "truncated" (the computed
+    end cut, not rounded, to two decimals is the published one), or a fixed
+    marker: "check" (DIFFERS when the row is empty) or "info".
+    """
+
+    name: str
+    source: tuple[str, str] | None
+    figure: float | tuple | str
+    rule: float | str
 
 
-def _truncates(published: float, value: float) -> bool:
-    """published is value cut (not rounded) to two decimals."""
-    return math.floor(value * 100.0) / 100.0 == published
+# The asymmetric branches' published broadcast ranges.
+_SPLIT_RANGES = ((0.14, 0.40), (0.60, 1.00))
+
+# Published figures, one entry per report line in the order printed.
+# Interval endpoints are quoted to the precision they were stated with.
+PUBLISHED = (
+    Published("baseline inseparability interval", None, ((0.10969, 0.89031),), 0.002),
+    Published("rho16 entangled above", ("Q0Q0", "16:entangled"), 0.18, 0.005),
+    # the rho46 threshold (9 + 8 sqrt 3)/37 = 0.6177 cut, not rounded
+    Published("rho46 entangled above", ("Q0Q0", "46:entangled"), 0.61, "truncated"),
+    Published("rho12 separable above", ("Q0Q0", "12:separable"), 0.27, 0.005),
+    # an upper end in [0, 1] cuts to 1.0 only when it is 1.0
+    Published("broadcast interval, branch Q0Q0", ("Q0Q0", "broadcast"), ((0.61, 1.0),), "truncated"),
+    Published("broadcast interval, branch Q1Q1", ("Q1Q1", "broadcast"), ((0.38, 0.73),), 0.01),
+    Published("broadcast interval, branch Q0Q1", ("Q0Q1", "broadcast"), _SPLIT_RANGES, "check"),
+    Published("broadcast interval, branch Q1Q0", ("Q1Q0", "broadcast"), _SPLIT_RANGES, "check"),
+    # Where the asymmetric branches' separable original-clone pair, entangled
+    # original-clone pair and entangled clone-clone pair cross, the
+    # published split ranges end.
+    Published("  Q0Q1 rho12 separable range", ("Q0Q1", "12:separable"), "boundary 0.60", "info"),
+    Published("  Q0Q1 rho34 entangled range", ("Q0Q1", "34:entangled"), "boundary 0.40", "info"),
+    Published("  Q0Q1 rho46 entangled range", ("Q0Q1", "46:entangled"), "boundary 0.14", "info"),
+    Published("  Q1Q0 rho34 separable range", ("Q1Q0", "34:separable"), "boundary 0.60", "info"),
+    Published("  Q1Q0 rho12 entangled range", ("Q1Q0", "12:entangled"), "boundary 0.40", "info"),
+    Published("  Q1Q0 rho25 entangled range", ("Q1Q0", "25:entangled"), "boundary 0.14", "info"),
+)
 
 
-def _fmt_ivs(intervals) -> str:
-    if not intervals:
-        return "none"
-    return " union ".join(f"({iv.lo:.6f}, {iv.hi:.6f})" for iv in intervals)
+def _agrees(rule, published: float, computed: float) -> bool:
+    if rule == "truncated":
+        return math.floor(computed * 100.0) / 100.0 == published
+    return abs(computed - published) <= rule
 
 
-# Rows the report reads from each branch's scan. After the broadcast row,
-# the asymmetric branches list the separable original-clone pair, the
-# entangled original-clone pair and the entangled clone-clone pair.
-_REPORT_ROWS = {
-    "Q0Q0": ("broadcast", "16:entangled", "46:entangled", "12:separable"),
-    "Q1Q1": ("broadcast",),
-    "Q0Q1": ("broadcast", "12:separable", "34:entangled", "46:entangled"),
-    "Q1Q0": ("broadcast", "34:separable", "12:entangled", "25:entangled"),
-}
+def _published_line(entry: Published, ends: list) -> str:
+    """The report line of one PUBLISHED entry, given the (lo, hi) ends of
+    its computed intervals."""
+    figure, rule = entry.figure, entry.rule
+    edge = isinstance(figure, float)
+    if edge:
+        computed = f"{ends[0][0]:.6f}" if ends else "no interval"
+    else:
+        computed = " union ".join(f"({lo:.6f}, {hi:.6f})" for lo, hi in ends) or "none"
+    if not ends and (edge or rule == "check"):
+        marker = "DIFFERS"
+    elif rule in ("check", "info"):
+        marker = rule
+    else:
+        first = (figure,) if edge else figure[0]
+        ok = bool(ends) and all(_agrees(rule, pub, got) for pub, got in zip(first, ends[0]))
+        how = rule if rule == "truncated" else f"tol {rule}"
+        marker = f"{'ok' if ok else 'DIFFERS'} ({how})"
+    if isinstance(figure, tuple):
+        figure = " u ".join(f"({lo}, {hi})" for lo, hi in figure)
+    return _line(entry.name, computed, f"{figure}", marker)
 
 
 def _cmd_report(args) -> int:
     s = _settings(args)
-    out: list[str] = []
+    out = [f"reproduction report (grid={s.grid}, tol={s.tol}, beta_phase={s.beta_phase})", ""]
     say = out.append
 
-    say(f"reproduction report (grid={s.grid}, tol={s.tol}, beta_phase={s.beta_phase})")
-    say("")
-
-    # Single-stage baseline.
-    lo, hi = buzek_baseline(grid=s.grid, tol=s.tol)
-    pub_lo, pub_hi = PUBLISHED["baseline"]
-    marker = "ok" if _near(lo, pub_lo, 0.002) and _near(hi, pub_hi, 0.002) else "DIFFERS"
-    say(_line("baseline inseparability interval", f"({lo:.6f}, {hi:.6f})",
-              f"({pub_lo}, {pub_hi})", f"{marker} (tol 0.002)"))
-
-    # One scan per branch: the main-branch pair thresholds, every branch's
-    # broadcast verdict, and the asymmetric branches' per-pair crossings the
-    # published split ranges correspond to.
-    scans = {
-        name: branch_scan(_parse_branch(name), rows, s.beta_phase, s.grid, s.tol)
-        for name, rows in _REPORT_ROWS.items()
-    }
+    # One scan per branch answers every row PUBLISHED names on that branch.
+    rows: dict[str, dict[str, None]] = {}
+    for entry in PUBLISHED:
+        if entry.source:
+            rows.setdefault(entry.source[0], {})[entry.source[1]] = None
+    found = {None: [buzek_baseline(grid=s.grid, tol=s.tol)]}
+    for name, names in rows.items():
+        scans = branch_scan(_parse_branch(name), names, s.beta_phase, s.grid, s.tol)
+        found.update(((name, row), [(iv.lo, iv.hi) for iv in ivs]) for row, ivs in scans.items())
+    ends = {entry.name: found[entry.source] for entry in PUBLISHED}
+    out += [_published_line(entry, ends[entry.name]) for entry in PUBLISHED]
     branch = ("Q0", "Q0")
 
-    # 0.61 is the rho46 threshold (9 + 8 sqrt 3)/37 = 0.6177 cut, not
-    # rounded, to two decimals
-    near = (lambda pub, got: _near(got, pub, 0.005), "tol 0.005")
-    cut = (_truncates, "truncated")
-    for row, pub_key, (same, how) in (
-        ("16:entangled", "rho16_lo", near),
-        ("46:entangled", "rho46_lo", cut),
-        ("12:separable", "rho12_sep_lo", near),
-    ):
-        pair, _, predicate = row.partition(":")
-        what = f"rho{pair} {predicate} above"
-        ivs = scans["Q0Q0"][row]
-        pub = PUBLISHED[pub_key]
-        if ivs:
-            got = ivs[0].lo
-            marker = "ok" if same(pub, got) else "DIFFERS"
-            say(_line(what, f"{got:.6f}", f"{pub}", f"{marker} ({how})"))
-        else:
-            say(_line(what, "no interval", f"{pub}", "DIFFERS"))
-
-    q0q0 = scans["Q0Q0"]["broadcast"]
-    pub = PUBLISHED["broadcast_q0q0"]
-    if len(q0q0) == 1 and _truncates(pub[0], q0q0[0].lo) and q0q0[0].hi == pub[1]:
-        marker = "ok"
-    else:
-        marker = "DIFFERS"
-    say(_line("broadcast interval, branch Q0Q0", _fmt_ivs(q0q0),
-              f"({pub[0]}, {pub[1]})", f"{marker} (truncated)"))
-
-    q1q1 = scans["Q1Q1"]["broadcast"]
-    pub = PUBLISHED["broadcast_q1q1"]
-    if q1q1 and _near(q1q1[0].lo, pub[0], 0.01) and _near(q1q1[0].hi, pub[1], 0.01):
-        marker = "ok"
-    else:
-        marker = "DIFFERS"
-    say(_line("broadcast interval, branch Q1Q1", _fmt_ivs(q1q1),
-              f"({pub[0]}, {pub[1]})", f"{marker} (tol 0.01)"))
-
-    asymmetric = ("Q0Q1", "Q1Q0")
-    for name in asymmetric:
-        ivs = scans[name]["broadcast"]
-        lo_r = PUBLISHED["asym_low_range"]
-        hi_r = PUBLISHED["asym_high_range"]
-        marker = "DIFFERS" if not ivs else "check"
-        say(_line(f"broadcast interval, branch {name}", _fmt_ivs(ivs),
-                  f"({lo_r[0]}, {lo_r[1]}) u ({hi_r[0]}, {hi_r[1]})", marker))
-
-    for name in asymmetric:
-        for row, boundary in zip(_REPORT_ROWS[name][1:], ("0.60", "0.40", "0.14")):
-            pair, _, predicate = row.partition(":")
-            say(_line(f"  {name} rho{pair} {predicate} range", _fmt_ivs(scans[name][row]),
-                      f"boundary {boundary}", "info"))
-
-    # Concurrence / EoF ranges over the computed rho46 entangled interval.
-    rho46 = scans["Q0Q0"]["46:entangled"]
+    # Concurrence / EoF ranges over the computed rho46 entangled interval,
+    # beside the published ranges of rho16 and rho46.
+    rho46 = ends["rho46 entangled above"]
     if rho46:
-        r_lo, r_hi = rho46[0].lo, rho46[0].hi
+        r_lo, r_hi = rho46[0]
         values = [r_lo + (r_hi - r_lo) * k / 102 for k in range(1, 102)]
         stack, runs = pair_marginals(values, branch, ("16", "46"), s.beta_phase)
         conc = concurrence(stack)
-        for pair, c_key, e_key in (("16", "c16_range", "eof16_range"), ("46", "c46_range", "eof46_range")):
+        published = {"16": ("[0.17, 0.29]", "[0.06, 0.15]"), "46": ("[0.08, 0.15]", "[0.01, 0.03]")}
+        for pair, (pub_c, pub_e) in published.items():
             samples = conc[runs[pair]]
             c_min, c_max = float(samples.min()), float(samples.max())
-            e_min, e_max = eof(c_min), eof(c_max)
-            pub_c = PUBLISHED[c_key]
-            pub_e = PUBLISHED[e_key]
             say(_line(f"concurrence(rho{pair}) over computed interval",
-                      f"[{c_min:.4f}, {c_max:.4f}]", f"[{pub_c[0]}, {pub_c[1]}]", "report"))
+                      f"[{c_min:.4f}, {c_max:.4f}]", pub_c, "report"))
             say(_line(f"eof(rho{pair}) over computed interval",
-                      f"[{e_min:.4f}, {e_max:.4f}]", f"[{pub_e[0]}, {pub_e[1]}]", "report"))
+                      f"[{eof(c_min):.4f}, {eof(c_max):.4f}]", pub_e, "report"))
 
     # Swapping: outcome statistics and both correction sets.
     for alpha2 in (0.3, 0.5, 0.8):

@@ -7,9 +7,6 @@ defined twice. Values are absolute unless noted.
 # Maximum allowed |A - A^dagger| entry for a matrix passed off as Hermitian.
 HERM_TOL = 1e-10
 
-# Eigenvalues of a nominally PSD matrix in [-PSD_CLAMP, 0) are clamped to 0.
-PSD_CLAMP = 1e-10
-
 # Below this an eigenvalue is a genuine PSD violation, not roundoff.
 PSD_FAIL = 1e-8
 

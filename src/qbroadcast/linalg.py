@@ -1,7 +1,8 @@
 """Dense complex linear algebra for small operators.
 
 Matrices are numpy complex128 arrays in row-major layout; nothing here is
-tuned for size (the largest operator in the pipeline is 256 x 256). The
+tuned for size (the largest operator in the pipeline is the 64 x 64
+six-qubit branch state; the eight-qubit basis images are vectors). The
 eigensolver is a cyclic Jacobi iteration written in-package so results are
 deterministic across platforms; numpy is used for array plumbing only.
 """
