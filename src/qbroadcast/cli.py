@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 1 numerical contract violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,6 +26,14 @@ from .swap import bsm, correction_plans, swap_extend
 __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
 
 CSV_HEADER = "alpha2,pair,min_pt_eigenvalue,w3,w4,concurrence,eof,entangled"
+
+# One sweep row, a tuple in CSV_HEADER order, as CSV: reals to 12
+# significant digits. As JSON: the row's lines in json.dumps(rows, indent=2);
+# reals and the verdict go through repr, as json writes floats and ints.
+_CSV_ROW = "%.12g,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%d"
+_JSON_ROW = "  {\n" + ",\n".join(
+    f'    "{name}": ' + ('"%s"' if name == "pair" else "%r") for name in CSV_HEADER.split(",")
+) + "\n  }"
 
 BRANCH_NAMES = tuple("".join(b) for b in OUTCOME_ORDER)
 
@@ -75,6 +84,9 @@ def run_command(argv) -> int:
 # ---------------------------------------------------------------- parsing
 
 
+# Built once per process: the handlers it binds are module functions, and
+# each parse_args call fills a fresh Namespace.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbroadcast",
@@ -196,10 +208,6 @@ def _parse_branch(name: str) -> tuple[str, str]:
     return (name[:2], name[2:])
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _json_text(payload) -> str:
     """Strict JSON: a NaN or infinity in a result is a numerical fault."""
     try:
@@ -262,23 +270,24 @@ def _cmd_sweep(args) -> int:
     stack, runs = pair_marginals([_clamp_alpha2(x) for x in values], branch, pairs, s.beta_phase)
     verdict = ppt_verdict(stack)
     conc = concurrence(stack)
+    reals = (verdict.min_pt_eigenvalue, verdict.w3, verdict.w4, conc)
+    if not all(np.isfinite(a).all() for a in reals):
+        raise ContractError("result is not finite: a sweep witness or concurrence is NaN or infinite")
+    m, w3, w4, c = (a.tolist() for a in reals)
+    entangled = verdict.entangled.astype(int).tolist()
+    e = [eof(ci) for ci in c]
     # One row per (alpha^2, pair), its fields in CSV_HEADER order.
     rows = [
-        (x, pair, float(verdict.min_pt_eigenvalue[i]), float(verdict.w3[i]), float(verdict.w4[i]),
-         float(conc[i]), eof(float(conc[i])), int(verdict.entangled[i]))
+        (x, pair, m[i], w3[i], w4[i], c[i], e[i], entangled[i])
         for pair in pairs
         for i, x in enumerate(values, start=runs[pair].start)
     ]
     rows.sort(key=lambda r: r[:2])
 
     if args.format == "csv":
-        lines = [CSV_HEADER] + [
-            f"{_fmt(x)},{pair},{_fmt(m)},{_fmt(w3)},{_fmt(w4)},{_fmt(c)},{_fmt(e)},{entangled}"
-            for x, pair, m, w3, w4, c, e, entangled in rows
-        ]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([CSV_HEADER] + [_CSV_ROW % r for r in rows]) + "\n"
     else:
-        text = _json_text([dict(zip(CSV_HEADER.split(","), r)) for r in rows])
+        text = "[\n" + ",\n".join([_JSON_ROW % r for r in rows]) + "\n]\n"
 
     if args.out:
         try:

@@ -136,7 +136,8 @@ def concurrence(rho: DensityOp):
 
 def eof(c: float) -> float:
     """Entanglement of formation as a function of concurrence."""
-    if c < -1e-12 or c > 1.0 + 1e-12:
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not -1e-12 <= c <= 1.0 + 1e-12:
         raise ContractError(f"eof: concurrence {c} outside [0, 1]")
     c = min(max(c, 0.0), 1.0)
     if c == 0.0:

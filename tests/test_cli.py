@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import time
 
@@ -342,15 +344,27 @@ def test_non_finite_settings_are_usage_errors(tmp_path, capsys, value):
     assert (code, out) == (2, "")
 
 
-def test_non_finite_results_never_reach_json(capsys, monkeypatch):
+def test_non_finite_results_never_reach_json(tmp_path, capsys, monkeypatch):
+    # the sweep checks its row reals once, before either format is written
     def nan_concurrence(rho):
         return np.full(len(rho.matrix), np.nan)
 
-    monkeypatch.setattr("qbroadcast.cli.concurrence", nan_concurrence)
-    code, out, err = _run(capsys, ["sweep", "--pairs", "16", "--from", "0.2", "--to", "0.4",
-                                   "--steps", "2", "--format", "json"])
-    assert (code, out) == (1, "")
-    assert "not finite" in err
+    def inf_w4(rho):
+        v = ppt_verdict(rho)
+        return dataclasses.replace(v, w4=np.where(np.arange(len(v.w4)) == 1, np.inf, v.w4))
+
+    out_path = tmp_path / "rows.txt"
+    for name, patch in (("concurrence", nan_concurrence), ("ppt_verdict", inf_w4)):
+        with monkeypatch.context() as m:
+            m.setattr(f"qbroadcast.cli.{name}", patch)
+            for fmt in ("json", "csv"):
+                argv = ["sweep", "--pairs", "16", "--from", "0.2", "--to", "0.4", "--steps", "2",
+                        "--format", fmt]
+                code, out, err = _run(capsys, argv)
+                assert (code, out) == (1, ""), (name, fmt)
+                assert "not finite" in err
+                assert _run(capsys, argv + ["--out", str(out_path)])[:2] == (1, "")
+                assert not out_path.exists()
 
 
 # -------------------------------------------------------------- exit codes
@@ -366,6 +380,47 @@ def test_help_exits_0(capsys):
     code, out, _ = _run(capsys, ["--help"])
     assert code == 0
     assert "baseline" in out
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli_module._build_parser.cache_clear()
+    sweep = ["sweep", "--pairs", "16,46", "--from", "0.2", "--to", "0.8", "--steps", "3"]
+    first = _run(capsys, sweep)
+    assert first[0] == 0
+    # the top parser, its two parent parsers and seven subcommands
+    per_process = len(builds)
+    assert per_process == 10
+    top_help = _run(capsys, ["--help"])
+    sweep_help = _run(capsys, ["sweep", "--help"])
+    assert top_help[0] == sweep_help[0] == 0
+    assert top_help[1].startswith("usage: qbroadcast ") and "--format" in sweep_help[1]
+
+    cfg = tmp_path / "phase.cfg"
+    cfg.write_text("beta_phase = 1.25\ngrid = 60\ntol = 1e-3\n", encoding="utf-8")
+    assert _run(capsys, sweep + ["--config", str(cfg), "--beta-phase", "2.5", "--format", "json"])[0] == 0
+    assert _run(capsys, ["thresholds", "--config", str(cfg)])[0] == 0
+    assert _run(capsys, ["sweep", "--pairs", "16"])[0] == 2
+    assert _run(capsys, ["sweep", "--bogus"])[0] == 2
+    assert _run(capsys, ["--help"]) == top_help
+    assert _run(capsys, sweep) == first
+    assert _run(capsys, ["sweep", "--help"]) == sweep_help
+    # the settings of the config-file call are gone from the next call
+    code, out, _ = _run(capsys, ["thresholds", "--grid", "50"])
+    assert code == 0
+    assert (json.loads(out)["beta_phase"], json.loads(out)["tol"]) == (0.0, 1e-4)
+    args = cli_module._build_parser().parse_args(sweep)
+    assert (args.config, args.beta_phase, args.format, args.out) == (None, None, "csv", None)
+    assert len(builds) == per_process
+    # the help a fresh parser prints
+    assert cli_module._build_parser.__wrapped__().format_help() == top_help[1]
 
 
 def test_contract_violation_exits_1(capsys, monkeypatch):

@@ -27,6 +27,11 @@ ENDPOINTS = st.one_of(
     st.sampled_from(["0", "1", "1e-320", "5e-324", "0.9999999999999999", "nan", "inf", "-1", "2", "1e400"]),
     st.floats(min_value=0.0, max_value=1.0).map(repr),
 )
+# Endpoints every sweep accepts, the unit interval's edges and subnormals among them.
+VALID_ENDPOINTS = st.one_of(
+    st.sampled_from(["0", "1", "1e-320", "5e-324", repr(1 - 1.1e-16)]),
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+)
 PHASES = st.one_of(st.sampled_from(["nan", "inf"]), st.floats(min_value=-10.0, max_value=10.0).map(repr))
 TOLS = st.one_of(st.sampled_from(["nan", "inf", "0", "-1e-3"]), st.floats(min_value=1e-6, max_value=1e-2).map(repr))
 
@@ -79,6 +84,42 @@ def test_sweep_ends_with_strict_output(pairs, branch, lo, hi, steps, phase, fmt)
             fields = line.split(",")
             assert len(fields) == 8 and fields[1] in pairs and fields[7] in ("0", "1")
             assert all(math.isfinite(float(x)) for x in fields[:1] + fields[2:7])
+
+
+def _csv_per_row(rows):
+    """The sweep CSV as it was written before its rows came from one
+    template: one f-string per row, reals to 12 significant digits."""
+    def fmt(x):
+        return f"{x:.12g}"
+
+    return "\n".join([CSV_HEADER] + [
+        f"{fmt(r['alpha2'])},{r['pair']},{fmt(r['min_pt_eigenvalue'])},{fmt(r['w3'])},{fmt(r['w4'])},"
+        f"{fmt(r['concurrence'])},{fmt(r['eof'])},{r['entangled']}"
+        for r in rows
+    ]) + "\n"
+
+
+@CHECKS
+@given(
+    pairs=st.lists(st.sampled_from(PAIR_KEYS), min_size=1, max_size=10),
+    branch=st.sampled_from(BRANCH_NAMES),
+    lo=VALID_ENDPOINTS,
+    hi=VALID_ENDPOINTS,
+    steps=st.integers(min_value=1, max_value=30),
+    phase=st.floats(min_value=-10.0, max_value=10.0).map(repr),
+)
+def test_sweep_json_template_equals_the_stdlib_encoder(pairs, branch, lo, hi, steps, phase):
+    argv = ["sweep", "--pairs", ",".join(pairs), "--branch", branch, f"--from={lo}", f"--to={hi}",
+            "--steps", str(steps), f"--beta-phase={phase}"]
+    code, text = _call(argv + ["--format", "json"])
+    assert code == 0, argv
+    # a numpy scalar in a row would print as np.float64(...) and fail to parse
+    rows = json.loads(text, parse_constant=_strict_float)
+    assert text == json.dumps(rows, indent=2, allow_nan=False) + "\n"
+    assert [list(row) for row in rows] == [CSV_HEADER.split(",")] * len(rows)
+    code, csv_text = _call(argv + ["--format", "csv"])
+    assert code == 0, argv
+    assert csv_text == _csv_per_row(rows)
 
 
 @CHECKS

@@ -196,6 +196,14 @@ def test_eof_domain():
     assert eof(1.0 + 1e-13) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+def test_eof_rejects_non_finite_concurrence(c):
+    with pytest.raises(ContractError, match="outside"):
+        eof(c)
+    with pytest.raises(ContractError):
+        eof(np.float64(c))
+
+
 # ----------------------------------------- concurrence vs ppt, determinants
 
 
