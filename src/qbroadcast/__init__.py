@@ -11,7 +11,6 @@ from .entanglement import (
     broadcast_verdict,
     concurrence,
     eof,
-    ppt_entangled,
     ppt_verdict,
     scan_predicates,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "partial_transpose",
     "pair_marginals",
     "permute_subsystems",
-    "ppt_entangled",
     "ppt_verdict",
     "projective_measure",
     "published_corrections",

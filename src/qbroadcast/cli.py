@@ -275,7 +275,7 @@ def _cmd_sweep(args) -> int:
         raise ContractError("result is not finite: a sweep witness or concurrence is NaN or infinite")
     m, w3, w4, c = (a.tolist() for a in reals)
     entangled = verdict.entangled.astype(int).tolist()
-    e = [eof(ci) for ci in c]
+    e = eof(conc).tolist()
     # One row per (alpha^2, pair), its fields in CSV_HEADER order.
     rows = [
         (x, pair, m[i], w3[i], w4[i], c[i], e[i], entangled[i])

@@ -95,11 +95,11 @@ def buzek_baseline(grid: int = SCAN_GRID, tol: float = SCAN_TOL) -> tuple[float,
     convention the two-qubit broadcasting bound is stated in. Returns the
     (lo, hi) endpoints in alpha^2, located by scan plus bisection.
     """
-    from .entanglement import ppt_entangled, scan_predicates
+    from .entanglement import ppt_verdict, scan_predicates
     from .protocol import machine_traced_marginal
 
     def entangled(xs: np.ndarray) -> np.ndarray:
-        return ppt_entangled(machine_traced_marginal(xs, "14"))[None]
+        return ppt_verdict(machine_traced_marginal(xs, "14")).entangled[None]
 
     intervals = scan_predicates(entangled, ("entangled",), grid, tol)["entangled"]
     if len(intervals) != 1:

@@ -1,11 +1,12 @@
 """Separability tests and entanglement measures for two-qubit operators,
 plus threshold scanning over the input weight alpha^2.
 
-The partial-transpose eigenvalue test is the authoritative verdict
-(ppt_entangled, which scans use). ppt_verdict computes the W3 and W4
-determinants of the transposed operator alongside it as a cross-check; for
-two qubits a negative W4 is equivalent to a negative eigenvalue, while W3
-can only go negative when the state is entangled.
+The partial-transpose eigenvalue test is the verdict (ppt_verdict, which
+scans and sweeps both use). The W3 and W4 determinants of the transposed
+operator are read from the same eigensystem and printed beside it; they are
+not an independent check. For two qubits a negative W4 is equivalent to a
+negative eigenvalue, while W3 can only go negative when the state is
+entangled.
 
 The tests and measures take one operator or a stack of them (a DensityOp
 with a leading stack axis) and answer with numbers or with arrays of the
@@ -21,13 +22,12 @@ import numpy as np
 
 from .constants import PPT_TOL, SCAN_GRID, SCAN_TOL
 from .errors import ContractError
-from .linalg import _psd_roots, _singular_values, dagger, det_complex, eig_hermitian
+from .linalg import _psd_roots, _singular_values, dagger, eig_hermitian
 from .qstate import PAIR_REGISTER, DensityOp, partial_trace, partial_transpose
 
 __all__ = [
     "PPTVerdict",
     "ThresholdInterval",
-    "ppt_entangled",
     "ppt_verdict",
     "concurrence",
     "eof",
@@ -74,45 +74,28 @@ def _require_two_qubits(rho: DensityOp, op: str) -> None:
         raise ContractError(f"{op}: expected a two-qubit operator, got dims {rho.register.dims}")
 
 
-def _real_det(mats: np.ndarray, what: str) -> np.ndarray:
-    d = det_complex(mats)
-    residue = float(np.max(np.abs(d.imag))) if d.size else 0.0
-    if residue > 1e-10:
-        raise ContractError(f"ppt_verdict: {what} has imaginary residue {residue:.3e}")
-    return d.real
-
-
-def _pt_rule(rho: DensityOp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The PPT verdict rule for a two-qubit operator or a stack of them: the
-    partial transposes over the second subsystem, stacked (m, 4, 4); the
-    smallest eigenvalue of each, from one eigen-solve; and whether it lies
-    below -PPT_TOL.
-    """
-    _require_two_qubits(rho, "ppt_verdict")
-    pts = partial_transpose(rho, rho.register.labels[1]).reshape(-1, 4, 4)
-    min_eig = eig_hermitian(pts).values[:, 0]
-    return pts, min_eig, min_eig < -PPT_TOL
-
-
-def ppt_entangled(rho: DensityOp):
-    """The PPT verdict alone: whether the partial transpose of a two-qubit
-    operator has an eigenvalue below -PPT_TOL (a bool), or of each member
-    of a stack (a boolean array). ppt_verdict adds the W3/W4 witnesses."""
-    entangled = _pt_rule(rho)[2]
-    return entangled if rho.stacked else bool(entangled[0])
-
-
 def ppt_verdict(rho: DensityOp) -> PPTVerdict:
     """Eigenvalue PPT test plus the W3/W4 determinants of the transposed
-    operator (transpose taken over the second subsystem), for one operator
-    or, as arrays, for each member of a stack (one eigen-solve and two
-    determinant calls)."""
-    pts, min_eig, entangled = _pt_rule(rho)
-    w3 = _real_det(pts[:, :3, :3], "W3")
-    w4 = _real_det(pts, "W4")
+    operator T (transpose taken over the second subsystem), for one operator
+    or, as arrays, for each member of a stack, from one eigen-solve
+    T = V diag(l) V^dagger.
+
+    W4 = det T is the product of the l_k. W3, the leading 3x3 minor of T,
+    is the last diagonal entry of adj T = V diag(prod_{j != k} l_j) V^dagger,
+    so it is sum_k |V[3, k]|^2 prod_{j != k} l_j: real by construction.
+    """
+    _require_two_qubits(rho, "ppt_verdict")
+    eig = eig_hermitian(partial_transpose(rho, rho.register.labels[1]).reshape(-1, 4, 4))
+    l0, l1, l2, l3 = eig.values.T
+    last = eig.vectors[:, 3, :]
+    p0, p1, p2, p3 = (last.real ** 2 + last.imag ** 2).T
+    low, high = l0 * l1, l2 * l3
+    w3 = (p0 * l1 + p1 * l0) * high + (p2 * l3 + p3 * l2) * low
+    w4 = low * high
+    entangled = l0 < -PPT_TOL
     if rho.stacked:
-        return PPTVerdict(min_eig, w3, w4, entangled)
-    return PPTVerdict(float(min_eig[0]), float(w3[0]), float(w4[0]), bool(entangled[0]))
+        return PPTVerdict(l0, w3, w4, entangled)
+    return PPTVerdict(float(l0[0]), float(w3[0]), float(w4[0]), bool(entangled[0]))
 
 
 def concurrence(rho: DensityOp):
@@ -134,18 +117,20 @@ def concurrence(rho: DensityOp):
     return float(c[0]) if m.ndim == 2 else c
 
 
-def eof(c: float) -> float:
-    """Entanglement of formation as a function of concurrence."""
+def eof(c):
+    """Entanglement of formation as a function of concurrence: of a float
+    (returns a float) or of each entry of an array (returns an array)."""
+    c = np.asarray(c, dtype=float)
     # Written so that NaN, which fails every comparison, is rejected too.
-    if not -1e-12 <= c <= 1.0 + 1e-12:
-        raise ContractError(f"eof: concurrence {c} outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
-    if c == 0.0:
-        return 0.0
+    bad = ~((-1e-12 <= c) & (c <= 1.0 + 1e-12))
+    if bad.any():
+        raise ContractError(f"eof: concurrence {c[bad].flat[0]} outside [0, 1]")
+    c = np.clip(c, 0.0, 1.0)
     x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
-    if x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+    # x = 1 (C = 0) has no entropy; 0 * log2(0) is NaN and is masked.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.where(x >= 1.0, 0.0, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+    return float(e) if e.ndim == 0 else e
 
 
 def _flags(test: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, rows: int) -> np.ndarray:

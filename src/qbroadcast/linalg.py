@@ -18,7 +18,6 @@ from .errors import ContractError
 __all__ = [
     "EigenDecomposition",
     "eig_hermitian",
-    "det_complex",
     "fidelity",
     "dagger",
     "hermitian_defect",
@@ -62,12 +61,6 @@ def _check_square(a: np.ndarray, op: str) -> np.ndarray:
     return a
 
 
-def _stacked(op: str, a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Checked input with a leading stack axis, and whether one was added."""
-    a = _check_square(a, op)
-    return (a[None], True) if a.ndim == 2 else (a, False)
-
-
 def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
     """Diagonalize Hermitian matrices by cyclic Jacobi rotations.
 
@@ -85,7 +78,10 @@ def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
     their own stopping threshold, and the sweeps end when every member has
     converged.
     """
-    a, single = _stacked("eig_hermitian", a)
+    a = _check_square(a, "eig_hermitian")
+    single = a.ndim == 2
+    if single:
+        a = a[None]
     defect = hermitian_defect(a)
     if defect > HERM_TOL:
         raise ContractError(f"eig_hermitian: matrix is not Hermitian (defect {defect:.3e})")
@@ -158,51 +154,6 @@ def _rotate(w: np.ndarray, v: np.ndarray, p: int, q: int, stop: np.ndarray) -> N
     v[:, :, q] = s * colp + phase * c * colq
 
 
-def det_complex(a: np.ndarray):
-    """Determinant by Gaussian elimination with partial pivoting.
-
-    a is a square matrix (returns a complex) or a stack of them (returns a
-    complex array with one determinant per member).
-    """
-    a, single = _stacked("det_complex", a)
-    a = a.copy()
-    g, n, _ = a.shape
-    rows = np.arange(g)
-    det = np.ones(g, dtype=complex)
-    singular = np.zeros(g, dtype=bool)
-    for k in range(n):
-        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-        # A zero pivot column makes the determinant 0; later steps divide by
-        # a unit pivot for those members so they stay finite.
-        singular |= np.abs(a[rows, piv, k]) == 0.0
-        swap = piv != k
-        if swap.any():
-            top = a[rows, k, :].copy()
-            a[rows, k, :] = a[rows, piv, :]
-            a[rows, piv, :] = top
-            det[swap] = -det[swap]
-        pivot = a[:, k, k]
-        # In real arithmetic: numpy's complex multiply rounds a length-1
-        # array otherwise than a longer one, and a matrix must get the same
-        # bits alone as inside a stack.
-        det = (det.real * pivot.real - det.imag * pivot.imag) + 1j * (
-            det.real * pivot.imag + det.imag * pivot.real
-        )
-        pivot = np.where(pivot == 0.0, 1.0, pivot)
-        col = a[:, k + 1:, k]
-        # numpy's complex division overflows when the divisor is subnormal
-        # (its reciprocal is not finite), so those members divide after
-        # scaling the pivot and its column, no larger by the pivoting, by
-        # the exact factor 2^600.
-        tiny = np.abs(pivot) < 2.0 ** -600
-        ratio = col / np.where(tiny, 1.0, pivot)[:, None]
-        if tiny.any():
-            ratio[tiny] = (col[tiny] * 2.0 ** 600) / (pivot[tiny] * 2.0 ** 600)[:, None]
-        a[:, k + 1:, k:] -= ratio[:, :, None] * a[:, None, k, k:]
-    det[singular] = 0.0
-    return complex(det[0]) if single else det
-
-
 def _singular_values(g: np.ndarray) -> np.ndarray:
     """Singular values of each member of a stack (G, n, n), in no order,
     by one-sided Jacobi: column pairs are rotated until orthogonal to 1e-15
@@ -247,7 +198,7 @@ def _psd_roots(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     count as 0; one below -PSD_FAIL raises, the input was not PSD.
     """
     eig = eig_hermitian(a)
-    lo = float(np.min(eig.values[..., 0]))
+    lo = float(np.min(eig.values[..., 0], initial=np.inf))
     if lo < -PSD_FAIL:
         raise ContractError(f"{what} is not PSD (min eigenvalue {lo:.3e})")
     floor = eig.values[..., -1:] * 1e-15

@@ -35,7 +35,7 @@ from .constants import SCAN_GRID, SCAN_TOL
 from .entanglement import (
     ThresholdInterval,
     broadcast_holds,
-    ppt_entangled,
+    ppt_verdict,
     scan_predicates,
 )
 from .errors import ContractError
@@ -290,7 +290,7 @@ def branch_scan(
     PAIR_KEYS, "broadcast" (broadcast_holds) or "closed-146" (pairs 14, 46
     and 16 all entangled). Each test call forms the distinct pair marginals
     as one pair_marginals stack and solves their PPT verdicts
-    (ppt_entangled) at once, and the edges of all rows are bisected
+    (ppt_verdict) at once, and the edges of all rows are bisected
     together. Pair rows' intervals are named by their predicate
     ("entangled" or "separable").
     """
@@ -300,7 +300,7 @@ def branch_scan(
 
     def test(xs: np.ndarray) -> np.ndarray:
         stack, runs = pair_marginals(xs, pair, PAIR_KEYS, beta_phase)
-        flags = ppt_entangled(stack)
+        flags = ppt_verdict(stack).entangled
         entangled = {key: flags[run] for key, run in runs.items()}
         return np.stack([row(entangled) for row in rows])
 

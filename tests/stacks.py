@@ -7,7 +7,7 @@ one predicate as a one-row scan_predicates call.
 """
 import numpy as np
 
-from qbroadcast import DensityOp, ppt_entangled, scan_predicates
+from qbroadcast import DensityOp, ppt_verdict, scan_predicates
 from qbroadcast.constants import SCAN_GRID, SCAN_TOL
 
 
@@ -31,4 +31,4 @@ def scan_row(test, grid=SCAN_GRID, tol=SCAN_TOL, name="predicate"):
 def scan_family(family, predicate, grid=SCAN_GRID, tol=SCAN_TOL):
     """Intervals where the members of the two-qubit stack family(xs) are
     PPT-entangled (predicate "entangled") or not ("separable")."""
-    return scan_row(lambda xs: ppt_entangled(family(xs)) == (predicate == "entangled"), grid, tol, predicate)
+    return scan_row(lambda xs: ppt_verdict(family(xs)).entangled == (predicate == "entangled"), grid, tol, predicate)

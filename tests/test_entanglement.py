@@ -11,8 +11,8 @@ from qbroadcast import (
     buzek_baseline,
     concurrence,
     eof,
+    pair_marginals,
     partial_trace,
-    ppt_entangled,
     ppt_verdict,
     scan_predicates,
     six_qubit_branch,
@@ -20,6 +20,7 @@ from qbroadcast import (
     to_density,
 )
 import qbroadcast.entanglement as entanglement_module
+from qbroadcast.linalg import eig_hermitian
 from stacks import pointwise, scan_family, scan_row
 
 _S = 1.0 / np.sqrt(2.0)
@@ -194,6 +195,10 @@ def test_eof_domain():
         eof(1.1)
     # roundoff excursions just outside [0, 1] are clamped, not rejected
     assert eof(1.0 + 1e-13) == pytest.approx(1.0, abs=1e-6)
+    # an array is rejected when any one entry is out of range
+    for bad in (-0.1, 1.1, -2e-12, 1.0 + 2e-12):
+        with pytest.raises(ContractError, match="outside"):
+            eof(np.array([0.5, 0.1, bad]))
 
 
 @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
@@ -202,6 +207,36 @@ def test_eof_rejects_non_finite_concurrence(c):
         eof(c)
     with pytest.raises(ContractError):
         eof(np.float64(c))
+    with pytest.raises(ContractError, match="outside"):
+        eof(np.array([0.2, c, 0.4]))
+
+
+def _scalar_eof(c):
+    # eof as it was written for one float at a time
+    c = min(max(c, 0.0), 1.0)
+    if c == 0.0:
+        return 0.0
+    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    if x >= 1.0:
+        return 0.0
+    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+
+
+def test_eof_of_an_array_has_the_bits_of_each_entry_alone():
+    rng = np.random.default_rng(1729)
+    cs = np.concatenate([
+        [0.0, 1.0, 1e-300, 5e-324, 1e-12, 1e-8, 0.5, 1.0 - 1e-16, -1e-13, 1.0 + 1e-13],
+        rng.uniform(0.0, 1.0, 20000),
+        10.0 ** rng.uniform(-320.0, 0.0, 2000),
+    ])
+    got = eof(cs)
+    assert isinstance(got, np.ndarray) and got.shape == cs.shape
+    want = np.array([_scalar_eof(float(c)) for c in cs])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    alone = np.array([eof(float(c)) for c in cs[:2000]])
+    assert np.array_equal(alone.view(np.int64), got[:2000].view(np.int64))
+    assert isinstance(eof(0.3), float)
+    assert eof(cs.reshape(2, -1)).shape == (2, cs.size // 2)
 
 
 # ----------------------------------------- concurrence vs ppt, determinants
@@ -287,7 +322,7 @@ def test_baseline_scan_is_grid_stable():
 
 
 def _pair_flags(rho):
-    return [ppt_entangled(partial_trace(rho, pair)) for pair in (["a", "b"], ["b", "c"], ["a", "c"])]
+    return [ppt_verdict(partial_trace(rho, pair)).entangled for pair in (["a", "b"], ["b", "c"], ["a", "c"])]
 
 
 def test_classify_triple_ghz_is_open():
@@ -361,21 +396,36 @@ def test_stacked_verdicts_and_concurrence_match_members():
         assert conc[i] == pytest.approx(concurrence(rho), abs=1e-12)
 
 
-def test_ppt_entangled_is_the_verdict_without_witnesses(monkeypatch):
+def test_ppt_verdict_makes_one_eigen_solve_per_call(monkeypatch):
+    # the verdict and both witnesses of a member or of a whole stack come
+    # from one eig_hermitian call on the partial transposes
     rng = np.random.default_rng(707)
     rhos = [_random_two_qubit(rng, i % 3) for i in range(12)] + [_werner(0.2), _werner(0.9)]
-    want = [ppt_verdict(rho).entangled for rho in rhos]
+    solves = []
 
-    def no_det(a):
-        raise AssertionError("the verdict alone needs no determinant")
+    def eig(a):
+        solves.append(a.shape)
+        return eig_hermitian(a)
 
-    monkeypatch.setattr(entanglement_module, "det_complex", no_det)
-    alone = [ppt_entangled(rho) for rho in rhos]
-    assert all(isinstance(flag, bool) for flag in alone)
-    assert alone == want
-    assert list(ppt_entangled(_stack(rhos))) == want
+    monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
+    alone = [ppt_verdict(rho) for rho in rhos]
+    assert solves == [(1, 4, 4)] * len(rhos)
+    assert all(isinstance(v.entangled, bool) for v in alone)
+    together = ppt_verdict(_stack(rhos))
+    assert solves[len(rhos):] == [(len(rhos), 4, 4)]
+    assert list(together.entangled) == [v.entangled for v in alone]
     with pytest.raises(ContractError):
-        ppt_entangled(tensor(_werner(0.5), to_density(PureState(Register.qubits("X"), np.array([1.0, 0.0])))))
+        ppt_verdict(tensor(_werner(0.5), to_density(PureState(Register.qubits("X"), np.array([1.0, 0.0])))))
+    assert len(solves) == len(rhos) + 1
+
+
+def test_measures_of_an_empty_stack_are_empty():
+    empty = pair_marginals([], ("Q0", "Q0"), ["12"])[0]
+    assert empty.matrix.shape == (0, 4, 4)
+    assert concurrence(empty).shape == (0,)
+    verdict = ppt_verdict(empty)
+    assert verdict.min_pt_eigenvalue.shape == verdict.w3.shape == verdict.entangled.shape == (0,)
+    assert eof(concurrence(empty)).shape == (0,)
 
 
 def test_ppt_verdicts_solve_several_operators_together():

@@ -1,19 +1,40 @@
 import numpy as np
 import pytest
 
-from qbroadcast import ContractError, DensityOp, Register, concurrence
+from qbroadcast import ContractError, DensityOp, Register, concurrence, ppt_verdict
 from qbroadcast.linalg import (
     dagger,
-    det_complex,
     eig_hermitian,
     fidelity,
     hermitian_defect,
 )
 
+_PAIR = Register.qubits("A", "B")
+
 
 def _random_hermitian(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2.0
+
+
+def _unit_trace(h):
+    """h shifted by a multiple of the identity to unit trace (stacks too)."""
+    shift = (np.trace(h, axis1=-2, axis2=-1).real - 1.0) / h.shape[-1]
+    return h - shift[..., None, None] * np.eye(h.shape[-1])
+
+
+def _pt(t):
+    """Partial transpose over the second qubit of a 4 x 4 matrix or a stack."""
+    return t.reshape(t.shape[:-2] + (2, 2, 2, 2)).swapaxes(-1, -3).reshape(t.shape)
+
+
+def _dets(t):
+    """The W4 and W3 determinants ppt_verdict reads for a 4 x 4 Hermitian t
+    of unit trace (or a stack of them): det t and its leading 3 x 3 minor.
+    The partial transpose is an involution, so ppt_verdict is handed the
+    partial transpose of t."""
+    v = ppt_verdict(DensityOp(_PAIR, _pt(t)))
+    return v.w4, v.w3
 
 
 def test_dagger_and_defect():
@@ -67,24 +88,31 @@ def test_eig_rejects_non_finite():
         eig_hermitian(bad)
 
 
+# The W3/W4 determinants are read from the eigensystem of the partial
+# transpose (entanglement.ppt_verdict); numpy.linalg.det is the reference.
+
+
 def test_det_known_values():
-    assert det_complex(np.eye(4)) == pytest.approx(1.0)
-    a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert det_complex(a) == pytest.approx(-2.0)
-    assert det_complex(np.zeros((3, 3))) == 0.0
-    # partial transpose of |phi+><phi+| has determinant -1/16
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
-    rho = np.outer(phi, phi.conj())
-    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    assert det_complex(pt).real == pytest.approx(-1.0 / 16.0, abs=1e-14)
+    assert _dets(np.eye(4, dtype=complex) / 4.0) == (1.0 / 256.0, 1.0 / 64.0)
+    assert _dets(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)) == (0.0, 0.0)
+    w4, w3 = _dets(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex))
+    assert w4 == pytest.approx(0.0024, abs=1e-17)
+    assert w3 == pytest.approx(0.006, abs=1e-17)
+    # swap / 2 is the partial transpose of the Bell state |phi+><phi+|
+    swap = np.eye(4)[[0, 2, 1, 3]].astype(complex) / 2.0
+    w4, w3 = _dets(swap)
+    assert w4 == pytest.approx(-1.0 / 16.0, abs=1e-14)
+    assert w3 == pytest.approx(-1.0 / 8.0, abs=1e-14)
 
 
 def test_det_agrees_with_numpy_on_random():
     rng = np.random.default_rng(5)
-    for n in (2, 3, 5, 8):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert det_complex(a) == pytest.approx(complex(np.linalg.det(a)), rel=1e-10)
+    for _ in range(20):
+        t = _unit_trace(_random_hermitian(rng, 4))
+        w4, w3 = _dets(t)
+        assert isinstance(w4, float) and isinstance(w3, float)
+        assert w4 == pytest.approx(np.linalg.det(t).real, rel=1e-12, abs=1e-12)
+        assert w3 == pytest.approx(np.linalg.det(t[:3, :3]).real, rel=1e-12, abs=1e-12)
 
 
 def test_fidelity_examples():
@@ -165,60 +193,79 @@ def test_stack_equals_members_solved_one_at_a_time():
     for n in (3, 4, 8):
         stack = np.concatenate([_hermitian_stack(rng, 12, n), _degenerate_stack(rng, n)])
         together = eig_hermitian(stack)
-        dets = det_complex(stack)
         for i, member in enumerate(stack):
             alone = eig_hermitian(member)
             assert np.max(np.abs(together.values[i] - alone.values)) < 1e-12
             assert np.max(np.abs(together.reconstruct()[i] - alone.reconstruct())) < 1e-12
-            single = det_complex(member)
-            assert isinstance(single, complex)
-            assert abs(dets[i] - single) <= 1e-12 * max(1.0, abs(single))
+
+
+def _boundary_stack(rng):
+    """Unit-trace Hermitian 4 x 4 matrices on or near det = 0: rank-deficient
+    states (pure, rank 2 and rank 3) and Werner partial transposes around
+    the separability edge p = 1/3, where the smallest eigenvalue crosses 0."""
+    out = []
+    for rank in (1, 2, 3):
+        for _ in range(4):
+            g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            out.append(_unit_trace(g @ g.conj().T / np.sum(np.abs(g) ** 2)))
+    swap = np.eye(4)[[0, 2, 1, 3]] / 2.0
+    for p in (1.0 / 3.0 - 1e-9, 1.0 / 3.0, 1.0 / 3.0 + 1e-9, 1.0):
+        out.append(p * swap + (1.0 - p) * np.eye(4) / 4.0)
+    return np.stack(out).astype(complex)
 
 
 def test_stacked_det_matches_numpy():
     rng = np.random.default_rng(303)
-    for n in (1, 2, 3, 4, 8):
-        stack = rng.standard_normal((10, n, n)) + 1j * rng.standard_normal((10, n, n))
-        stack = np.concatenate([stack, _hermitian_stack(rng, 4, n), np.zeros((1, n, n))])
-        got = det_complex(stack)
-        want = np.linalg.det(stack)
-        assert got.shape == (15,)
+    stack = np.concatenate([_unit_trace(_hermitian_stack(rng, 16, 4)), _boundary_stack(rng)])
+    w4, w3 = _dets(stack)
+    assert w4.shape == w3.shape == (len(stack),)
+    for got, want in ((w4, np.linalg.det(stack).real), (w3, np.linalg.det(stack[:, :3, :3]).real)):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-        assert got[-1] == 0.0
+    # the boundary members, determinants 1e-9 or below, to absolute accuracy
+    assert np.max(np.abs(w4[16:] - np.linalg.det(stack[16:]).real)) <= 1e-15
+    assert np.max(np.abs(w3[16:] - np.linalg.det(stack[16:, :3, :3]).real)) <= 1e-15
 
 
 def test_stacked_det_of_singular_members():
-    # a zero pivot column makes that member's determinant exactly 0 and
-    # leaves the other members alone
-    a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    singular = np.array([[0.0, 1.0], [0.0, 5.0]], dtype=complex)
-    got = det_complex(np.stack([a, singular, a]))
-    assert list(got) == [pytest.approx(-2.0), 0.0, pytest.approx(-2.0)]
+    # two exact zero eigenvalues make that member's W4 and W3 exactly 0
+    # (every product of three eigenvalues holds a zero) and leave the other
+    # members alone
+    t = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    singular = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    w4, w3 = _dets(np.stack([t, singular, t]))
+    assert list(w4) == [pytest.approx(0.0024, abs=1e-17), 0.0, pytest.approx(0.0024, abs=1e-17)]
+    assert list(w3) == [pytest.approx(0.006, abs=1e-17), 0.0, pytest.approx(0.006, abs=1e-17)]
 
 
-def test_det_with_subnormal_pivots_stays_finite():
-    # dividing by a subnormal pivot overflowed numpy's complex division and
-    # gave nan; the determinants here are exact
-    diag = np.diag([1e-320, 1.0, 1.0]).astype(complex)
-    lower = np.array([[1e-320, 1.0, 0.0], [1e-320, 3.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
-    normal = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-    with np.errstate(over="raise", invalid="raise"):
-        got = det_complex(np.stack([diag, lower, normal]))
-    assert list(got) == [1e-320, 4 * 1e-320, -2.0]
-    assert det_complex(diag) == 1e-320
+def test_det_of_subnormal_members_stays_finite():
+    # subnormal diagonal weights and couplings, alone and beside a normal
+    # member; the determinants are products of these and may underflow
+    diag = np.diag([1e-320, 0.5, 0.25, 0.25]).astype(complex)
+    coupled = diag.copy()
+    coupled[0, 1] = coupled[1, 0] = 1e-320
+    coupled[2, 3], coupled[3, 2] = 1e-320j, -1e-320j
+    normal = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    stack = np.stack([diag, coupled, normal])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        w4, w3 = _dets(stack)
+        alone = _dets(diag)
+    assert np.all(np.isfinite(w4)) and np.all(np.isfinite(w3))
+    assert np.max(np.abs(w4[:2] - np.linalg.det(stack[:2]).real)) <= 1e-300
+    assert np.max(np.abs(w3[:2] - np.linalg.det(stack[:2, :3, :3]).real)) <= 1e-300
+    assert alone == (w4[0], w3[0])
+    assert (w4[2], w3[2]) == (pytest.approx(0.0024, abs=1e-17), pytest.approx(0.006, abs=1e-17))
 
 
 def test_det_of_a_matrix_alone_has_the_bits_it_has_in_a_stack():
-    # numpy multiplies complex arrays of length one in a loop that rounds
-    # otherwise; about two thirds of these differed in the last bit
     rng = np.random.default_rng(808)
-    stack = rng.standard_normal((64, 4, 4)) + 1j * rng.standard_normal((64, 4, 4))
-    together = det_complex(stack)
+    stack = np.concatenate([_unit_trace(_hermitian_stack(rng, 48, 4)), _boundary_stack(rng)])
+    w4, w3 = _dets(stack)
     for i, m in enumerate(stack):
-        assert det_complex(m) == together[i]
-        assert det_complex(m[None])[0] == together[i]
-        assert det_complex(stack[i:i + 2])[0] == together[i]
-    assert det_complex(stack[:0]).shape == (0,)
+        assert _dets(m) == (w4[i], w3[i])
+        assert _dets(m[None]) == ([w4[i]], [w3[i]])
+        assert _dets(stack[i:i + 2])[0][0] == w4[i]
+    empty = _dets(stack[:0])
+    assert empty[0].shape == empty[1].shape == (0,)
 
 
 def _factor(rng, n, rank):
@@ -284,8 +331,6 @@ def test_stack_checks_every_member():
     with pytest.raises(ContractError):
         eig_hermitian(bad)
     with pytest.raises(ContractError):
-        det_complex(bad)
-    with pytest.raises(ContractError):
         eig_hermitian(np.zeros((2, 2, 4, 4)))
     psd = stack @ stack
     states = psd / np.trace(psd, axis1=1, axis2=2).real[:, None, None]
@@ -301,12 +346,18 @@ def test_non_contiguous_inputs_are_accepted():
     h = _hermitian_stack(rng, 1, 4)[0]
     got = eig_hermitian(h.T)
     assert np.array_equal(got.values, eig_hermitian(np.ascontiguousarray(h.T)).values)
-    assert det_complex(np.asfortranarray(h)) == det_complex(h)
+    fortran = ppt_verdict(DensityOp(_PAIR, np.asfortranarray(_pt(_unit_trace(h)))))
+    assert (fortran.w4, fortran.w3) == _dets(_unit_trace(h))
     stack = _hermitian_stack(rng, 3, 4)
     psd = stack @ stack
     view = np.swapaxes(psd, 1, 2)
     contiguous = np.ascontiguousarray(view)
     assert np.array_equal(fidelity(view[0], view), fidelity(contiguous[0], contiguous))
+
+
+def test_fidelity_against_an_empty_stack_is_empty():
+    # no member means no smallest eigenvalue to check against -PSD_FAIL
+    assert fidelity(np.eye(4, dtype=complex) / 4.0, np.zeros((0, 4, 4))).shape == (0,)
 
 
 def _rank_two_state(rng, n):

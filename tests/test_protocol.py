@@ -1,4 +1,4 @@
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from qbroadcast import (
     build_initial,
     machine_traced_marginal,
     partial_trace,
+    partial_transpose,
     permute_subsystems,
     run_first_stage,
     run_protocol,
@@ -24,7 +25,7 @@ from qbroadcast import (
 import qbroadcast.entanglement as entanglement_module
 import qbroadcast.protocol as protocol_module
 from qbroadcast.cloner import OUTCOME_ORDER
-from qbroadcast.entanglement import concurrence, ppt_entangled, ppt_verdict, scan_predicates
+from qbroadcast.entanglement import concurrence, ppt_verdict, scan_predicates
 from qbroadcast.linalg import eig_hermitian
 from qbroadcast.protocol import PAIR_KEYS, PAIR_REGISTER, SIX_LABELS, pair_marginals
 from qbroadcast.qstate import DensityOp
@@ -174,15 +175,56 @@ def test_pair_stack_runs_equal_branch_marginal(branch):
     for phi in phases:
         stack, runs = pair_marginals(xs, branch, PAIR_KEYS, phi)
         assert sorted(runs) == sorted(PAIR_KEYS)
-        verdict, flags, conc = ppt_verdict(stack), ppt_entangled(stack), concurrence(stack)
+        verdict, conc = ppt_verdict(stack), concurrence(stack)
         for key, run in runs.items():
             alone = branch_marginal(xs, branch, key, phi)
             assert np.array_equal(stack.matrix[run], alone.matrix), key
             want = ppt_verdict(alone)
             for field in ("min_pt_eigenvalue", "w3", "w4", "entangled"):
                 assert np.array_equal(getattr(verdict, field)[run], getattr(want, field)), (key, field)
-            assert np.array_equal(flags[run], want.entangled), key
             assert np.array_equal(conc[run], concurrence(alone)), key
+
+
+@pytest.mark.parametrize("branch", OUTCOME_ORDER)
+def test_pair_stack_witnesses_are_the_determinants_numpy_finds(branch):
+    # W4 = det T and W3 = its leading 3 x 3 minor, for T the partial
+    # transpose of each pipeline pair marginal
+    xs = np.concatenate([[1e-9, 1e-6, 0.5, 1.0 - 1e-6], np.random.default_rng(2025).uniform(0.0, 1.0, 60)])
+    for phi in (0.0, 4.71):
+        stack, _ = pair_marginals(xs, branch, PAIR_KEYS, phi)
+        pts = partial_transpose(stack, "second")
+        verdict = ppt_verdict(stack)
+        assert np.max(np.abs(verdict.w4 - np.linalg.det(pts).real)) <= 1e-15
+        assert np.max(np.abs(verdict.w3 - np.linalg.det(pts[:, :3, :3]).real)) <= 1e-15
+
+
+def _alice_phases(labels, phi):
+    """Diagonal of U_phi on a register: diag(1, e^{i phi}) on each of
+    Alice's qubits 1, 2 and 5, the identity on Bob's 3, 4 and 6."""
+    return reduce(np.kron, [np.array([1.0, np.exp(1j * phi)]) if lab in "125" else np.ones(2) for lab in labels])
+
+
+@pytest.mark.parametrize("branch", OUTCOME_ORDER)
+def test_input_phase_is_a_local_diagonal_unitary(branch):
+    # rho(x, phi) = U_phi rho(x, 0) U_phi^dagger: the cloner is phase
+    # covariant and its machine phase is diagonal in the Q0/Q1 basis, so
+    # no verdict, witness or measure the CLI prints depends on phi
+    xs, phases = _map_points(4242)
+    phases = phases[1:] + [4.71]
+    marginals = [(key, partial(branch_marginal, xs, branch, key)) for key in PAIR_KEYS + ("146", "325")]
+    marginals.append(("14", partial(machine_traced_marginal, xs, "14")))
+    for key, marginal in marginals:
+        at_zero = marginal(0.0)
+        for phi in phases:
+            u = _alice_phases(key, phi)
+            got = marginal(phi)
+            assert np.max(np.abs(got.matrix - u[:, None] * at_zero.matrix * u.conj())) <= 1e-15, (key, phi)
+            if len(key) == 2:
+                want, have = ppt_verdict(at_zero), ppt_verdict(got)
+                for field in ("min_pt_eigenvalue", "w3", "w4"):
+                    assert np.max(np.abs(getattr(have, field) - getattr(want, field))) <= 1e-15, (key, field)
+                assert np.array_equal(have.entangled, want.entangled)
+                assert np.max(np.abs(concurrence(got) - concurrence(at_zero))) <= 1e-15, key
 
 
 def test_pair_stack_keeps_each_distinct_pair_once():
@@ -219,7 +261,7 @@ def test_pair_marginals_checks_its_inputs():
 
 
 def test_branch_scan_solves_one_pair_stack_per_step(monkeypatch):
-    # one stack, one PPT eigen-solve and no W3/W4 determinant per test call
+    # one stack and one PPT eigen-solve per test call
     pair_marginals(0.5, ("Q0", "Q1"), PAIR_KEYS)
     counts = {"test": 0, "stacks": 0, "eig": 0}
 
@@ -238,13 +280,9 @@ def test_branch_scan_solves_one_pair_stack_per_step(monkeypatch):
         counts["eig"] += 1
         return eig_hermitian(a, *args)
 
-    def no_det(a):
-        raise AssertionError("a scan computed a W3/W4 determinant")
-
     monkeypatch.setattr(protocol_module, "scan_predicates", scan)
     monkeypatch.setattr(protocol_module, "DensityOp", stack)
     monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
-    monkeypatch.setattr(entanglement_module, "det_complex", no_det)
     scans = branch_scan(("Q0", "Q1"), ("12:separable", "broadcast", "closed-146"), 0.4, grid=60, tol=1e-4)
     assert scans["12:separable"]
     assert counts["test"] > 1
