@@ -186,6 +186,14 @@ def _singular_values(g: np.ndarray) -> np.ndarray:
     raise ContractError("singular values: Jacobi sweep limit reached without convergence")
 
 
+def _require_psd(lowest: np.ndarray, what: str) -> None:
+    """Raise unless every smallest eigenvalue in `lowest` is at least
+    -PSD_FAIL (an eigenvalue above it is roundoff of a PSD matrix)."""
+    lo = float(np.min(lowest, initial=np.inf))
+    if lo < -PSD_FAIL:
+        raise ContractError(f"{what} is not PSD (min eigenvalue {lo:.3e})")
+
+
 def _psd_roots(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors V and square roots r of the eigenvalues of a positive
     semidefinite matrix, or of each member of a stack: a = V diag(r^2) V^dagger.
@@ -198,9 +206,7 @@ def _psd_roots(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     count as 0; one below -PSD_FAIL raises, the input was not PSD.
     """
     eig = eig_hermitian(a)
-    lo = float(np.min(eig.values[..., 0], initial=np.inf))
-    if lo < -PSD_FAIL:
-        raise ContractError(f"{what} is not PSD (min eigenvalue {lo:.3e})")
+    _require_psd(eig.values[..., 0], what)
     floor = eig.values[..., -1:] * 1e-15
     return eig.vectors, np.sqrt(np.where(eig.values < floor, 0.0, eig.values))
 

@@ -14,7 +14,7 @@ import qbroadcast.swap as swap_module
 from qbroadcast.cli import CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, SWEEP_MAX_ROWS, run_command
 from qbroadcast.entanglement import ThresholdInterval, concurrence, ppt_verdict
 from qbroadcast.errors import ContractError
-from qbroadcast.linalg import eig_hermitian
+from qbroadcast.linalg import _singular_values as singular_values, eig_hermitian
 from qbroadcast.protocol import branch_marginal
 from qbroadcast.qstate import DensityOp
 
@@ -138,13 +138,14 @@ def test_sweep_out_errors_are_usage_errors(tmp_path, capsys):
 
 
 def test_sweep_solves_one_pair_stack(capsys, monkeypatch):
-    # one stack of the distinct pairs, one PPT eigen-solve and one
-    # concurrence eigen-solve per sweep, whatever the number of pairs,
-    # counted wherever the solver is called
+    # one stack of the distinct pairs per sweep, whatever the number of
+    # pairs; its members are X-states, so neither the PPT verdict nor the
+    # concurrence reaches an eigen-solve or a singular-value solve, counted
+    # wherever the solvers are called
     argv = ["sweep", "--pairs", "12,15,34,36,25,46,23,35,14,16", "--from", "0.1", "--to", "0.9",
             "--steps", "20"]
     assert _run(capsys, argv)[0] == 0
-    calls = {"stacks": [], "eig": 0}
+    calls = {"stacks": [], "eig": 0, "svd": 0}
 
     def stack(register, matrix):
         calls["stacks"].append(matrix.shape)
@@ -154,11 +155,16 @@ def test_sweep_solves_one_pair_stack(capsys, monkeypatch):
         calls["eig"] += 1
         return eig_hermitian(a, *args)
 
+    def svd(g):
+        calls["svd"] += 1
+        return singular_values(g)
+
     monkeypatch.setattr(protocol_module, "DensityOp", stack)
     monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
     monkeypatch.setattr(linalg_module, "eig_hermitian", eig)
+    monkeypatch.setattr(entanglement_module, "_singular_values", svd)
     assert _run(capsys, argv)[0] == 0
-    assert calls == {"stacks": [(5 * 20, 4, 4)], "eig": 2}
+    assert calls == {"stacks": [(5 * 20, 4, 4)], "eig": 0, "svd": 0}
 
 
 @pytest.mark.parametrize(

@@ -397,10 +397,12 @@ def test_stacked_verdicts_and_concurrence_match_members():
 
 
 def test_ppt_verdict_makes_one_eigen_solve_per_call(monkeypatch):
-    # the verdict and both witnesses of a member or of a whole stack come
-    # from one eig_hermitian call on the partial transposes
+    # X-state members take the closed form and make no eigen-solve; the
+    # verdict and both witnesses of every other member come from one
+    # eig_hermitian call on their partial transposes, one per call at most
     rng = np.random.default_rng(707)
-    rhos = [_random_two_qubit(rng, i % 3) for i in range(12)] + [_werner(0.2), _werner(0.9)]
+    general = [_random_two_qubit(rng, i % 3) for i in range(12)]
+    werner = [_werner(0.2), _werner(0.9)]
     solves = []
 
     def eig(a):
@@ -408,15 +410,20 @@ def test_ppt_verdict_makes_one_eigen_solve_per_call(monkeypatch):
         return eig_hermitian(a)
 
     monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
-    alone = [ppt_verdict(rho) for rho in rhos]
-    assert solves == [(1, 4, 4)] * len(rhos)
+    alone = [ppt_verdict(rho) for rho in werner]
+    assert solves == []
+    alone = [ppt_verdict(rho) for rho in general] + alone
+    assert solves == [(1, 4, 4)] * len(general)
     assert all(isinstance(v.entangled, bool) for v in alone)
-    together = ppt_verdict(_stack(rhos))
-    assert solves[len(rhos):] == [(len(rhos), 4, 4)]
-    assert list(together.entangled) == [v.entangled for v in alone]
+    rhos = general + werner
+    order = np.random.default_rng(708).permutation(len(rhos))
+    together = ppt_verdict(_stack([rhos[i] for i in order]))
+    assert solves[len(general):] == [(len(general), 4, 4)]
+    assert list(together.entangled) == [alone[i].entangled for i in order]
+    assert ppt_verdict(_stack(werner * 3)).w4.shape == (6,)
     with pytest.raises(ContractError):
         ppt_verdict(tensor(_werner(0.5), to_density(PureState(Register.qubits("X"), np.array([1.0, 0.0])))))
-    assert len(solves) == len(rhos) + 1
+    assert len(solves) == len(general) + 1
 
 
 def test_measures_of_an_empty_stack_are_empty():

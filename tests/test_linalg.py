@@ -256,9 +256,24 @@ def test_det_of_subnormal_members_stays_finite():
     assert (w4[2], w3[2]) == (pytest.approx(0.0024, abs=1e-17), pytest.approx(0.006, abs=1e-17))
 
 
+# Entries off the diagonal and the anti-diagonal of a 4 x 4 matrix.
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
+
+def _x_stack(rng, g):
+    """Unit-trace Hermitian 4 x 4 matrices that are 0.0 off the X pattern,
+    as every pair marginal of the pipeline is; ppt_verdict takes its closed
+    form for these members (their partial transposes are X-shaped too)."""
+    return _unit_trace(_hermitian_stack(rng, g, 4) * ~_OFF_X)
+
+
 def test_det_of_a_matrix_alone_has_the_bits_it_has_in_a_stack():
+    # X members (closed form) alternate with general members (eigen-solve),
+    # so the stack and each pair of neighbours mix the two routes
     rng = np.random.default_rng(808)
-    stack = np.concatenate([_unit_trace(_hermitian_stack(rng, 48, 4)), _boundary_stack(rng)])
+    general = np.concatenate([_unit_trace(_hermitian_stack(rng, 48, 4)), _boundary_stack(rng)])
+    stack = np.stack([general, _x_stack(rng, len(general))], axis=1).reshape(-1, 4, 4)
+    assert np.any(stack[:48, _OFF_X], axis=1).tolist() == [True, False] * 24
     w4, w3 = _dets(stack)
     for i, m in enumerate(stack):
         assert _dets(m) == (w4[i], w3[i])
