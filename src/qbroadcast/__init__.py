@@ -23,7 +23,7 @@ from .protocol import (
     branch_scan,
     build_initial,
     machine_traced_marginal,
-    pair_marginals,
+    pair_verdicts,
     run_first_stage,
     run_protocol,
     six_qubit_branch,
@@ -82,9 +82,9 @@ __all__ = [
     "eof",
     "machine_branches",
     "machine_traced_marginal",
+    "pair_verdicts",
     "partial_trace",
     "partial_transpose",
-    "pair_marginals",
     "permute_subsystems",
     "ppt_verdict",
     "projective_measure",

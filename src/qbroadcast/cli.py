@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 1 numerical contract violation.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -17,10 +18,10 @@ import numpy as np
 
 from .cloner import OUTCOME_ORDER, buzek_baseline
 from .constants import SCAN_GRID, SCAN_TOL
-from .entanglement import concurrence, eof, ppt_verdict
+from .entanglement import eof
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, transmit_bits
-from .protocol import PAIR_KEYS, branch_marginal, branch_probabilities, branch_scan, pair_marginals
+from .protocol import PAIR_KEYS, branch_marginal, branch_probabilities, branch_scan, pair_verdicts
 from .swap import bsm, correction_plans, swap_extend
 
 __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
@@ -42,12 +43,14 @@ BRANCH_NAMES = tuple("".join(b) for b in OUTCOME_ORDER)
 GV_MAX_BITS = 10**6
 
 # Largest scan grid (--grid, or grid= in a config file): the grid is tested
-# as one array, and thresholds takes about 0.13 s per 2 * 10^4 points
-# (2 vCPUs, Python 3.11, numpy 2.4).
+# in chunks of 4096 points, and `thresholds --grid 20000` takes about 0.05 s
+# (run_command timed in a fresh interpreter; 2 vCPUs, Python 3.11, numpy 2.4).
 SCAN_MAX_GRID = 10**5
 
-# Most rows one sweep computes (--steps times the number of pairs): 10^5 rows
-# take about 0.5 s and 108 MB peak process RSS, held in one stack.
+# Most rows one sweep computes (--steps times the number of pairs): an
+# all-pair 10^5-row `sweep --format json --out` takes about 0.8 s and 141 MB
+# peak process RSS, measured the same way; the pair numbers take 0.02 s of
+# it, the rest is the rows and their text.
 SWEEP_MAX_ROWS = 10**5
 
 class UsageError(Exception):
@@ -267,23 +270,20 @@ def _cmd_sweep(args) -> int:
         # Rounding can carry the last point a few ulps past 0 or 1.
         values = [min(max(args.from_ + i * span / (args.steps - 1), 0.0), 1.0) for i in range(args.steps)]
 
-    # One stack of the distinct pairs at all alpha^2 points, solved together.
-    stack, runs = pair_marginals([_clamp_alpha2(x) for x in values], branch, pairs, s.beta_phase)
-    verdict = ppt_verdict(stack)
-    conc = concurrence(stack)
+    # Each distinct alpha^2 once, ascending, with its number of repeats, and
+    # each distinct pair once; the phase moves no number a row prints.
+    counts = sorted(collections.Counter(values).items())
+    keys = sorted(set(pairs))
+    verdict, conc = pair_verdicts([_clamp_alpha2(x) for x, _ in counts], branch, keys)
     reals = (verdict.min_pt_eigenvalue, verdict.w3, verdict.w4, conc)
     if not all(np.isfinite(a).all() for a in reals):
         raise ContractError("result is not finite: a sweep witness or concurrence is NaN or infinite")
-    m, w3, w4, c = (a.tolist() for a in reals)
-    entangled = verdict.entangled.astype(int).tolist()
-    e = eof(conc).tolist()
-    # One row per (alpha^2, pair), its fields in CSV_HEADER order.
-    rows = [
-        (x, pair, m[i], w3[i], w4[i], c[i], e[i], entangled[i])
-        for pair in pairs
-        for i, x in enumerate(values, start=runs[pair].start)
-    ]
-    rows.sort(key=lambda r: r[:2])
+    cols = [a.tolist() for a in (*reals, eof(conc), verdict.entangled.astype(int))]
+    # The fields after (alpha^2, pair) of each key's rows, in CSV_HEADER order.
+    fields = {key: list(zip(*(col[k] for col in cols))) for k, key in enumerate(keys)}
+    # One row per (alpha^2, pair) in that order, repeats kept.
+    order = sorted(pairs)
+    rows = [(x, pair) + fields[pair][j] for j, (x, n) in enumerate(counts) for pair in order for _ in range(n)]
 
     if args.format == "csv":
         text = "\n".join([CSV_HEADER] + [_CSV_ROW % r for r in rows]) + "\n"
@@ -318,7 +318,7 @@ def _cmd_thresholds(args) -> int:
         "rho12": "12:separable",
         "broadcast": "broadcast",
     }
-    scans = branch_scan(branch, rows.values(), s.beta_phase, s.grid, s.tol)
+    scans = branch_scan(branch, rows.values(), s.grid, s.tol)
     for key, row in rows.items():
         payload[key] = {"predicate": row.rpartition(":")[2], "intervals": _interval_dicts(scans[row])}
     return _emit_json(payload)
@@ -330,7 +330,7 @@ def _cmd_branches(args) -> int:
     probabilities = branch_probabilities(0.5, s.beta_phase)
     payload = []
     for branch in OUTCOME_ORDER:
-        scans = branch_scan(branch, ("broadcast", "closed-146"), s.beta_phase, s.grid, s.tol)
+        scans = branch_scan(branch, ("broadcast", "closed-146"), s.grid, s.tol)
         payload.append(
             {
                 "branch": "".join(branch),
@@ -481,7 +481,7 @@ def _cmd_report(args) -> int:
             rows.setdefault(entry.source[0], {})[entry.source[1]] = None
     found = {None: [buzek_baseline(grid=s.grid, tol=s.tol)]}
     for name, names in rows.items():
-        scans = branch_scan(_parse_branch(name), names, s.beta_phase, s.grid, s.tol)
+        scans = branch_scan(_parse_branch(name), names, s.grid, s.tol)
         found.update(((name, row), [(iv.lo, iv.hi) for iv in ivs]) for row, ivs in scans.items())
     ends = {entry.name: found[entry.source] for entry in PUBLISHED}
     out += [_published_line(entry, ends[entry.name]) for entry in PUBLISHED]
@@ -493,11 +493,9 @@ def _cmd_report(args) -> int:
     if rho46:
         r_lo, r_hi = rho46[0]
         values = [r_lo + (r_hi - r_lo) * k / 102 for k in range(1, 102)]
-        stack, runs = pair_marginals(values, branch, ("16", "46"), s.beta_phase)
-        conc = concurrence(stack)
         published = {"16": ("[0.17, 0.29]", "[0.06, 0.15]"), "46": ("[0.08, 0.15]", "[0.01, 0.03]")}
-        for pair, (pub_c, pub_e) in published.items():
-            samples = conc[runs[pair]]
+        _, conc = pair_verdicts(values, branch, list(published))
+        for (pair, (pub_c, pub_e)), samples in zip(published.items(), conc):
             c_min, c_max = float(samples.min()), float(samples.max())
             say(_line(f"concurrence(rho{pair}) over computed interval",
                       f"[{c_min:.4f}, {c_max:.4f}]", pub_c, "report"))

@@ -95,11 +95,11 @@ def buzek_baseline(grid: int = SCAN_GRID, tol: float = SCAN_TOL) -> tuple[float,
     convention the two-qubit broadcasting bound is stated in. Returns the
     (lo, hi) endpoints in alpha^2, located by scan plus bisection.
     """
-    from .entanglement import ppt_verdict, scan_predicates
-    from .protocol import machine_traced_marginal
+    from .entanglement import scan_predicates
+    from .protocol import pair_verdicts
 
     def entangled(xs: np.ndarray) -> np.ndarray:
-        return ppt_verdict(machine_traced_marginal(xs, "14")).entangled[None]
+        return pair_verdicts(xs, None, ["14"])[0].entangled
 
     intervals = scan_predicates(entangled, ("entangled",), grid, tol)["entangled"]
     if len(intervals) != 1:

@@ -1,18 +1,17 @@
 """Separability tests and entanglement measures for two-qubit operators,
 plus threshold scanning over the input weight alpha^2.
 
-The partial-transpose eigenvalue test is the verdict (ppt_verdict, which
-scans and sweeps both use). The W3 and W4 determinants of the transposed
+The partial-transpose eigenvalue test is the verdict (ppt_verdict, and
+its closed form for X-states, which scans and sweeps use). The W3 and W4 determinants of the transposed
 operator are printed beside it; they are not an independent check. For two
 qubits a negative W4 is equivalent to a negative eigenvalue, while W3 can
 only go negative when the state is entangled.
 
-Every pair marginal the pipeline forms is an X-state: 0.0 off the diagonal
-and the anti-diagonal. For such members ppt_verdict and concurrence use
-closed forms; every other member (a user's state, say) falls back to the
-in-package Jacobi eigen-solve, all such members of a stack together. The
-route is chosen member by member, so a member gets the same bits alone as
-in any stack.
+ppt_verdict and concurrence take any two-qubit operator through the
+in-package Jacobi eigen-solve. The pipeline's pair marginals are X-states,
+0.0 off the diagonal and the anti-diagonal; protocol.pair_verdicts reads
+their six real entries and evaluates the closed forms here (_x_verdict),
+with no eigen-solve.
 
 The tests and measures take one operator or a stack of them (a DensityOp
 with a leading stack axis) and answer with numbers or with arrays of the
@@ -80,37 +79,6 @@ def _require_two_qubits(rho: DensityOp, op: str) -> None:
         raise ContractError(f"{op}: expected a two-qubit operator, got dims {rho.register.dims}")
 
 
-# Entries of a 4 x 4 operator off the X pattern (the diagonal and the
-# anti-diagonal (0,3), (1,2), (2,1), (3,0)).
-_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
-
-
-def _by_route(m: np.ndarray, closed, general) -> np.ndarray:
-    """Rows of per-member results for a stack m (G, 4, 4): closed(m[x]) for
-    the members x that are exactly 0.0 off the X pattern, general(m[~x])
-    for the others as one sub-stack (not called when there are none); each
-    returns a tuple of per-member arrays, one per row. Each member's result
-    depends on that member alone, so it has the same bits alone as in any
-    stack."""
-    x = ~np.any(m[:, _OFF_X], axis=1)
-    got = closed(m[x])
-    out = np.empty((len(got), len(m)))
-    out[:, x] = got
-    if not x.all():
-        out[:, ~x] = general(m[~x])
-    return out
-
-
-def _x_entries(m: np.ndarray):
-    """Diagonal a, b, c, d and the squared moduli of the entries (1,2) and
-    (0,3) of a stack of X-shaped Hermitian matrices (of their Hermitian
-    parts, as the eigen-solve takes them)."""
-    a, b, c, d = m.diagonal(axis1=1, axis2=2).real.T
-    u12 = (m[:, 1, 2] + m[:, 2, 1].conj()) / 2.0
-    u03 = (m[:, 0, 3] + m[:, 3, 0].conj()) / 2.0
-    return a, b, c, d, u12.real ** 2 + u12.imag ** 2, u03.real ** 2 + u03.imag ** 2
-
-
 def _block_roots(p: np.ndarray, q: np.ndarray, u2: np.ndarray):
     """Determinant and smaller eigenvalue of each Hermitian 2 x 2 block
     [[p, u], [u*, q]] with |u|^2 = u2. Where the larger eigenvalue
@@ -124,19 +92,8 @@ def _block_roots(p: np.ndarray, q: np.ndarray, u2: np.ndarray):
     return det, np.where(up, det / np.where(up, high, 1.0), mean - rad)
 
 
-def _x_witnesses(t: np.ndarray):
-    """Smallest eigenvalue, W3 and W4 of X-shaped partial transposes T. T
-    splits into the blocks [[a, t03], [t03*, d]] and [[b, t12], [t12*, c]]
-    (for rho: t03 = rho[1,2], t12 = rho[0,3]); W3 = a (bc - |t12|^2) is its
-    leading 3 x 3 minor and W4 the product of the block determinants."""
-    a, b, c, d, t12, t03 = _x_entries(t)
-    det03, low03 = _block_roots(a, d, t03)
-    det12, low12 = _block_roots(b, c, t12)
-    return np.minimum(low03, low12), a * det12, det03 * det12
-
-
 def _pt_witnesses(t: np.ndarray):
-    """The same three numbers for any partial transposes T, from one
+    """Smallest eigenvalue, W3 and W4 of partial transposes T, from one
     eigen-solve T = V diag(l) V^dagger.
 
     W4 = det T is the product of the l_k. W3, the leading 3x3 minor of T,
@@ -154,32 +111,38 @@ def _pt_witnesses(t: np.ndarray):
 def ppt_verdict(rho: DensityOp) -> PPTVerdict:
     """Eigenvalue PPT test plus the W3/W4 determinants of the transposed
     operator (transpose taken over the second subsystem), for one operator
-    or, as arrays, for each member of a stack.
-
-    X-state members (0.0 off the diagonal and anti-diagonal, as their
-    partial transposes are then) take closed forms; the others are solved
-    together by one Jacobi eigen-solve.
+    or, as arrays, for each member of a stack, from one Jacobi eigen-solve.
     """
     _require_two_qubits(rho, "ppt_verdict")
     t = partial_transpose(rho, rho.register.labels[1]).reshape(-1, 4, 4)
-    l0, w3, w4 = _by_route(t, _x_witnesses, _pt_witnesses)
+    l0, w3, w4 = _pt_witnesses(t)
     entangled = l0 < -PPT_TOL
     if rho.stacked:
         return PPTVerdict(l0, w3, w4, entangled)
     return PPTVerdict(float(l0[0]), float(w3[0]), float(w4[0]), bool(entangled[0]))
 
 
-def _x_concurrence(m: np.ndarray):
-    """C = 2 max(0, |r12| - sqrt(ad), |r03| - sqrt(bc)) of X-state members
-    rho (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)), after the PSD
-    check on the blocks [[a, r03], [r03*, d]] and [[b, r12], [r12*, c]]."""
-    a, b, c, d, r12, r03 = _x_entries(m)
-    _require_psd(np.minimum(_block_roots(a, d, r03)[1], _block_roots(b, c, r12)[1]), "concurrence: rho")
+def _x_verdict(a, b, c, d, z2, w2) -> tuple[PPTVerdict, np.ndarray]:
+    """The PPT verdict and the concurrence of X-states rho, from arrays of
+    their diagonal a, b, c, d and the squared moduli z2 = |rho[1,2]|^2 and
+    w2 = |rho[0,3]|^2; each field an array of their shape.
+
+    The partial transpose splits into the blocks [[a, z], [z*, d]] and
+    [[b, w], [w*, c]]: its smallest eigenvalue is the smaller of their lower
+    roots, W3 = a (bc - |w|^2) its leading 3 x 3 minor and W4 the product of
+    the block determinants. C = 2 max(0, |z| - sqrt(ad), |w| - sqrt(bc))
+    (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)), after the PSD check
+    on rho's blocks [[a, w], [w*, d]] and [[b, z], [z*, c]].
+    """
+    det_z, low_z = _block_roots(a, d, z2)
+    det_w, low_w = _block_roots(b, c, w2)
+    _require_psd(np.minimum(_block_roots(a, d, w2)[1], _block_roots(b, c, z2)[1]), "concurrence: rho")
     # A diagonal entry at roundoff below 0 counts as 0, as the eigenvalues
-    # of the general route do.
-    edge = np.maximum(np.sqrt(r12) - np.sqrt(np.maximum(a * d, 0.0)),
-                      np.sqrt(r03) - np.sqrt(np.maximum(b * c, 0.0)))
-    return (2.0 * edge,)
+    # of the Jacobi route do.
+    edge = np.maximum(np.sqrt(z2) - np.sqrt(np.maximum(a * d, 0.0)),
+                      np.sqrt(w2) - np.sqrt(np.maximum(b * c, 0.0)))
+    l0 = np.minimum(low_z, low_w)
+    return PPTVerdict(l0, a * det_w, det_z * det_w, l0 < -PPT_TOL), np.clip(2.0 * edge, 0.0, 1.0)
 
 
 def _wootters(m: np.ndarray):
@@ -191,21 +154,18 @@ def _wootters(m: np.ndarray):
     C = 2 max lambda - sum lambda."""
     v, r = _psd_roots(m, "concurrence: rho")
     lam = _singular_values(r[:, :, None] * (dagger(v) @ _YY @ v.conj()) * r[:, None, :])
-    return (2.0 * np.max(lam, axis=1) - np.sum(lam, axis=1),)
+    return 2.0 * np.max(lam, axis=1) - np.sum(lam, axis=1)
 
 
 def concurrence(rho: DensityOp):
     """Wootters concurrence of a two-qubit operator (a float), or of each
-    member of a stack (an array), clipped to [0, 1].
-
-    X-state members take the closed form; the others are solved together
-    through one eigen-solve and one singular-value solve. A member with an
-    eigenvalue below -PSD_FAIL raises on either route.
+    member of a stack (an array), clipped to [0, 1], from one eigen-solve
+    and one singular-value solve. A member with an eigenvalue below
+    -PSD_FAIL raises.
     """
     _require_two_qubits(rho, "concurrence")
     m = rho.matrix
-    (c,) = _by_route(m.reshape(-1, 4, 4), _x_concurrence, _wootters)
-    c = np.clip(c, 0.0, 1.0)
+    c = np.clip(_wootters(m.reshape(-1, 4, 4)), 0.0, 1.0)
     return float(c[0]) if m.ndim == 2 else c
 
 

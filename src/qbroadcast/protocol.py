@@ -18,10 +18,17 @@ divided by its trace, where Gij is the partial trace of |vi><vj| over the
 other labels. The vectors are built on first use and the Gram blocks are
 kept per (branch, labels), so an alpha^2 family costs one small linear
 combination per point, evaluated for a whole array of points at once.
-The ten pair marginals of a branch share one stack of blocks in which
-bitwise-equal blocks are kept once (pair_marginals), so a scan step forms
-and solves each distinct pair once. The per-point routes the tests hold
-this map to are kept in tests/reference.py.
+
+Every pair marginal is an X-state: G00 and G11 are 0.0 off the diagonal
+and the real entry (1,2), and G01 is 0.0 off (0,3). So a pair marginal is
+fixed by six reals, the diagonal a, b, c, d and z = rho[1,2], each linear
+in x over the trace, and |w|^2 = x(1 - x)|G01[0,3]|^2 / trace^2 for
+w = rho[0,3]. pair_verdicts evaluates a per-branch table of these
+coefficients, certified once, and the closed forms of
+entanglement._x_verdict: no complex matrix and no eigen-solve per point.
+The phase enters only through the phase of w, which no verdict or measure
+reads. The per-point routes the tests hold this map to are kept in
+tests/reference.py.
 """
 from __future__ import annotations
 
@@ -32,16 +39,11 @@ import numpy as np
 
 from .cloner import OUTCOME_ORDER, BranchOutcome, clone_subsystem, machine_branches
 from .constants import SCAN_GRID, SCAN_TOL
-from .entanglement import (
-    ThresholdInterval,
-    broadcast_holds,
-    ppt_verdict,
-    scan_predicates,
-)
+from .entanglement import PPTVerdict, ThresholdInterval, _x_verdict, broadcast_holds, scan_predicates
 from .errors import ContractError
 from .gvchannel import DeliveryRecord, GvConfig, secure_send
 from .linalg import dagger
-from .qstate import PAIR_REGISTER, DensityOp, PureState, Register
+from .qstate import DensityOp, PureState, Register
 
 __all__ = [
     "ProtocolRun",
@@ -50,8 +52,7 @@ __all__ = [
     "run_first_stage",
     "six_qubit_branch",
     "branch_marginal",
-    "PAIR_REGISTER",
-    "pair_marginals",
+    "pair_verdicts",
     "machine_traced_marginal",
     "branch_scan",
     "run_protocol",
@@ -159,31 +160,25 @@ def _gram_blocks(branch: tuple[str, str] | None, labels: tuple[str, ...]):
     return kept, (g00 + dagger(g00)) / 2.0, a @ dagger(b), (g11 + dagger(g11)) / 2.0
 
 
-def _alpha2_values(alpha2) -> np.ndarray:
+def _amplitudes(alpha2) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and |beta| at alpha2, a number or a 1-D array in (0, 1), as
+    build_initial forms them, so that every route shares the input's
+    rounding: alpha*alpha + beta*beta is 1 only to roundoff."""
     x = np.asarray(alpha2, dtype=float)
     if x.ndim > 1 or not np.all((x > 0.0) & (x < 1.0)):
         raise ValueError(f"alpha2 must be a number or a 1-D array in (0, 1), got {alpha2!r}")
-    return x
-
-
-def _combine(g00, g01, g11, x: np.ndarray, beta_phase: float) -> np.ndarray:
-    """The normalized marginals of blocks stacked (E, d, d) at x, a number
-    or a 1-D array of n values: shape (E, d, d) or (E, n, d, d)."""
-    if x.ndim:
-        g00, g01, g11 = g00[:, None], g01[:, None], g11[:, None]
-    # The amplitudes as build_initial forms them, so both routes share the
-    # input's rounding: alpha*alpha + beta*beta is 1 only to roundoff.
-    alpha = np.sqrt(x)[..., None, None]
-    beta = np.sqrt(1.0 - alpha * alpha)
-    cross = (alpha * beta) * (np.exp(-1j * float(beta_phase)) * g01)
-    mat = (alpha * alpha) * g00 + (beta * beta) * g11 + (cross + dagger(cross))
-    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+    alpha = np.sqrt(x)
+    return alpha, np.sqrt(1.0 - alpha * alpha)
 
 
 def _marginal(branch: tuple[str, str] | None, labels, alpha2, beta_phase: float) -> DensityOp:
-    x = _alpha2_values(alpha2)
-    kept, *blocks = _gram_blocks(branch, tuple(str(label) for label in labels))
-    return DensityOp(kept, _combine(*(g[None] for g in blocks), x, beta_phase)[0])
+    """The normalized marginal on `labels` at alpha2, a number or a 1-D
+    array of n values: one operator or a stack of n."""
+    alpha, beta = (v[..., None, None] for v in _amplitudes(alpha2))
+    kept, g00, g01, g11 = _gram_blocks(branch, tuple(str(label) for label in labels))
+    cross = (alpha * beta) * (np.exp(-1j * float(beta_phase)) * g01)
+    mat = (alpha * alpha) * g00 + (beta * beta) * g11 + (cross + dagger(cross))
+    return DensityOp(kept, mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def branch_marginal(alpha2, branch, labels, beta_phase: float = 0.0) -> DensityOp:
@@ -203,50 +198,60 @@ def machine_traced_marginal(alpha2, labels, beta_phase: float = 0.0) -> DensityO
     return _marginal(None, labels, alpha2, beta_phase)
 
 
+# Where a pair's Gram blocks may be non-zero: G00 and G11 on the diagonal
+# and at (1,2), (2,1); G01 at (0,3) alone.
+_SAME = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[[0, 2, 1, 3]]
+_CROSS = np.zeros((4, 4), dtype=bool)
+_CROSS[0, 3] = True
+
+
+def _x_coefficients(g00, g01, g11) -> tuple[np.ndarray, float]:
+    """The X-state coefficients of one pair's Gram blocks: the rows
+    [diag G00, G00[1,2]] and [diag G11, G11[1,2]], shape (2, 5), and
+    |G01[0,3]|^2. Raises ContractError unless the blocks are 0.0 off the
+    positions _SAME and _CROSS allow and each (1,2) entry is real, since
+    only then do these six numbers fix the marginal's verdict and measures.
+    """
+    if (np.any(g00[~_SAME]) or np.any(g11[~_SAME]) or np.any(g01[~_CROSS])
+            or g00[1, 2].imag or g11[1, 2].imag):
+        raise ContractError("pair table: a Gram block is not 0.0 off the X pattern with a real (1,2) entry")
+    lin = np.array([[*g.diagonal().real, g[1, 2].real] for g in (g00, g11)])
+    return lin, g01[0, 3].real ** 2 + g01[0, 3].imag ** 2
+
+
 @cache
-def _pair_blocks(branch: tuple[str, str]) -> tuple[tuple[np.ndarray, ...], dict[str, int]]:
-    """The Gram blocks of a branch's PAIR_KEYS marginals, one entry per set
-    of bitwise-equal blocks, stacked (E, 4, 4) as G00, G01, G11, and the
-    entry of each key.
+def _pair_table(branch: tuple[str, str] | None) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """The row of each pair key and the X-state coefficients of all rows:
+    (K, 2, 5) from _x_coefficients and (K,) |G01[0,3]|^2. The keys are
+    PAIR_KEYS for a branch and those on qubits 1 to 4 for None."""
+    keys = PAIR_KEYS if branch else tuple(key for key in PAIR_KEYS if set(key) <= set("1234"))
+    lin, g2 = zip(*(_x_coefficients(*_gram_blocks(branch, tuple(key))[1:]) for key in keys))
+    return {key: row for row, key in enumerate(keys)}, np.stack(lin), np.array(g2)
 
-    The symmetric second cloning round makes clones 2, 5 and 4, 6
-    interchangeable, so several pairs share their blocks exactly (5 entries
-    on Q0Q0 and Q1Q1, 7 on Q0Q1 and Q1Q0); equal blocks give equal
-    marginals and equal verdicts, so each is formed and solved once.
+
+def pair_verdicts(alpha2, branch, keys) -> tuple[PPTVerdict, np.ndarray]:
+    """PPT verdicts and concurrences of the pair marginals `keys` (from
+    PAIR_KEYS) of one branch; branch None is the first round with the
+    machines traced out, whose pairs are those on qubits 1 to 4.
+
+    alpha2 is a number or a 1-D array; every field of the verdict and the
+    concurrence has shape (len(keys),) + its shape, row k for keys[k]. They
+    equal ppt_verdict and concurrence of branch_marginal(alpha2, branch,
+    key) to roundoff, at any phase, from closed forms with no eigen-solve.
     """
-    entries: list[list[np.ndarray]] = []
-    entry: dict[str, int] = {}
-    for key in PAIR_KEYS:
-        _, *blocks = _gram_blocks(branch, tuple(key))
-        same = [j for j, other in enumerate(entries) if all(map(np.array_equal, blocks, other))]
-        if not same:
-            entries.append(blocks)
-        entry[key] = same[0] if same else len(entries) - 1
-    g00, g01, g11 = (np.stack(g) for g in zip(*entries))
-    return (g00, g01, g11), entry
-
-
-def pair_marginals(alpha2, branch, keys, beta_phase: float = 0.0) -> tuple[DensityOp, dict[str, slice]]:
-    """The distinct marginals among the pairs `keys` (from PAIR_KEYS) of one
-    branch, as one stack, and the slice of that stack that holds each key.
-
-    alpha2 is a number or a 1-D array of n values; the stack holds one run
-    of n members (one for a number) per distinct marginal, and the run of
-    key k, stack.matrix[runs[k]], equals branch_marginal(alpha2, branch, k,
-    beta_phase).matrix bitwise. Its members sit on different pairs, so the
-    stack's register names the positions in a pair, PAIR_REGISTER.
-    """
-    x = _alpha2_values(alpha2)
-    (g00, g01, g11), entry = _pair_blocks(_as_branch(branch))
+    alpha, beta = _amplitudes(alpha2)
+    row, lin, g2 = _pair_table(None if branch is None else _as_branch(branch))
     keys = [str(key) for key in keys]
-    unknown = [key for key in keys if key not in entry]
+    unknown = [key for key in keys if key not in row]
     if unknown:
-        raise ValueError(f"pair_marginals: unknown pairs {unknown} (choose from {', '.join(PAIR_KEYS)})")
-    used = list(dict.fromkeys(entry[key] for key in keys))
-    mats = _combine(g00[used], g01[used], g11[used], x, beta_phase).reshape(-1, 4, 4)
-    start = {e: j * x.size for j, e in enumerate(used)}
-    runs = {key: slice(start[entry[key]], start[entry[key]] + x.size) for key in keys}
-    return DensityOp(PAIR_REGISTER, mats), runs
+        raise ValueError(f"pair_verdicts: unknown pairs {unknown} (choose from {', '.join(row)})")
+    rows = [row[key] for key in keys]
+    a, b, c, d, z = (np.multiply.outer(lin[rows, 0].T, alpha * alpha)
+                     + np.multiply.outer(lin[rows, 1].T, beta * beta))
+    trace = a + b + c + d
+    w2 = np.multiply.outer(g2[rows], (alpha * beta) ** 2) / (trace * trace)
+    z = z / trace
+    return _x_verdict(a / trace, b / trace, c / trace, d / trace, z * z, w2)
 
 
 def six_qubit_branch(
@@ -280,7 +285,6 @@ def _scan_row(name: str):
 def branch_scan(
     branch,
     names,
-    beta_phase: float = 0.0,
     grid: int = SCAN_GRID,
     tol: float = SCAN_TOL,
 ) -> dict[str, list[ThresholdInterval]]:
@@ -288,20 +292,17 @@ def branch_scan(
 
     A row is "<pair>:entangled" or "<pair>:separable" for a pair in
     PAIR_KEYS, "broadcast" (broadcast_holds) or "closed-146" (pairs 14, 46
-    and 16 all entangled). Each test call forms the distinct pair marginals
-    as one pair_marginals stack and solves their PPT verdicts
-    (ppt_verdict) at once, and the edges of all rows are bisected
+    and 16 all entangled). Each test call takes the ten pairs' verdicts
+    from one pair_verdicts call, and the edges of all rows are bisected
     together. Pair rows' intervals are named by their predicate
-    ("entangled" or "separable").
+    ("entangled" or "separable"). No verdict depends on the input phase.
     """
     pair = _as_branch(branch)
     names = tuple(names)
     rows = [_scan_row(name) for name in names]
 
     def test(xs: np.ndarray) -> np.ndarray:
-        stack, runs = pair_marginals(xs, pair, PAIR_KEYS, beta_phase)
-        flags = ppt_verdict(stack).entangled
-        entangled = {key: flags[run] for key, run in runs.items()}
+        entangled = dict(zip(PAIR_KEYS, pair_verdicts(xs, pair, PAIR_KEYS)[0].entangled))
         return np.stack([row(entangled) for row in rows])
 
     scans = scan_predicates(test, names, grid, tol)

@@ -9,14 +9,12 @@ import pytest
 import qbroadcast.cli as cli_module
 import qbroadcast.entanglement as entanglement_module
 import qbroadcast.linalg as linalg_module
-import qbroadcast.protocol as protocol_module
 import qbroadcast.swap as swap_module
 from qbroadcast.cli import CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, SWEEP_MAX_ROWS, run_command
-from qbroadcast.entanglement import ThresholdInterval, concurrence, ppt_verdict
+from qbroadcast.entanglement import ThresholdInterval
 from qbroadcast.errors import ContractError
-from qbroadcast.linalg import _singular_values as singular_values, eig_hermitian
-from qbroadcast.protocol import branch_marginal
-from qbroadcast.qstate import DensityOp
+from qbroadcast.linalg import eig_hermitian
+from qbroadcast.protocol import PAIR_KEYS, pair_verdicts
 
 
 def _run(capsys, argv):
@@ -107,16 +105,27 @@ def test_sweep_rows_near_the_edges_are_computed_at_their_labels(capsys):
     rows = json.loads(out)
     labels = sorted({row["alpha2"] for row in rows})
     assert 0.0 < labels[0] < 1e-9
-    for pair in ("16", "46"):
-        marg = branch_marginal(labels, ("Q0", "Q0"), pair)
-        verdict, conc = ppt_verdict(marg), concurrence(marg)
+    verdict, conc = pair_verdicts(labels, ("Q0", "Q0"), ["16", "46"])
+    for k, pair in enumerate(("16", "46")):
         got = [row for row in rows if row["pair"] == pair]
         assert [row["alpha2"] for row in got] == labels
-        assert [row["min_pt_eigenvalue"] for row in got] == list(verdict.min_pt_eigenvalue)
-        assert [row["w4"] for row in got] == list(verdict.w4)
-        assert [row["concurrence"] for row in got] == list(conc)
+        assert [row["min_pt_eigenvalue"] for row in got] == list(verdict.min_pt_eigenvalue[k])
+        assert [row["w4"] for row in got] == list(verdict.w4[k])
+        assert [row["concurrence"] for row in got] == list(conc[k])
     # the row at 1e-320 is not the row at 1e-9
     assert rows[0]["w3"] != rows[2]["w3"]
+
+
+@pytest.mark.parametrize("lo,hi,steps", [("0.5", "0.5", "3"), ("0.9", "0.1", "5"), ("-0.0", "1", "1")])
+def test_sweep_rows_are_ordered_by_alpha2_then_pair(capsys, lo, hi, steps):
+    # a repeated point and a repeated pair each keep all their rows, sorted
+    # under (alpha2, pair)
+    code, out, _ = _run(capsys, ["sweep", "--pairs", "46,12,46", "--from", lo, "--to", hi, "--steps", steps,
+                                 "--format", "json"])
+    assert code == 0
+    keys = [(row["alpha2"], row["pair"]) for row in json.loads(out)]
+    assert keys == sorted(keys)
+    assert [pair for _, pair in keys].count("46") == 2 * [pair for _, pair in keys].count("12") == 2 * int(steps)
 
 
 @pytest.mark.parametrize("lo,hi,steps", [("0.2", "1", "4"), ("0.1", "0", "4")])
@@ -137,34 +146,57 @@ def test_sweep_out_errors_are_usage_errors(tmp_path, capsys):
         assert "cannot write" in err
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("an eigen-solve or a singular-value solve was made")
+
+
+def _forbid_pair_solves(monkeypatch):
+    """Make the Jacobi routes of ppt_verdict and concurrence raise."""
+    monkeypatch.setattr(entanglement_module, "eig_hermitian", _no_solve)
+    monkeypatch.setattr(entanglement_module, "_singular_values", _no_solve)
+
+
 def test_sweep_solves_one_pair_stack(capsys, monkeypatch):
-    # one stack of the distinct pairs per sweep, whatever the number of
-    # pairs; its members are X-states, so neither the PPT verdict nor the
-    # concurrence reaches an eigen-solve or a singular-value solve, counted
-    # wherever the solvers are called
-    argv = ["sweep", "--pairs", "12,15,34,36,25,46,23,35,14,16", "--from", "0.1", "--to", "0.9",
+    # one pair_verdicts call per sweep, on each distinct pair and alpha^2
+    # once, from the table's closed forms: no eigen-solve or singular-value
+    # solve anywhere
+    argv = ["sweep", "--pairs", "12,15,34,36,25,46,23,35,14,16,46", "--from", "0.1", "--to", "0.9",
             "--steps", "20"]
-    assert _run(capsys, argv)[0] == 0
-    calls = {"stacks": [], "eig": 0, "svd": 0}
+    want = _run(capsys, argv)
+    calls = []
 
-    def stack(register, matrix):
-        calls["stacks"].append(matrix.shape)
-        return DensityOp(register, matrix)
+    def pairs(alpha2, branch, keys):
+        calls.append((len(alpha2), branch, list(keys)))
+        return pair_verdicts(alpha2, branch, keys)
 
-    def eig(a, *args):
-        calls["eig"] += 1
-        return eig_hermitian(a, *args)
+    monkeypatch.setattr(cli_module, "pair_verdicts", pairs)
+    _forbid_pair_solves(monkeypatch)
+    monkeypatch.setattr(linalg_module, "eig_hermitian", _no_solve)
+    monkeypatch.setattr(linalg_module, "_singular_values", _no_solve)
+    assert _run(capsys, argv) == want
+    assert want[0] == 0 and len(want[1].splitlines()) == 1 + 11 * 20
+    assert calls == [(20, ("Q0", "Q0"), sorted(PAIR_KEYS))]
 
-    def svd(g):
-        calls["svd"] += 1
-        return singular_values(g)
 
-    monkeypatch.setattr(protocol_module, "DensityOp", stack)
-    monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
+@pytest.mark.parametrize("argv", [["thresholds", "--branch", "Q0Q1"], ["branches"], ["baseline"], ["report"]])
+def test_scans_and_concurrence_lines_make_no_pair_solve(capsys, monkeypatch, argv):
+    # the scans, the baseline and the report's concurrence lines read the
+    # pair table and never reach the Jacobi routes of ppt_verdict and
+    # concurrence; the report's only eigen-solves are the six 8 x 8 ones of
+    # its swap fidelities
+    want = _run(capsys, argv + ["--grid", "60"])
+    _forbid_pair_solves(monkeypatch)
+    solves = []
+
+    def eig(a):
+        solves.append(a.shape[-1])
+        return eig_hermitian(a)
+
     monkeypatch.setattr(linalg_module, "eig_hermitian", eig)
-    monkeypatch.setattr(entanglement_module, "_singular_values", svd)
-    assert _run(capsys, argv)[0] == 0
-    assert calls == {"stacks": [(5 * 20, 4, 4)], "eig": 0, "svd": 0}
+    assert _run(capsys, argv + ["--grid", "60"]) == want
+    assert want[0] == 0
+    assert solves == ([8] * 6 if argv == ["report"] else [])
+    assert ("concurrence(rho46)" in want[1]) == (argv == ["report"])
 
 
 @pytest.mark.parametrize(
@@ -304,7 +336,7 @@ def test_grid_above_the_bound_is_a_usage_error(tmp_path, capsys, monkeypatch, co
 
 
 def test_sweep_rows_above_the_bound_are_a_usage_error(capsys, monkeypatch):
-    _guard(monkeypatch, "pair_marginals")
+    _guard(monkeypatch, "pair_verdicts")
     ten = "12,15,34,36,25,46,23,35,14,16"
     for pairs, steps in (("16", 10**13), ("16", SWEEP_MAX_ROWS + 1), (ten, SWEEP_MAX_ROWS // 10 + 1)):
         argv = ["sweep", "--pairs", pairs, "--from", "0", "--to", "1", "--steps", str(steps)]
@@ -352,17 +384,18 @@ def test_non_finite_settings_are_usage_errors(tmp_path, capsys, value):
 
 def test_non_finite_results_never_reach_json(tmp_path, capsys, monkeypatch):
     # the sweep checks its row reals once, before either format is written
-    def nan_concurrence(rho):
-        return np.full(len(rho.matrix), np.nan)
+    def nan_concurrence(*args):
+        v, c = pair_verdicts(*args)
+        return v, np.full_like(c, np.nan)
 
-    def inf_w4(rho):
-        v = ppt_verdict(rho)
-        return dataclasses.replace(v, w4=np.where(np.arange(len(v.w4)) == 1, np.inf, v.w4))
+    def inf_w4(*args):
+        v, c = pair_verdicts(*args)
+        return dataclasses.replace(v, w4=np.where(np.arange(v.w4.shape[-1]) == 1, np.inf, v.w4)), c
 
     out_path = tmp_path / "rows.txt"
-    for name, patch in (("concurrence", nan_concurrence), ("ppt_verdict", inf_w4)):
+    for name, patch in (("concurrence", nan_concurrence), ("w4", inf_w4)):
         with monkeypatch.context() as m:
-            m.setattr(f"qbroadcast.cli.{name}", patch)
+            m.setattr("qbroadcast.cli.pair_verdicts", patch)
             for fmt in ("json", "csv"):
                 argv = ["sweep", "--pairs", "16", "--from", "0.2", "--to", "0.4", "--steps", "2",
                         "--format", fmt]

@@ -11,7 +11,7 @@ from qbroadcast import (
     buzek_baseline,
     concurrence,
     eof,
-    pair_marginals,
+    pair_verdicts,
     partial_trace,
     ppt_verdict,
     scan_predicates,
@@ -397,9 +397,8 @@ def test_stacked_verdicts_and_concurrence_match_members():
 
 
 def test_ppt_verdict_makes_one_eigen_solve_per_call(monkeypatch):
-    # X-state members take the closed form and make no eigen-solve; the
-    # verdict and both witnesses of every other member come from one
-    # eig_hermitian call on their partial transposes, one per call at most
+    # the verdict and both witnesses of every member, X-state or not, come
+    # from one eig_hermitian call on their partial transposes per call
     rng = np.random.default_rng(707)
     general = [_random_two_qubit(rng, i % 3) for i in range(12)]
     werner = [_werner(0.2), _werner(0.9)]
@@ -410,29 +409,28 @@ def test_ppt_verdict_makes_one_eigen_solve_per_call(monkeypatch):
         return eig_hermitian(a)
 
     monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
-    alone = [ppt_verdict(rho) for rho in werner]
-    assert solves == []
-    alone = [ppt_verdict(rho) for rho in general] + alone
-    assert solves == [(1, 4, 4)] * len(general)
-    assert all(isinstance(v.entangled, bool) for v in alone)
     rhos = general + werner
+    alone = [ppt_verdict(rho) for rho in rhos]
+    assert solves == [(1, 4, 4)] * len(rhos)
+    assert all(isinstance(v.entangled, bool) for v in alone)
     order = np.random.default_rng(708).permutation(len(rhos))
     together = ppt_verdict(_stack([rhos[i] for i in order]))
-    assert solves[len(general):] == [(len(general), 4, 4)]
+    assert solves[len(rhos):] == [(len(rhos), 4, 4)]
     assert list(together.entangled) == [alone[i].entangled for i in order]
     assert ppt_verdict(_stack(werner * 3)).w4.shape == (6,)
     with pytest.raises(ContractError):
         ppt_verdict(tensor(_werner(0.5), to_density(PureState(Register.qubits("X"), np.array([1.0, 0.0])))))
-    assert len(solves) == len(general) + 1
+    assert len(solves) == len(rhos) + 2
 
 
 def test_measures_of_an_empty_stack_are_empty():
-    empty = pair_marginals([], ("Q0", "Q0"), ["12"])[0]
-    assert empty.matrix.shape == (0, 4, 4)
+    empty = DensityOp(Register.qubits("A", "B"), np.zeros((0, 4, 4), dtype=complex))
     assert concurrence(empty).shape == (0,)
     verdict = ppt_verdict(empty)
     assert verdict.min_pt_eigenvalue.shape == verdict.w3.shape == verdict.entangled.shape == (0,)
     assert eof(concurrence(empty)).shape == (0,)
+    verdict, conc = pair_verdicts([], ("Q0", "Q0"), ["12"])
+    assert verdict.min_pt_eigenvalue.shape == verdict.entangled.shape == conc.shape == (1, 0)
 
 
 def test_ppt_verdicts_solve_several_operators_together():

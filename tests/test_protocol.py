@@ -27,9 +27,7 @@ import qbroadcast.linalg as linalg_module
 import qbroadcast.protocol as protocol_module
 from qbroadcast.cloner import OUTCOME_ORDER
 from qbroadcast.entanglement import concurrence, ppt_verdict, scan_predicates
-from qbroadcast.linalg import eig_hermitian
-from qbroadcast.protocol import PAIR_KEYS, PAIR_REGISTER, SIX_LABELS, pair_marginals
-from qbroadcast.qstate import DensityOp
+from qbroadcast.protocol import PAIR_KEYS, SIX_LABELS, pair_verdicts
 from reference import TRIPLE_KEYS, extract_marginals, machine_traced_six, run_second_stage
 from stacks import scan_family, scan_row
 from published_forms import (
@@ -170,20 +168,24 @@ def test_branch_marginal_checks_its_inputs():
 
 @pytest.mark.parametrize("branch", OUTCOME_ORDER)
 def test_pair_stack_runs_equal_branch_marginal(branch):
-    # bitwise: the stack's runs, verdicts and concurrences are exactly the
-    # per-pair ones, so routing sweeps and scans through it moves no output
+    # each key's row is the same bits whatever other keys are asked for, and
+    # equals the Jacobi verdict and concurrence of branch_marginal at every
+    # phase to roundoff
     xs, phases = _map_points(1618)
-    for phi in phases:
-        stack, runs = pair_marginals(xs, branch, PAIR_KEYS, phi)
-        assert sorted(runs) == sorted(PAIR_KEYS)
-        verdict, conc = ppt_verdict(stack), concurrence(stack)
-        for key, run in runs.items():
-            alone = branch_marginal(xs, branch, key, phi)
-            assert np.array_equal(stack.matrix[run], alone.matrix), key
-            want = ppt_verdict(alone)
-            for field in ("min_pt_eigenvalue", "w3", "w4", "entangled"):
-                assert np.array_equal(getattr(verdict, field)[run], getattr(want, field)), (key, field)
-            assert np.array_equal(conc[run], concurrence(alone)), key
+    verdict, conc = pair_verdicts(xs, branch, PAIR_KEYS)
+    fields = ("min_pt_eigenvalue", "w3", "w4", "entangled")
+    for k, key in enumerate(PAIR_KEYS):
+        alone, alone_conc = pair_verdicts(xs, branch, [key, "12"])
+        for field in fields:
+            assert np.array_equal(getattr(alone, field)[0], getattr(verdict, field)[k]), (key, field)
+        assert np.array_equal(alone_conc[0], conc[k]), key
+        for phi in phases:
+            rho = branch_marginal(xs, branch, key, phi)
+            want = ppt_verdict(rho)
+            for field in fields[:3]:
+                assert np.max(np.abs(getattr(verdict, field)[k] - getattr(want, field))) <= 1e-15, (key, field)
+            assert np.array_equal(verdict.entangled[k], want.entangled), key
+            assert np.max(np.abs(conc[k] - concurrence(rho))) <= 1e-14, key
 
 
 @pytest.mark.parametrize("branch", OUTCOME_ORDER)
@@ -191,12 +193,12 @@ def test_pair_stack_witnesses_are_the_determinants_numpy_finds(branch):
     # W4 = det T and W3 = its leading 3 x 3 minor, for T the partial
     # transpose of each pipeline pair marginal
     xs = np.concatenate([[1e-9, 1e-6, 0.5, 1.0 - 1e-6], np.random.default_rng(2025).uniform(0.0, 1.0, 60)])
+    verdict, _ = pair_verdicts(xs, branch, PAIR_KEYS)
     for phi in (0.0, 4.71):
-        stack, _ = pair_marginals(xs, branch, PAIR_KEYS, phi)
-        pts = partial_transpose(stack, "second")
-        verdict = ppt_verdict(stack)
-        assert np.max(np.abs(verdict.w4 - np.linalg.det(pts).real)) <= 1e-15
-        assert np.max(np.abs(verdict.w3 - np.linalg.det(pts[:, :3, :3]).real)) <= 1e-15
+        for k, key in enumerate(PAIR_KEYS):
+            pts = partial_transpose(branch_marginal(xs, branch, key, phi), key[1])
+            assert np.max(np.abs(verdict.w4[k] - np.linalg.det(pts).real)) <= 1e-15
+            assert np.max(np.abs(verdict.w3[k] - np.linalg.det(pts[:, :3, :3]).real)) <= 1e-15
 
 
 def _alice_phases(labels, phi):
@@ -228,44 +230,49 @@ def test_input_phase_is_a_local_diagonal_unitary(branch):
                 assert np.max(np.abs(concurrence(got) - concurrence(at_zero))) <= 1e-15, key
 
 
-def test_pair_stack_keeps_each_distinct_pair_once():
+def test_pair_table_rows_are_equal_for_interchangeable_clones():
     # the symmetric second cloning round makes clones 2, 5 and 4, 6
-    # interchangeable; these counts keep a change to the cloner arithmetic
-    # from losing the shared entries unnoticed
+    # interchangeable, so these pairs share their table rows exactly; a
+    # change to the cloner arithmetic that breaks the symmetry shows here
     xs = np.array([0.2, 0.5, 0.7])
-    distinct = {("Q0", "Q0"): 5, ("Q0", "Q1"): 7, ("Q1", "Q0"): 7, ("Q1", "Q1"): 5}
-    for branch, count in distinct.items():
-        stack, runs = pair_marginals(xs, branch, PAIR_KEYS, 0.3)
-        assert stack.register == PAIR_REGISTER
-        assert stack.matrix.shape == (count * len(xs), 4, 4)
-        assert len({(run.start, run.stop) for run in runs.values()}) == count
-        assert all(run.stop - run.start == len(xs) for run in runs.values())
-        assert runs["12"] == runs["15"] and runs["34"] == runs["36"] and runs["14"] == runs["16"]
-        one, only = pair_marginals(xs, branch, ["16"], 0.3)
-        assert one.matrix.shape == (len(xs), 4, 4)
-        assert only == {"16": slice(0, len(xs))}
-    # a number gives runs of one member; 25 and 46 share an entry on Q0Q0
-    stack, runs = pair_marginals(0.4, ("Q0", "Q0"), ["46", "23", "25"])
-    assert stack.matrix.shape == (2, 4, 4)
-    assert runs == {"46": slice(0, 1), "23": slice(1, 2), "25": slice(0, 1)}
+    for branch in OUTCOME_ORDER:
+        row, lin, g2 = protocol_module._pair_table(branch)
+        assert list(row) == list(PAIR_KEYS) and lin.shape == (10, 2, 5) and g2.shape == (10,)
+        for one, other in (("12", "15"), ("34", "36"), ("14", "16")):
+            assert np.array_equal(lin[row[one]], lin[row[other]]) and g2[row[one]] == g2[row[other]], (branch, one)
+        verdict, conc = pair_verdicts(xs, branch, ["12", "15", "34", "36", "14", "16"])
+        assert verdict.entangled.shape == conc.shape == (6, 3)
+        for field in (verdict.min_pt_eigenvalue, verdict.w3, verdict.w4, verdict.entangled, conc):
+            assert np.array_equal(field[0::2], field[1::2])
+    # a number gives one entry per key, repeats kept
+    verdict, conc = pair_verdicts(0.4, ("Q0", "Q0"), ["46", "23", "46"])
+    assert verdict.w3.shape == conc.shape == (3,)
+    assert verdict.w3[0] == verdict.w3[2] and conc[0] == conc[2]
+    # the machine-traced first round holds the pairs on qubits 1 to 4
+    assert list(protocol_module._pair_table(None)[0]) == ["12", "34", "23", "14"]
 
 
-def test_pair_marginals_checks_its_inputs():
+def test_pair_verdicts_checks_its_inputs():
     for bad in (0.0, 1.0, float("nan"), [0.5, 1.0], [[0.5]]):
         with pytest.raises(ValueError):
-            pair_marginals(bad, ("Q0", "Q0"), ["46"])
+            pair_verdicts(bad, ("Q0", "Q0"), ["46"])
     with pytest.raises(ValueError):
-        pair_marginals(0.5, ("Q0", "Q2"), ["46"])
+        pair_verdicts(0.5, ("Q0", "Q2"), ["46"])
     for keys in (["47"], ["46", "146"], ["64"]):
         with pytest.raises(ValueError):
-            pair_marginals(0.5, ("Q0", "Q0"), keys)
+            pair_verdicts(0.5, ("Q0", "Q0"), keys)
+    with pytest.raises(ValueError, match="choose from 12, 34, 23, 14"):
+        pair_verdicts(0.5, None, ["16"])
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("an eigen-solve or a singular-value solve was made")
 
 
 def test_branch_scan_solves_one_pair_stack_per_step(monkeypatch):
-    # one stack per test call; its members are X-states, so the PPT
-    # verdicts take the closed form and no step makes an eigen-solve
-    pair_marginals(0.5, ("Q0", "Q1"), PAIR_KEYS)
-    counts = {"test": 0, "stacks": 0, "eig": 0}
+    # one pair_verdicts call per test call, from the table's closed forms:
+    # no step makes an eigen-solve or a singular-value solve
+    counts = {"test": 0, "pairs": 0}
 
     def scan(test, names, grid, tol):
         def counted(xs):
@@ -274,30 +281,26 @@ def test_branch_scan_solves_one_pair_stack_per_step(monkeypatch):
 
         return scan_predicates(counted, names, grid, tol)
 
-    def stack(register, matrix):
-        counts["stacks"] += 1
-        return DensityOp(register, matrix)
-
-    def eig(a, *args):
-        counts["eig"] += 1
-        return eig_hermitian(a, *args)
+    def pairs(*args):
+        counts["pairs"] += 1
+        return pair_verdicts(*args)
 
     monkeypatch.setattr(protocol_module, "scan_predicates", scan)
-    monkeypatch.setattr(protocol_module, "DensityOp", stack)
-    monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
-    monkeypatch.setattr(linalg_module, "eig_hermitian", eig)
-    scans = branch_scan(("Q0", "Q1"), ("12:separable", "broadcast", "closed-146"), 0.4, grid=60, tol=1e-4)
+    monkeypatch.setattr(protocol_module, "pair_verdicts", pairs)
+    for module in (entanglement_module, linalg_module):
+        monkeypatch.setattr(module, "eig_hermitian", _no_solve)
+        monkeypatch.setattr(module, "_singular_values", _no_solve)
+    scans = branch_scan(("Q0", "Q1"), ("12:separable", "broadcast", "closed-146"), grid=60, tol=1e-4)
     assert scans["12:separable"]
     assert counts["test"] > 1
-    assert counts["stacks"] == counts["test"]
-    assert counts["eig"] == 0
+    assert counts["pairs"] == counts["test"]
 
 
 def test_branch_scan_broadcast_agrees_with_the_per_point_verdict():
     # the stacked scan and broadcast_verdict on six-qubit states built one
     # point at a time must flip at the same places
     for branch in (("Q0", "Q0"), ("Q0", "Q1")):
-        ivs = branch_scan(branch, ("broadcast",), 0.4, grid=60, tol=1e-4)["broadcast"]
+        ivs = branch_scan(branch, ("broadcast",), grid=60, tol=1e-4)["broadcast"]
         for x in np.linspace(0.01, 0.99, 25):
             inside = any(iv.lo < x < iv.hi for iv in ivs)
             near = any(abs(x - e) < 1e-3 for iv in ivs for e in (iv.lo, iv.hi))
@@ -427,7 +430,7 @@ def test_branch_scan_rows_equal_their_own_scans(branch):
     # one scan of all rows must give exactly what each row's own scan gives
     phi = 0.4
     rows = [f"{key}:{predicate}" for key in PAIR_KEYS for predicate in ("entangled", "separable")]
-    scans = branch_scan(branch, rows + ["broadcast"], phi, grid=60, tol=1e-4)
+    scans = branch_scan(branch, rows + ["broadcast"], grid=60, tol=1e-4)
     for row in rows:
         key, _, predicate = row.partition(":")
 

@@ -1,10 +1,11 @@
-"""The closed-form X-state route of ppt_verdict and concurrence, held to the
-Jacobi route it replaces for those members.
+"""The closed-form X-state verdict and concurrence (entanglement._x_verdict,
+which protocol.pair_verdicts evaluates on its table of pair coefficients),
+held to the Jacobi routes of ppt_verdict and concurrence.
 
 An X-state is 0.0 everywhere off the diagonal and the anti-diagonal. Every
-pair marginal the pipeline forms is one, so scans and sweeps take the closed
-forms; any other operator still goes through the eigen-solve. The Jacobi
-route is called here directly on the same matrices as the reference.
+pair marginal the pipeline forms is one, and its table is certified once;
+any other operator goes through the eigen-solve. The closed forms are fed
+the entries of the same matrices the Jacobi routes solve.
 """
 import numpy as np
 import pytest
@@ -13,11 +14,18 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import qbroadcast.entanglement as entanglement_module  # noqa: E402
-import qbroadcast.linalg as linalg_module  # noqa: E402
-from qbroadcast import ContractError, DensityOp, Register, concurrence, partial_transpose, ppt_verdict  # noqa: E402
+import qbroadcast.protocol as protocol_module  # noqa: E402
+from qbroadcast import (  # noqa: E402
+    ContractError,
+    DensityOp,
+    Register,
+    branch_marginal,
+    concurrence,
+    pair_verdicts,
+    ppt_verdict,
+)
 from qbroadcast.cloner import OUTCOME_ORDER  # noqa: E402
-from qbroadcast.linalg import eig_hermitian  # noqa: E402
-from qbroadcast.protocol import PAIR_KEYS, pair_marginals  # noqa: E402
+from qbroadcast.protocol import PAIR_KEYS  # noqa: E402
 
 CHECKS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -25,21 +33,22 @@ _PAIR = Register.qubits("A", "B")
 _S = 1.0 / np.sqrt(2.0)
 
 
-def _jacobi(m):
-    """PT-min, W3, W4 and the clipped concurrence of a stack by the Jacobi
-    route, whatever its pattern."""
-    l0, w3, w4 = entanglement_module._pt_witnesses(partial_transpose(DensityOp(_PAIR, m), "B"))
-    return l0, w3, w4, np.clip(entanglement_module._wootters(m)[0], 0.0, 1.0)
+def _closed(m):
+    """The closed forms on the diagonal and the squared moduli of the
+    entries (1,2) and (0,3) of a stack of X matrices."""
+    a, b, c, d = m.diagonal(axis1=1, axis2=2).real.T
+    z, w = m[:, 1, 2], m[:, 0, 3]
+    return entanglement_module._x_verdict(a, b, c, d, z.real ** 2 + z.imag ** 2, w.real ** 2 + w.imag ** 2)
 
 
 def _assert_routes_agree(m):
-    assert not np.any(m[:, entanglement_module._OFF_X])
-    verdict = ppt_verdict(DensityOp(_PAIR, m))
-    l0, w3, w4, c = _jacobi(m)
-    assert np.max(np.abs(verdict.min_pt_eigenvalue - l0)) <= 1e-15
-    assert np.max(np.abs(verdict.w3 - w3)) <= 1e-15
-    assert np.max(np.abs(verdict.w4 - w4)) <= 1e-15
-    assert np.max(np.abs(concurrence(DensityOp(_PAIR, m)) - c)) <= 1e-14
+    verdict, conc = _closed(m)
+    want = ppt_verdict(DensityOp(_PAIR, m))
+    assert np.max(np.abs(verdict.min_pt_eigenvalue - want.min_pt_eigenvalue)) <= 1e-15
+    assert np.max(np.abs(verdict.w3 - want.w3)) <= 1e-15
+    assert np.max(np.abs(verdict.w4 - want.w4)) <= 1e-15
+    assert np.array_equal(verdict.entangled, want.entangled)
+    assert np.max(np.abs(conc - concurrence(DensityOp(_PAIR, m)))) <= 1e-14
 
 
 def _x_state(block03, block12):
@@ -93,46 +102,38 @@ def test_closed_forms_match_jacobi_on_werner_states_at_the_edge(p):
 @pytest.mark.parametrize("phase", [0.0, 4.71])
 @pytest.mark.parametrize("branch", OUTCOME_ORDER)
 def test_closed_forms_match_jacobi_on_pipeline_stacks(branch, phase):
-    stack, _ = pair_marginals(np.linspace(0.0005, 0.9995, 400), branch, PAIR_KEYS, phase)
-    _assert_routes_agree(stack.matrix)
+    # the table route against the Jacobi routes on the complex marginals,
+    # which carry the phase the table leaves out
+    xs = np.linspace(0.0005, 0.9995, 400)
+    verdict, conc = pair_verdicts(xs, branch, PAIR_KEYS)
+    for k, key in enumerate(PAIR_KEYS):
+        rho = branch_marginal(xs, branch, key, phase)
+        want = ppt_verdict(rho)
+        for field in ("min_pt_eigenvalue", "w3", "w4"):
+            assert np.max(np.abs(getattr(verdict, field)[k] - getattr(want, field))) <= 1e-15, (key, field)
+        assert np.array_equal(verdict.entangled[k], want.entangled), key
+        assert np.max(np.abs(conc[k] - concurrence(rho))) <= 1e-14, key
 
 
-def _counted(monkeypatch):
-    """Shapes of the eig_hermitian calls either route makes from here on."""
-    solves = []
-
-    def eig(a):
-        solves.append(a.shape)
-        return eig_hermitian(a)
-
-    monkeypatch.setattr(entanglement_module, "eig_hermitian", eig)
-    monkeypatch.setattr(linalg_module, "eig_hermitian", eig)
-    return solves
-
-
-def _off_pattern(m):
-    """m with a 1e-300 coupling off the X pattern, which sends it to the
-    general route without changing any number it has."""
-    m = m.copy()
-    m[0, 1] = m[1, 0] = 1e-300
-    return m
-
-
-def test_one_tiny_entry_off_the_pattern_takes_the_general_route(monkeypatch):
-    phi = np.array([_S, 0.0, 0.0, _S])
-    x = (0.6 * np.outer(phi, phi) + 0.4 * np.eye(4) / 4.0).astype(complex)
-    off = _off_pattern(x)
-    solves = _counted(monkeypatch)
-    want = ppt_verdict(DensityOp(_PAIR, x)), concurrence(DensityOp(_PAIR, x))
-    assert solves == []
-    got = ppt_verdict(DensityOp(_PAIR, off)), concurrence(DensityOp(_PAIR, off))
-    assert solves == [(1, 4, 4), (1, 4, 4)]
-    assert got[0].min_pt_eigenvalue == pytest.approx(want[0].min_pt_eigenvalue, abs=1e-15)
-    assert got[0].w3 == pytest.approx(want[0].w3, abs=1e-15)
-    assert got[0].w4 == pytest.approx(want[0].w4, abs=1e-15)
-    assert got[1] == pytest.approx(want[1], abs=1e-14)
-    concurrence(DensityOp(_PAIR, np.stack([x, off, x])))
-    assert solves[2:] == [(1, 4, 4)]
+def test_table_certification_rejects_a_tiny_entry_off_the_pattern():
+    # a 1e-300 entry changes no number the table holds, but the six reals
+    # would no longer fix the marginal, so certification refuses the blocks
+    _, *blocks = protocol_module._gram_blocks(("Q0", "Q0"), ("1", "4"))
+    lin, g2 = protocol_module._x_coefficients(*blocks)
+    assert lin.shape == (2, 5) and g2 > 0.0
+    for block, (i, j) in [(0, (0, 1)), (0, (0, 3)), (1, (1, 2)), (1, (0, 0)), (2, (2, 3)), (2, (3, 0))]:
+        off = [g.copy() for g in blocks]
+        off[block][i, j] = 1e-300
+        if block != 1:
+            off[block][j, i] = 1e-300
+        with pytest.raises(ContractError, match="X pattern"):
+            protocol_module._x_coefficients(*off)
+    for block in (0, 2):
+        off = [g.copy() for g in blocks]
+        off[block][1, 2] += 1e-300j
+        off[block][2, 1] -= 1e-300j
+        with pytest.raises(ContractError, match="real"):
+            protocol_module._x_coefficients(*off)
 
 
 def _not_psd():
@@ -142,15 +143,13 @@ def _not_psd():
 
 def test_concurrence_rejects_a_state_that_is_not_psd_on_both_routes():
     messages = []
-    for m in (_not_psd(), _off_pattern(_not_psd())):
+    for route in (_closed, lambda m: concurrence(DensityOp(_PAIR, m))):
         with pytest.raises(ContractError) as err:
-            concurrence(DensityOp(_PAIR, m))
+            route(_not_psd()[None])
         messages.append(str(err.value))
-    assert messages[0] == messages[1] == "concurrence: rho is not PSD (min eigenvalue -5.000e-02)"
-    good = _x_state(np.eye(2), np.eye(2))
-    for stack in ([good, _not_psd()], [_off_pattern(good), _not_psd()], [good, _off_pattern(_not_psd())]):
         with pytest.raises(ContractError, match="not PSD"):
-            concurrence(DensityOp(_PAIR, np.stack(stack)))
+            route(np.stack([_x_state(np.eye(2), np.eye(2)), _not_psd()]))
+    assert messages[0] == messages[1] == "concurrence: rho is not PSD (min eigenvalue -5.000e-02)"
 
 
 def test_concurrence_accepts_roundoff_below_zero_on_both_routes():
@@ -159,5 +158,5 @@ def test_concurrence_accepts_roundoff_below_zero_on_both_routes():
     bell = _x_state(np.array([[0.5, 0.5 + 1e-12], [0.5 + 1e-12, 0.5]]), np.zeros((2, 2)))
     tilted = _x_state(np.array([[0.5, 0.3], [0.3, 0.5]]), np.diag([-1e-13, 1e-13]))
     for m, want in ((bell, 1.0), (tilted, 0.6)):
-        for route in (m, _off_pattern(m)):
-            assert concurrence(DensityOp(_PAIR, route)) == pytest.approx(want, abs=1e-12)
+        assert _closed(m[None])[1][0] == pytest.approx(want, abs=1e-12)
+        assert concurrence(DensityOp(_PAIR, m)) == pytest.approx(want, abs=1e-12)
