@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
+import itertools
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ from .entanglement import eof
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, transmit_bits
 from .protocol import PAIR_KEYS, branch_marginal, branch_probabilities, branch_scan, pair_verdicts
+from .qstate import DensityOp
 from .swap import bsm, correction_plans, swap_extend
 
 __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
@@ -48,10 +50,14 @@ GV_MAX_BITS = 10**6
 SCAN_MAX_GRID = 10**5
 
 # Most rows one sweep computes (--steps times the number of pairs): an
-# all-pair 10^5-row `sweep --format json --out` takes about 0.8 s and 141 MB
-# peak process RSS, measured the same way; the pair numbers take 0.02 s of
-# it, the rest is the rows and their text.
+# all-pair 10^5-row `sweep --format json --out` takes 0.6-1.0 s and 75 MB
+# peak process RSS, measured the same way (8 runs); the pair numbers take
+# 0.02 s of it, the rest is the rows and their text.
 SWEEP_MAX_ROWS = 10**5
+
+# Rows sweep formats and writes at a time, so its memory does not grow with
+# the output.
+SWEEP_CHUNK_ROWS = 4096
 
 class UsageError(Exception):
     """Bad flags or config content; mapped to exit code 2."""
@@ -283,12 +289,11 @@ def _cmd_sweep(args) -> int:
     fields = {key: list(zip(*(col[k] for col in cols))) for k, key in enumerate(keys)}
     # One row per (alpha^2, pair) in that order, repeats kept.
     order = sorted(pairs)
-    rows = [(x, pair) + fields[pair][j] for j, (x, n) in enumerate(counts) for pair in order for _ in range(n)]
-
+    rows = ((x, pair) + fields[pair][j] for j, (x, n) in enumerate(counts) for pair in order for _ in range(n))
     if args.format == "csv":
-        text = "\n".join([CSV_HEADER] + [_CSV_ROW % r for r in rows]) + "\n"
+        pieces = _text_pieces(rows, _CSV_ROW, CSV_HEADER + "\n", "\n", "\n")
     else:
-        text = "[\n" + ",\n".join([_JSON_ROW % r for r in rows]) + "\n]\n"
+        pieces = _text_pieces(rows, _JSON_ROW, "[\n", ",\n", "\n]\n")
 
     if args.out:
         try:
@@ -296,10 +301,20 @@ def _cmd_sweep(args) -> int:
         except OSError as exc:
             raise UsageError(f"sweep: cannot write {args.out}: {exc}") from None
         with fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 0
+
+
+def _text_pieces(rows, template: str, head: str, sep: str, tail: str):
+    """head, then each row through template joined by sep, then tail, in
+    pieces of SWEEP_CHUNK_ROWS rows; an output of one chunk is one piece."""
+    chunk = list(itertools.islice(rows, SWEEP_CHUNK_ROWS))
+    while chunk:
+        following = list(itertools.islice(rows, SWEEP_CHUNK_ROWS))
+        yield head + sep.join([template % row for row in chunk]) + (sep if following else tail)
+        head, chunk = "", following
 
 
 def _cmd_thresholds(args) -> int:
@@ -343,17 +358,24 @@ def _cmd_branches(args) -> int:
     return _emit_json(payload)
 
 
+def _swap_points(points, beta_phase: float, sources) -> tuple[list, list]:
+    """Bell outcomes and correction plans of branch Q0Q0's rho325 at each
+    alpha^2 in points: one Bell measurement per point, one search and one
+    fidelity call for all (raises unless every derived plan reaches 1)."""
+    rho325 = branch_marginal(np.array(points), ("Q0", "Q0"), "325", beta_phase)
+    outcomes = [bsm(swap_extend(DensityOp(rho325.register, m))) for m in rho325.matrix]
+    return outcomes, correction_plans(rho325, sources, outcomes)
+
+
 def _cmd_swap(args) -> int:
     s = _settings(args)
     if not 0.0 < args.alpha2 < 1.0:
         raise UsageError(f"swap: --alpha2 must be in (0, 1), got {args.alpha2}")
     source = "published" if args.corrections in ("paper", "published") else "derived"
-    rho325 = branch_marginal(args.alpha2, ("Q0", "Q0"), "325", s.beta_phase)
-    outcomes = bsm(swap_extend(rho325))
-    plans = correction_plans(rho325, (source,), outcomes)[source]
+    (outcomes,), (plans,) = _swap_points([args.alpha2], s.beta_phase, (source,))
     rows = []
     for outcome in outcomes:
-        plan = plans[outcome.label]
+        plan = plans[source][outcome.label]
         row = {"label": outcome.label, "probability": outcome.probability, "fidelity": plan.achieved_fidelity}
         if source == "derived":
             row["word"] = plan.word
@@ -485,7 +507,6 @@ def _cmd_report(args) -> int:
         found.update(((name, row), [(iv.lo, iv.hi) for iv in ivs]) for row, ivs in scans.items())
     ends = {entry.name: found[entry.source] for entry in PUBLISHED}
     out += [_published_line(entry, ends[entry.name]) for entry in PUBLISHED]
-    branch = ("Q0", "Q0")
 
     # Concurrence / EoF ranges over the computed rho46 entangled interval,
     # beside the published ranges of rho16 and rho46.
@@ -494,7 +515,7 @@ def _cmd_report(args) -> int:
         r_lo, r_hi = rho46[0]
         values = [r_lo + (r_hi - r_lo) * k / 102 for k in range(1, 102)]
         published = {"16": ("[0.17, 0.29]", "[0.06, 0.15]"), "46": ("[0.08, 0.15]", "[0.01, 0.03]")}
-        _, conc = pair_verdicts(values, branch, list(published))
+        _, conc = pair_verdicts(values, ("Q0", "Q0"), list(published))
         for (pair, (pub_c, pub_e)), samples in zip(published.items(), conc):
             c_min, c_max = float(samples.min()), float(samples.max())
             say(_line(f"concurrence(rho{pair}) over computed interval",
@@ -503,15 +524,13 @@ def _cmd_report(args) -> int:
                       f"[{eof(c_min):.4f}, {eof(c_max):.4f}]", pub_e, "report"))
 
     # Swapping: outcome statistics and both correction sets.
-    for alpha2 in (0.3, 0.5, 0.8):
-        rho325 = branch_marginal(alpha2, branch, "325", s.beta_phase)
-        outcomes = bsm(swap_extend(rho325))
-        p_str = ", ".join(f"{o.label} {o.probability:.6f}" for o in outcomes)
+    points = (0.3, 0.5, 0.8)
+    outcomes, plans = _swap_points(points, s.beta_phase, ("derived", "published"))
+    for alpha2, point, point_plans in zip(points, outcomes, plans):
+        p_str = ", ".join(f"{o.label} {o.probability:.6f}" for o in point)
         say(_line(f"bell outcome probabilities at alpha2={alpha2}", p_str, "0.25 each", "info"))
-        plans = correction_plans(rho325, ("derived", "published"), outcomes)
-        # correction_plans raises unless every derived plan reaches fidelity 1.
         for source, marker in (("derived", "ok"), ("published", "report")):
-            fids = ", ".join(f"{k} {p.achieved_fidelity:.6f}" for k, p in plans[source].items())
+            fids = ", ".join(f"{k} {p.achieved_fidelity:.6f}" for k, p in point_plans[source].items())
             say(_line(f"  {source}-correction fidelities", fids, "1.0 each", marker))
 
     # Channel statistics.

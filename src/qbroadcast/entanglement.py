@@ -152,7 +152,7 @@ def _wootters(m: np.ndarray):
     the singular values of diag(sqrt p) V^dagger (sy x sy) V* diag(sqrt p),
     each to its own relative accuracy (linalg._psd_roots); then
     C = 2 max lambda - sum lambda."""
-    v, r = _psd_roots(m, "concurrence: rho")
+    ((v, r),) = _psd_roots(("concurrence: rho", m))
     lam = _singular_values(r[:, :, None] * (dagger(v) @ _YY @ v.conj()) * r[:, None, :])
     return 2.0 * np.max(lam, axis=1) - np.sum(lam, axis=1)
 

@@ -194,38 +194,47 @@ def _require_psd(lowest: np.ndarray, what: str) -> None:
         raise ContractError(f"{what} is not PSD (min eigenvalue {lo:.3e})")
 
 
-def _psd_roots(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors V and square roots r of the eigenvalues of a positive
-    semidefinite matrix, or of each member of a stack: a = V diag(r^2) V^dagger.
+def _psd_roots(*named: tuple[str, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenvectors V and square roots r of the eigenvalues of each member
+    of each (what, stack) pair, from one eigen-solve: a = V diag(r^2) V^dagger.
 
     The singular values of diag(r) V^dagger W diag(t), for another such
     pair (W, t), are those of sqrt(a) sqrt(b), each to its own relative
     accuracy: an eigenvalue p ~ 1e-10 shared by a and b counts as p, and a
     zero stays at roundoff, not at its square root (~1e-8). Eigenvalues
     below 1e-15 of the largest are roundoff of a rank-deficient state and
-    count as 0; one below -PSD_FAIL raises, the input was not PSD.
+    count as 0; one below -PSD_FAIL raises "<what> is not PSD" (stacks in
+    the order given): the input was not PSD.
     """
-    eig = eig_hermitian(a)
-    _require_psd(eig.values[..., 0], what)
-    floor = eig.values[..., -1:] * 1e-15
-    return eig.vectors, np.sqrt(np.where(eig.values < floor, 0.0, eig.values))
+    eig = eig_hermitian(np.concatenate([a for _, a in named]))
+    cuts = np.cumsum([len(a) for _, a in named])[:-1]
+    for (what, _), lowest in zip(named, np.split(eig.values[:, 0], cuts)):
+        _require_psd(lowest, what)
+    floor = eig.values[:, -1:] * 1e-15
+    roots = np.sqrt(np.where(eig.values < floor, 0.0, eig.values))
+    return list(zip(np.split(eig.vectors, cuts), np.split(roots, cuts)))
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray):
     """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
-    rho is one matrix; sigma is a matrix of the same shape (returns a
-    float) or a stack of them (returns one fidelity per member).
+    rho (n, n) takes sigma (n, n) (returns a float) or (K, n, n) (returns
+    (K,)); rho (G, n, n) takes sigma (G, K, n, n), K states per rho (returns
+    (G, K)), in one eigen-solve and one singular-value solve.
     """
     rho = _check_square(rho, "fidelity")
-    sigma = _check_square(sigma, "fidelity")
-    if rho.ndim != 2 or sigma.shape[-2:] != rho.shape:
-        raise ContractError(
-            f"fidelity: expected a matrix and matrices of its shape, got {rho.shape} and {sigma.shape}"
-        )
+    sigma = np.asarray(sigma, dtype=complex)
+    n, lead = rho.shape[-1], sigma.shape[:-2]
+    fits = len(lead) <= 1 if rho.ndim == 2 else len(lead) == 2 and lead[0] == len(rho)
+    if sigma.shape[-2:] != (n, n) or not fits:
+        raise ContractError(f"fidelity: expected sigma shaped for rho {rho.shape}, got {sigma.shape}")
+    rho = rho.reshape(-1, n, n)
+    g, k = len(rho), lead[-1] if lead else 1
+    sigma = _check_square(sigma.reshape(-1, n, n), "fidelity")
     # F is the squared sum of the singular values of sqrt(rho) sqrt(sigma),
     # here diag(sqrt p) V^dagger W diag(sqrt s) in the eigenbases of both.
-    v, p = _psd_roots(rho, "fidelity: rho")
-    w, s = _psd_roots(sigma if sigma.ndim == 3 else sigma[None], "fidelity: sigma")
-    f = np.sum(_singular_values(p[:, None] * (dagger(v) @ w) * s[:, None, :]), axis=-1) ** 2
-    return float(f[0]) if sigma.ndim == 2 else f
+    (v, p), (w, s) = _psd_roots(("fidelity: rho", rho), ("fidelity: sigma", sigma))
+    w, s = w.reshape(g, k, n, n), s.reshape(g, k, 1, n)
+    products = p[:, None, :, None] * (dagger(v)[:, None] @ w) * s
+    f = np.sum(_singular_values(products.reshape(-1, n, n)), axis=-1) ** 2
+    return float(f[0]) if not lead else f.reshape(lead)

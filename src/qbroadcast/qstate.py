@@ -122,8 +122,8 @@ class DensityOp:
 
     matrix is (d, d) for one operator, or (G, d, d) for G operators on the
     same register that are evaluated together (an alpha^2 family on a
-    grid). Stacks go through partial_trace, partial_transpose and the
-    entanglement tests; apply_isometry and permute_subsystems take one
+    grid). Stacks go through partial_trace, partial_transpose,
+    permute_subsystems and the entanglement tests; apply_isometry takes one
     operator.
 
     Construction checks Hermiticity, unit trace and finiteness of every
@@ -203,7 +203,8 @@ def _join(r1: Register, r2: Register) -> Register:
 
 
 def permute_subsystems(obj, new_order) -> "PureState | DensityOp":
-    """Reorder register labels; the underlying state is unchanged physically."""
+    """Reorder register labels (member by member for a stack); the
+    underlying state is unchanged physically."""
     names = [_norm_label(x) for x in new_order]
     reg = obj.register
     if sorted(names) != sorted(reg.labels):
@@ -214,10 +215,10 @@ def permute_subsystems(obj, new_order) -> "PureState | DensityOp":
         t = obj.tensorized().transpose(perm)
         return PureState(new_reg, t.reshape(-1))
     if isinstance(obj, DensityOp):
-        _require_single(obj, "permute")
-        n = len(reg.labels)
-        t = obj.tensorized().transpose(perm + [p + n for p in perm])
-        return DensityOp(new_reg, t.reshape(new_reg.dim, new_reg.dim))
+        lead = obj.matrix.shape[:-2]
+        n, k = len(reg.labels), len(lead)
+        t = obj.tensorized().transpose(list(range(k)) + [k + p for p in perm + [p + n for p in perm]])
+        return DensityOp(new_reg, t.reshape(lead + (new_reg.dim, new_reg.dim)))
     raise ContractError("permute: expected PureState or DensityOp")
 
 
@@ -278,7 +279,8 @@ def apply_isometry(obj, v: np.ndarray, target, new_labels) -> "PureState | Densi
         t = _contract_axis(obj.tensorized(), v, axis, new_dims)
         return PureState(new_reg, t.reshape(-1))
     if isinstance(obj, DensityOp):
-        _require_single(obj, "apply_isometry")
+        if obj.stacked:
+            raise ContractError(f"apply_isometry: expected one operator, got a stack of {len(obj.matrix)}")
         n = len(reg.labels)
         t = _contract_axis(obj.tensorized(), v, axis, new_dims)
         # After the ket-side contraction the bra-side target has shifted by k-1.
@@ -325,11 +327,6 @@ def partial_transpose(rho: DensityOp, over) -> np.ndarray:
     t = rho.tensorized()  # (..., d1, d2, d1, d2)
     t = np.swapaxes(t, -4, -2) if axis == 0 else np.swapaxes(t, -3, -1)
     return t.reshape(rho.matrix.shape)
-
-
-def _require_single(rho: DensityOp, op: str) -> None:
-    if rho.stacked:
-        raise ContractError(f"{op}: expected one density operator, got a stack of {len(rho.matrix)}")
 
 
 def _rank_one_vector(p: np.ndarray, name: str) -> np.ndarray:

@@ -145,32 +145,34 @@ def published_corrections() -> dict[str, np.ndarray]:
 @functools.cache
 def _pauli_words() -> tuple[tuple[str, ...], np.ndarray]:
     """All 64 Pauli words on (3, 5, 7) in search order, with their unitaries
-    (built once, read-only)."""
-    words = list(itertools.product(_PAULI, repeat=3))
-    names = tuple(n3 + n5 + n7 for (n3, _), (n5, _), (n7, _) in words)
-    unitaries = np.stack([np.kron(p3, np.kron(p5, p7)) for (_, p3), (_, p5), (_, p7) in words])
+    (built once, read-only): word (a, b, c) is the kron of paulis a, b, c."""
+    names = tuple("".join(word) for word in itertools.product([n for n, _ in _PAULI], repeat=3))
+    paulis = np.stack([p for _, p in _PAULI])
+    unitaries = np.einsum("aij,bkl,cmn->abcikmjln", paulis, paulis, paulis).reshape(64, 8, 8)
     unitaries.flags.writeable = False
     return names, unitaries
 
 
 def _searched_words(posts: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Index of the word with the smallest entrywise residual
-    max|U post U^dagger - target| for each post state, over all 64 words.
+    max|U post U^dagger - target| for each post state, over all 64 words;
+    posts (..., K, 8, 8) against targets (..., 8, 8) give indices (..., K).
 
     Each post state is a Pauli conjugate of the target, so that residual is
     roundoff. Residuals within 1e-12 of the smallest tie (the parity
     symmetry of rho325 makes two words exact), and ties go to the first
     word in lexicographic order (i < x < y < z, qubit order 3, 5, 7).
+    A word moves entries and multiplies them by 1, -1, i or -i, exactly, so
+    the residual is read as max|post - U^dagger target U|, which conjugates
+    each target, not each post, 64 times.
     """
     _, unitaries = _pauli_words()
-    corrected = unitaries[None] @ posts[:, None] @ dagger(unitaries)[None]
-    residual = np.max(np.abs(corrected - target), axis=(-2, -1))
-    return np.argmax(residual <= residual.min(axis=1, keepdims=True) + 1e-12, axis=1)
+    moved = dagger(unitaries) @ target[..., None, :, :] @ unitaries
+    residual = np.max(np.abs(posts[..., None, :, :] - moved[..., None, :, :, :]), axis=(-2, -1))
+    return np.argmax(residual <= residual.min(axis=-1, keepdims=True) + 1e-12, axis=-1)
 
 
-def correction_plans(
-    rho325: DensityOp, sources=("derived",), outcomes: list[BellOutcome] | None = None
-) -> dict[str, dict[str, CorrectionPlan]]:
+def correction_plans(rho325: DensityOp, sources=("derived",), outcomes: list | None = None):
     """The plan of each source ("derived" or "published") for each Bell
     outcome, with the fidelity it reaches against the recovery target.
 
@@ -179,35 +181,45 @@ def correction_plans(
     one fidelity call, and every derived word must reach fidelity 1, since
     the shared resource is a maximally entangled pair. outcomes is
     bsm(swap_extend(rho325)), measured here unless the caller passes it.
+
+    Returns {source: {outcome label: plan}}; for a stack of G operators,
+    outcomes lists each member's and the result is a list of G such dicts,
+    from one search and one fidelity call.
     """
     if not set(sources) <= {"derived", "published"}:
         raise ValueError(f"correction_plans: unknown sources in {sources!r}")
-    target = recovery_target(rho325).matrix
+    stacked = rho325.stacked
+    targets = recovery_target(rho325).matrix.reshape(-1, 8, 8)
     if outcomes is None:
-        outcomes = bsm(swap_extend(rho325))
+        members = [DensityOp(rho325.register, m) for m in rho325.matrix] if stacked else [rho325]
+        outcomes = [bsm(swap_extend(m)) for m in members]
+    elif not stacked:
+        outcomes = [outcomes]
+    if len(outcomes) != len(targets):
+        raise ContractError(f"correction_plans: {len(outcomes)} outcome lists for {len(targets)} operators")
     names, unitaries = _pauli_words()
-    posts = np.stack([outcome.post_state.matrix for outcome in outcomes])
-    words = np.array(
-        [
-            _searched_words(posts, target)
-            if source == "derived"
-            else [names.index(PUBLISHED_WORDS[outcome.label]) for outcome in outcomes]
-            for source in sources
-        ]
-    )
+    posts = np.array([[o.post_state.matrix for o in point] for point in outcomes])
+    published = [[names.index(PUBLISHED_WORDS[o.label]) for o in point] for point in outcomes]
+    derived = _searched_words(posts, targets) if "derived" in sources else None
+    # words[g, j, k]: the word of source j for outcome k of point g.
+    words = np.stack([derived if source == "derived" else published for source in sources], axis=1)
     chosen = unitaries[words]
-    scores = fidelity(target, (chosen @ posts @ dagger(chosen)).reshape(-1, 8, 8)).reshape(words.shape)
-    plans = {
-        source: {
-            outcome.label: CorrectionPlan(outcome.label, unitaries[w], source, float(f), names[w])
-            for outcome, w, f in zip(outcomes, row.tolist(), fids)
+    corrected = chosen @ posts[:, None] @ dagger(chosen)
+    scores = fidelity(targets, corrected.reshape(len(targets), -1, 8, 8)).reshape(words.shape)
+    plans = [
+        {
+            source: {
+                outcome.label: CorrectionPlan(outcome.label, unitaries[w], source, float(f), names[w])
+                for outcome, w, f in zip(point, row.tolist(), fids)
+            }
+            for source, row, fids in zip(sources, point_words, point_scores)
         }
-        for source, row, fids in zip(sources, words, scores)
-    }
-    for plan in plans.get("derived", {}).values():
+        for point, point_words, point_scores in zip(outcomes, words, scores)
+    ]
+    for plan in (plan for point in plans for plan in point.get("derived", {}).values()):
         if plan.achieved_fidelity < 1.0 - 1e-9:
             raise ContractError(
                 f"correction_plans: outcome {plan.outcome} only reaches "
                 f"fidelity {plan.achieved_fidelity:.12f}"
             )
-    return plans
+    return plans if stacked else plans[0]

@@ -13,7 +13,6 @@ import qbroadcast.swap as swap_module
 from qbroadcast.cli import CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, SWEEP_MAX_ROWS, run_command
 from qbroadcast.entanglement import ThresholdInterval
 from qbroadcast.errors import ContractError
-from qbroadcast.linalg import eig_hermitian
 from qbroadcast.protocol import PAIR_KEYS, pair_verdicts
 
 
@@ -128,6 +127,42 @@ def test_sweep_rows_are_ordered_by_alpha2_then_pair(capsys, lo, hi, steps):
     assert [pair for _, pair in keys].count("46") == 2 * [pair for _, pair in keys].count("12") == 2 * int(steps)
 
 
+_CHUNK = cli_module.SWEEP_CHUNK_ROWS
+
+
+@pytest.mark.parametrize(
+    "pairs,lo,hi,rows",
+    [("12,16,12", "0.2", "0.9", _CHUNK - 1), ("16,16", "0.9", "0.1", _CHUNK), ("46", "0.4", "0.4", _CHUNK + 1),
+     ("14,23,14", "0", "1", 2 * _CHUNK + 1)],
+)
+def test_sweep_chunks_join_to_the_one_string_output(capsys, monkeypatch, tmp_path, pairs, lo, hi, rows):
+    # rows are formatted and written in chunks; the pieces must join to the
+    # text of one string, repeated pairs and points included
+    steps, left = divmod(rows, len(pairs.split(",")))
+    assert left == 0
+    for fmt in ("csv", "json"):
+        argv = ["sweep", "--pairs", pairs, "--from", lo, "--to", hi, "--steps", str(steps), "--format", fmt]
+        code, chunked, _ = _run(capsys, argv)
+        assert code == 0
+        assert _run(capsys, argv + ["--out", str(tmp_path / "rows")]) == (0, "", "")
+        assert (tmp_path / "rows").read_text(encoding="utf-8") == chunked
+        monkeypatch.setattr(cli_module, "SWEEP_CHUNK_ROWS", 10**6)
+        assert _run(capsys, argv)[1] == chunked
+        monkeypatch.undo()
+        if fmt == "json":
+            assert chunked == json.dumps(json.loads(chunked), indent=2) + "\n"
+            assert len(json.loads(chunked)) == rows
+        else:
+            assert chunked.count("\n") == rows + 1
+
+
+@pytest.mark.parametrize("rows,pieces", [(1, 1), (_CHUNK - 1, 1), (_CHUNK, 1), (_CHUNK + 1, 2), (2 * _CHUNK + 1, 3)])
+def test_sweep_output_of_one_chunk_is_one_piece(rows, pieces):
+    got = list(cli_module._text_pieces(iter(range(rows)), "%d", "[", ",", "]"))
+    assert len(got) == pieces
+    assert "".join(got) == "[" + ",".join(map(str, range(rows))) + "]"
+
+
 @pytest.mark.parametrize("lo,hi,steps", [("0.2", "1", "4"), ("0.1", "0", "4")])
 def test_sweep_grid_rounding_stays_in_the_unit_interval(capsys, lo, hi, steps):
     # lo + 3*(hi - lo)/3 rounds to 1.0000000000000002 and -1.4e-17 here
@@ -182,20 +217,22 @@ def test_sweep_solves_one_pair_stack(capsys, monkeypatch):
 def test_scans_and_concurrence_lines_make_no_pair_solve(capsys, monkeypatch, argv):
     # the scans, the baseline and the report's concurrence lines read the
     # pair table and never reach the Jacobi routes of ppt_verdict and
-    # concurrence; the report's only eigen-solves are the six 8 x 8 ones of
-    # its swap fidelities
+    # concurrence; the report's only eigen-solve is the 8 x 8 one of its
+    # swap fidelities, over 3 targets and 3 x 8 corrected states, and its
+    # only singular-value solve covers the 3 x 8 products
     want = _run(capsys, argv + ["--grid", "60"])
     _forbid_pair_solves(monkeypatch)
     solves = []
+    for name in ("eig_hermitian", "_singular_values"):
+        def solve(a, _fn=getattr(linalg_module, name), _name=name):
+            solves.append((_name, a.shape))
+            return _fn(a)
 
-    def eig(a):
-        solves.append(a.shape[-1])
-        return eig_hermitian(a)
-
-    monkeypatch.setattr(linalg_module, "eig_hermitian", eig)
+        monkeypatch.setattr(linalg_module, name, solve)
     assert _run(capsys, argv + ["--grid", "60"]) == want
     assert want[0] == 0
-    assert solves == ([8] * 6 if argv == ["report"] else [])
+    report = [("eig_hermitian", (27, 8, 8)), ("_singular_values", (24, 8, 8))]
+    assert solves == (report if argv == ["report"] else [])
     assert ("concurrence(rho46)" in want[1]) == (argv == ["report"])
 
 
@@ -518,8 +555,9 @@ def _count_calls(monkeypatch, module, name, calls):
     fn = getattr(module, name)
 
     def counted(*args):
-        # a fidelity call is recorded with the shape of its stack
-        calls.append((name, args[1].shape if name == "fidelity" else None))
+        # a fidelity call is recorded with the shapes of its targets and of
+        # the stack scored against them
+        calls.append((name, (args[0].shape, args[1].shape) if name == "fidelity" else None))
         return fn(*args)
 
     monkeypatch.setattr(module, name, counted)
@@ -530,16 +568,20 @@ def _count_calls(monkeypatch, module, name, calls):
     [(["swap", "--alpha2", "0.3"], 1, 4), (["swap", "--alpha2", "0.3", "--corrections", "published"], 1, 4),
      (["report", "--grid", "50", "--tol", "1e-2"], 3, 8)],
 )
-def test_each_swap_point_measures_once_and_scores_once(capsys, monkeypatch, argv, points, members):
+def test_swap_points_measure_once_each_and_score_together(capsys, monkeypatch, argv, points, members):
     # per point one Bell measurement, shared by the derived search, the
-    # published check and the printed probabilities, and one fidelity call
-    # over every corrected state the point reports
+    # published check and the printed probabilities; then one fidelity call
+    # over every corrected state of every point
     calls = []
     for module in (cli_module, swap_module):
         _count_calls(monkeypatch, module, "bsm", calls)
     _count_calls(monkeypatch, swap_module, "fidelity", calls)
+    _count_calls(monkeypatch, swap_module, "_searched_words", calls)
     assert _run(capsys, argv)[0] == 0
-    assert calls == [("bsm", None), ("fidelity", (members, 8, 8))] * points
+    searched = [] if "published" in argv else [("_searched_words", None)]
+    assert calls == [("bsm", None)] * points + searched + [
+        ("fidelity", ((points, 8, 8), (points, members, 8, 8)))
+    ]
 
 
 # ---------------------------------------------------------------------- gv

@@ -390,6 +390,37 @@ def test_fidelity_of_a_state_with_itself_stays_at_one():
         assert abs(fidelity(r, r) - 1.0) <= 1e-12
 
 
+def test_stacked_fidelity_equals_the_per_rho_calls():
+    # G targets with K states each: one eigen-solve and one singular-value
+    # solve give every pair the bits of its own single-rho call
+    rng = np.random.default_rng(808)
+    for n, g, k in ((8, 3, 8), (4, 2, 5), (2, 1, 1)):
+        rhos = np.stack([_rank_two_state(rng, n) for _ in range(g)])
+        sigmas = np.stack([[_rank_two_state(rng, n) for _ in range(k - 1)] + [rho] for rho in rhos])
+        together = fidelity(rhos, sigmas)
+        assert together.shape == (g, k)
+        for rho, row, want in zip(rhos, sigmas, together):
+            assert np.array_equal(fidelity(rho, row), want)
+            assert [fidelity(rho, sigma) for sigma in row] == want.tolist()
+    assert fidelity(np.zeros((0, 4, 4)), np.zeros((0, 3, 4, 4))).shape == (0, 3)
+
+
+def test_stacked_fidelity_checks_shapes_and_both_psd_messages():
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    rhos = np.stack([rho, rho[::-1, ::-1]])
+    for sigma in (np.stack([rhos] * 3), np.stack([rhos]), rhos, rho, np.stack([[rho] * 2] * 2)[..., :1]):
+        # the sigma stack's G must equal rho's, and rho (G, n, n) takes (G, K, n, n) only
+        with pytest.raises(ContractError, match="fidelity: expected"):
+            fidelity(rhos, sigma)
+    with pytest.raises(ContractError, match="fidelity: rho is not PSD"):
+        fidelity(np.stack([rho, -rho]), np.stack([[rho], [rho]]))
+    with pytest.raises(ContractError, match="fidelity: sigma is not PSD"):
+        fidelity(rhos, np.stack([[rho, rho], [rho, -rho]]))
+    # rho is checked first when both fail
+    with pytest.raises(ContractError, match="fidelity: rho is not PSD"):
+        fidelity(np.stack([rho, -rho]), np.stack([[-rho], [rho]]))
+
+
 def test_fidelity_against_a_stack_equals_its_members():
     rng = np.random.default_rng(707)
     rho = _rank_two_state(rng, 8)

@@ -367,7 +367,10 @@ def test_partial_trace_and_transpose_act_member_by_member():
         assert np.max(np.abs(traced.matrix[i] - alone.matrix)) < 1e-15
         for label in ("c", "a"):
             assert np.max(np.abs(partial_transpose(traced, label)[i] - partial_transpose(alone, label))) < 1e-15
-    with pytest.raises(ContractError):
-        permute_subsystems(stack, ["c", "b", "a"])
+    # permute_subsystems reorders every member as it would reorder it alone
+    permuted = permute_subsystems(stack, ["c", "b", "a"])
+    assert permuted.register.labels == ("c", "b", "a")
+    for i, m in enumerate(members):
+        assert np.array_equal(permuted.matrix[i], permute_subsystems(m, ["c", "b", "a"]).matrix)
     with pytest.raises(ContractError):
         apply_isometry(stack, np.eye(2), "a", ["a"])

@@ -19,7 +19,7 @@ from qbroadcast import (
     swap_extend,
 )
 from qbroadcast.linalg import fidelity
-from qbroadcast.swap import BELL_ORDER
+from qbroadcast.swap import BELL_ORDER, _pauli_words
 from published_forms import published_b1p_post as _published_b1p_post
 from stacks import pointwise, scan_family
 
@@ -40,14 +40,20 @@ def _random_325(seed, rank=8):
     return DensityOp(Register.qubits("3", "2", "5"), mat / np.trace(mat).real)
 
 
+def _kron_words():
+    """The 64 Pauli words on (3, 5, 7) in lexicographic order, each built by
+    nested np.kron."""
+    paulis = (("i", _I2), ("x", _SX), ("y", _SY), ("z", _SZ))
+    words = list(itertools.product(paulis, repeat=3))
+    names = [a + b + c for (a, _), (b, _), (c, _) in words]
+    return names, [np.kron(p, np.kron(q, r)) for (_, p), (_, q), (_, r) in words]
+
+
 def _fidelity_route(rho325, outcomes):
     """Reference search: every outcome scored against every one of the 64
     Pauli words by Uhlmann fidelity; the first word reaching the best
     fidelity (within 1e-12) wins, and every outcome must reach 1."""
-    paulis = (("i", _I2), ("x", _SX), ("y", _SY), ("z", _SZ))
-    words = list(itertools.product(paulis, repeat=3))
-    names = [a + b + c for (a, _), (b, _), (c, _) in words]
-    unitaries = [np.kron(p, np.kron(q, r)) for (_, p), (_, q), (_, r) in words]
+    names, unitaries = _kron_words()
     target = recovery_target(rho325).matrix
     chosen = {}
     for outcome in outcomes:
@@ -148,6 +154,45 @@ def test_published_corrections_structure():
     assert np.array_equal(pub["B2-"], np.eye(8))
     for u in pub.values():
         assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-12
+
+
+def test_pauli_table_equals_the_kron_construction():
+    names, unitaries = _kron_words()
+    table_names, table = _pauli_words()
+    assert list(table_names) == names
+    assert np.array_equal(table, np.stack(unitaries))
+
+
+def _plan_bits(plans):
+    return {
+        source: {label: (p.word, p.achieved_fidelity, p.unitary.tobytes()) for label, p in by_label.items()}
+        for source, by_label in plans.items()
+    }
+
+
+def _stack_cases():
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        yield rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 2.0 * np.pi)
+    for phi in (0.0, 4.71):
+        yield np.array([1e-300, 0.999, 0.99999999]), phi
+
+
+@pytest.mark.parametrize("alpha2,phi", list(_stack_cases()))
+def test_stacked_correction_plans_equal_the_per_point_calls(alpha2, phi):
+    # one search and one fidelity call over G points give each point the
+    # words and the fidelity bits of its own call, measured or passed in
+    sources = ("derived", "published")
+    stack = branch_marginal(alpha2, ("Q0", "Q0"), "325", phi)
+    alone = [correction_plans(branch_marginal(float(x), ("Q0", "Q0"), "325", phi), sources) for x in alpha2]
+    measured = correction_plans(stack, sources)
+    outcomes = [bsm(swap_extend(DensityOp(stack.register, m))) for m in stack.matrix]
+    passed = correction_plans(stack, sources, outcomes)
+    assert len(measured) == len(passed) == len(alpha2)
+    for point, by_measure, by_pass in zip(alone, measured, passed):
+        assert _plan_bits(by_measure) == _plan_bits(point) == _plan_bits(by_pass)
+    with pytest.raises(ContractError, match="outcome lists"):
+        correction_plans(stack, sources, outcomes[:2])
 
 
 def _derived(rho325):
