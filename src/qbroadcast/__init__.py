@@ -3,7 +3,7 @@ shared two-qubit state, machine-outcome selection, separability analysis of
 the six-qubit output, entanglement swapping to a third party, and a secret
 classical channel for the outcome announcements.
 """
-from .cloner import BranchOutcome, bh_isometry, buzek_baseline, clone_subsystem, machine_branches
+from .cloner import BranchOutcome, bh_isometry, clone_subsystem, machine_branches
 from .entanglement import (
     PPTVerdict,
     ThresholdInterval,
@@ -22,6 +22,7 @@ from .protocol import (
     branch_probabilities,
     branch_scan,
     build_initial,
+    buzek_baseline,
     machine_traced_marginal,
     pair_verdicts,
     run_first_stage,
@@ -36,7 +37,6 @@ from .qstate import (
     partial_trace,
     partial_transpose,
     permute_subsystems,
-    projective_measure,
     tensor,
     to_density,
 )
@@ -87,7 +87,6 @@ __all__ = [
     "partial_transpose",
     "permute_subsystems",
     "ppt_verdict",
-    "projective_measure",
     "published_corrections",
     "recovery_target",
     "run_first_stage",

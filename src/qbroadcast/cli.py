@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import OUTCOME_ORDER, buzek_baseline
+from .cloner import OUTCOME_ORDER
 from .constants import SCAN_GRID, SCAN_TOL
 from .entanglement import eof
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, transmit_bits
-from .protocol import PAIR_KEYS, branch_marginal, branch_probabilities, branch_scan, pair_verdicts
+from .protocol import PAIR_KEYS, branch_marginal, branch_probabilities, branch_scan, buzek_baseline, pair_verdicts
 from .qstate import DensityOp
 from .swap import bsm, correction_plans, swap_extend
 
@@ -50,13 +50,14 @@ GV_MAX_BITS = 10**6
 SCAN_MAX_GRID = 10**5
 
 # Most rows one sweep computes (--steps times the number of pairs): an
-# all-pair 10^5-row `sweep --format json --out` takes 0.6-1.0 s and 75 MB
-# peak process RSS, measured the same way (8 runs); the pair numbers take
-# 0.02 s of it, the rest is the rows and their text.
+# all-pair 10^5-row `sweep --format json --out` takes 0.9-1.0 s and peaks
+# at 53 MB process RSS (ru_maxrss, fresh interpreter, 30 MB after import;
+# 2 vCPUs, Python 3.11, numpy 2.4); the pair numbers take 0.02 s of it, the
+# rest is the rows and their text.
 SWEEP_MAX_ROWS = 10**5
 
-# Rows sweep formats and writes at a time, so its memory does not grow with
-# the output.
+# Rows sweep turns into Python numbers, formats and writes at a time, so the
+# row tuples and the text do not grow with the output.
 SWEEP_CHUNK_ROWS = 4096
 
 class UsageError(Exception):
@@ -284,12 +285,7 @@ def _cmd_sweep(args) -> int:
     reals = (verdict.min_pt_eigenvalue, verdict.w3, verdict.w4, conc)
     if not all(np.isfinite(a).all() for a in reals):
         raise ContractError("result is not finite: a sweep witness or concurrence is NaN or infinite")
-    cols = [a.tolist() for a in (*reals, eof(conc), verdict.entangled.astype(int))]
-    # The fields after (alpha^2, pair) of each key's rows, in CSV_HEADER order.
-    fields = {key: list(zip(*(col[k] for col in cols))) for k, key in enumerate(keys)}
-    # One row per (alpha^2, pair) in that order, repeats kept.
-    order = sorted(pairs)
-    rows = ((x, pair) + fields[pair][j] for j, (x, n) in enumerate(counts) for pair in order for _ in range(n))
+    rows = _sweep_rows(counts, sorted(pairs), keys, (*reals, eof(conc), verdict.entangled.astype(int)))
     if args.format == "csv":
         pieces = _text_pieces(rows, _CSV_ROW, CSV_HEADER + "\n", "\n", "\n")
     else:
@@ -305,6 +301,19 @@ def _cmd_sweep(args) -> int:
     else:
         sys.stdout.writelines(pieces)
     return 0
+
+
+def _sweep_rows(counts, order, keys, cols):
+    """One row per (alpha^2, pair), repeats kept. cols hold the fields after
+    (alpha^2, pair) in CSV_HEADER order, row k for keys[k]; they become
+    Python numbers a block of about SWEEP_CHUNK_ROWS rows at a time."""
+    block = max(1, SWEEP_CHUNK_ROWS // len(order))
+    for start in range(0, len(counts), block):
+        stop = start + block
+        fields = {key: list(zip(*(col[k, start:stop].tolist() for col in cols))) for k, key in enumerate(keys)}
+        for j, (x, n) in enumerate(counts[start:stop]):
+            for pair in order:
+                yield from itertools.repeat((x, pair) + fields[pair][j], n)
 
 
 def _text_pieces(rows, template: str, head: str, sep: str, tail: str):

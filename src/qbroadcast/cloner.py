@@ -1,9 +1,11 @@
-"""Symmetric universal 1 -> 2 qubit cloning as a concrete isometry.
+"""Symmetric universal 1 -> 2 qubit cloning as a concrete isometry, and
+the four branches of measuring two cloning machines.
 
 The cloner maps one qubit to two approximate copies plus a two-level machine
-register. Measuring the machine in its {|Q0>, |Q1>} basis selects one of four
-branches when two parties clone locally; tracing the machine out instead
-gives the plain broadcasting channel used for the two-qubit baseline.
+register. Measuring both parties' machines in their {|Q0>, |Q1>} basis
+selects one of four branches: a branch is the slice of the amplitudes at
+machine indices (i, j). Tracing the machines out instead gives the plain
+broadcasting channel of the two-qubit baseline (protocol.buzek_baseline).
 """
 from __future__ import annotations
 
@@ -11,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SCAN_GRID, SCAN_TOL
+from .constants import PROB_FLOOR
 from .errors import ContractError
-from .qstate import MeasureBranch, PureState, apply_isometry, projective_measure
+from .qstate import PureState, apply_isometry
 
 __all__ = [
     "BranchOutcome",
@@ -21,7 +23,6 @@ __all__ = [
     "bh_isometry",
     "clone_subsystem",
     "machine_branches",
-    "buzek_baseline",
 ]
 
 # Machine-measurement outcomes in fixed report order: (Alice, Bob).
@@ -71,39 +72,20 @@ def machine_branches(state: PureState, machine_labels) -> list[BranchOutcome]:
     """Measure both machine registers; return the four (Q_i, Q_j) branches.
 
     machine_labels lists Alice's machine first; the branch order is
-    (Q0,Q0), (Q0,Q1), (Q1,Q0), (Q1,Q1). Measured machines are removed from
-    the branch states.
+    OUTCOME_ORDER. Branch (Q_i, Q_j) is the slice of the amplitudes at
+    machine indices (i, j): p is its squared norm, and state is the slice
+    over sqrt(p) without the machines, or None for p below PROB_FLOOR.
     """
-    if len(machine_labels) != 2:
-        raise ContractError("machine_branches: expected exactly two machine labels")
-    projectors = []
-    for ia, ib in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        v = np.zeros(4, dtype=complex)
-        v[2 * ia + ib] = 1.0
-        projectors.append((f"Q{ia}Q{ib}", np.outer(v, v.conj())))
-    measured: list[MeasureBranch] = projective_measure(state, projectors, machine_labels)
+    labels = [str(label) for label in machine_labels]
+    reg = state.register
+    axes = [reg.axis(label) for label in labels]
+    if len(axes) != 2 or axes[0] == axes[1] or any(reg.dims[axis] != 2 for axis in axes):
+        raise ContractError(f"machine_branches: expected two distinct two-level machines, got {labels}")
+    # Row 2i + j holds the amplitudes at machine indices (i, j).
+    rows = np.moveaxis(state.tensorized(), axes, (0, 1)).reshape(4, -1)
+    rest = reg.drop(labels)
     out = []
-    for (ia, ib), br in zip(((0, 0), (0, 1), (1, 0), (1, 1)), measured):
-        out.append(BranchOutcome((f"Q{ia}", f"Q{ib}"), br.probability, br.state))
+    for outcome, branch in zip(OUTCOME_ORDER, rows):
+        p = float(np.vdot(branch, branch).real)
+        out.append(BranchOutcome(outcome, p, PureState(rest, branch / np.sqrt(p)) if p >= PROB_FLOOR else None))
     return out
-
-
-def buzek_baseline(grid: int = SCAN_GRID, tol: float = SCAN_TOL) -> tuple[float, float]:
-    """Inseparability interval of the single-stage nonlocal pair (1,4).
-
-    The machines are traced out rather than measured, which is the
-    convention the two-qubit broadcasting bound is stated in. Returns the
-    (lo, hi) endpoints in alpha^2, located by scan plus bisection.
-    """
-    from .entanglement import scan_predicates
-    from .protocol import pair_verdicts
-
-    def entangled(xs: np.ndarray) -> np.ndarray:
-        return pair_verdicts(xs, None, ["14"])[0].entangled
-
-    intervals = scan_predicates(entangled, ("entangled",), grid, tol)["entangled"]
-    if len(intervals) != 1:
-        raise ContractError(
-            f"buzek_baseline: expected one inseparability interval, found {len(intervals)}"
-        )
-    return (intervals[0].lo, intervals[0].hi)

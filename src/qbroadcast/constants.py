@@ -10,9 +10,6 @@ HERM_TOL = 1e-10
 # Below this an eigenvalue is a genuine PSD violation, not roundoff.
 PSD_FAIL = 1e-8
 
-# Generic equality tolerance for scalar and entrywise comparisons.
-EQ_TOL = 1e-9
-
 # A partial-transpose eigenvalue below -PPT_TOL means "entangled";
 # anything in [-PPT_TOL, PPT_TOL] sits on the separability boundary
 # and is reported as separable.

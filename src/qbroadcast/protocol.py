@@ -1,6 +1,7 @@
 """End-to-end pipeline: initial two-qubit state, two rounds of local
 cloning with machine-outcome selection in between, six-qubit state assembly,
-marginal extraction, and per-branch scans of the pair verdicts.
+marginal extraction, and per-branch scans of the pair verdicts, the first
+round's (machines traced out) giving the single-round buzek_baseline.
 
 Labels: Alice holds qubits 1, 2, 5 (1 is her original, 2 and 5 its clones);
 Bob holds 3, 4, 6. Machine registers A1/B1 belong to the first cloning round
@@ -55,6 +56,7 @@ __all__ = [
     "pair_verdicts",
     "machine_traced_marginal",
     "branch_scan",
+    "buzek_baseline",
     "run_protocol",
 ]
 
@@ -268,18 +270,23 @@ def branch_probabilities(alpha2: float, beta_phase: float = 0.0) -> dict[tuple[s
     return {b.machine_labels: b.probability for b in branches}
 
 
-def _scan_row(name: str):
-    """The predicate named `name` over the entangled flags of the pairs."""
+def _scan_row(name: str, keys):
+    """The predicate named `name` over the entangled flags of the pairs
+    `keys`; ValueError for an unknown row or one that reads other pairs."""
     if name == "broadcast":
-        return broadcast_holds
-    if name == "closed-146":
+        reads, row = PAIR_KEYS, broadcast_holds
+    elif name == "closed-146":
         # rho146 is closed when its pairs (1,4), (4,6) and (1,6) are all entangled
-        return lambda entangled: entangled["14"] & entangled["46"] & entangled["16"]
-    key, _, predicate = name.partition(":")
-    if key not in PAIR_KEYS or predicate not in ("entangled", "separable"):
+        reads, row = ("14", "46", "16"), lambda entangled: entangled["14"] & entangled["46"] & entangled["16"]
+    else:
+        key, _, predicate = name.partition(":")
+        if predicate not in ("entangled", "separable"):
+            raise ValueError(f"branch_scan: unknown row {name!r}")
+        want = predicate == "entangled"
+        reads, row = (key,), lambda entangled: entangled[key] == want
+    if not set(reads) <= set(keys):
         raise ValueError(f"branch_scan: unknown row {name!r}")
-    want = predicate == "entangled"
-    return lambda entangled: entangled[key] == want
+    return row
 
 
 def branch_scan(
@@ -292,17 +299,20 @@ def branch_scan(
 
     A row is "<pair>:entangled" or "<pair>:separable" for a pair in
     PAIR_KEYS, "broadcast" (broadcast_holds) or "closed-146" (pairs 14, 46
-    and 16 all entangled). Each test call takes the ten pairs' verdicts
+    and 16 all entangled); branch None, the first round with the machines
+    traced out, has the pair rows on qubits 1 to 4. All rows are checked
+    before any point is tested. Each test call takes the pairs' verdicts
     from one pair_verdicts call, and the edges of all rows are bisected
     together. Pair rows' intervals are named by their predicate
     ("entangled" or "separable"). No verdict depends on the input phase.
     """
-    pair = _as_branch(branch)
+    pair = None if branch is None else _as_branch(branch)
+    keys = tuple(_pair_table(pair)[0])
     names = tuple(names)
-    rows = [_scan_row(name) for name in names]
+    rows = [_scan_row(name, keys) for name in names]
 
     def test(xs: np.ndarray) -> np.ndarray:
-        entangled = dict(zip(PAIR_KEYS, pair_verdicts(xs, pair, PAIR_KEYS)[0].entangled))
+        entangled = dict(zip(keys, pair_verdicts(xs, pair, keys)[0].entangled))
         return np.stack([row(entangled) for row in rows])
 
     scans = scan_predicates(test, names, grid, tol)
@@ -310,6 +320,17 @@ def branch_scan(
         name: [replace(iv, predicate_name=name.rpartition(":")[2]) for iv in ivs]
         for name, ivs in scans.items()
     }
+
+
+def buzek_baseline(grid: int = SCAN_GRID, tol: float = SCAN_TOL) -> tuple[float, float]:
+    """(lo, hi) in alpha^2 of the one inseparability interval of the
+    single-stage nonlocal pair (1,4): the first-round row "14:entangled" of
+    branch_scan, whose machines are traced out rather than measured, the
+    convention the two-qubit broadcasting bound is stated in."""
+    intervals = branch_scan(None, ("14:entangled",), grid, tol)["14:entangled"]
+    if len(intervals) != 1:
+        raise ContractError(f"buzek_baseline: expected one inseparability interval, found {len(intervals)}")
+    return (intervals[0].lo, intervals[0].hi)
 
 
 def _message_seeds(seed: int | None) -> tuple[int, int]:

@@ -1,6 +1,6 @@
 """Labeled multi-qubit registers: pure states, density operators, and the
 operations the cloning pipeline needs (tensoring, isometries, partial trace,
-partial transpose, projective measurement).
+partial transpose).
 
 Convention: the leftmost register label is the most significant tensor
 factor, so amplitudes reshape to (d1, ..., dn) in label order.
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import EQ_TOL, HERM_TOL, ISOMETRY_TOL, PROB_FLOOR
+from .constants import HERM_TOL, ISOMETRY_TOL
 from .errors import ContractError
 from .linalg import dagger, eig_hermitian, hermitian_defect
 
@@ -21,12 +21,10 @@ __all__ = [
     "PAIR_REGISTER",
     "PureState",
     "DensityOp",
-    "MeasureBranch",
     "tensor",
     "apply_isometry",
     "partial_trace",
     "partial_transpose",
-    "projective_measure",
     "permute_subsystems",
     "to_density",
 ]
@@ -165,18 +163,6 @@ class DensityOp:
 
     def tensorized(self) -> np.ndarray:
         return self.matrix.reshape(self.matrix.shape[:-2] + self.register.dims * 2)
-
-
-@dataclass(frozen=True)
-class MeasureBranch:
-    """One projective-measurement outcome: label, probability, post state.
-
-    state is None for zero-probability branches (p below the floor).
-    """
-
-    outcome: str
-    probability: float
-    state: PureState | None
 
 
 def to_density(state: PureState) -> DensityOp:
@@ -327,59 +313,3 @@ def partial_transpose(rho: DensityOp, over) -> np.ndarray:
     t = rho.tensorized()  # (..., d1, d2, d1, d2)
     t = np.swapaxes(t, -4, -2) if axis == 0 else np.swapaxes(t, -3, -1)
     return t.reshape(rho.matrix.shape)
-
-
-def _rank_one_vector(p: np.ndarray, name: str) -> np.ndarray:
-    """Unit vector v with p = |v><v|, or raise."""
-    tr = complex(np.trace(p))
-    if abs(tr - 1.0) > 1e-8 or float(np.max(np.abs(p @ p - p))) > 1e-8:
-        raise ContractError(f"projective_measure: projector {name!r} is not rank-1")
-    j = int(np.argmax(np.linalg.norm(p, axis=0)))
-    v = p[:, j]
-    return v / np.linalg.norm(v)
-
-
-def projective_measure(state: PureState, projectors, targets) -> list[MeasureBranch]:
-    """Measure the target subsystems with a complete rank-1 projector set.
-
-    Args:
-        state: pure state to measure.
-        projectors: list of (outcome_label, matrix) over the joint target space.
-        targets: labels of the measured subsystems, most significant first.
-
-    Returns:
-        One MeasureBranch per projector. Post states are renormalized and the
-        measured subsystems are removed from the register; branches with
-        probability below the floor carry state=None.
-    """
-    reg = state.register
-    names = [_norm_label(x) for x in targets]
-    axes = [reg.axis(n) for n in names]
-    d_t = 1
-    for a in axes:
-        d_t *= reg.dims[a]
-    total = np.zeros((d_t, d_t), dtype=complex)
-    vecs = []
-    for label, p in projectors:
-        p = np.asarray(p, dtype=complex)
-        if p.shape != (d_t, d_t):
-            raise ContractError(f"projective_measure: projector {label!r} has shape {p.shape}")
-        total += p
-        vecs.append((str(label), _rank_one_vector(p, str(label))))
-    if float(np.max(np.abs(total - np.eye(d_t)))) > EQ_TOL * d_t:
-        raise ContractError("projective_measure: projectors do not sum to identity")
-
-    t = state.tensorized()
-    rest_axes = [i for i in range(len(reg.labels)) if i not in axes]
-    moved = t.transpose(axes + rest_axes).reshape(d_t, -1)
-    new_reg = reg.drop(names)
-    out = []
-    for label, v in vecs:
-        branch = v.conj() @ moved
-        p = float(np.vdot(branch, branch).real)
-        if p < PROB_FLOOR:
-            out.append(MeasureBranch(label, p, None))
-            continue
-        amps = (branch / np.sqrt(p)).reshape(-1)
-        out.append(MeasureBranch(label, p, PureState(new_reg, amps)))
-    return out

@@ -10,7 +10,7 @@ from qbroadcast import (
     clone_subsystem,
     machine_branches,
     partial_trace,
-    projective_measure,
+    tensor,
     to_density,
 )
 from qbroadcast.cloner import OUTCOME_ORDER
@@ -69,17 +69,17 @@ def test_clone_fidelity_is_universal():
 
 
 def test_machine_measurement_of_single_clone():
-    # cloning |0> and finding the machine in its 0 state leaves both copies in |00>
-    zero = PureState(Register.qubits("q"), np.array([1.0, 0.0]))
-    out = clone_subsystem(zero, "q", ("c1", "c2"), "m")
-    projectors = [
-        ("0", np.diag([1.0, 0.0]).astype(complex)),
-        ("1", np.diag([0.0, 1.0]).astype(complex)),
-    ]
-    branches = projective_measure(out, projectors, ["m"])
-    assert branches[0].probability == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert branches[0].state.amplitude("00") == pytest.approx(1.0)
-    assert branches[1].probability == pytest.approx(1.0 / 3.0, abs=1e-12)
+    # cloning |0> twice and finding both machines in their 0 state leaves
+    # all four copies in |0>; each machine reads Q0 with probability 2/3
+    p = clone_subsystem(PureState(Register.qubits("p"), np.array([1.0, 0.0])), "p", ("c1", "c2"), "m")
+    q = clone_subsystem(PureState(Register.qubits("q"), np.array([1.0, 0.0])), "q", ("d1", "d2"), "n")
+    out = tensor(p, q)
+    branches = machine_branches(out, ["m", "n"])
+    want = {("Q0", "Q0"): 4.0 / 9.0, ("Q0", "Q1"): 2.0 / 9.0, ("Q1", "Q0"): 2.0 / 9.0, ("Q1", "Q1"): 1.0 / 9.0}
+    for branch in branches:
+        assert branch.probability == pytest.approx(want[branch.machine_labels], abs=1e-12)
+        assert branch.state.register.labels == ("c1", "c2", "d1", "d2")
+    assert branches[0].state.amplitude("0000") == pytest.approx(1.0)
 
 
 def _expected_branch_amplitudes(alpha):
@@ -131,9 +131,14 @@ def test_branch_order_is_fixed():
 
 
 def test_machine_branches_needs_two_labels():
+    # two distinct machines of the state, each two-level
     chi = _cloned_pair(np.sqrt(0.5))
+    for labels in (["A1"], ["A1", "A1"], ["A1", "A2"], ["A1", "B1", "B1"]):
+        with pytest.raises(ContractError):
+            machine_branches(chi, labels)
+    qutrit = PureState(Register(("q", "m", "n"), (2, 3, 2)), np.eye(12)[0])
     with pytest.raises(ContractError):
-        machine_branches(chi, ["A1"])
+        machine_branches(qutrit, ["m", "n"])
 
 
 def test_baseline_interval_endpoints():

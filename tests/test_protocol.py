@@ -13,6 +13,7 @@ from qbroadcast import (
     broadcast_holds,
     broadcast_verdict,
     build_initial,
+    buzek_baseline,
     machine_traced_marginal,
     partial_trace,
     partial_transpose,
@@ -423,6 +424,16 @@ def test_branch_scan_rejects_unknown_branches_and_rows():
     for name in ("47:entangled", "46:closed", "46", "closed-325", "entangled", ""):
         with pytest.raises(ValueError):
             branch_scan(("Q0", "Q0"), ("broadcast", name), grid=60, tol=1e-3)
+    # branch None, the first round with the machines traced out, has only
+    # the pairs on qubits 1 to 4
+    for name in ("broadcast", "closed-146", "16:entangled"):
+        with pytest.raises(ValueError):
+            branch_scan(None, ("14:entangled", name), grid=60, tol=1e-3)
+
+
+def test_baseline_is_the_first_round_row():
+    (interval,) = branch_scan(None, ("14:entangled",))["14:entangled"]
+    assert buzek_baseline() == (interval.lo, interval.hi)
 
 
 @pytest.mark.parametrize("branch", OUTCOME_ORDER)

@@ -7,10 +7,10 @@ from qbroadcast import (
     PureState,
     Register,
     apply_isometry,
+    machine_branches,
     partial_trace,
     partial_transpose,
     permute_subsystems,
-    projective_measure,
     tensor,
     to_density,
 )
@@ -274,61 +274,50 @@ def test_partial_transpose_needs_two_subsystems():
 
 
 # ---------------------------------------------------------------- measure
-
-
-def _z_projectors():
-    return [
-        ("0", np.diag([1.0, 0.0]).astype(complex)),
-        ("1", np.diag([0.0, 1.0]).astype(complex)),
-    ]
+#
+# The package measures only the two cloning machines, by slicing the
+# amplitudes at each pair of machine indices (cloner.machine_branches).
 
 
 def test_measure_deterministic_outcome():
-    psi = PureState(Register.qubits("a", "b"), np.array([1.0, 0.0, 0.0, 0.0]))
-    branches = projective_measure(psi, _z_projectors(), ["b"])
+    # machines already in |Q0 Q0>: that branch is certain, the others are null
+    psi = PureState(Register.qubits("a", "m1", "m2"), np.array([_S, 0, 0, 0, _S, 0, 0, 0]))
+    branches = machine_branches(psi, ["m1", "m2"])
     assert branches[0].probability == pytest.approx(1.0)
     assert branches[0].state.register.labels == ("a",)
-    assert branches[0].state.amplitude("0") == pytest.approx(1.0)
-    assert branches[1].probability == pytest.approx(0.0, abs=1e-15)
-    assert branches[1].state is None
+    assert branches[0].state.amplitude("0") == pytest.approx(_S)
+    assert branches[0].state.amplitude("1") == pytest.approx(_S)
+    for b in branches[1:]:
+        assert b.probability == 0.0
+        assert b.state is None
 
 
 def test_measure_probabilities_sum_to_one():
     rng = np.random.default_rng(13)
-    psi = _random_pure(rng, ("a", "b", "c"))
-    branches = projective_measure(psi, _z_projectors(), ["b"])
+    psi = _random_pure(rng, ("a", "m1", "b", "m2", "c"))
+    branches = machine_branches(psi, ["m1", "m2"])
     assert sum(b.probability for b in branches) == pytest.approx(1.0)
     for b in branches:
-        if b.state is not None:
-            assert np.linalg.norm(b.state.amplitudes) == pytest.approx(1.0)
-            assert b.state.register.labels == ("a", "c")
+        assert np.linalg.norm(b.state.amplitudes) == pytest.approx(1.0)
+        assert b.state.register.labels == ("a", "b", "c")
 
 
 def test_measure_branch_states_reassemble_the_input():
-    # sum_k p_k |psi_k><psi_k| tensored with |k><k| equals the input operator
+    # sum_k p_k |k><k| (machines) tensored with |psi_k><psi_k| equals the
+    # input operator dephased in the machine basis
     rng = np.random.default_rng(14)
-    psi = _random_pure(rng, ("a", "b"))
-    branches = projective_measure(psi, _z_projectors(), ["a"])
-    rebuilt = np.zeros((4, 4), dtype=complex)
-    for k, b in enumerate(branches):
-        outer = np.zeros((2, 2), dtype=complex)
+    psi = _random_pure(rng, ("a", "m1", "m2"))
+    rebuilt = np.zeros((8, 8), dtype=complex)
+    for k, b in enumerate(machine_branches(psi, ["m1", "m2"])):
+        outer = np.zeros((4, 4), dtype=complex)
         outer[k, k] = 1.0
         rebuilt += b.probability * np.kron(outer, np.outer(b.state.amplitudes, b.state.amplitudes.conj()))
-    dephased = to_density(psi).matrix.copy()
-    dephased[0:2, 2:4] = 0.0
-    dephased[2:4, 0:2] = 0.0
+    dephased = permute_subsystems(to_density(psi), ["m1", "m2", "a"]).matrix.copy()
+    for k in range(4):
+        for j in range(4):
+            if j != k:
+                dephased[2 * k:2 * k + 2, 2 * j:2 * j + 2] = 0.0
     assert np.max(np.abs(rebuilt - dephased)) < 1e-12
-
-
-def test_measure_rejects_incomplete_or_non_rank_one_sets():
-    psi = _bell()
-    with pytest.raises(ContractError):
-        projective_measure(psi, [_z_projectors()[0]], ["a"])
-    half = [("h", np.eye(2) / 2.0), ("z", np.eye(2) / 2.0)]
-    with pytest.raises(ContractError):
-        projective_measure(psi, half, ["a"])
-    with pytest.raises(ContractError):
-        projective_measure(psi, [("big", np.eye(4))], ["a"])
 
 
 # ------------------------------------------------------------------ stacks
