@@ -23,7 +23,6 @@ from .entanglement import eof
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, transmit_bits
 from .protocol import PAIR_KEYS, branch_marginal, branch_probabilities, branch_scan, buzek_baseline, pair_verdicts
-from .qstate import DensityOp
 from .swap import bsm, correction_plans, swap_extend
 
 __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
@@ -232,12 +231,6 @@ def _emit_json(payload) -> int:
     return 0
 
 
-def _clamp_alpha2(x: float) -> float:
-    """The marginals take alpha^2 in the open interval (0, 1), so the edges
-    0 and 1 are evaluated at 1e-9 and 1 - 1e-9; every other value as it is."""
-    return 1e-9 if x == 0.0 else 1.0 - 1e-9 if x == 1.0 else x
-
-
 def _interval_dicts(intervals) -> list:
     return [
         {"lo": iv.lo, "hi": iv.hi, "tolerance": iv.tolerance, "predicate": iv.predicate_name}
@@ -281,7 +274,7 @@ def _cmd_sweep(args) -> int:
     # each distinct pair once; the phase moves no number a row prints.
     counts = sorted(collections.Counter(values).items())
     keys = sorted(set(pairs))
-    verdict, conc = pair_verdicts([_clamp_alpha2(x) for x, _ in counts], branch, keys)
+    verdict, conc = pair_verdicts([x for x, _ in counts], branch, keys)
     reals = (verdict.min_pt_eigenvalue, verdict.w3, verdict.w4, conc)
     if not all(np.isfinite(a).all() for a in reals):
         raise ContractError("result is not finite: a sweep witness or concurrence is NaN or infinite")
@@ -369,10 +362,10 @@ def _cmd_branches(args) -> int:
 
 def _swap_points(points, beta_phase: float, sources) -> tuple[list, list]:
     """Bell outcomes and correction plans of branch Q0Q0's rho325 at each
-    alpha^2 in points: one Bell measurement per point, one search and one
-    fidelity call for all (raises unless every derived plan reaches 1)."""
+    alpha^2 in points: one Bell measurement, one search and one fidelity
+    call for all (raises unless every derived plan reaches 1)."""
     rho325 = branch_marginal(np.array(points), ("Q0", "Q0"), "325", beta_phase)
-    outcomes = [bsm(swap_extend(DensityOp(rho325.register, m))) for m in rho325.matrix]
+    outcomes = bsm(swap_extend(rho325))
     return outcomes, correction_plans(rho325, sources, outcomes)
 
 
@@ -381,11 +374,12 @@ def _cmd_swap(args) -> int:
     if not 0.0 < args.alpha2 < 1.0:
         raise UsageError(f"swap: --alpha2 must be in (0, 1), got {args.alpha2}")
     source = "published" if args.corrections in ("paper", "published") else "derived"
-    (outcomes,), (plans,) = _swap_points([args.alpha2], s.beta_phase, (source,))
+    outcomes, (plans,) = _swap_points([args.alpha2], s.beta_phase, (source,))
     rows = []
     for outcome in outcomes:
         plan = plans[source][outcome.label]
-        row = {"label": outcome.label, "probability": outcome.probability, "fidelity": plan.achieved_fidelity}
+        probability = float(outcome.probability[0])
+        row = {"label": outcome.label, "probability": probability, "fidelity": plan.achieved_fidelity}
         if source == "derived":
             row["word"] = plan.word
         rows.append(row)
@@ -535,8 +529,8 @@ def _cmd_report(args) -> int:
     # Swapping: outcome statistics and both correction sets.
     points = (0.3, 0.5, 0.8)
     outcomes, plans = _swap_points(points, s.beta_phase, ("derived", "published"))
-    for alpha2, point, point_plans in zip(points, outcomes, plans):
-        p_str = ", ".join(f"{o.label} {o.probability:.6f}" for o in point)
+    for g, (alpha2, point_plans) in enumerate(zip(points, plans)):
+        p_str = ", ".join(f"{o.label} {o.probability[g]:.6f}" for o in outcomes)
         say(_line(f"bell outcome probabilities at alpha2={alpha2}", p_str, "0.25 each", "info"))
         for source, marker in (("derived", "ok"), ("published", "report")):
             fids = ", ".join(f"{k} {p.achieved_fidelity:.6f}" for k, p in point_plans[source].items())

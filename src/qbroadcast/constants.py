@@ -1,7 +1,8 @@
 """Numerical tolerances shared across the package.
 
-Every module pulls its thresholds from here so a tolerance is never
-defined twice. Values are absolute unless noted.
+A tolerance that more than one check reads is named here, once. A
+threshold that only one check reads (the Jacobi thresholds, the fidelity
+cut) stays beside that check. Values are absolute unless noted.
 """
 
 # Maximum allowed |A - A^dagger| entry for a matrix passed off as Hermitian.
@@ -14,6 +15,9 @@ PSD_FAIL = 1e-8
 # anything in [-PPT_TOL, PPT_TOL] sits on the separability boundary
 # and is reported as separable.
 PPT_TOL = 1e-10
+
+# A state vector's norm and a density operator's trace are 1 to this.
+NORM_TOL = 1e-8
 
 # Isometries must satisfy V^dagger V = I to this precision.
 ISOMETRY_TOL = 1e-10

@@ -163,12 +163,12 @@ def _gram_blocks(branch: tuple[str, str] | None, labels: tuple[str, ...]):
 
 
 def _amplitudes(alpha2) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and |beta| at alpha2, a number or a 1-D array in (0, 1), as
+    """alpha and |beta| at alpha2, a number or a 1-D array in [0, 1], as
     build_initial forms them, so that every route shares the input's
     rounding: alpha*alpha + beta*beta is 1 only to roundoff."""
     x = np.asarray(alpha2, dtype=float)
-    if x.ndim > 1 or not np.all((x > 0.0) & (x < 1.0)):
-        raise ValueError(f"alpha2 must be a number or a 1-D array in (0, 1), got {alpha2!r}")
+    if x.ndim > 1 or not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError(f"alpha2 must be a number or a 1-D array in [0, 1], got {alpha2!r}")
     alpha = np.sqrt(x)
     return alpha, np.sqrt(1.0 - alpha * alpha)
 

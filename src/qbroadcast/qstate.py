@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import HERM_TOL, ISOMETRY_TOL
+from .constants import HERM_TOL, ISOMETRY_TOL, NORM_TOL
 from .errors import ContractError
 from .linalg import dagger, eig_hermitian, hermitian_defect
 
@@ -97,7 +97,7 @@ class PureState:
         if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
             raise ContractError("PureState: non-finite amplitudes")
         n = float(np.linalg.norm(amps))
-        if abs(n - 1.0) > 1e-8:
+        if abs(n - 1.0) > NORM_TOL:
             raise ContractError(f"PureState: norm {n} is not 1")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -146,7 +146,7 @@ class DensityOp:
         tr = np.trace(mat, axis1=-2, axis2=-1).reshape(-1)
         if tr.size:
             worst = complex(tr[np.argmax(np.abs(tr - 1.0))])
-            if abs(worst - 1.0) > 1e-8:
+            if abs(worst - 1.0) > NORM_TOL:
                 raise ContractError(f"DensityOp: trace {worst} is not 1")
         object.__setattr__(self, "matrix", mat)
 

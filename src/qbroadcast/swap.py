@@ -1,5 +1,6 @@
 """Third-party extension: adjoin a singlet shared with Carol, Bell-measure
-qubits (2, 8), and correct Carol's qubit to hand her qubit 2's role.
+qubits (2, 8), and correct Carol's qubit to hand her qubit 2's role, for
+one rho325 or for a stack of them in one call per step.
 
 The correction plans come in two flavors: the published set of four
 Pauli words, and an independently derived set found by searching all
@@ -32,6 +33,9 @@ __all__ = [
 
 BELL_ORDER = ("B1+", "B1-", "B2+", "B2-")
 
+# The Bell vectors on (2, 8), one row per label of BELL_ORDER.
+_BELL = (1.0 / np.sqrt(2.0)) * np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex)
+
 _I2 = np.eye(2, dtype=complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -43,7 +47,8 @@ _PAULI = (("i", _I2), ("x", _SX), ("y", _SY), ("z", _SZ))
 
 @dataclass(frozen=True)
 class BellOutcome:
-    """One Bell-measurement result on qubits (2, 8)."""
+    """One Bell-measurement result on qubits (2, 8); for a stack, probability
+    is an array and post_state a stack, one entry per member."""
 
     label: str
     projector: np.ndarray
@@ -60,16 +65,6 @@ class CorrectionPlan:
     source: str
     achieved_fidelity: float
     word: str
-
-
-def _bell_vectors() -> dict[str, np.ndarray]:
-    s = 1.0 / np.sqrt(2.0)
-    return {
-        "B1+": s * np.array([1, 0, 0, 1], dtype=complex),
-        "B1-": s * np.array([1, 0, 0, -1], dtype=complex),
-        "B2+": s * np.array([0, 1, 1, 0], dtype=complex),
-        "B2-": s * np.array([0, 1, -1, 0], dtype=complex),
-    }
 
 
 def _as_325(rho325: DensityOp) -> DensityOp:
@@ -92,31 +87,34 @@ def swap_extend(rho325: DensityOp) -> DensityOp:
 
 
 def bsm(joint: DensityOp) -> list[BellOutcome]:
-    """Bell-measure qubits (2, 8) of the five-qubit joint state.
+    """Bell-measure qubits (2, 8) of the five-qubit joint state, or of each
+    member of a stack.
 
-    Returns the four outcomes in fixed order with renormalized post states
-    on (3, 5, 7). The probabilities must sum to 1.
+    Returns the four outcomes in BELL_ORDER with renormalized post states
+    on (3, 5, 7). Each member's probabilities must sum to 1.
     """
     work = permute_subsystems(joint, ["3", "5", "7", "2", "8"])
-    t = work.matrix.reshape(8, 4, 8, 4)
+    lead = work.matrix.shape[:-2]
+    t = work.matrix.reshape(lead + (8, 4, 8, 4))
     out = []
     total = 0.0
-    for label, vec in _bell_vectors().items():
-        mat = np.einsum("aibj,i,j->ab", t, vec.conj(), vec)
-        p = float(np.trace(mat).real)
-        if p < PROB_FLOOR:
+    for label, vec in zip(BELL_ORDER, _BELL):
+        mat = np.einsum("...aibj,i,j->...ab", t, vec.conj(), vec)
+        p = np.trace(mat, axis1=-2, axis2=-1).real
+        if np.any(p < PROB_FLOOR):
             raise ContractError(f"bsm: outcome {label} has vanishing probability")
         total += p
         out.append(
             BellOutcome(
                 label=label,
                 projector=np.outer(vec, vec.conj()),
-                probability=p,
-                post_state=DensityOp(Register.qubits("3", "5", "7"), mat / p),
+                probability=float(p) if not lead else p,
+                post_state=DensityOp(Register.qubits("3", "5", "7"), mat / p[..., None, None]),
             )
         )
-    if abs(total - 1.0) > 1e-10:
-        raise ContractError(f"bsm: outcome probabilities sum to {total}, not 1")
+    off = np.abs(total - 1.0)
+    if np.any(off > 1e-10):
+        raise ContractError(f"bsm: outcome probabilities sum to {np.ravel(total)[np.argmax(off)]}, not 1")
     return out
 
 
@@ -182,24 +180,21 @@ def correction_plans(rho325: DensityOp, sources=("derived",), outcomes: list | N
     the shared resource is a maximally entangled pair. outcomes is
     bsm(swap_extend(rho325)), measured here unless the caller passes it.
 
-    Returns {source: {outcome label: plan}}; for a stack of G operators,
-    outcomes lists each member's and the result is a list of G such dicts,
-    from one search and one fidelity call.
+    Returns {source: {outcome label: plan}}; for a stack of G operators, a
+    list of G such dicts, from one search and one fidelity call.
     """
     if not set(sources) <= {"derived", "published"}:
         raise ValueError(f"correction_plans: unknown sources in {sources!r}")
-    stacked = rho325.stacked
-    targets = recovery_target(rho325).matrix.reshape(-1, 8, 8)
     if outcomes is None:
-        members = [DensityOp(rho325.register, m) for m in rho325.matrix] if stacked else [rho325]
-        outcomes = [bsm(swap_extend(m)) for m in members]
-    elif not stacked:
-        outcomes = [outcomes]
-    if len(outcomes) != len(targets):
-        raise ContractError(f"correction_plans: {len(outcomes)} outcome lists for {len(targets)} operators")
+        outcomes = bsm(swap_extend(rho325))
+    lead = rho325.matrix.shape[:-2]
+    posts = np.stack([o.post_state.matrix for o in outcomes], axis=-3)
+    if posts.shape[:-3] != lead:
+        raise ContractError(f"correction_plans: outcomes shaped {posts.shape[:-3]} for operators shaped {lead}")
+    targets = recovery_target(rho325).matrix.reshape(-1, 8, 8)
+    posts = posts.reshape(len(targets), len(outcomes), 8, 8)
     names, unitaries = _pauli_words()
-    posts = np.array([[o.post_state.matrix for o in point] for point in outcomes])
-    published = [[names.index(PUBLISHED_WORDS[o.label]) for o in point] for point in outcomes]
+    published = np.broadcast_to([names.index(PUBLISHED_WORDS[o.label]) for o in outcomes], posts.shape[:2])
     derived = _searched_words(posts, targets) if "derived" in sources else None
     # words[g, j, k]: the word of source j for outcome k of point g.
     words = np.stack([derived if source == "derived" else published for source in sources], axis=1)
@@ -210,11 +205,11 @@ def correction_plans(rho325: DensityOp, sources=("derived",), outcomes: list | N
         {
             source: {
                 outcome.label: CorrectionPlan(outcome.label, unitaries[w], source, float(f), names[w])
-                for outcome, w, f in zip(point, row.tolist(), fids)
+                for outcome, w, f in zip(outcomes, row.tolist(), fids)
             }
             for source, row, fids in zip(sources, point_words, point_scores)
         }
-        for point, point_words, point_scores in zip(outcomes, words, scores)
+        for point_words, point_scores in zip(words, scores)
     ]
     for plan in (plan for point in plans for plan in point.get("derived", {}).values()):
         if plan.achieved_fidelity < 1.0 - 1e-9:
@@ -222,4 +217,4 @@ def correction_plans(rho325: DensityOp, sources=("derived",), outcomes: list | N
                 f"correction_plans: outcome {plan.outcome} only reaches "
                 f"fidelity {plan.achieved_fidelity:.12f}"
             )
-    return plans if stacked else plans[0]
+    return plans if lead else plans[0]

@@ -569,7 +569,7 @@ def _count_calls(monkeypatch, module, name, calls):
      (["report", "--grid", "50", "--tol", "1e-2"], 3, 8)],
 )
 def test_swap_points_measure_once_each_and_score_together(capsys, monkeypatch, argv, points, members):
-    # per point one Bell measurement, shared by the derived search, the
+    # one Bell measurement for all points, shared by the derived search, the
     # published check and the printed probabilities; then one fidelity call
     # over every corrected state of every point
     calls = []
@@ -579,7 +579,7 @@ def test_swap_points_measure_once_each_and_score_together(capsys, monkeypatch, a
     _count_calls(monkeypatch, swap_module, "_searched_words", calls)
     assert _run(capsys, argv)[0] == 0
     searched = [] if "published" in argv else [("_searched_words", None)]
-    assert calls == [("bsm", None)] * points + searched + [
+    assert calls == [("bsm", None)] + searched + [
         ("fidelity", ((points, 8, 8), (points, members, 8, 8)))
     ]
 

@@ -154,7 +154,7 @@ def test_machine_traced_marginal_matches_the_first_stage():
 
 
 def test_branch_marginal_checks_its_inputs():
-    for bad in (0.0, 1.0, -0.1, float("nan"), [0.5, 1.0], [[0.5]]):
+    for bad in (-5e-324, 1.0 + 2.2e-16, -0.1, float("nan"), [0.5, 1.0 + 2.2e-16], [[0.5]]):
         with pytest.raises(ValueError):
             branch_marginal(bad, ("Q0", "Q0"), "46")
     with pytest.raises(ValueError):
@@ -254,7 +254,7 @@ def test_pair_table_rows_are_equal_for_interchangeable_clones():
 
 
 def test_pair_verdicts_checks_its_inputs():
-    for bad in (0.0, 1.0, float("nan"), [0.5, 1.0], [[0.5]]):
+    for bad in (-5e-324, 1.0 + 2.2e-16, float("nan"), [0.5, 1.0 + 2.2e-16], [[0.5]]):
         with pytest.raises(ValueError):
             pair_verdicts(bad, ("Q0", "Q0"), ["46"])
     with pytest.raises(ValueError):
@@ -264,6 +264,24 @@ def test_pair_verdicts_checks_its_inputs():
             pair_verdicts(0.5, ("Q0", "Q0"), keys)
     with pytest.raises(ValueError, match="choose from 12, 34, 23, 14"):
         pair_verdicts(0.5, None, ["16"])
+
+
+def test_pair_verdicts_at_the_domain_edges():
+    # at alpha^2 = 0 the input is the product state |11>: on Q1Q1 the cross
+    # pairs 14, 16, 23 and 35 are separable there, with concurrence 0, and
+    # entangled just inside; -0.0 is the edge 0, and the Jacobi route of
+    # branch_marginal gives the same verdicts
+    keys = ["14", "16", "23", "35"]
+    verdict, conc = pair_verdicts([0.0, -0.0, 1e-9], ("Q1", "Q1"), keys)
+    assert not verdict.entangled[:, :2].any() and np.all(conc[:, :2] == 0.0)
+    assert verdict.entangled[:, 2].all() and np.all(conc[:, 2] > 0.0)
+    for key in keys:
+        rho = branch_marginal(0.0, ("Q1", "Q1"), key)
+        assert not ppt_verdict(rho).entangled and concurrence(rho) <= 1e-12
+    for x in (0.0, 1.0):
+        for branch in OUTCOME_ORDER:
+            verdict, conc = pair_verdicts(x, branch, PAIR_KEYS)
+            assert np.isfinite(verdict.min_pt_eigenvalue).all() and np.isfinite(conc).all()
 
 
 def _no_solve(*args, **kwargs):

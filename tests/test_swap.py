@@ -127,6 +127,46 @@ def test_bsm_projectors_are_bell_states():
         assert np.trace(p).real == pytest.approx(1.0)
 
 
+def _bsm_cases():
+    rng = np.random.default_rng(47)
+    for members in range(1, 7):
+        branch = ("Q0", "Q0") if members % 2 else ("Q1", "Q0")
+        yield branch_marginal(rng.uniform(0.0, 1.0, members), branch, "325", rng.uniform(0.0, 2.0 * np.pi))
+    for phi in (0.0, 4.71):
+        yield branch_marginal(np.array([1e-300, 0.3, 0.99999999]), ("Q0", "Q0"), "325", phi)
+    randoms = [_random_325(seed, rank) for seed, rank in ((8, 8), (9, 2), (10, 1))]
+    yield DensityOp(randoms[0].register, np.stack([rho.matrix for rho in randoms]))
+
+
+@pytest.mark.parametrize("stack", list(_bsm_cases()))
+def test_stacked_bsm_equals_the_per_member_calls(stack):
+    # one measurement of a stack gives each member the bits of its own call
+    stacked = bsm(swap_extend(stack))
+    assert tuple(o.label for o in stacked) == BELL_ORDER
+    for g, m in enumerate(stack.matrix):
+        for alone, o in zip(bsm(swap_extend(DensityOp(stack.register, m))), stacked):
+            assert isinstance(alone.probability, float)
+            assert o.probability.shape == (len(stack.matrix),)
+            assert o.probability[g] == alone.probability
+            assert np.array_equal(o.post_state.matrix[g], alone.post_state.matrix)
+            assert np.array_equal(o.projector, alone.projector)
+            assert o.post_state.register == alone.post_state.register
+
+
+def test_bsm_checks_every_member():
+    # (3, 5, 7) in |000> and (2, 8) in the Bell state B1-: outcome B1+ never
+    # occurs, and a stack holding that member fails like the member alone
+    s = 1.0 / np.sqrt(2.0)
+    ket = np.kron(np.eye(8)[0], np.array([s, 0.0, 0.0, -s]))
+    null = DensityOp(Register.qubits("3", "5", "7", "2", "8"), np.outer(ket, ket))
+    good = permute_subsystems(swap_extend(_rho325(0.5)), ["3", "5", "7", "2", "8"])
+    with pytest.raises(ContractError, match="B1\\+ has vanishing probability"):
+        bsm(null)
+    with pytest.raises(ContractError, match="B1\\+ has vanishing probability"):
+        bsm(DensityOp(good.register, np.stack([good.matrix, null.matrix])))
+    assert len(bsm(DensityOp(good.register, good.matrix[None]))) == 4
+
+
 def test_published_b1p_post_state_matches_computed():
     for x, phi in ((0.37, 0.6), (0.37, 0.0), (0.8, 0.0)):
         outcomes = bsm(swap_extend(_rho325(x, phi)))
@@ -186,13 +226,19 @@ def test_stacked_correction_plans_equal_the_per_point_calls(alpha2, phi):
     stack = branch_marginal(alpha2, ("Q0", "Q0"), "325", phi)
     alone = [correction_plans(branch_marginal(float(x), ("Q0", "Q0"), "325", phi), sources) for x in alpha2]
     measured = correction_plans(stack, sources)
-    outcomes = [bsm(swap_extend(DensityOp(stack.register, m))) for m in stack.matrix]
-    passed = correction_plans(stack, sources, outcomes)
+    passed = correction_plans(stack, sources, bsm(swap_extend(stack)))
     assert len(measured) == len(passed) == len(alpha2)
     for point, by_measure, by_pass in zip(alone, measured, passed):
         assert _plan_bits(by_measure) == _plan_bits(point) == _plan_bits(by_pass)
-    with pytest.raises(ContractError, match="outcome lists"):
-        correction_plans(stack, sources, outcomes[:2])
+
+
+def test_correction_plans_reject_outcomes_of_another_member_count():
+    stack = branch_marginal(np.array([0.3, 0.5, 0.8]), ("Q0", "Q0"), "325")
+    one = branch_marginal(0.3, ("Q0", "Q0"), "325")
+    for rho, other in ((stack, stack.matrix[:2]), (stack, stack.matrix[0]), (one, stack.matrix[:1])):
+        outcomes = bsm(swap_extend(DensityOp(stack.register, other)))
+        with pytest.raises(ContractError, match="outcomes shaped"):
+            correction_plans(rho, ("derived",), outcomes)
 
 
 def _derived(rho325):
