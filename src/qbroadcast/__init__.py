@@ -23,7 +23,6 @@ from .protocol import (
     branch_scan,
     build_initial,
     buzek_baseline,
-    machine_traced_marginal,
     pair_verdicts,
     run_first_stage,
     run_protocol,
@@ -81,7 +80,6 @@ __all__ = [
     "correction_plans",
     "eof",
     "machine_branches",
-    "machine_traced_marginal",
     "pair_verdicts",
     "partial_trace",
     "partial_transpose",

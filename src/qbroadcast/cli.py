@@ -168,7 +168,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -286,11 +286,10 @@ def _cmd_sweep(args) -> int:
 
     if args.out:
         try:
-            fh = open(args.out, "w", encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
         except OSError as exc:
             raise UsageError(f"sweep: cannot write {args.out}: {exc}") from None
-        with fh:
-            fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
     return 0

@@ -79,8 +79,8 @@ def machine_branches(state: PureState, machine_labels) -> list[BranchOutcome]:
     labels = [str(label) for label in machine_labels]
     reg = state.register
     axes = [reg.axis(label) for label in labels]
-    if len(axes) != 2 or axes[0] == axes[1] or any(reg.dims[axis] != 2 for axis in axes):
-        raise ContractError(f"machine_branches: expected two distinct two-level machines, got {labels}")
+    if len(axes) != 2 or axes[0] == axes[1]:
+        raise ContractError(f"machine_branches: expected two distinct machines, got {labels}")
     # Row 2i + j holds the amplitudes at machine indices (i, j).
     rows = np.moveaxis(state.tensorized(), axes, (0, 1)).reshape(4, -1)
     rest = reg.drop(labels)

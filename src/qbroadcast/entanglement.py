@@ -75,8 +75,8 @@ class ThresholdInterval:
 
 
 def _require_two_qubits(rho: DensityOp, op: str) -> None:
-    if rho.register.dims != (2, 2):
-        raise ContractError(f"{op}: expected a two-qubit operator, got dims {rho.register.dims}")
+    if len(rho.register.labels) != 2:
+        raise ContractError(f"{op}: expected a two-qubit operator, got labels {rho.register.labels}")
 
 
 def _block_roots(p: np.ndarray, q: np.ndarray, u2: np.ndarray):

@@ -16,9 +16,9 @@ then, with x = alpha^2 and beta = sqrt(1 - x) e^{i phi},
     x*G00 + (1 - x)*G11 + sqrt(x(1 - x)) * (e^{-i phi}*G01 + h.c.)
 
 divided by its trace, where Gij is the partial trace of |vi><vj| over the
-other labels. The vectors are built on first use and the Gram blocks are
-kept per (branch, labels), so an alpha^2 family costs one small linear
-combination per point, evaluated for a whole array of points at once.
+other labels. The vectors are built on first use and the Gram blocks once
+per call, so an alpha^2 family costs one small linear combination per
+point, evaluated for a whole array of points at once.
 
 Every pair marginal is an X-state: G00 and G11 are 0.0 off the diagonal
 and the real entry (1,2), and G01 is 0.0 off (0,3). So a pair marginal is
@@ -34,7 +34,7 @@ tests/reference.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "six_qubit_branch",
     "branch_marginal",
     "pair_verdicts",
-    "machine_traced_marginal",
     "branch_scan",
     "buzek_baseline",
     "run_protocol",
@@ -104,7 +103,11 @@ def run_first_stage(psi13: PureState) -> tuple[PureState, list[BranchOutcome]]:
     return chi, machine_branches(chi, ["A1", "B1"])
 
 
-def _as_branch(branch) -> tuple[str, str]:
+def _as_branch(branch) -> tuple[str, str] | None:
+    """A machine branch as a pair of outcome names; None, the first round
+    with the machines traced out, stays None."""
+    if branch is None:
+        return None
     pair = tuple(str(x) for x in branch)
     if pair not in OUTCOME_ORDER:
         raise ValueError(f"unknown machine branch {branch!r}")
@@ -143,7 +146,6 @@ def _basis_images(branch: tuple[str, str] | None) -> tuple[Register, np.ndarray,
     return phi.register, images[0], images[1]
 
 
-@lru_cache(maxsize=128)
 def _gram_blocks(branch: tuple[str, str] | None, labels: tuple[str, ...]):
     """Register of the kept labels and the blocks G00, G01, G11."""
     reg, v00, v11 = _basis_images(branch)
@@ -151,10 +153,10 @@ def _gram_blocks(branch: tuple[str, str] | None, labels: tuple[str, ...]):
         raise ContractError(f"marginal: labels {list(labels)} are empty or repeat")
     axes = [reg.axis(label) for label in labels]
     rest = [i for i in range(len(reg.labels)) if i not in axes]
-    kept = Register(labels, tuple(reg.dims[a] for a in axes))
+    kept = Register(labels)
 
     def rows(v: np.ndarray) -> np.ndarray:
-        return v.reshape(reg.dims).transpose(axes + rest).reshape(kept.dim, -1)
+        return v.reshape((2,) * len(reg.labels)).transpose(axes + rest).reshape(kept.dim, -1)
 
     a, b = rows(v00), rows(v11)
     g00 = a @ dagger(a)
@@ -173,31 +175,19 @@ def _amplitudes(alpha2) -> tuple[np.ndarray, np.ndarray]:
     return alpha, np.sqrt(1.0 - alpha * alpha)
 
 
-def _marginal(branch: tuple[str, str] | None, labels, alpha2, beta_phase: float) -> DensityOp:
-    """The normalized marginal on `labels` at alpha2, a number or a 1-D
-    array of n values: one operator or a stack of n."""
-    alpha, beta = (v[..., None, None] for v in _amplitudes(alpha2))
-    kept, g00, g01, g11 = _gram_blocks(branch, tuple(str(label) for label in labels))
-    cross = (alpha * beta) * (np.exp(-1j * float(beta_phase)) * g01)
-    mat = (alpha * alpha) * g00 + (beta * beta) * g11 + (cross + dagger(cross))
-    return DensityOp(kept, mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None])
-
-
 def branch_marginal(alpha2, branch, labels, beta_phase: float = 0.0) -> DensityOp:
-    """Marginal on `labels` of one branch's six-qubit state.
+    """Marginal on `labels` of one branch's six-qubit state; branch None is
+    the first round with the machines traced out, on qubits 1 to 4.
 
     alpha2 is a number (one operator) or a 1-D array (a stack with one
     member per value). labels is a sequence of labels; a string such as
     "46" or "325" lists single-character labels.
     """
-    return _marginal(_as_branch(branch), labels, alpha2, beta_phase)
-
-
-def machine_traced_marginal(alpha2, labels, beta_phase: float = 0.0) -> DensityOp:
-    """Marginal on `labels` (from 1, 2, 3, 4) after the first cloning round
-    with both machines traced out instead of measured; alpha2 as in
-    branch_marginal."""
-    return _marginal(None, labels, alpha2, beta_phase)
+    alpha, beta = (v[..., None, None] for v in _amplitudes(alpha2))
+    kept, g00, g01, g11 = _gram_blocks(_as_branch(branch), tuple(str(label) for label in labels))
+    cross = (alpha * beta) * (np.exp(-1j * float(beta_phase)) * g01)
+    mat = (alpha * alpha) * g00 + (beta * beta) * g11 + (cross + dagger(cross))
+    return DensityOp(kept, mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None])
 
 
 # Where a pair's Gram blocks may be non-zero: G00 and G11 on the diagonal
@@ -242,7 +232,7 @@ def pair_verdicts(alpha2, branch, keys) -> tuple[PPTVerdict, np.ndarray]:
     key) to roundoff, at any phase, from closed forms with no eigen-solve.
     """
     alpha, beta = _amplitudes(alpha2)
-    row, lin, g2 = _pair_table(None if branch is None else _as_branch(branch))
+    row, lin, g2 = _pair_table(_as_branch(branch))
     keys = [str(key) for key in keys]
     unknown = [key for key in keys if key not in row]
     if unknown:
@@ -306,7 +296,7 @@ def branch_scan(
     together. Pair rows' intervals are named by their predicate
     ("entangled" or "separable"). No verdict depends on the input phase.
     """
-    pair = None if branch is None else _as_branch(branch)
+    pair = _as_branch(branch)
     keys = tuple(_pair_table(pair)[0])
     names = tuple(names)
     rows = [_scan_row(name, keys) for name in names]

@@ -2,8 +2,9 @@
 operations the cloning pipeline needs (tensoring, isometries, partial trace,
 partial transpose).
 
-Convention: the leftmost register label is the most significant tensor
-factor, so amplitudes reshape to (d1, ..., dn) in label order.
+Every subsystem is a qubit, so a register is its labels alone. Convention:
+the leftmost label is the most significant tensor factor, so amplitudes
+reshape to (2, ..., 2) in label order.
 """
 from __future__ import annotations
 
@@ -38,30 +39,26 @@ def _norm_label(x) -> Label:
 
 @dataclass(frozen=True)
 class Register:
-    """Ordered subsystem labels with their dimensions."""
+    """Ordered qubit labels. Every subsystem of the pipeline is a qubit, so
+    n labels have dims (2,) * n and dim 2**n."""
 
     labels: tuple[Label, ...]
-    dims: tuple[int, ...]
 
     @staticmethod
     def qubits(*labels) -> "Register":
-        names = tuple(_norm_label(x) for x in labels)
-        return Register(names, (2,) * len(names))
+        return Register(tuple(_norm_label(x) for x in labels))
 
     def __post_init__(self):
-        if len(self.labels) != len(self.dims):
-            raise ContractError("Register: labels and dims length mismatch")
         if len(set(self.labels)) != len(self.labels):
             raise ContractError(f"Register: duplicate labels in {self.labels}")
-        if any(d < 1 for d in self.dims):
-            raise ContractError("Register: dimensions must be positive")
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return (2,) * len(self.labels)
 
     @property
     def dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return 2 ** len(self.labels)
 
     def axis(self, label) -> int:
         name = _norm_label(label)
@@ -72,8 +69,7 @@ class Register:
 
     def drop(self, names: Sequence[Label]) -> "Register":
         gone = set(names)
-        kept = [(l, d) for l, d in zip(self.labels, self.dims) if l not in gone]
-        return Register(tuple(l for l, _ in kept), tuple(d for _, d in kept))
+        return Register(tuple(l for l in self.labels if l not in gone))
 
 
 # Register of a stack of two-qubit marginals taken on different pairs: the
@@ -185,7 +181,7 @@ def _join(r1: Register, r2: Register) -> Register:
     overlap = set(r1.labels) & set(r2.labels)
     if overlap:
         raise ContractError(f"tensor: duplicate labels {sorted(overlap)}")
-    return Register(r1.labels + r2.labels, r1.dims + r2.dims)
+    return Register(r1.labels + r2.labels)
 
 
 def permute_subsystems(obj, new_order) -> "PureState | DensityOp":
@@ -196,7 +192,7 @@ def permute_subsystems(obj, new_order) -> "PureState | DensityOp":
     if sorted(names) != sorted(reg.labels):
         raise ContractError(f"permute: {names} is not a permutation of {list(reg.labels)}")
     perm = [reg.axis(n) for n in names]
-    new_reg = Register(tuple(names), tuple(reg.dims[p] for p in perm))
+    new_reg = Register(tuple(names))
     if isinstance(obj, PureState):
         t = obj.tensorized().transpose(perm)
         return PureState(new_reg, t.reshape(-1))
@@ -208,39 +204,27 @@ def permute_subsystems(obj, new_order) -> "PureState | DensityOp":
     raise ContractError("permute: expected PureState or DensityOp")
 
 
-def _new_dims(v: np.ndarray, new_labels: Sequence[Label]) -> tuple[int, ...]:
-    d_out = v.shape[0]
-    k = len(new_labels)
-    if d_out == 2 ** k:
-        return (2,) * k
-    if k == 1:
-        return (d_out,)
-    raise ContractError(
-        f"apply_isometry: cannot split output dim {d_out} over {k} labels"
-    )
-
-
-def _contract_axis(t: np.ndarray, v: np.ndarray, axis: int, new_dims: tuple[int, ...]) -> np.ndarray:
-    """Replace axis of t with the axes of v's output (v: (prod(new_dims), d_axis))."""
+def _contract_axis(t: np.ndarray, v: np.ndarray, axis: int, k: int) -> np.ndarray:
+    """Replace qubit axis of t with the k qubit axes of v's output (v: (2**k, 2))."""
     moved = np.moveaxis(t, axis, 0)
     rest = moved.shape[1:]
-    flat = v @ moved.reshape(moved.shape[0], -1)
-    out = flat.reshape(new_dims + rest)
-    k = len(new_dims)
+    flat = v @ moved.reshape(2, -1)
+    out = flat.reshape((2,) * k + rest)
     # New axes sit at the front; walk them back to the original position.
     perm = list(range(k, k + axis)) + list(range(k)) + list(range(k + axis, out.ndim))
     return out.transpose(perm)
 
 
 def apply_isometry(obj, v: np.ndarray, target, new_labels) -> "PureState | DensityOp":
-    """Map the target subsystem through isometry v, replacing it in place with
-    new_labels (for a 2 -> 8 cloning isometry: one qubit out, three in).
+    """Map the target qubit through isometry v, replacing it in place with
+    the qubits new_labels (for a 2 -> 8 cloning isometry: one qubit out,
+    three in).
 
     Args:
         obj: PureState or DensityOp.
-        v: (d_out, d_target) matrix with v^dagger v = I.
-        target: label of the subsystem v consumes.
-        new_labels: labels for the subsystems v produces, in v's basis order.
+        v: (2**len(new_labels), 2) matrix with v^dagger v = I.
+        target: label of the qubit v consumes.
+        new_labels: labels for the qubits v produces, in v's basis order.
 
     Pure states map as amplitudes; density operators evolve by conjugation.
     """
@@ -248,29 +232,27 @@ def apply_isometry(obj, v: np.ndarray, target, new_labels) -> "PureState | Densi
     reg = obj.register
     axis = reg.axis(target)
     names = [_norm_label(x) for x in new_labels]
-    if v.ndim != 2 or v.shape[1] != reg.dims[axis]:
-        raise ContractError(f"apply_isometry: shape {v.shape} does not consume dim {reg.dims[axis]}")
-    gram_defect = float(np.max(np.abs(dagger(v) @ v - np.eye(v.shape[1]))))
+    k = len(names)
+    if v.shape != (2 ** k, 2):
+        raise ContractError(f"apply_isometry: shape {v.shape} is not (2**{k}, 2) for new labels {names}")
+    gram_defect = float(np.max(np.abs(dagger(v) @ v - np.eye(2))))
     if gram_defect > ISOMETRY_TOL:
         raise ContractError(f"apply_isometry: v is not an isometry (defect {gram_defect:.3e})")
     clash = (set(names) & set(reg.labels)) - {reg.labels[axis]}
-    if clash or len(set(names)) != len(names):
+    if clash or len(set(names)) != k:
         raise ContractError(f"apply_isometry: new labels {names} collide with {reg.labels}")
-    new_dims = _new_dims(v, names)
-    pieces = list(zip(reg.labels, reg.dims))
-    pieces[axis:axis + 1] = list(zip(names, new_dims))
-    new_reg = Register(tuple(l for l, _ in pieces), tuple(d for _, d in pieces))
+    new_reg = Register(reg.labels[:axis] + tuple(names) + reg.labels[axis + 1:])
 
     if isinstance(obj, PureState):
-        t = _contract_axis(obj.tensorized(), v, axis, new_dims)
+        t = _contract_axis(obj.tensorized(), v, axis, k)
         return PureState(new_reg, t.reshape(-1))
     if isinstance(obj, DensityOp):
         if obj.stacked:
             raise ContractError(f"apply_isometry: expected one operator, got a stack of {len(obj.matrix)}")
         n = len(reg.labels)
-        t = _contract_axis(obj.tensorized(), v, axis, new_dims)
+        t = _contract_axis(obj.tensorized(), v, axis, k)
         # After the ket-side contraction the bra-side target has shifted by k-1.
-        t = _contract_axis(t, v.conj(), n + axis + len(new_dims) - 1, new_dims)
+        t = _contract_axis(t, v.conj(), n + axis + k - 1, k)
         return DensityOp(new_reg, t.reshape(new_reg.dim, new_reg.dim))
     raise ContractError("apply_isometry: expected PureState or DensityOp")
 
@@ -291,14 +273,11 @@ def partial_trace(rho: DensityOp, keep) -> DensityOp:
     k = len(lead)
     perm = list(range(k)) + [k + a for a in axes_keep + axes_tr + [a + n for a in axes_keep + axes_tr]]
     t = rho.tensorized().transpose(perm)
-    dk = 1
-    for a in axes_keep:
-        dk *= reg.dims[a]
+    dk = 2 ** len(names)
     dt = reg.dim // dk
     t = t.reshape(lead + (dk, dt, dk, dt))
     out = np.einsum("...aibi->...ab", t)
-    new_reg = Register(tuple(names), tuple(reg.dims[a] for a in axes_keep))
-    return DensityOp(new_reg, out)
+    return DensityOp(Register(tuple(names)), out)
 
 
 def partial_transpose(rho: DensityOp, over) -> np.ndarray:

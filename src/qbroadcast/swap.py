@@ -200,7 +200,9 @@ def correction_plans(rho325: DensityOp, sources=("derived",), outcomes: list | N
     words = np.stack([derived if source == "derived" else published for source in sources], axis=1)
     chosen = unitaries[words]
     corrected = chosen @ posts[:, None] @ dagger(chosen)
-    scores = fidelity(targets, corrected.reshape(len(targets), -1, 8, 8)).reshape(words.shape)
+    # Explicit sizes, so that an empty stack reshapes too.
+    corrected = corrected.reshape(len(targets), len(sources) * len(outcomes), 8, 8)
+    scores = fidelity(targets, corrected).reshape(words.shape)
     plans = [
         {
             source: {

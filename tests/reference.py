@@ -3,8 +3,8 @@
 Each function builds a state for one input through the protocol's stages,
 with the package's public operations only: cloning on explicit registers,
 partial traces of full density operators, and no Gram blocks. The tests
-hold branch_marginal, six_qubit_branch and machine_traced_marginal to these
-routes entrywise, and tests/golden/ holds CLI output they produced.
+hold branch_marginal (of a branch, and of the first round with the machines
+traced out) and six_qubit_branch to these routes entrywise, and tests/golden/ holds CLI output they produced.
 """
 from qbroadcast import ContractError, DensityOp, PureState, clone_subsystem, partial_trace, run_first_stage, to_density
 from qbroadcast.protocol import PAIR_KEYS, SIX_LABELS

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import time
 
@@ -172,9 +173,26 @@ def test_sweep_grid_rounding_stays_in_the_unit_interval(capsys, lo, hi, steps):
     assert {row["alpha2"] for row in json.loads(out)} >= {float(hi)}
 
 
-def test_sweep_out_errors_are_usage_errors(tmp_path, capsys):
+class _FullDisk:
+    """An output file whose buffered rows fail to reach the disk at close."""
+
+    def __enter__(self):
+        return self
+
+    def writelines(self, pieces):
+        list(pieces)
+
+    def __exit__(self, *exc):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_sweep_out_errors_are_usage_errors(tmp_path, capsys, monkeypatch):
     argv = ["sweep", "--pairs", "16", "--from", "0.5", "--to", "0.5", "--steps", "1", "--out"]
-    for target in (tmp_path / "missing" / "rows.csv", tmp_path):
+    for target in (tmp_path / "missing" / "rows.csv", tmp_path, None):
+        if target is None:
+            # a writable path on a disk that fills up before the file closes
+            monkeypatch.setattr(cli_module, "open", lambda *args, **kwargs: _FullDisk(), raising=False)
+            target = tmp_path / "rows.csv"
         code, out, err = _run(capsys, argv + [str(target)])
         assert code == 2
         assert out == ""
@@ -332,6 +350,11 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys):
 def test_config_missing_file_and_coarse_grid(tmp_path, capsys):
     code, _, err = _run(capsys, ["baseline", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"\xff\xfegrid=60\n")
+    code, _, err = _run(capsys, ["baseline", "--config", str(latin)])
+    assert code == 2
+    assert "cannot read config" in err
     cfg = tmp_path / "coarse.cfg"
     cfg.write_text("grid = 10\n", encoding="utf-8")
     code, _, err = _run(capsys, ["baseline", "--config", str(cfg)])

@@ -131,14 +131,11 @@ def test_branch_order_is_fixed():
 
 
 def test_machine_branches_needs_two_labels():
-    # two distinct machines of the state, each two-level
+    # two distinct machines of the state
     chi = _cloned_pair(np.sqrt(0.5))
     for labels in (["A1"], ["A1", "A1"], ["A1", "A2"], ["A1", "B1", "B1"]):
         with pytest.raises(ContractError):
             machine_branches(chi, labels)
-    qutrit = PureState(Register(("q", "m", "n"), (2, 3, 2)), np.eye(12)[0])
-    with pytest.raises(ContractError):
-        machine_branches(qutrit, ["m", "n"])
 
 
 def test_baseline_interval_endpoints():

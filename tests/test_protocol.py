@@ -14,7 +14,6 @@ from qbroadcast import (
     broadcast_verdict,
     build_initial,
     buzek_baseline,
-    machine_traced_marginal,
     partial_trace,
     partial_transpose,
     permute_subsystems,
@@ -142,11 +141,11 @@ def test_linear_map_matches_the_per_point_pipeline(branch):
                 assert np.max(np.abs(member - partial_trace(ref, list(key)).matrix)) < 1e-12
 
 
-def test_machine_traced_marginal_matches_the_first_stage():
+def test_first_round_marginal_matches_the_first_stage():
     xs, phases = _map_points(2718)
     for phi in phases:
         for key in ("14", ["1", "2", "3", "4"], ["1", "A1"]):
-            stack = machine_traced_marginal(xs, key, phi)
+            stack = branch_marginal(xs, None, key, phi)
             for x, member in zip(xs, stack.matrix):
                 chi, _ = run_first_stage(build_initial(np.sqrt(x), phi))
                 want = partial_trace(to_density(chi), list(key)).matrix
@@ -216,7 +215,7 @@ def test_input_phase_is_a_local_diagonal_unitary(branch):
     xs, phases = _map_points(4242)
     phases = phases[1:] + [4.71]
     marginals = [(key, partial(branch_marginal, xs, branch, key)) for key in PAIR_KEYS + ("146", "325")]
-    marginals.append(("14", partial(machine_traced_marginal, xs, "14")))
+    marginals.append(("14", partial(branch_marginal, xs, None, "14")))
     for key, marginal in marginals:
         at_zero = marginal(0.0)
         for phi in phases:

@@ -186,11 +186,10 @@ def test_apply_isometry_pure_density_consistency():
 
 
 def test_apply_isometry_qutrit_output():
-    v = np.eye(3, dtype=complex)[:, :2]  # |0> -> |0>, |1> -> |1> inside a 3-level system
-    psi = _bell()
-    out = apply_isometry(psi, v, "b", ["b"])
-    assert out.register.dims == (2, 3)
-    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0)
+    # every subsystem is a qubit: a 3-level output is not a register
+    v = np.eye(3, dtype=complex)[:, :2]
+    with pytest.raises(ContractError):
+        apply_isometry(_bell(), v, "b", ["b"])
 
 
 def test_apply_isometry_rejects_bad_inputs():

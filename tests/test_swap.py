@@ -216,6 +216,8 @@ def _stack_cases():
         yield rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 2.0 * np.pi)
     for phi in (0.0, 4.71):
         yield np.array([1e-300, 0.999, 0.99999999]), phi
+    # an empty stack gives an empty list of plans
+    yield np.array([]), 0.0
 
 
 @pytest.mark.parametrize("alpha2,phi", list(_stack_cases()))
