@@ -82,7 +82,7 @@ def machine_branches(state: PureState, machine_labels) -> list[BranchOutcome]:
     if len(axes) != 2 or axes[0] == axes[1]:
         raise ContractError(f"machine_branches: expected two distinct machines, got {labels}")
     # Row 2i + j holds the amplitudes at machine indices (i, j).
-    rows = np.moveaxis(state.tensorized(), axes, (0, 1)).reshape(4, -1)
+    rows = reg.front(state.amplitudes, labels, 1)
     rest = reg.drop(labels)
     out = []
     for outcome, branch in zip(OUTCOME_ORDER, rows):

@@ -151,17 +151,10 @@ def _gram_blocks(branch: tuple[str, str] | None, labels: tuple[str, ...]):
     reg, v00, v11 = _basis_images(branch)
     if not labels or len(set(labels)) != len(labels):
         raise ContractError(f"marginal: labels {list(labels)} are empty or repeat")
-    axes = [reg.axis(label) for label in labels]
-    rest = [i for i in range(len(reg.labels)) if i not in axes]
-    kept = Register(labels)
-
-    def rows(v: np.ndarray) -> np.ndarray:
-        return v.reshape((2,) * len(reg.labels)).transpose(axes + rest).reshape(kept.dim, -1)
-
-    a, b = rows(v00), rows(v11)
+    a, b = reg.front(v00, labels, 1), reg.front(v11, labels, 1)
     g00 = a @ dagger(a)
     g11 = b @ dagger(b)
-    return kept, (g00 + dagger(g00)) / 2.0, a @ dagger(b), (g11 + dagger(g11)) / 2.0
+    return Register(labels), (g00 + dagger(g00)) / 2.0, a @ dagger(b), (g11 + dagger(g11)) / 2.0
 
 
 def _amplitudes(alpha2) -> tuple[np.ndarray, np.ndarray]:
@@ -250,6 +243,8 @@ def six_qubit_branch(
     alpha2: float, branch=("Q0", "Q0"), beta_phase: float = 0.0
 ) -> DensityOp:
     """Six-qubit state of one machine branch, on SIX_LABELS."""
+    if branch is None:
+        raise ValueError("six_qubit_branch: unknown machine branch None (the first round has no qubit 5 or 6)")
     return branch_marginal(alpha2, branch, SIX_LABELS, beta_phase)
 
 

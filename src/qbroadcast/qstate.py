@@ -2,9 +2,11 @@
 operations the cloning pipeline needs (tensoring, isometries, partial trace,
 partial transpose).
 
-Every subsystem is a qubit, so a register is its labels alone. Convention:
-the leftmost label is the most significant tensor factor, so amplitudes
-reshape to (2, ..., 2) in label order.
+Every subsystem is a qubit, so a register is its labels alone, and it owns
+their axis layout: Register.front brings chosen qubits to the front of
+amplitudes or operators, and every permute, partial trace, isometry and
+slice goes through it. Convention: the leftmost label is the most
+significant tensor factor.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ def _norm_label(x) -> Label:
 @dataclass(frozen=True)
 class Register:
     """Ordered qubit labels. Every subsystem of the pipeline is a qubit, so
-    n labels have dims (2,) * n and dim 2**n."""
+    n labels have dim 2**n."""
 
     labels: tuple[Label, ...]
 
@@ -53,10 +55,6 @@ class Register:
             raise ContractError(f"Register: duplicate labels in {self.labels}")
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return (2,) * len(self.labels)
-
-    @property
     def dim(self) -> int:
         return 2 ** len(self.labels)
 
@@ -66,6 +64,22 @@ class Register:
             return self.labels.index(name)
         except ValueError:
             raise ContractError(f"Register: no subsystem labeled {name!r} in {self.labels}") from None
+
+    def front(self, a: np.ndarray, first: Sequence[Label], sides: int = 2) -> np.ndarray:
+        """Amplitudes (..., 2**n) (sides=1) or operators (..., 2**n, 2**n)
+        (sides=2) on this register, shaped (..., 2**k, 2**(n-k)) per side:
+        the k qubits `first` in front, in the order given, and the rest in
+        register order."""
+        n = len(self.labels)
+        axes = [self.axis(label) for label in first]
+        if len(set(axes)) != len(axes):
+            raise ContractError(f"Register.front: repeated labels in {list(first)}")
+        order = axes + [i for i in range(n) if i not in axes]
+        lead = a.shape[: a.ndim - sides]
+        m = len(lead)
+        t = a.reshape(lead + (2,) * (n * sides))
+        t = t.transpose(list(range(m)) + [m + side * n + i for side in range(sides) for i in order])
+        return t.reshape(lead + (2 ** len(axes), 2 ** (n - len(axes))) * sides)
 
     def drop(self, names: Sequence[Label]) -> "Register":
         gone = set(names)
@@ -96,9 +110,6 @@ class PureState:
         if abs(n - 1.0) > NORM_TOL:
             raise ContractError(f"PureState: norm {n} is not 1")
         object.__setattr__(self, "amplitudes", amps)
-
-    def tensorized(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.register.dims)
 
     def amplitude(self, bits: str) -> complex:
         """Amplitude of a computational basis state given as a bit string."""
@@ -157,9 +168,6 @@ class DensityOp:
             raise ContractError(f"DensityOp: negative eigenvalue {lo:.3e}")
         return lo
 
-    def tensorized(self) -> np.ndarray:
-        return self.matrix.reshape(self.matrix.shape[:-2] + self.register.dims * 2)
-
 
 def to_density(state: PureState) -> DensityOp:
     """|psi><psi| as a DensityOp on the same register."""
@@ -191,28 +199,12 @@ def permute_subsystems(obj, new_order) -> "PureState | DensityOp":
     reg = obj.register
     if sorted(names) != sorted(reg.labels):
         raise ContractError(f"permute: {names} is not a permutation of {list(reg.labels)}")
-    perm = [reg.axis(n) for n in names]
     new_reg = Register(tuple(names))
     if isinstance(obj, PureState):
-        t = obj.tensorized().transpose(perm)
-        return PureState(new_reg, t.reshape(-1))
+        return PureState(new_reg, reg.front(obj.amplitudes, names, 1).reshape(-1))
     if isinstance(obj, DensityOp):
-        lead = obj.matrix.shape[:-2]
-        n, k = len(reg.labels), len(lead)
-        t = obj.tensorized().transpose(list(range(k)) + [k + p for p in perm + [p + n for p in perm]])
-        return DensityOp(new_reg, t.reshape(lead + (new_reg.dim, new_reg.dim)))
+        return DensityOp(new_reg, reg.front(obj.matrix, names).reshape(obj.matrix.shape))
     raise ContractError("permute: expected PureState or DensityOp")
-
-
-def _contract_axis(t: np.ndarray, v: np.ndarray, axis: int, k: int) -> np.ndarray:
-    """Replace qubit axis of t with the k qubit axes of v's output (v: (2**k, 2))."""
-    moved = np.moveaxis(t, axis, 0)
-    rest = moved.shape[1:]
-    flat = v @ moved.reshape(2, -1)
-    out = flat.reshape((2,) * k + rest)
-    # New axes sit at the front; walk them back to the original position.
-    perm = list(range(k, k + axis)) + list(range(k)) + list(range(k + axis, out.ndim))
-    return out.transpose(perm)
 
 
 def apply_isometry(obj, v: np.ndarray, target, new_labels) -> "PureState | DensityOp":
@@ -242,18 +234,19 @@ def apply_isometry(obj, v: np.ndarray, target, new_labels) -> "PureState | Densi
     if clash or len(set(names)) != k:
         raise ContractError(f"apply_isometry: new labels {names} collide with {reg.labels}")
     new_reg = Register(reg.labels[:axis] + tuple(names) + reg.labels[axis + 1:])
+    # v puts its qubits in front: `inner` is that layout, which front
+    # reorders into new_reg.
+    inner = Register(tuple(names) + reg.labels[:axis] + reg.labels[axis + 1:])
 
     if isinstance(obj, PureState):
-        t = _contract_axis(obj.tensorized(), v, axis, k)
-        return PureState(new_reg, t.reshape(-1))
+        t = v @ reg.front(obj.amplitudes, [target], 1)
+        return PureState(new_reg, inner.front(t.reshape(-1), new_reg.labels, 1).reshape(-1))
     if isinstance(obj, DensityOp):
         if obj.stacked:
             raise ContractError(f"apply_isometry: expected one operator, got a stack of {len(obj.matrix)}")
-        n = len(reg.labels)
-        t = _contract_axis(obj.tensorized(), v, axis, k)
-        # After the ket-side contraction the bra-side target has shifted by k-1.
-        t = _contract_axis(t, v.conj(), n + axis + k - 1, k)
-        return DensityOp(new_reg, t.reshape(new_reg.dim, new_reg.dim))
+        t = v @ reg.front(obj.matrix, [target]).reshape(2, -1)
+        t = (v.conj() @ t.reshape(-1, 2, reg.dim // 2)).reshape(inner.dim, inner.dim)
+        return DensityOp(new_reg, inner.front(t, new_reg.labels).reshape(new_reg.dim, new_reg.dim))
     raise ContractError("apply_isometry: expected PureState or DensityOp")
 
 
@@ -265,18 +258,7 @@ def partial_trace(rho: DensityOp, keep) -> DensityOp:
         raise ContractError("partial_trace: keep list is empty")
     if len(set(names)) != len(names):
         raise ContractError(f"partial_trace: duplicate labels {names}")
-    reg = rho.register
-    axes_keep = [reg.axis(n) for n in names]
-    axes_tr = [i for i in range(len(reg.labels)) if i not in axes_keep]
-    n = len(reg.labels)
-    lead = rho.matrix.shape[:-2]
-    k = len(lead)
-    perm = list(range(k)) + [k + a for a in axes_keep + axes_tr + [a + n for a in axes_keep + axes_tr]]
-    t = rho.tensorized().transpose(perm)
-    dk = 2 ** len(names)
-    dt = reg.dim // dk
-    t = t.reshape(lead + (dk, dt, dk, dt))
-    out = np.einsum("...aibi->...ab", t)
+    out = np.einsum("...aibi->...ab", rho.register.front(rho.matrix, names))
     return DensityOp(Register(tuple(names)), out)
 
 
@@ -289,6 +271,6 @@ def partial_transpose(rho: DensityOp, over) -> np.ndarray:
             f"partial_transpose: register must have exactly two subsystems, got {list(reg.labels)}"
         )
     axis = reg.axis(over)
-    t = rho.tensorized()  # (..., d1, d2, d1, d2)
+    t = rho.matrix.reshape(rho.matrix.shape[:-2] + (2, 2, 2, 2))
     t = np.swapaxes(t, -4, -2) if axis == 0 else np.swapaxes(t, -3, -1)
     return t.reshape(rho.matrix.shape)

@@ -18,7 +18,7 @@ import numpy as np
 from .constants import PROB_FLOOR
 from .errors import ContractError
 from .linalg import dagger, fidelity
-from .qstate import DensityOp, PureState, Register, permute_subsystems, tensor, to_density
+from .qstate import DensityOp, PureState, Register, tensor, to_density
 
 __all__ = [
     "BELL_ORDER",
@@ -67,17 +67,19 @@ class CorrectionPlan:
     word: str
 
 
-def _as_325(rho325: DensityOp) -> DensityOp:
+def _on_325(rho325: DensityOp, order: str) -> np.ndarray:
+    """The matrix (or stack) of rho325 with its qubits in `order`, a
+    permutation of "325"."""
     if set(rho325.register.labels) != {"3", "2", "5"}:
         raise ContractError(
             f"expected a three-qubit operator on labels 3,2,5, got {rho325.register.labels}"
         )
-    return permute_subsystems(rho325, ["3", "2", "5"])
+    return rho325.register.front(rho325.matrix, order).reshape(rho325.matrix.shape)
 
 
 def swap_extend(rho325: DensityOp) -> DensityOp:
     """Adjoin the singlet (|01> - |10>)/sqrt(2) on (8, 7): labels (3,2,5,8,7)."""
-    rho = _as_325(rho325)
+    rho = DensityOp(Register.qubits("3", "2", "5"), _on_325(rho325, "325"))
     s = 1.0 / np.sqrt(2.0)
     singlet = PureState(
         Register.qubits("8", "7"),
@@ -93,9 +95,10 @@ def bsm(joint: DensityOp) -> list[BellOutcome]:
     Returns the four outcomes in BELL_ORDER with renormalized post states
     on (3, 5, 7). Each member's probabilities must sum to 1.
     """
-    work = permute_subsystems(joint, ["3", "5", "7", "2", "8"])
-    lead = work.matrix.shape[:-2]
-    t = work.matrix.reshape(lead + (8, 4, 8, 4))
+    if set(joint.register.labels) != set("32587"):
+        raise ContractError(f"bsm: expected an operator on labels 3,2,5,8,7, got {joint.register.labels}")
+    lead = joint.matrix.shape[:-2]
+    t = joint.register.front(joint.matrix, "35728").reshape(lead + (8, 4, 8, 4))
     out = []
     total = 0.0
     for label, vec in zip(BELL_ORDER, _BELL):
@@ -125,9 +128,7 @@ def recovery_target(rho325: DensityOp) -> DensityOp:
     input operator with register (3, 2, 5) read as (3, 7, 5), presented in
     label order (3, 5, 7).
     """
-    rho = _as_325(rho325)
-    reordered = permute_subsystems(rho, ["3", "5", "2"])
-    return DensityOp(Register.qubits("3", "5", "7"), reordered.matrix)
+    return DensityOp(Register.qubits("3", "5", "7"), _on_325(rho325, "352"))
 
 
 # The published correction set, as Pauli words on (3, 5, 7).

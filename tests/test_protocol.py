@@ -496,6 +496,13 @@ def test_run_protocol_message_log_structure():
     assert m1.delivered and m2.delivered
 
 
+def test_first_round_is_not_a_six_qubit_branch():
+    # None names the first round, which has no qubits 5 and 6
+    for call in (partial(six_qubit_branch, 0.5, None), partial(run_protocol, 0.5, branch=None)):
+        with pytest.raises(ValueError, match="unknown machine branch None"):
+            call()
+
+
 def test_run_protocol_sampled_needs_and_uses_seed():
     with pytest.raises(ValueError):
         run_protocol(0.37, branch_policy="sampled")

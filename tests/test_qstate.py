@@ -34,7 +34,6 @@ def _random_pure(rng, labels):
 def test_register_basics():
     reg = Register.qubits("1", "2", "5")
     assert reg.labels == ("1", "2", "5")
-    assert reg.dims == (2, 2, 2)
     assert reg.dim == 8
     assert reg.axis("2") == 1
     assert reg.drop(["2"]).labels == ("1", "5")
@@ -45,6 +44,34 @@ def test_register_rejects_duplicates_and_unknown_axis():
         Register.qubits("x", "x")
     with pytest.raises(ContractError):
         Register.qubits("x", "y").axis("z")
+
+
+def _front_reference(a, axes, n, sides):
+    # move each qubit axis on its own: the chosen qubits, in order, to the
+    # front of each side, the rest after them in register order
+    lead = a.shape[: a.ndim - sides]
+    m, k = len(lead), len(axes)
+    t = a.reshape(lead + (2,) * (n * sides))
+    source = [m + side * n + ax for side in range(sides) for ax in axes]
+    dest = [m + side * n + i for side in range(sides) for i in range(k)]
+    return np.moveaxis(t, source, dest).reshape(lead + (2**k, 2 ** (n - k)) * sides)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_register_front_matches_per_axis_moves(n):
+    rng = np.random.default_rng(100 + n)
+    reg = Register.qubits(*(f"q{i}" for i in range(n)))
+    subsets = [list(rng.permutation(n)[: rng.integers(0, n + 1)]) for _ in range(4)] + [list(rng.permutation(n))]
+    for lead in ((), (3,)):
+        for sides in (1, 2):
+            a = rng.standard_normal(lead + (reg.dim,) * sides) + 1j * rng.standard_normal(lead + (reg.dim,) * sides)
+            for axes in subsets:
+                got = reg.front(a, [reg.labels[i] for i in axes], sides)
+                assert np.array_equal(got, _front_reference(a, axes, n, sides))
+    with pytest.raises(ContractError):
+        reg.front(np.eye(reg.dim), ["q0", "nope"])
+    with pytest.raises(ContractError):
+        reg.front(np.eye(reg.dim), [reg.labels[-1]] * 2)
 
 
 def test_pure_state_validation():

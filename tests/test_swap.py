@@ -234,6 +234,34 @@ def test_stacked_correction_plans_equal_the_per_point_calls(alpha2, phi):
         assert _plan_bits(by_measure) == _plan_bits(point) == _plan_bits(by_pass)
 
 
+@pytest.mark.parametrize("phi", [0.0, 4.71])
+def test_swap_functions_read_labels_not_positions(phi):
+    # rho325 on (5, 3, 2), and the joint relabeled to (8, 7, 3, 2, 5), give
+    # the bits of the canonical order
+    rho = branch_marginal(np.array([1e-300, 0.3, 0.8, 0.99999999]), ("Q0", "Q0"), "325", phi)
+    shuffled = permute_subsystems(rho, ["5", "3", "2"])
+    joint = swap_extend(rho)
+    canonical = bsm(joint)
+    for outcomes in (bsm(swap_extend(shuffled)), bsm(permute_subsystems(joint, ["8", "7", "3", "2", "5"]))):
+        for o, c in zip(outcomes, canonical, strict=True):
+            assert o.label == c.label
+            assert np.array_equal(o.probability, c.probability)
+            assert np.array_equal(o.post_state.matrix, c.post_state.matrix)
+            assert o.post_state.register == c.post_state.register
+    assert np.array_equal(recovery_target(shuffled).matrix, recovery_target(rho).matrix)
+    sources = ("derived", "published")
+    got, want = correction_plans(shuffled, sources), correction_plans(rho, sources)
+    assert [_plan_bits(p) for p in got] == [_plan_bits(p) for p in want]
+
+
+def test_bsm_rejects_other_registers():
+    joint = swap_extend(_rho325(0.37))
+    with pytest.raises(ContractError):
+        bsm(DensityOp(Register.qubits("3", "2", "5", "8", "9"), joint.matrix))
+    with pytest.raises(ContractError):
+        bsm(partial_trace(joint, ["3", "2", "8", "7"]))
+
+
 def test_correction_plans_reject_outcomes_of_another_member_count():
     stack = branch_marginal(np.array([0.3, 0.5, 0.8]), ("Q0", "Q0"), "325")
     one = branch_marginal(0.3, ("Q0", "Q0"), "325")
