@@ -2,7 +2,8 @@
 scans, per-branch reports, swap verification, channel statistics, and the
 full computed-vs-published reproduction report.
 
-Exit codes: 0 success, 2 usage error, 1 numerical contract violation.
+Exit codes: 0 success, 2 usage error, 1 numerical contract violation. A
+reader that closes stdout early ends the program quietly with 0.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -29,13 +31,16 @@ __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
 
 CSV_HEADER = "alpha2,pair,min_pt_eigenvalue,w3,w4,concurrence,eof,entangled"
 
-# One sweep row, a tuple in CSV_HEADER order, as CSV: reals to 12
-# significant digits. As JSON: the row's lines in json.dumps(rows, indent=2);
-# reals and the verdict go through repr, as json writes floats and ints.
-_CSV_ROW = "%.12g,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%d"
-_JSON_ROW = "  {\n" + ",\n".join(
-    f'    "{name}": ' + ('"%s"' if name == "pair" else "%r") for name in CSV_HEADER.split(",")
-) + "\n  }"
+# One sweep row in CSV_HEADER order, in three parts: its alpha^2, its pair
+# and the six result fields after the pair. As CSV: reals to 12 significant
+# digits. As JSON: the row's lines in json.dumps(rows, indent=2); reals and
+# the verdict go through repr, as json writes floats and ints.
+_CSV_ROW = ("%.12g,", "%s,", ",".join(["%.12g"] * 5 + ["%d"]))
+_JSON_ROW = (
+    '  {\n    "alpha2": %r,\n',
+    '    "pair": "%s",\n',
+    ",\n".join(f'    "{name}": %r' for name in CSV_HEADER.split(",")[2:]) + "\n  }",
+)
 
 BRANCH_NAMES = tuple("".join(b) for b in OUTCOME_ORDER)
 
@@ -49,14 +54,14 @@ GV_MAX_BITS = 10**6
 SCAN_MAX_GRID = 10**5
 
 # Most rows one sweep computes (--steps times the number of pairs): an
-# all-pair 10^5-row `sweep --format json --out` takes 0.9-1.0 s and peaks
-# at 53 MB process RSS (ru_maxrss, fresh interpreter, 30 MB after import;
-# 2 vCPUs, Python 3.11, numpy 2.4); the pair numbers take 0.02 s of it, the
-# rest is the rows and their text.
+# all-pair 10^5-row `sweep --format json --out` takes 0.24-0.35 s and peaks
+# at 52 MB process RSS (ru_maxrss, fresh interpreter, 30 MB after import;
+# 2 vCPUs, Python 3.11, numpy 2.4); the pair numbers take 0.01-0.02 s of
+# it, the rest is the text of the rows.
 SWEEP_MAX_ROWS = 10**5
 
-# Rows sweep turns into Python numbers, formats and writes at a time, so the
-# row tuples and the text do not grow with the output.
+# Rows sweep turns into text and writes at a time, so the Python numbers
+# and the text do not grow with the output.
 SWEEP_CHUNK_ROWS = 4096
 
 class UsageError(Exception):
@@ -72,7 +77,16 @@ class Settings:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`qbroadcast sweep ... | head`): the
+        # output was cut by the reader, not by a fault. Stdout now points at
+        # devnull, so the flush at exit cannot fail and print a warning.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 def run_command(argv) -> int:
@@ -278,11 +292,12 @@ def _cmd_sweep(args) -> int:
     reals = (verdict.min_pt_eigenvalue, verdict.w3, verdict.w4, conc)
     if not all(np.isfinite(a).all() for a in reals):
         raise ContractError("result is not finite: a sweep witness or concurrence is NaN or infinite")
-    rows = _sweep_rows(counts, sorted(pairs), keys, (*reals, eof(conc), verdict.entangled.astype(int)))
+    cols = (*reals, eof(conc), verdict.entangled.astype(int))
     if args.format == "csv":
-        pieces = _text_pieces(rows, _CSV_ROW, CSV_HEADER + "\n", "\n", "\n")
+        row, text = _CSV_ROW, (CSV_HEADER + "\n", "\n", "\n")
     else:
-        pieces = _text_pieces(rows, _JSON_ROW, "[\n", ",\n", "\n]\n")
+        row, text = _JSON_ROW, ("[\n", ",\n", "\n]\n")
+    pieces = _text_pieces(_sweep_rows(counts, sorted(pairs), keys, cols, row), *text)
 
     if args.out:
         try:
@@ -295,26 +310,37 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_rows(counts, order, keys, cols):
-    """One row per (alpha^2, pair), repeats kept. cols hold the fields after
-    (alpha^2, pair) in CSV_HEADER order, row k for keys[k]; they become
-    Python numbers a block of about SWEEP_CHUNK_ROWS rows at a time."""
+def _sweep_rows(counts, order, keys, cols, row):
+    """One row of text per (alpha^2, pair), repeats kept, from row, a
+    template in three parts: alpha^2, pair, and the fields of cols (those
+    after the pair in CSV_HEADER order, row k for keys[k]). Each alpha^2,
+    and the fields of each group of keys with the same bits in every
+    column, are formatted once per point, a block of about SWEEP_CHUNK_ROWS
+    rows at a time."""
+    # Each key maps to the first key whose fields have its bytes.
+    first: dict[bytes, int] = {}
+    group = {key: first.setdefault(b"".join(col[k].tobytes() for col in cols), k) for k, key in enumerate(keys)}
     block = max(1, SWEEP_CHUNK_ROWS // len(order))
     for start in range(0, len(counts), block):
         stop = start + block
-        fields = {key: list(zip(*(col[k, start:stop].tolist() for col in cols))) for k, key in enumerate(keys)}
+        tails = {
+            k: [row[2] % fields for fields in zip(*(col[k, start:stop].tolist() for col in cols))]
+            for k in first.values()
+        }
+        parts = [(row[1] % pair, tails[group[pair]]) for pair in order]
         for j, (x, n) in enumerate(counts[start:stop]):
-            for pair in order:
-                yield from itertools.repeat((x, pair) + fields[pair][j], n)
+            head = row[0] % x
+            for pair, tail in parts:
+                yield from itertools.repeat(head + pair + tail[j], n)
 
 
-def _text_pieces(rows, template: str, head: str, sep: str, tail: str):
-    """head, then each row through template joined by sep, then tail, in
-    pieces of SWEEP_CHUNK_ROWS rows; an output of one chunk is one piece."""
+def _text_pieces(rows, head: str, sep: str, tail: str):
+    """head, then the rows joined by sep, then tail, in pieces of
+    SWEEP_CHUNK_ROWS rows; an output of one chunk is one piece."""
     chunk = list(itertools.islice(rows, SWEEP_CHUNK_ROWS))
     while chunk:
         following = list(itertools.islice(rows, SWEEP_CHUNK_ROWS))
-        yield head + sep.join([template % row for row in chunk]) + (sep if following else tail)
+        yield head + sep.join(chunk) + (sep if following else tail)
         head, chunk = "", following
 
 

@@ -11,10 +11,11 @@ import qbroadcast.cli as cli_module
 import qbroadcast.entanglement as entanglement_module
 import qbroadcast.linalg as linalg_module
 import qbroadcast.swap as swap_module
-from qbroadcast.cli import CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, SWEEP_MAX_ROWS, run_command
+from qbroadcast.cli import BRANCH_NAMES, CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, SWEEP_MAX_ROWS, run_command
 from qbroadcast.entanglement import ThresholdInterval
 from qbroadcast.errors import ContractError
 from qbroadcast.protocol import PAIR_KEYS, pair_verdicts
+from reference import sweep_text
 
 
 def _run(capsys, argv):
@@ -159,9 +160,59 @@ def test_sweep_chunks_join_to_the_one_string_output(capsys, monkeypatch, tmp_pat
 
 @pytest.mark.parametrize("rows,pieces", [(1, 1), (_CHUNK - 1, 1), (_CHUNK, 1), (_CHUNK + 1, 2), (2 * _CHUNK + 1, 3)])
 def test_sweep_output_of_one_chunk_is_one_piece(rows, pieces):
-    got = list(cli_module._text_pieces(iter(range(rows)), "%d", "[", ",", "]"))
+    got = list(cli_module._text_pieces(map(str, range(rows)), "[", ",", "]"))
     assert len(got) == pieces
     assert "".join(got) == "[" + ",".join(map(str, range(rows))) + "]"
+
+
+def _grid(lo, hi, steps):
+    """The alpha^2 points of `sweep --from lo --to hi --steps steps`."""
+    if steps == 1:
+        return [lo]
+    return [min(max(lo + i * (hi - lo) / (steps - 1), 0.0), 1.0) for i in range(steps)]
+
+
+@pytest.mark.parametrize("branch", BRANCH_NAMES)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "pairs,lo,hi,steps", [(",".join(PAIR_KEYS), 0.0, 1.0, 21), ("12,15,23", 0.9, 0.1, 7), ("15,12,23,12", 0.3, 0.3, 3)]
+)
+def test_every_sweep_row_carries_its_own_pairs_numbers(capsys, branch, fmt, pairs, lo, hi, steps):
+    # pairs whose numbers are the same bits share one formatted text; the
+    # output must equal the table formatted one row at a time
+    argv = ["sweep", "--pairs", pairs, "--branch", branch, "--from", repr(lo), "--to", repr(hi),
+            "--steps", str(steps), "--format", fmt]
+    want = sweep_text(_grid(lo, hi, steps), (branch[:2], branch[2:]), pairs.split(","), fmt)
+    assert _run(capsys, argv) == (0, want, "")
+
+
+def _parse_rows(text, fmt):
+    if fmt == "json":
+        return json.loads(text)
+    lines = text.splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_pairs_that_differ_in_one_field_at_one_point_print_their_own(capsys, monkeypatch, fmt):
+    # 12 and 15 are interchangeable clones, the same bits in every column;
+    # here 15 differs from 12 only in w4 at the last point
+    def verdicts(alpha2, branch, keys):
+        verdict, conc = pair_verdicts(alpha2, branch, keys)
+        w4 = verdict.w4.copy()
+        w4[keys.index("15"), -1] += 0.25
+        return dataclasses.replace(verdict, w4=w4), conc
+
+    monkeypatch.setattr(cli_module, "pair_verdicts", verdicts)
+    argv = ["sweep", "--pairs", "12,15,23", "--from", "0.2", "--to", "0.8", "--steps", "5", "--format", fmt]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out == sweep_text(_grid(0.2, 0.8, 5), ("Q0", "Q0"), ["12", "15", "23"], fmt, verdicts)
+    rows = _parse_rows(out, fmt)
+    for j in range(5):
+        r12, r15 = rows[3 * j], rows[3 * j + 1]
+        differ = {name for name in r12 if r12[name] != r15[name]}
+        assert differ == ({"pair", "w4"} if j == 4 else {"pair"})
 
 
 @pytest.mark.parametrize("lo,hi,steps", [("0.2", "1", "4"), ("0.1", "0", "4")])

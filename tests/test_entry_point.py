@@ -15,16 +15,20 @@ from pathlib import Path
 
 import pytest
 
-from qbroadcast.cli import SCAN_MAX_GRID
+from qbroadcast.cli import CSV_HEADER, SCAN_MAX_GRID
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _cli(*argv):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "qbroadcast.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", "qbroadcast.cli", *argv], capture_output=True, text=True, env=_env(), timeout=120
     )
 
 
@@ -53,6 +57,24 @@ def test_usage_errors_exit_2_without_a_traceback(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly():
+    # 10^5 CSV rows are far more than a pipe holds, so the program is still
+    # writing when the reader closes its end
+    argv = ["sweep", "--pairs", "12,15,34,36,25,46,23,35,14,16", "--from", "0", "--to", "1", "--steps", "10000"]
+    proc = subprocess.Popen([sys.executable, "-m", "qbroadcast.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_env())
+    try:
+        assert proc.stdout.readline() == (CSV_HEADER + "\n").encode()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_readme_library_example_runs(capsys):
