@@ -45,7 +45,10 @@ _JSON_ROW = (
 BRANCH_NAMES = tuple("".join(b) for b in OUTCOME_ORDER)
 
 # Most bits one gv call sends (--bits times --trials): the channel holds
-# them in one array, tiled once per trial, with three random draws per bit.
+# them in one array, tiled once per trial, with three coins per bit from
+# getrandbits. `gv --bits 1000000 --eve intercept` takes 0.016-0.021 s and
+# peaks at 45 MB process RSS (run_command timed in a fresh interpreter, 30 MB
+# after import; 2 vCPUs, Python 3.11, numpy 2.4).
 GV_MAX_BITS = 10**6
 
 # Largest scan grid (--grid, or grid= in a config file): the grid is tested

@@ -21,9 +21,16 @@ A bit counts as a detection event when it shows a decode error or a timing
 anomaly, so the per-bit detection rate is
 
     1 - P(no error) * P(no anomaly) = 1 - (1/2) * (1 - 1/4) = 5/8.
+
+The coins are three independent fair-bit streams from the stdlib Mersenne
+Twister, `random.Random(seed).getrandbits(n)`, drawn in the order Eve's
+outcome, the receiver's decode, the timing anomaly. A seed is an integer
+>= 0, and the same seed gives the same counts on every supported Python.
 """
 from __future__ import annotations
 
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +50,29 @@ ANALYTIC_DETECTION_RATE = 5.0 / 8.0
 _STRATEGIES = ("none", "intercept_resend")
 
 
+def _integer_at_least(what: str, value, low: int) -> int:
+    """value as an int (through operator.index, so no float or None gets
+    in), or ValueError naming `what` when it is not an integer >= low."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class GvConfig:
     """Channel settings: trial count and seed. `trials` repeats the whole
-    bit sequence that many times."""
+    bit sequence that many times; `seed` (an integer >= 0) fixes the coins."""
 
     trials: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"GvConfig: trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", _integer_at_least("GvConfig: trials", self.trials, 1))
+        object.__setattr__(self, "seed", _integer_at_least("GvConfig: seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -75,6 +94,12 @@ class DeliveryRecord:
     channel: GvResult
 
 
+def _coins(rng: random.Random, n: int) -> np.ndarray:
+    """n fair coins from one getrandbits(n) draw, as a bool array."""
+    raw = rng.getrandbits(n).to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little").view(bool)
+
+
 def transmit_bits(bits, strategy: str, config: GvConfig) -> GvResult:
     """Send a bit sequence through the channel under the given eavesdropper.
 
@@ -94,11 +119,11 @@ def transmit_bits(bits, strategy: str, config: GvConfig) -> GvResult:
     if strategy == "none":
         return GvResult(bits_sent=n, bit_errors=0, eve_detected=False, detection_events=0)
 
-    rng = np.random.default_rng(config.seed)
-    late = rng.random(n) < 0.5       # Eve's packet-basis outcome is |b>
-    decoded = rng.random(n) < 0.5    # receiver's decode after the collapse
+    rng = random.Random(config.seed)
+    late = _coins(rng, n)       # Eve's packet-basis outcome is |b>
+    decoded = _coins(rng, n)    # receiver's decode after the collapse
     errors = decoded != sent
-    anomaly = late & (rng.random(n) < 0.5)
+    anomaly = late & _coins(rng, n)
     detected = errors | anomaly
     return GvResult(
         bits_sent=n,

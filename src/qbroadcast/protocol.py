@@ -33,6 +33,7 @@ tests/reference.py.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -42,7 +43,7 @@ from .cloner import OUTCOME_ORDER, BranchOutcome, clone_subsystem, machine_branc
 from .constants import SCAN_GRID, SCAN_TOL
 from .entanglement import PPTVerdict, ThresholdInterval, _x_verdict, broadcast_holds, scan_predicates
 from .errors import ContractError
-from .gvchannel import DeliveryRecord, GvConfig, secure_send
+from .gvchannel import DeliveryRecord, GvConfig, _integer_at_least, secure_send
 from .linalg import dagger
 from .qstate import DensityOp, PureState, Register
 
@@ -319,7 +320,7 @@ def buzek_baseline(grid: int = SCAN_GRID, tol: float = SCAN_TOL) -> tuple[float,
 
 
 def _message_seeds(seed: int | None) -> tuple[int, int]:
-    base = 0 if seed is None else int(seed)
+    base = 0 if seed is None else seed
     return (base * 1000003 + 1) % 2**63, (base * 1000003 + 2) % 2**63
 
 
@@ -334,22 +335,22 @@ def run_protocol(
     """Execute the full protocol once.
 
     branch_policy "fixed" keeps the requested branch; "sampled" draws one
-    from the machine-outcome distribution (seed required). The two outcome
+    from the machine-outcome distribution with random.Random(seed) (seed
+    required). seed is None or an integer >= 0. The two outcome
     announcements travel through the secret channel and are logged.
     """
     if not 0.0 < alpha2 < 1.0:
         raise ValueError(f"run_protocol: alpha2 must be in (0, 1), got {alpha2}")
     if branch_policy not in ("fixed", "sampled"):
         raise ValueError(f"run_protocol: unknown branch policy {branch_policy!r}")
+    if seed is not None:
+        seed = _integer_at_least("run_protocol: seed", seed, 0)
 
     if branch_policy == "sampled":
         if seed is None:
             raise ValueError("run_protocol: sampled branch policy requires a seed")
         probs = branch_probabilities(alpha2, beta_phase)
-        order = list(probs)
-        weights = np.array([probs[b] for b in order])
-        rng = np.random.default_rng(seed)
-        pair = order[int(rng.choice(len(order), p=weights / weights.sum()))]
+        (pair,) = random.Random(seed).choices(list(probs), list(probs.values()))
     else:
         pair = _as_branch(branch)
 

@@ -77,6 +77,23 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly():
     assert err == b""
 
 
+def test_no_command_imports_numpy_random():
+    # every coin comes from the stdlib generator; numpy.random's import
+    # alone costs more than the draws
+    script = (
+        "import contextlib, io, sys\n"
+        "from qbroadcast import run_protocol\n"
+        "from qbroadcast.cli import run_command\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run_command(['report']) == 0\n"
+        "    assert run_command(['gv', '--bits', '1000', '--eve', 'intercept']) == 0\n"
+        "run_protocol(0.37, branch_policy='sampled', seed=1, eve_strategy='intercept_resend')\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_env(), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_readme_library_example_runs(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]

@@ -91,6 +91,39 @@ def test_config_validation():
         GvConfig(trials=0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("seed", -1), ("seed", 1.5), ("seed", None), ("seed", "3"), ("trials", 2.0)],
+)
+def test_config_rejects_a_field_that_is_not_a_count(field, value):
+    # the stdlib generator would take all of these: Random(-3) is Random(3),
+    # and a float or None seed is hashed or drawn from the OS
+    with pytest.raises(ValueError, match=f"GvConfig: {field} must be an integer"):
+        GvConfig(**{field: value})
+
+
+def test_config_takes_integer_like_fields_as_ints():
+    config = GvConfig(trials=np.int64(2), seed=np.uint8(7))
+    assert (type(config.trials), type(config.seed)) == (int, int)
+    assert config == GvConfig(trials=2, seed=7)
+    assert transmit_bits([0, 1], "intercept_resend", config) == transmit_bits(
+        [0, 1], "intercept_resend", GvConfig(trials=2, seed=7)
+    )
+
+
+def test_rates_over_many_seeds_match_the_model():
+    # 200 seeds x 10^3 alternating bits: the mean per-seed rates sit within
+    # 3 standard errors of the mean of 5/8 (detections) and 1/2 (errors)
+    n, seeds = 1000, 200
+    results = [transmit_bits(_pattern(n), "intercept_resend", GvConfig(seed=s)) for s in range(seeds)]
+    for rates, want in (
+        (np.array([r.detection_events for r in results]) / n, ANALYTIC_DETECTION_RATE),
+        (np.array([r.bit_errors for r in results]) / n, 0.5),
+    ):
+        sem = rates.std(ddof=1) / np.sqrt(seeds)
+        assert abs(rates.mean() - want) < 3.0 * sem
+
+
 def test_secure_send_clean_delivery():
     rec = secure_send("Q0", "none", GvConfig(seed=1))
     assert rec.payload == "Q0"

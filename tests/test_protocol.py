@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import partial, reduce
 
 import numpy as np
@@ -510,6 +511,24 @@ def test_run_protocol_sampled_needs_and_uses_seed():
     b = run_protocol(0.37, branch_policy="sampled", seed=12)
     assert a.branch == b.branch
     assert a.message_log == b.message_log
+
+
+def test_run_protocol_samples_branches_at_their_probabilities():
+    # at alpha2 = 0.1 the branches weigh 0.144, 0.222, 0.222 and 0.411, so
+    # an ignored or misordered weight moves a frequency by many sigma
+    runs = 1000
+    probs = branch_probabilities(0.1)
+    drawn = Counter(run_protocol(0.1, branch_policy="sampled", seed=s).branch for s in range(runs))
+    assert set(drawn) <= set(probs)
+    for pair, p in probs.items():
+        assert abs(drawn[pair] / runs - p) < 3.0 * np.sqrt(p * (1.0 - p) / runs), pair
+
+
+@pytest.mark.parametrize("policy", ["fixed", "sampled"])
+@pytest.mark.parametrize("seed", [-1, 1.7, "3"])
+def test_run_protocol_rejects_a_seed_that_is_not_a_count(policy, seed):
+    with pytest.raises(ValueError, match="run_protocol: seed must be an integer >= 0"):
+        run_protocol(0.37, branch_policy=policy, seed=seed)
 
 
 def test_run_protocol_intercepted_messages_are_flagged():
