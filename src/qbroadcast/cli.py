@@ -45,10 +45,10 @@ _JSON_ROW = (
 BRANCH_NAMES = tuple("".join(b) for b in OUTCOME_ORDER)
 
 # Most bits one gv call sends (--bits times --trials): the channel holds
-# them in one array, tiled once per trial, with three coins per bit from
-# getrandbits. `gv --bits 1000000 --eve intercept` takes 0.016-0.021 s and
-# peaks at 45 MB process RSS (run_command timed in a fresh interpreter, 30 MB
-# after import; 2 vCPUs, Python 3.11, numpy 2.4).
+# them in one bool array, tiled once per trial, with three coins per bit
+# from getrandbits. `gv --bits 1000000 --eve intercept` takes 0.005-0.006 s
+# and peaks at 36 MB process RSS (run_command timed in a fresh interpreter,
+# 30 MB after import; 2 vCPUs, Python 3.11, numpy 2.4).
 GV_MAX_BITS = 10**6
 
 # Largest scan grid (--grid, or grid= in a config file): the grid is tested
@@ -56,11 +56,12 @@ GV_MAX_BITS = 10**6
 # (run_command timed in a fresh interpreter; 2 vCPUs, Python 3.11, numpy 2.4).
 SCAN_MAX_GRID = 10**5
 
-# Most rows one sweep computes (--steps times the number of pairs): an
-# all-pair 10^5-row `sweep --format json --out` takes 0.24-0.35 s and peaks
-# at 52 MB process RSS (ru_maxrss, fresh interpreter, 30 MB after import;
-# 2 vCPUs, Python 3.11, numpy 2.4); the pair numbers take 0.01-0.02 s of
-# it, the rest is the text of the rows.
+# Most rows one sweep computes (--steps times the number of pairs). The
+# worst case is one pair: a 10^5-step `sweep --pairs 16 --format json --out`
+# takes 0.4-0.45 s and peaks at 68 MB process RSS, where the all-pair
+# 10^4-step one takes 0.15-0.16 s and peaks at 51 MB (ru_maxrss, fresh
+# interpreter, 30 MB after import; 2 vCPUs, Python 3.11, numpy 2.4). The
+# pair numbers take 0.01-0.02 s of it, the rest is the text of the rows.
 SWEEP_MAX_ROWS = 10**5
 
 # Rows sweep turns into text and writes at a time, so the Python numbers
@@ -414,6 +415,13 @@ def _cmd_swap(args) -> int:
     return _emit_json({"alpha2": args.alpha2, "corrections": source, "outcomes": rows})
 
 
+def _alternating_bits(n: int) -> np.ndarray:
+    """0, 1, 0, 1, ... as n bools: the bit pattern gv and report send."""
+    bits = np.zeros(n, dtype=bool)
+    bits[1::2] = True
+    return bits
+
+
 def _cmd_gv(args) -> int:
     s = _settings(args)
     if args.bits < 1:
@@ -424,7 +432,7 @@ def _cmd_gv(args) -> int:
         raise UsageError(f"gv: --bits x --trials is {args.bits * args.trials}, above {GV_MAX_BITS}")
     strategy = "none" if args.eve == "none" else "intercept_resend"
     config = GvConfig(trials=args.trials, seed=s.seed)
-    res = transmit_bits(np.arange(args.bits) % 2, strategy, config)
+    res = transmit_bits(_alternating_bits(args.bits), strategy, config)
     return _emit_json(
         {
             "strategy": strategy,
@@ -565,7 +573,7 @@ def _cmd_report(args) -> int:
             say(_line(f"  {source}-correction fidelities", fids, "1.0 each", marker))
 
     # Channel statistics.
-    res = transmit_bits(np.arange(10000) % 2, "intercept_resend", GvConfig(seed=s.seed))
+    res = transmit_bits(_alternating_bits(10000), "intercept_resend", GvConfig(seed=s.seed))
     rate = res.detection_events / res.bits_sent
     say(_line("channel per-bit detection rate (10^4 bits)", f"{rate:.4f}",
               f"{ANALYTIC_DETECTION_RATE}", "info"))

@@ -110,11 +110,14 @@ def transmit_bits(bits, strategy: str, config: GvConfig) -> GvResult:
     seq = np.asarray(bits)
     if seq.ndim != 1 or seq.size == 0:
         raise ValueError(f"transmit_bits: expected a non-empty bit sequence, got shape {seq.shape}")
-    if not np.all((seq == 0) | (seq == 1)):
+    # A bool array is taken as it is; anything else must equal its bool cast.
+    sent = seq.astype(bool, copy=False)
+    if sent is not seq and not np.array_equal(sent, seq):
         raise ValueError("transmit_bits: bits must be 0 or 1")
     if strategy not in _STRATEGIES:
         raise ValueError(f"transmit_bits: unknown strategy {strategy!r}")
-    sent = np.tile(seq.astype(bool), config.trials)
+    if config.trials > 1:
+        sent = np.tile(sent, config.trials)
     n = sent.shape[0]
     if strategy == "none":
         return GvResult(bits_sent=n, bit_errors=0, eve_detected=False, detection_events=0)

@@ -16,20 +16,22 @@ then, with x = alpha^2 and beta = sqrt(1 - x) e^{i phi},
     x*G00 + (1 - x)*G11 + sqrt(x(1 - x)) * (e^{-i phi}*G01 + h.c.)
 
 divided by its trace, where Gij is the partial trace of |vi><vj| over the
-other labels. The vectors are built on first use and the Gram blocks once
-per call, so an alpha^2 family costs one small linear combination per
-point, evaluated for a whole array of points at once.
+other labels. branch_marginal builds the vectors on first use and the
+Gram blocks once per call, so an alpha^2 family costs one small linear
+combination per point, evaluated for a whole array of points at once.
 
 Every pair marginal is an X-state: G00 and G11 are 0.0 off the diagonal
 and the real entry (1,2), and G01 is 0.0 off (0,3). So a pair marginal is
 fixed by six reals, the diagonal a, b, c, d and z = rho[1,2], each linear
 in x over the trace, and |w|^2 = x(1 - x)|G01[0,3]|^2 / trace^2 for
-w = rho[0,3]. pair_verdicts evaluates a per-branch table of these
-coefficients, certified once, and the closed forms of
-entanglement._x_verdict: no complex matrix and no eigen-solve per point.
-The phase enters only through the phase of w, which no verdict or measure
-reads. The per-point routes the tests hold this map to are kept in
-tests/reference.py.
+w = rho[0,3]. The cloner's amplitudes are rational, so these coefficients
+are integers over 1296 (over 1296^2 for |G01[0,3]|^2): the module keeps
+them as checked-in integers, one table per branch, which the Tier-1 tests
+derive from the Gram blocks. pair_verdicts evaluates a table with the
+closed forms of entanglement._x_verdict, so scans and sweeps run no cloner,
+no complex matrix and no eigen-solve. The phase enters only through the
+phase of w, which no verdict or measure reads. The per-point routes the
+tests hold this map to are kept in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -184,35 +186,81 @@ def branch_marginal(alpha2, branch, labels, beta_phase: float = 0.0) -> DensityO
     return DensityOp(kept, mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None])
 
 
-# Where a pair's Gram blocks may be non-zero: G00 and G11 on the diagonal
-# and at (1,2), (2,1); G01 at (0,3) alone.
-_SAME = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[[0, 2, 1, 3]]
-_CROSS = np.zeros((4, 4), dtype=bool)
-_CROSS[0, 3] = True
-
-
-def _x_coefficients(g00, g01, g11) -> tuple[np.ndarray, float]:
-    """The X-state coefficients of one pair's Gram blocks: the rows
-    [diag G00, G00[1,2]] and [diag G11, G11[1,2]], shape (2, 5), and
-    |G01[0,3]|^2. Raises ContractError unless the blocks are 0.0 off the
-    positions _SAME and _CROSS allow and each (1,2) entry is real, since
-    only then do these six numbers fix the marginal's verdict and measures.
-    """
-    if (np.any(g00[~_SAME]) or np.any(g11[~_SAME]) or np.any(g01[~_CROSS])
-            or g00[1, 2].imag or g11[1, 2].imag):
-        raise ContractError("pair table: a Gram block is not 0.0 off the X pattern with a real (1,2) entry")
-    lin = np.array([[*g.diagonal().real, g[1, 2].real] for g in (g00, g11)])
-    return lin, g01[0, 3].real ** 2 + g01[0, 3].imag ** 2
+# The X-state coefficients of every pair marginal, as exact integers: the
+# cloner's amplitudes are rational and 36*v00, 36*v11 are integer vectors,
+# so 1296 = 36^2 times each Gram entry is an integer. One line per pair
+# key, in the table's row order: the key, 1296*(diag G00, G00[1,2]),
+# 1296*(diag G11, G11[1,2]) and 1296^2*|G01[0,3]|^2. Every other entry of
+# the pair's blocks is 0. tests/test_pair_tables.py derives each number
+# from _basis_images.
+_PAIR_INTEGERS = {
+    ("Q0", "Q0"): """
+        12   480  96   0   0   0    12  60  60  12  48        0
+        15   480  96   0   0   0    12  60  60  12  48        0
+        34   480  96   0   0   0    12  60  60  12  48        0
+        36   480  96   0   0   0    12  60  60  12  48        0
+        25   384  96  96   0  96    48  24  24  48  24        0
+        46   384  96  96   0  96    48  24  24  48  24        0
+        23   480   0  96   0   0    36  36  36  36   0     9216
+        35   480  96   0   0   0    36  36  36  36   0     9216
+        14   480  96   0   0   0    36  36  36  36   0     9216
+        16   480  96   0   0   0    36  36  36  36   0     9216
+    """,
+    ("Q0", "Q1"): """
+        12   240  48   0   0   0    24 120 120  24  96        0
+        15   240  48   0   0   0    24 120 120  24  96        0
+        34    24 120 120  24  96     0   0  48 240   0        0
+        36    24 120 120  24  96     0   0  48 240   0        0
+        25   192  48  48   0  48    96  48  48  96  48        0
+        46    96  48  48  96  48     0  48  48 192  48        0
+        23   120 120  24  24   0     0 144   0 144   0     9216
+        35   120  24 120  24   0     0   0 144 144   0     9216
+        14   144 144   0   0   0    24 120  24 120   0     9216
+        16   144 144   0   0   0    24 120  24 120   0     9216
+    """,
+    ("Q1", "Q0"): """
+        12    24 120 120  24  96     0   0  48 240   0        0
+        15    24 120 120  24  96     0   0  48 240   0        0
+        34   240  48   0   0   0    24 120 120  24  96        0
+        36   240  48   0   0   0    24 120 120  24  96        0
+        25    96  48  48  96  48     0  48  48 192  48        0
+        46   192  48  48   0  48    96  48  48  96  48        0
+        23   144   0 144   0   0    24  24 120 120   0     9216
+        35   144 144   0   0   0    24 120  24 120   0     9216
+        14   120  24 120  24   0     0   0 144 144   0     9216
+        16   120  24 120  24   0     0   0 144 144   0     9216
+    """,
+    ("Q1", "Q1"): """
+        12    12  60  60  12  48     0   0  96 480   0        0
+        15    12  60  60  12  48     0   0  96 480   0        0
+        34    12  60  60  12  48     0   0  96 480   0        0
+        36    12  60  60  12  48     0   0  96 480   0        0
+        25    48  24  24  48  24     0  96  96 384  96        0
+        46    48  24  24  48  24     0  96  96 384  96        0
+        23    36  36  36  36   0     0  96   0 480   0     9216
+        35    36  36  36  36   0     0   0  96 480   0     9216
+        14    36  36  36  36   0     0   0  96 480   0     9216
+        16    36  36  36  36   0     0   0  96 480   0     9216
+    """,
+    None: """
+        12   864 216 216   0 216     0 216 216 864 216        0
+        34   864 216 216   0 216     0 216 216 864 216        0
+        23   900 180 180  36   0    36 180 180 900   0   331776
+        14   900 180 180  36   0    36 180 180 900   0   331776
+    """,
+}
 
 
 @cache
 def _pair_table(branch: tuple[str, str] | None) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """The row of each pair key and the X-state coefficients of all rows:
-    (K, 2, 5) from _x_coefficients and (K,) |G01[0,3]|^2. The keys are
-    PAIR_KEYS for a branch and those on qubits 1 to 4 for None."""
-    keys = PAIR_KEYS if branch else tuple(key for key in PAIR_KEYS if set(key) <= set("1234"))
-    lin, g2 = zip(*(_x_coefficients(*_gram_blocks(branch, tuple(key))[1:]) for key in keys))
-    return {key: row for row, key in enumerate(keys)}, np.stack(lin), np.array(g2)
+    """The row of each pair key and the X-state coefficients of all rows,
+    read from _PAIR_INTEGERS: (K, 2, 5) rows [diag G00, G00[1,2]] and
+    [diag G11, G11[1,2]], and (K,) |G01[0,3]|^2. The keys are PAIR_KEYS for
+    a branch and those on qubits 1 to 4 for None."""
+    lines = [line.split() for line in _PAIR_INTEGERS[branch].strip().splitlines()]
+    numbers = np.array([line[1:] for line in lines], dtype=float)
+    row = {line[0]: k for k, line in enumerate(lines)}
+    return row, numbers[:, :10].reshape(-1, 2, 5) / 1296.0, numbers[:, 10] / 1679616.0
 
 
 def pair_verdicts(alpha2, branch, keys) -> tuple[PPTVerdict, np.ndarray]:

@@ -9,13 +9,20 @@ traced out) and six_qubit_branch to these routes entrywise, and tests/golden/ ho
 `sweep_text` is the sweep table formatted one row at a time, each row
 through a whole-row template from its own pair's numbers; the CLI's
 `sweep` output is held to it byte for byte.
+
+`pipeline_pair_table` is the one route here that reads Gram blocks: it
+builds a branch's table of X-state coefficients from protocol's float
+blocks, each pair certified by `x_coefficients`, the float route that
+protocol's checked-in integer tables are held to.
 """
 import collections
+
+import numpy as np
 
 from qbroadcast import ContractError, DensityOp, PureState, clone_subsystem, partial_trace, run_first_stage, to_density
 from qbroadcast.cli import CSV_HEADER
 from qbroadcast.entanglement import eof
-from qbroadcast.protocol import PAIR_KEYS, SIX_LABELS, pair_verdicts
+from qbroadcast.protocol import PAIR_KEYS, SIX_LABELS, _gram_blocks, pair_verdicts
 
 TRIPLE_KEYS = ("146", "325")
 
@@ -82,3 +89,32 @@ def sweep_text(values, branch, pairs, fmt, verdicts=pair_verdicts) -> str:
     if fmt == "csv":
         return CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     return "[\n" + ",\n".join(rows) + "\n]\n"
+
+
+# Where a pair's Gram blocks may be non-zero: G00 and G11 on the diagonal
+# and at (1,2), (2,1); G01 at (0,3) alone.
+SAME = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[[0, 2, 1, 3]]
+CROSS = np.zeros((4, 4), dtype=bool)
+CROSS[0, 3] = True
+
+
+def x_coefficients(g00, g01, g11):
+    """The X-state coefficients of one pair's Gram blocks: the rows
+    [diag G00, G00[1,2]] and [diag G11, G11[1,2]], shape (2, 5), and
+    |G01[0,3]|^2. Raises ContractError unless the blocks are 0.0 off the
+    positions SAME and CROSS allow and each (1,2) entry is real, since
+    only then do these six numbers fix the marginal's verdict and measures.
+    """
+    if (np.any(g00[~SAME]) or np.any(g11[~SAME]) or np.any(g01[~CROSS])
+            or g00[1, 2].imag or g11[1, 2].imag):
+        raise ContractError("pair table: a Gram block is not 0.0 off the X pattern with a real (1,2) entry")
+    lin = np.array([[*g.diagonal().real, g[1, 2].real] for g in (g00, g11)])
+    return lin, g01[0, 3].real ** 2 + g01[0, 3].imag ** 2
+
+
+def pipeline_pair_table(branch):
+    """protocol._pair_table's (row, lin, g2) for `branch`, built from the
+    float Gram blocks of the pipeline and certified pair by pair."""
+    keys = PAIR_KEYS if branch else tuple(key for key in PAIR_KEYS if set(key) <= set("1234"))
+    lin, g2 = zip(*(x_coefficients(*_gram_blocks(branch, tuple(key))[1:]) for key in keys))
+    return {key: row for row, key in enumerate(keys)}, np.stack(lin), np.array(g2)

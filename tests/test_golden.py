@@ -11,14 +11,20 @@ midpoints and rounded figures, so they must match byte for byte. sweep and
 swap print unrounded floats, which may move in the last bits when the
 arithmetic is regrouped: their numbers must agree within 1e-12, and every
 other field (labels, pairs, words, entangled flags) must be equal.
+
+The scan commands and sweep read protocol's checked-in pair tables; the
+last test runs them with the cloning pipeline made to raise.
 """
 import csv
 import json
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-from qbroadcast.cli import run_command
+import qbroadcast.protocol as protocol_module
+from qbroadcast.cli import BRANCH_NAMES, run_command
+from reference import pipeline_pair_table
 
 GOLDEN = Path(__file__).parent / "golden"
 PAIRS = "12,15,34,36,25,46,23,35,14,16"
@@ -87,11 +93,14 @@ def test_json_commands_match_golden_numbers(tmp_path, capsys, name, argv, phase)
     _assert_close(json.loads((GOLDEN / name).read_text(encoding="utf-8")), got)
 
 
+SWEEP_CSV = ["sweep", "--pairs", PAIRS, "--branch", "Q1Q1", "--from", "0", "--to", "1", "--steps", "11"]
+
+
 def test_sweep_csv_matches_golden_numbers(capsys):
-    out = _stdout(
-        capsys,
-        ["sweep", "--pairs", PAIRS, "--branch", "Q1Q1", "--from", "0", "--to", "1", "--steps", "11"],
-    )
+    _assert_csv_close(_stdout(capsys, SWEEP_CSV))
+
+
+def _assert_csv_close(out):
     want = list(csv.reader((GOLDEN / "sweep_Q1Q1_phi0.csv").read_text(encoding="utf-8").splitlines()))
     got = list(csv.reader(out.splitlines()))
     assert got[0] == want[0]
@@ -103,3 +112,28 @@ def test_sweep_csv_matches_golden_numbers(capsys):
                 assert b == a, (w, g)
             else:
                 assert abs(float(b) - float(a)) <= 1e-12, (column, w, g)
+
+
+def _refuse(*args):
+    raise AssertionError("the cloning pipeline ran")
+
+
+@pytest.mark.parametrize("phase", ["phi0", "phi471"])
+def test_scans_and_sweep_run_no_cloner(tmp_path, capsys, monkeypatch, phase):
+    # thresholds on every branch, branches, baseline and a 10-pair sweep,
+    # from cold caches with the basis images refused: the goldens where they
+    # exist, and otherwise the bytes of tables built by the float pipeline
+    args = _phase_args(tmp_path, phase)
+    scans = [["thresholds", "--branch", name] + args for name in BRANCH_NAMES] + [["branches"] + args, ["baseline"] + args]
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol_module, "_pair_table", cache(pipeline_pair_table))
+        want = [_stdout(capsys, argv) for argv in scans]
+    for cached in (protocol_module._pair_table, protocol_module._basis_images, protocol_module._first_stage_runs):
+        cached.cache_clear()
+    monkeypatch.setattr(protocol_module, "_basis_images", _refuse)
+    monkeypatch.setattr(protocol_module, "_first_stage_runs", _refuse)
+    got = [_stdout(capsys, argv) for argv in scans]
+    assert got == want
+    for name, out in (("thresholds_Q1Q1", got[3]), ("branches", got[4]), ("baseline", got[5])):
+        assert out == (GOLDEN / f"{name}_{phase}.txt").read_text(encoding="utf-8"), name
+    _assert_csv_close(_stdout(capsys, SWEEP_CSV + args))

@@ -3,9 +3,10 @@ which protocol.pair_verdicts evaluates on its table of pair coefficients),
 held to the Jacobi routes of ppt_verdict and concurrence.
 
 An X-state is 0.0 everywhere off the diagonal and the anti-diagonal. Every
-pair marginal the pipeline forms is one, and its table is certified once;
-any other operator goes through the eigen-solve. The closed forms are fed
-the entries of the same matrices the Jacobi routes solve.
+pair marginal the pipeline forms is one, as reference.x_coefficients
+certifies for the pair tables; any other operator goes through the
+eigen-solve. The closed forms are fed the entries of the same matrices the
+Jacobi routes solve.
 """
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qbroadcast import (  # noqa: E402
 )
 from qbroadcast.cloner import OUTCOME_ORDER  # noqa: E402
 from qbroadcast.protocol import PAIR_KEYS  # noqa: E402
+import reference  # noqa: E402
 
 CHECKS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -119,7 +121,7 @@ def test_table_certification_rejects_a_tiny_entry_off_the_pattern():
     # a 1e-300 entry changes no number the table holds, but the six reals
     # would no longer fix the marginal, so certification refuses the blocks
     _, *blocks = protocol_module._gram_blocks(("Q0", "Q0"), ("1", "4"))
-    lin, g2 = protocol_module._x_coefficients(*blocks)
+    lin, g2 = reference.x_coefficients(*blocks)
     assert lin.shape == (2, 5) and g2 > 0.0
     for block, (i, j) in [(0, (0, 1)), (0, (0, 3)), (1, (1, 2)), (1, (0, 0)), (2, (2, 3)), (2, (3, 0))]:
         off = [g.copy() for g in blocks]
@@ -127,13 +129,13 @@ def test_table_certification_rejects_a_tiny_entry_off_the_pattern():
         if block != 1:
             off[block][j, i] = 1e-300
         with pytest.raises(ContractError, match="X pattern"):
-            protocol_module._x_coefficients(*off)
+            reference.x_coefficients(*off)
     for block in (0, 2):
         off = [g.copy() for g in blocks]
         off[block][1, 2] += 1e-300j
         off[block][2, 1] -= 1e-300j
         with pytest.raises(ContractError, match="real"):
-            protocol_module._x_coefficients(*off)
+            reference.x_coefficients(*off)
 
 
 def _not_psd():
