@@ -52,8 +52,9 @@ BRANCH_NAMES = tuple("".join(b) for b in OUTCOME_ORDER)
 GV_MAX_BITS = 10**6
 
 # Largest scan grid (--grid, or grid= in a config file): the grid is tested
-# in chunks of 4096 points, and `thresholds --grid 20000` takes about 0.05 s
-# (run_command timed in a fresh interpreter; 2 vCPUs, Python 3.11, numpy 2.4).
+# in chunks of 4096 points. `thresholds --grid 20000` takes about 0.02 s, and
+# `thresholds --grid 100000 --tol 1e-300` about 0.1 s (run_command timed in a
+# fresh interpreter; 2 vCPUs, Python 3.11, numpy 2.4).
 SCAN_MAX_GRID = 10**5
 
 # Most rows one sweep computes (--steps times the number of pairs). The
@@ -94,7 +95,8 @@ def main() -> None:
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
+    argv = list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -112,72 +114,80 @@ def run_command(argv) -> int:
 # ---------------------------------------------------------------- parsing
 
 
-# Built once per process: the handlers it binds are module functions, and
-# each parse_args call fills a fresh Namespace.
+# The subcommands with their help lines, in the order help lists them.
+_COMMANDS = {
+    "baseline": "inseparability interval of the single-stage nonlocal pair",
+    "sweep": "per-pair PPT/concurrence table over alpha^2",
+    "thresholds": "entanglement thresholds for one branch",
+    "branches": "broadcast ranges for all four branches",
+    "swap": "Bell-measurement outcomes and recovery fidelities",
+    "gv": "secret channel statistics",
+    "report": "full computed-vs-published reproduction report",
+}
+
+
+# Built once per process for each command it is asked for: the handlers it
+# binds are module functions, and each parse_args call fills a fresh
+# Namespace.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser with every subcommand (command None), or with `command`'s
+    alone, which parses that command's argv to the same Namespace and
+    prints the same bytes on help and on errors."""
     parser = argparse.ArgumentParser(
         prog="qbroadcast",
         description="Secret broadcasting of three-qubit entanglement: "
         "reproduction tables and protocol simulation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cfg = argparse.ArgumentParser(add_help=False)
-    cfg.add_argument(
-        "--config",
-        metavar="PATH",
-        help="key=value file overriding defaults (keys: tol, grid, beta_phase, seed)",
-    )
-    scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument("--tol", type=float, help=f"bisection tolerance (default {SCAN_TOL})")
-    scan.add_argument("--grid", type=int, help=f"coarse grid size (default {SCAN_GRID})")
-
-    p = sub.add_parser(
-        "baseline",
-        parents=[cfg, scan],
-        help="inseparability interval of the single-stage nonlocal pair",
-    )
-    p.set_defaults(handler=_cmd_baseline)
-
-    p = sub.add_parser("sweep", parents=[cfg], help="per-pair PPT/concurrence table over alpha^2")
-    p.add_argument("--pairs", required=True, help=f"comma list from: {','.join(PAIR_KEYS)}")
-    p.add_argument("--branch", choices=BRANCH_NAMES, default="Q0Q0")
-    p.add_argument("--from", dest="from_", type=float, required=True, metavar="A")
-    p.add_argument("--to", dest="to", type=float, required=True, metavar="B")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--beta-phase", dest="beta_phase", type=float, help="phase of beta in radians")
-    p.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("thresholds", parents=[cfg, scan], help="entanglement thresholds for one branch")
-    p.add_argument("--branch", choices=BRANCH_NAMES, default="Q0Q0")
-    p.set_defaults(handler=_cmd_thresholds)
-
-    p = sub.add_parser("branches", parents=[cfg, scan], help="broadcast ranges for all four branches")
-    p.set_defaults(handler=_cmd_branches)
-
-    p = sub.add_parser("swap", parents=[cfg], help="Bell-measurement outcomes and recovery fidelities")
-    p.add_argument("--alpha2", type=float, required=True)
-    p.add_argument(
-        "--corrections",
-        choices=("derived", "published", "paper"),
-        default="derived",
-        help="correction set to verify (paper is an alias for published)",
-    )
-    p.set_defaults(handler=_cmd_swap)
-
-    p = sub.add_parser("gv", parents=[cfg], help="secret channel statistics")
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--eve", choices=("none", "intercept"), default="none")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int, default=1)
-    p.set_defaults(handler=_cmd_gv)
-
-    p = sub.add_parser("report", parents=[cfg, scan], help="full computed-vs-published reproduction report")
-    p.set_defaults(handler=_cmd_report)
-
+    # Errors after the subcommand print the top usage line, which lists the
+    # choices. A full parser leaves metavar unset, so that an invalid choice
+    # is reported against "argument command".
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        p = sub.add_parser(name, help=_COMMANDS[name])
+        p.add_argument(
+            "--config",
+            metavar="PATH",
+            help="key=value file overriding defaults (keys: tol, grid, beta_phase, seed)",
+        )
+        if name in ("baseline", "thresholds", "branches", "report"):
+            p.add_argument("--tol", type=float, help=f"bisection tolerance (default {SCAN_TOL})")
+            p.add_argument("--grid", type=int, help=f"coarse grid size (default {SCAN_GRID})")
+        if name == "baseline":
+            p.set_defaults(handler=_cmd_baseline)
+        elif name == "sweep":
+            p.add_argument("--pairs", required=True, help=f"comma list from: {','.join(PAIR_KEYS)}")
+            p.add_argument("--branch", choices=BRANCH_NAMES, default="Q0Q0")
+            p.add_argument("--from", dest="from_", type=float, required=True, metavar="A")
+            p.add_argument("--to", dest="to", type=float, required=True, metavar="B")
+            p.add_argument("--steps", type=int, required=True)
+            p.add_argument("--beta-phase", dest="beta_phase", type=float, help="phase of beta in radians")
+            p.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+            p.set_defaults(handler=_cmd_sweep)
+        elif name == "thresholds":
+            p.add_argument("--branch", choices=BRANCH_NAMES, default="Q0Q0")
+            p.set_defaults(handler=_cmd_thresholds)
+        elif name == "branches":
+            p.set_defaults(handler=_cmd_branches)
+        elif name == "swap":
+            p.add_argument("--alpha2", type=float, required=True)
+            p.add_argument(
+                "--corrections",
+                choices=("derived", "published", "paper"),
+                default="derived",
+                help="correction set to verify (paper is an alias for published)",
+            )
+            p.set_defaults(handler=_cmd_swap)
+        elif name == "gv":
+            p.add_argument("--bits", type=int, required=True)
+            p.add_argument("--eve", choices=("none", "intercept"), default="none")
+            p.add_argument("--seed", type=int)
+            p.add_argument("--trials", type=int, default=1)
+            p.set_defaults(handler=_cmd_gv)
+        else:
+            p.set_defaults(handler=_cmd_report)
     return parser
 
 

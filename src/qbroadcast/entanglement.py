@@ -20,6 +20,7 @@ values, so a grid is one stacked evaluation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -47,6 +48,9 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 # Largest number of alpha^2 points a scan tests in one call, so that the
 # stacks a fine grid builds stay a few megabytes.
 _SCAN_CHUNK = 4096
+
+# Most bisection steps one test call takes: 2^6 - 1 = 63 points per edge.
+_BISECT_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -196,21 +200,46 @@ def _bisect_edges(
     test, rows: int, row: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float
 ) -> np.ndarray:
     """Midpoints of the flips of predicate row[i] between a[i] and b[i]
-    (fa[i] is its value at a[i]), all edges refined together: each step
-    tests the midpoints of the edges still open in one call.
+    (fa[i] is its value at a[i]), all edges refined together.
 
-    An edge closes when it is no wider than tol, or when its midpoint is one
-    of its endpoints (a and b are adjacent floats), so every tol ends.
+    Each step halves an edge: it closes when it is no wider than tol, or
+    when its midpoint is one of its endpoints (a and b are adjacent floats),
+    so every tol ends. One test call takes the next `levels` steps of up to
+    _SCAN_CHUNK // (2^levels - 1) open edges: every node of their bisection
+    trees, each the midpoint (lo + hi) / 2.0 of the floats a one-step loop
+    would hold, so the edges are the ones that loop returns, bit for bit.
     """
     a, b = a.copy(), b.copy()
     while True:
         mid = (a + b) / 2.0
-        live = np.nonzero((b - a > tol) & (mid > a) & (mid < b))[0]
+        live = np.nonzero((b - a > tol) & (mid > a) & (mid < b))[0][:_SCAN_CHUNK]
         if not live.size:
             return mid
-        same = _flags(test, mid[live], rows)[row[live], np.arange(live.size)] == fa[live]
-        a[live[same]] = mid[live[same]]
-        b[live[~same]] = mid[live[~same]]
+        # As many steps as the widest edge needs, at most _BISECT_LEVELS and
+        # no more than the chunk holds for these edges.
+        fit = (_SCAN_CHUNK // live.size + 1).bit_length() - 1
+        need = math.ceil(math.log2(np.max(b[live] - a[live])) - math.log2(tol))
+        levels = max(1, min(_BISECT_LEVELS, fit, need))
+        n, each = live.size, np.arange(live.size)
+        # Each tree's ends and nodes in order: step k sets every 2^(levels-k)-th
+        # column, halfway between two columns set before it.
+        tree = np.empty((n, 2**levels + 1))
+        tree[:, 0], tree[:, -1] = a[live], b[live]
+        for k in range(levels):
+            gap = 2 ** (levels - k)
+            tree[:, gap // 2::gap] = (tree[:, :-1:gap] + tree[:, gap::gap]) / 2.0
+        flags = _flags(test, tree[:, 1:-1].ravel(), rows).reshape(rows, n, -1)[row[live], each]
+        # Walk down each tree by the one-step rule; lo and hi are columns.
+        lo, hi = np.zeros(n, dtype=int), np.full(n, 2**levels)
+        going = np.ones(n, dtype=bool)
+        for _ in range(levels):
+            m = (lo + hi) // 2
+            x0, x, x1 = tree[each, lo], tree[each, m], tree[each, hi]
+            going &= (x1 - x0 > tol) & (x > x0) & (x < x1)
+            same = flags[each, m - 1] == fa[live]
+            lo = np.where(going & same, m, lo)
+            hi = np.where(going & ~same, m, hi)
+        a[live], b[live] = tree[each, lo], tree[each, hi]
 
 
 def scan_predicates(
@@ -226,8 +255,9 @@ def scan_predicates(
     (len(names), n), one row per name. A coarse grid of `grid` interior
     points, tested as one array (in chunks of _SCAN_CHUNK points), finds
     each row's sign structure; bisection refines the interior edges of all
-    rows together to `tol`, one test call per step. A row that is constant
-    across the whole grid yields no crossings and an empty list.
+    rows together to `tol`, up to _BISECT_LEVELS steps of every open edge
+    per test call. A row that is constant across the whole grid yields no
+    crossings and an empty list.
     """
     if grid < 50:
         raise ContractError(f"scan: grid {grid} is too coarse (need >= 50)")

@@ -337,7 +337,7 @@ def branch_scan(
     traced out, has the pair rows on qubits 1 to 4. All rows are checked
     before any point is tested. Each test call takes the pairs' verdicts
     from one pair_verdicts call, and the edges of all rows are bisected
-    together. Pair rows' intervals are named by their predicate
+    together, several steps per call (scan_predicates). Pair rows' intervals are named by their predicate
     ("entangled" or "separable"). No verdict depends on the input phase.
     """
     pair = _as_branch(branch)

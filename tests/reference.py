@@ -10,6 +10,11 @@ traced out) and six_qubit_branch to these routes entrywise, and tests/golden/ ho
 through a whole-row template from its own pair's numbers; the CLI's
 `sweep` output is held to it byte for byte.
 
+`bisect_edges` is the scans' bisection one step per test call; the
+package's _bisect_edges takes several of its steps per call. `on_reference`
+runs a scan with it, and the package's scans are held to those edges bit
+for bit.
+
 `pipeline_pair_table` is the one route here that reads Gram blocks: it
 builds a branch's table of X-state coefficients from protocol's float
 blocks, each pair certified by `x_coefficients`, the float route that
@@ -18,10 +23,12 @@ protocol's checked-in integer tables are held to.
 import collections
 
 import numpy as np
+import pytest
 
 from qbroadcast import ContractError, DensityOp, PureState, clone_subsystem, partial_trace, run_first_stage, to_density
 from qbroadcast.cli import CSV_HEADER
-from qbroadcast.entanglement import eof
+import qbroadcast.entanglement as entanglement
+from qbroadcast.entanglement import _flags, eof
 from qbroadcast.protocol import PAIR_KEYS, SIX_LABELS, _gram_blocks, pair_verdicts
 
 TRIPLE_KEYS = ("146", "325")
@@ -118,3 +125,25 @@ def pipeline_pair_table(branch):
     keys = PAIR_KEYS if branch else tuple(key for key in PAIR_KEYS if set(key) <= set("1234"))
     lin, g2 = zip(*(x_coefficients(*_gram_blocks(branch, tuple(key))[1:]) for key in keys))
     return {key: row for row, key in enumerate(keys)}, np.stack(lin), np.array(g2)
+
+
+def bisect_edges(test, rows, row, a, b, fa, tol):
+    """entanglement._bisect_edges one step per test call: each call tests
+    the midpoints of all edges still open. An edge closes when it is no
+    wider than tol, or when its midpoint is one of its endpoints."""
+    a, b = a.copy(), b.copy()
+    while True:
+        mid = (a + b) / 2.0
+        live = np.nonzero((b - a > tol) & (mid > a) & (mid < b))[0]
+        if not live.size:
+            return mid
+        same = _flags(test, mid[live], rows)[row[live], np.arange(live.size)] == fa[live]
+        a[live[same]] = mid[live[same]]
+        b[live[~same]] = mid[live[~same]]
+
+
+def on_reference(scan, *args):
+    """scan(*args) with every scan inside bisecting through bisect_edges."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entanglement, "_bisect_edges", bisect_edges)
+        return scan(*args)

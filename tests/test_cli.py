@@ -10,9 +10,10 @@ import pytest
 import qbroadcast.cli as cli_module
 import qbroadcast.entanglement as entanglement_module
 import qbroadcast.linalg as linalg_module
+import qbroadcast.protocol as protocol_module
 import qbroadcast.swap as swap_module
 from qbroadcast.cli import BRANCH_NAMES, CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, SWEEP_MAX_ROWS, run_command
-from qbroadcast.entanglement import ThresholdInterval
+from qbroadcast.entanglement import ThresholdInterval, scan_predicates
 from qbroadcast.errors import ContractError
 from qbroadcast.protocol import PAIR_KEYS, pair_verdicts
 from reference import sweep_text
@@ -545,10 +546,11 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys
     sweep = ["sweep", "--pairs", "16,46", "--from", "0.2", "--to", "0.8", "--steps", "3"]
     first = _run(capsys, sweep)
     assert first[0] == 0
-    # the top parser, its two parent parsers and seven subcommands
-    per_process = len(builds)
-    assert per_process == 10
+    # the top parser and the one subcommand argv names
+    assert len(builds) == 2
     top_help = _run(capsys, ["--help"])
+    # argv that names no subcommand: the top parser and all seven
+    assert len(builds) == 2 + 8
     sweep_help = _run(capsys, ["sweep", "--help"])
     assert top_help[0] == sweep_help[0] == 0
     assert top_help[1].startswith("usage: qbroadcast ") and "--format" in sweep_help[1]
@@ -561,16 +563,62 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys
     assert _run(capsys, ["sweep", "--bogus"])[0] == 2
     assert _run(capsys, ["--help"]) == top_help
     assert _run(capsys, sweep) == first
+    # argv may be any iterable
+    assert _run(capsys, iter(sweep)) == first
     assert _run(capsys, ["sweep", "--help"]) == sweep_help
     # the settings of the config-file call are gone from the next call
     code, out, _ = _run(capsys, ["thresholds", "--grid", "50"])
     assert code == 0
     assert (json.loads(out)["beta_phase"], json.loads(out)["tol"]) == (0.0, 1e-4)
-    args = cli_module._build_parser().parse_args(sweep)
+    args = cli_module._build_parser("sweep").parse_args(sweep)
     assert (args.config, args.beta_phase, args.format, args.out) == (None, None, "csv", None)
-    assert len(builds) == per_process
+    # one more build, for thresholds
+    assert len(builds) == 2 + 8 + 2
     # the help a fresh parser prints
-    assert cli_module._build_parser.__wrapped__().format_help() == top_help[1]
+    assert cli_module._build_parser.__wrapped__(None).format_help() == top_help[1]
+
+
+# Per subcommand: help, an error inside the subcommand, and an unknown flag.
+_PARSER_ARGV = [
+    argv
+    for command, error in (
+        ("baseline", ["--grid", "x"]),
+        ("sweep", ["--pairs", "16"]),
+        ("thresholds", ["--branch", "Q2Q2"]),
+        ("branches", ["--tol"]),
+        ("swap", []),
+        ("gv", ["--bits", "8", "--eve", "x"]),
+        ("report", ["--grid", "1e3"]),
+    )
+    for argv in ([command, "-h"], [command, *error], [command, "--bogus"])
+] + [[], ["-h"], ["bogus"], ["--config", "x", "report"]]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no-args")
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    alone = _run(capsys, argv)
+    full = cli_module._build_parser(None)
+    monkeypatch.setattr(cli_module, "_build_parser", lambda command: full)
+    assert _run(capsys, argv) == alone
+    assert alone[0] in (0, 2) and (alone[1] or alone[2])
+
+
+def test_report_makes_ten_scan_test_calls(capsys, monkeypatch):
+    calls = []
+
+    def counting(test, names, grid, tol):
+        def counted(xs):
+            calls.append(xs.size)
+            return test(xs)
+
+        return scan_predicates(counted, names, grid, tol)
+
+    monkeypatch.setattr(protocol_module, "scan_predicates", counting)
+    assert _run(capsys, ["report"])[0] == 0
+    # five scans, the baseline's and one per branch: each its 200-point grid,
+    # then one call that takes all six bisection steps of its edges
+    assert len(calls) == 10
+    assert calls[::2] == [200] * 5
 
 
 def test_contract_violation_exits_1(capsys, monkeypatch):

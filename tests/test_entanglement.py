@@ -21,6 +21,8 @@ from qbroadcast import (
 )
 import qbroadcast.entanglement as entanglement_module
 from qbroadcast.linalg import eig_hermitian
+from qbroadcast.protocol import PAIR_KEYS, branch_scan
+from reference import on_reference
 from stacks import pointwise, scan_family, scan_row
 
 _S = 1.0 / np.sqrt(2.0)
@@ -457,9 +459,9 @@ def test_scan_predicate_tests_the_grid_as_one_array():
 
     ivs = scan_row(test, grid=80, tol=1e-6)
     assert [(round(iv.lo, 5), round(iv.hi, 5)) for iv in ivs] == [(0.25, 0.6)]
-    # the grid first, then both edges refined together, one point each
-    assert calls[0] == 80
-    assert set(calls[1:]) == {2}
+    # the grid first, then both edges refined together: six steps of each
+    # (2 x 63 points) per call until 2^-14 of the grid spacing is below tol
+    assert calls == [80, 126, 126, 6]
 
 
 def test_scan_predicate_tests_fine_grids_in_chunks():
@@ -471,8 +473,9 @@ def test_scan_predicate_tests_fine_grids_in_chunks():
 
     ivs = scan_row(test, grid=10000, tol=1e-6)
     assert len(ivs) == 1 and ivs[0].lo == pytest.approx(0.3, abs=1e-6)
-    assert calls[:3] == [4096, 4096, 1808]
-    assert set(calls[3:]) == {1}
+    # the grid in chunks, then the one edge: six steps (63 points), then the
+    # seventh it needs to narrow 1/10001 below tol
+    assert calls == [4096, 4096, 1808, 63, 1]
 
 
 def test_scan_predicate_ends_below_the_float_spacing():
@@ -529,10 +532,41 @@ def test_scan_predicates_rows_equal_separate_scans():
     assert len(scans["union"]) == 2
     assert scans["union"][0].lo == scans["low"][0].lo == 0.0
     assert scans["union"][1].hi == scans["high"][0].hi == 1.0
-    # the grid in one call, then one call per bisection step testing the
-    # midpoints of all eight edges
-    assert calls[0] == 100
-    assert set(calls[1:]) == {8}
+    # the grid in one call, then the ten steps all eight edges need to
+    # narrow 1/101 below tol: six (8 x 63 points), then four (8 x 15)
+    assert calls == [100, 504, 120]
+
+
+def _ends(scans):
+    """Each row's intervals as the hex of their ends, which tells any two
+    floats apart."""
+    return {name: [(iv.lo.hex(), iv.hi.hex()) for iv in ivs] for name, ivs in scans.items()}
+
+
+@pytest.mark.parametrize("branch", [("Q0", "Q0"), ("Q0", "Q1"), ("Q1", "Q0"), ("Q1", "Q1"), None])
+def test_branch_scans_bisect_to_the_one_step_edges(branch):
+    keys = PAIR_KEYS if branch else [key for key in PAIR_KEYS if set(key) <= set("1234")]
+    names = [f"{key}:{p}" for key in keys for p in ("entangled", "separable")]
+    names += ["broadcast", "closed-146"] if branch else []
+    for grid, tol in ((200, 1e-4), (60, 1e-300), (3000, 5e-324)):
+        scans = branch_scan(branch, names, grid, tol)
+        assert _ends(scans) == _ends(on_reference(branch_scan, branch, names, grid, tol)), (grid, tol)
+        assert any(scans.values())
+
+
+def test_scan_with_thousands_of_open_edges_stays_in_chunks():
+    # the predicate flips between every two grid points: 9999 edges, each
+    # tested in calls of at most _SCAN_CHUNK points
+    grid, calls = 10**4, []
+
+    def test(xs):
+        calls.append(len(xs))
+        return np.floor(xs * (grid + 1) + 0.5) % 2 == 1
+
+    ivs = scan_row(test, grid=grid, tol=1e-9)
+    assert len(ivs) == 5000
+    assert max(calls) == entanglement_module._SCAN_CHUNK
+    assert _ends({"": ivs}) == _ends({"": on_reference(scan_row, test, grid, 1e-9)})
 
 
 def test_scan_predicates_checks_the_row_count_and_settings():
