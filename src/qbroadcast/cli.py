@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ class UsageError(Exception):
     """Bad flags or config content; mapped to exit code 2."""
 
 
-@dataclass(frozen=True)
-class Settings:
+class Settings(NamedTuple):
     tol: float
     grid: int
     beta_phase: float
@@ -463,8 +462,7 @@ def _line(name: str, computed: str, published: str, marker: str) -> str:
     return f"{name:<46} computed {computed:<24} published {published:<16} {marker}"
 
 
-@dataclass(frozen=True)
-class Published:
+class Published(NamedTuple):
     """One report line that sets a computed figure beside a published one.
 
     source is (branch, branch_scan row), or None for the single-stage

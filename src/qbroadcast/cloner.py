@@ -9,7 +9,7 @@ broadcasting channel of the two-qubit baseline (protocol.buzek_baseline).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ OUTCOME_ORDER: tuple[tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class BranchOutcome:
+class BranchOutcome(NamedTuple):
     """One joint machine outcome: labels, probability, postselected state."""
 
     machine_labels: tuple[str, str]

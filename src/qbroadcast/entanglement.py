@@ -21,8 +21,7 @@ values, so a grid is one stacked evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,8 +52,7 @@ _SCAN_CHUNK = 4096
 _BISECT_LEVELS = 6
 
 
-@dataclass(frozen=True)
-class PPTVerdict:
+class PPTVerdict(NamedTuple):
     """Separability verdict for one two-qubit operator; for a stack, each
     field is an array with one entry per member."""
 
@@ -64,8 +62,7 @@ class PPTVerdict:
     entangled: bool
 
 
-@dataclass(frozen=True)
-class ThresholdInterval:
+class ThresholdInterval(NamedTuple):
     """Maximal alpha^2 interval on which a predicate holds.
 
     Endpoints are bisection midpoints accurate to `tolerance` (the setting,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,29 +62,32 @@ def _integer_at_least(what: str, value, low: int) -> int:
     return number
 
 
-@dataclass(frozen=True)
-class GvConfig:
+class GvConfig(NamedTuple("GvConfig", [("trials", int), ("seed", int)])):
     """Channel settings: trial count and seed. `trials` repeats the whole
     bit sequence that many times; `seed` (an integer >= 0) fixes the coins."""
 
-    trials: int = 1
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "trials", _integer_at_least("GvConfig: trials", self.trials, 1))
-        object.__setattr__(self, "seed", _integer_at_least("GvConfig: seed", self.seed, 0))
+    def __new__(cls, trials: int = 1, seed: int = 0):
+        trials = _integer_at_least("GvConfig: trials", trials, 1)
+        seed = _integer_at_least("GvConfig: seed", seed, 0)
+        return tuple.__new__(cls, (trials, seed))
+
+    # tuple.__new__ in the namedtuple's own _make (and so in _replace)
+    # would skip the checks.
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class GvResult:
+class GvResult(NamedTuple):
     bits_sent: int
     bit_errors: int
     eve_detected: bool
     detection_events: int
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     """Outcome of sending one machine result through the channel."""
 
     payload: str

@@ -8,7 +8,7 @@ deterministic across platforms; numpy is used for array plumbing only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Eigensystem of a Hermitian matrix, or of each member of a stack.
 
     values are real and ascending along the last axis; vectors holds the

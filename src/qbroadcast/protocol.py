@@ -36,8 +36,8 @@ tests hold this map to are kept in tests/reference.py.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ PAIR_KEYS = ("12", "15", "34", "36", "25", "46", "23", "35", "14", "16")
 SIX_LABELS = ("1", "2", "5", "3", "4", "6")
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
+class ProtocolRun(NamedTuple):
     """One full protocol execution for a fixed machine branch."""
 
     alpha2: float
@@ -351,7 +350,7 @@ def branch_scan(
 
     scans = scan_predicates(test, names, grid, tol)
     return {
-        name: [replace(iv, predicate_name=name.rpartition(":")[2]) for iv in ivs]
+        name: [iv._replace(predicate_name=name.rpartition(":")[2]) for iv in ivs]
         for name, ivs in scans.items()
     }
 

@@ -10,8 +10,7 @@ significant tensor factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,20 +38,30 @@ def _norm_label(x) -> Label:
     return str(x)
 
 
-@dataclass(frozen=True)
-class Register:
+# The three records below are named tuples whose __new__ checks (and
+# coerces) the fields. The namedtuple's own _make, which _replace calls,
+# builds through tuple.__new__, so each class routes it through __new__;
+# copy and pickle rebuild through __new__ already.
+
+
+class Register(NamedTuple("Register", [("labels", tuple[Label, ...])])):
     """Ordered qubit labels. Every subsystem of the pipeline is a qubit, so
     n labels have dim 2**n."""
 
-    labels: tuple[Label, ...]
+    __slots__ = ()
+
+    def __new__(cls, labels: tuple[Label, ...]):
+        if len(set(labels)) != len(labels):
+            raise ContractError(f"Register: duplicate labels in {labels}")
+        return tuple.__new__(cls, (labels,))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @staticmethod
     def qubits(*labels) -> "Register":
         return Register(tuple(_norm_label(x) for x in labels))
-
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ContractError(f"Register: duplicate labels in {self.labels}")
 
     @property
     def dim(self) -> int:
@@ -91,25 +100,25 @@ class Register:
 PAIR_REGISTER = Register.qubits("first", "second")
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(NamedTuple("PureState", [("register", Register), ("amplitudes", np.ndarray)])):
     """Normalized state vector over a labeled register."""
 
-    register: Register
-    amplitudes: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape[0] != self.register.dim:
-            raise ContractError(
-                f"PureState: {amps.shape[0]} amplitudes for register of dim {self.register.dim}"
-            )
+    def __new__(cls, register: Register, amplitudes: np.ndarray):
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if amps.shape[0] != register.dim:
+            raise ContractError(f"PureState: {amps.shape[0]} amplitudes for register of dim {register.dim}")
         if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
             raise ContractError("PureState: non-finite amplitudes")
         n = float(np.linalg.norm(amps))
         if abs(n - 1.0) > NORM_TOL:
             raise ContractError(f"PureState: norm {n} is not 1")
-        object.__setattr__(self, "amplitudes", amps)
+        return tuple.__new__(cls, (register, amps))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def amplitude(self, bits: str) -> complex:
         """Amplitude of a computational basis state given as a bit string."""
@@ -121,8 +130,7 @@ class PureState:
         return complex(self.amplitudes[idx])
 
 
-@dataclass(frozen=True)
-class DensityOp:
+class DensityOp(NamedTuple("DensityOp", [("register", Register), ("matrix", np.ndarray)])):
     """Density operator over a labeled register, or a stack of them.
 
     matrix is (d, d) for one operator, or (G, d, d) for G operators on the
@@ -137,11 +145,22 @@ class DensityOp:
     pipeline states do not need on every construction).
     """
 
-    register: Register
-    matrix: np.ndarray
+    __slots__ = ()
+
+    def __new__(cls, register: Register, matrix: np.ndarray):
+        self = tuple.__new__(cls, (register, np.asarray(matrix, dtype=complex)))
+        # Looked up on the class at each call, so a wrapper set there (the
+        # perfbench tracer's) sees every construction.
+        cls.__post_init__(self)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        """The construction checks on the coerced matrix."""
+        mat = self.matrix
         d = self.register.dim
         if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d):
             raise ContractError(f"DensityOp: matrix shape {mat.shape} is not ({d}, {d}) or (G, {d}, {d})")
@@ -155,7 +174,6 @@ class DensityOp:
             worst = complex(tr[np.argmax(np.abs(tr - 1.0))])
             if abs(worst - 1.0) > NORM_TOL:
                 raise ContractError(f"DensityOp: trace {worst} is not 1")
-        object.__setattr__(self, "matrix", mat)
 
     @property
     def stacked(self) -> bool:

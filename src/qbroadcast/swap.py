@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _PAULI = (("i", _I2), ("x", _SX), ("y", _SY), ("z", _SZ))
 
 
-@dataclass(frozen=True)
-class BellOutcome:
+class BellOutcome(NamedTuple):
     """One Bell-measurement result on qubits (2, 8); for a stack, probability
     is an array and post_state a stack, one entry per member."""
 
@@ -56,8 +55,7 @@ class BellOutcome:
     post_state: DensityOp
 
 
-@dataclass(frozen=True)
-class CorrectionPlan:
+class CorrectionPlan(NamedTuple):
     """Correction unitary on qubits (3, 5, 7) for one Bell outcome."""
 
     outcome: str

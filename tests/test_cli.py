@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import errno
 import json
 import time
@@ -202,7 +201,7 @@ def test_sweep_pairs_that_differ_in_one_field_at_one_point_print_their_own(capsy
         verdict, conc = pair_verdicts(alpha2, branch, keys)
         w4 = verdict.w4.copy()
         w4[keys.index("15"), -1] += 0.25
-        return dataclasses.replace(verdict, w4=w4), conc
+        return verdict._replace(w4=w4), conc
 
     monkeypatch.setattr(cli_module, "pair_verdicts", verdicts)
     argv = ["sweep", "--pairs", "12,15,23", "--from", "0.2", "--to", "0.8", "--steps", "5", "--format", fmt]
@@ -502,7 +501,7 @@ def test_non_finite_results_never_reach_json(tmp_path, capsys, monkeypatch):
 
     def inf_w4(*args):
         v, c = pair_verdicts(*args)
-        return dataclasses.replace(v, w4=np.where(np.arange(v.w4.shape[-1]) == 1, np.inf, v.w4)), c
+        return v._replace(w4=np.where(np.arange(v.w4.shape[-1]) == 1, np.inf, v.w4)), c
 
     out_path = tmp_path / "rows.txt"
     for name, patch in (("concurrence", nan_concurrence), ("w4", inf_w4)):

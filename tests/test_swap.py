@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -339,7 +338,7 @@ def test_words_exact_up_to_roundoff_tie_to_the_first():
     zzx = np.kron(_SZ, np.kron(_SZ, _SX))
     post = zzx.conj().T @ recovery_target(rho).matrix @ zzx
     outcomes = bsm(swap_extend(rho))
-    outcomes[0] = dataclasses.replace(outcomes[0], post_state=DensityOp(Register.qubits("3", "5", "7"), post))
+    outcomes[0] = outcomes[0]._replace(post_state=DensityOp(Register.qubits("3", "5", "7"), post))
     assert correction_plans(rho, ("derived",), outcomes)["derived"]["B1+"].word == "iiy"
     assert _fidelity_route(rho, outcomes)["B1+"][0] == "iiy"
 
