@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -125,6 +126,19 @@ _COMMANDS = {
 }
 
 
+# A negative decimal, with or without an exponent ("-1e2", "-.5", "-3."), is
+# an option's value, never an option. argparse's own rule differs between
+# Python versions (3.10 to 3.13 read "-1e2" as an option), so every parser
+# here uses this one.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 # Built once per process for each command it is asked for: the handlers it
 # binds are module functions, and each parse_args call fills a fresh
 # Namespace.
@@ -133,7 +147,7 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser with every subcommand (command None), or with `command`'s
     alone, which parses that command's argv to the same Namespace and
     prints the same bytes on help and on errors."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbroadcast",
         description="Secret broadcasting of three-qubit entanglement: "
         "reproduction tables and protocol simulation.",

@@ -3,8 +3,11 @@
 Matrices are numpy complex128 arrays in row-major layout; nothing here is
 tuned for size (the largest operator in the pipeline is the 64 x 64
 six-qubit branch state; the eight-qubit basis images are vectors). The
-eigensolver is a cyclic Jacobi iteration written in-package so results are
-deterministic across platforms; numpy is used for array plumbing only.
+eigensolver and the singular-value solver are threshold Jacobi iterations
+written in-package so results are deterministic across platforms; numpy is
+used for array plumbing only. Each sweep screens every stack member's planes
+once and visits only the planes some member still needs, so the block-sparse
+operators of the pipeline cost a few rotations, not n(n-1)/2 per sweep.
 """
 from __future__ import annotations
 
@@ -61,7 +64,7 @@ def _check_square(a: np.ndarray, op: str) -> np.ndarray:
 
 
 def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
-    """Diagonalize Hermitian matrices by cyclic Jacobi rotations.
+    """Diagonalize Hermitian matrices by threshold Jacobi rotations.
 
     Args:
         a: square Hermitian matrix (n, n), or a stack of them (G, n, n)
@@ -72,10 +75,13 @@ def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
         EigenDecomposition with ascending real eigenvalues, shaped like the
         input: values (n,) or (G, n), vectors (n, n) or (G, n, n).
 
-    Each member goes through the same rotations it would get alone: a
-    rotation is skipped for the members whose (p, q) entry is already below
-    their own stopping threshold, and the sweeps end when every member has
-    converged.
+    Each sweep starts with a screen: the planes (p, q) whose entry is above
+    the member's own stopping threshold, the same magnitudes that decide
+    convergence. Only the planes some member's screen selected are
+    visited, in cyclic order, and a member is rotated on a visited plane
+    only if its own screen selected it and its (p, q) entry is still above
+    the threshold. So each member goes through the same rotations it would
+    get alone. The sweeps end when no member's screen selects a plane.
     """
     a = _check_square(a, "eig_hermitian")
     single = a.ndim == 2
@@ -91,13 +97,16 @@ def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
     if n > 1 and g:
         scale = np.maximum(1.0, np.max(np.abs(w.diagonal(axis1=1, axis2=2).real), axis=1))
         stop = 1e-15 * scale
-        off_diagonal = ~np.eye(n, dtype=bool)
+        rows, cols = np.triu_indices(n, 1)
         for _ in range(100):
-            if np.all(np.max(np.abs(w[:, off_diagonal]), axis=1) <= stop):
+            # need[m, k]: plane k of member m is above its stop value at the
+            # start of the sweep (w stays exactly Hermitian, so the upper
+            # triangle is the whole check). A NaN counts as not converged.
+            need = ~(np.abs(w[:, rows, cols]) <= stop[:, None])
+            if not need.any():
                 break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    _rotate(w, v, p, q, stop)
+            for k in np.flatnonzero(need.any(axis=0)):
+                _rotate(w, v, rows[k], cols[k], stop, need[:, k])
         else:
             raise ContractError("eig_hermitian: Jacobi sweep limit reached without convergence")
 
@@ -123,14 +132,15 @@ def _plane(x: np.ndarray, gap: np.ndarray, live: np.ndarray):
     return c, s, phase[:, None]
 
 
-def _rotate(w: np.ndarray, v: np.ndarray, p: int, q: int, stop: np.ndarray) -> None:
-    """One Jacobi rotation on plane (p, q) of every stack member, in place.
+def _rotate(w: np.ndarray, v: np.ndarray, p: int, q: int, stop: np.ndarray, screened: np.ndarray) -> None:
+    """One Jacobi rotation on plane (p, q) of the screened stack members, in
+    place.
 
-    Members whose |w[p, q]| is at or below their stop value get the identity
-    (c = 1, s = 0) and keep their (p, q) entry.
+    Members not screened, or whose |w[p, q]| is now at or below their stop
+    value, get the identity (c = 1, s = 0) and keep their (p, q) entry.
     """
     apq = w[:, p, q].copy()
-    live = np.abs(apq) > stop
+    live = screened & (np.abs(apq) > stop)
     if not live.any():
         return
     c, s, phase = _plane(apq.conjugate(), w[:, q, q].real - w[:, p, p].real, live)
@@ -159,30 +169,47 @@ def _singular_values(g: np.ndarray) -> np.ndarray:
     of their norms, and the column norms are the singular values, each to
     its own relative accuracy. A column below 1e-15 of the member's norm
     counts as converged, or a null column would be rotated until it
-    underflows. Members are rotated together, as in eig_hermitian.
+    underflows.
+
+    Each sweep first screens every member's column pairs with one Gram
+    product g^dagger g, and visits only the pairs some member needs; a
+    member is rotated only on the pairs its own screen selected, and
+    _rotate_columns decides each rotation from the current columns. The
+    sweeps end when one makes no rotation.
     """
     g = g.copy()
-    n = g.shape[-1]
     negligible = 1e-30 * np.sum(np.abs(g) ** 2, axis=(1, 2))
+    rows, cols = np.triu_indices(g.shape[-1], 1)
     for _ in range(100):
+        gram = dagger(g) @ g
+        norms = gram.diagonal(axis1=1, axis2=2).real
+        a, b = norms[:, rows], norms[:, cols]
+        need = (np.abs(gram[:, rows, cols]) > 1e-15 * np.sqrt(a * b)) & (np.minimum(a, b) > negligible[:, None])
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                gp = g[:, :, p].copy()
-                gq = g[:, :, q].copy()
-                a = np.sum(np.abs(gp) ** 2, axis=1)
-                b = np.sum(np.abs(gq) ** 2, axis=1)
-                overlap = np.sum(gp.conj() * gq, axis=1)
-                live = (np.abs(overlap) > 1e-15 * np.sqrt(a * b)) & (np.minimum(a, b) > negligible)
-                if not live.any():
-                    continue
-                rotated = True
-                c, s, phase = _plane(overlap, b - a, live)
-                g[:, :, p] = c * gp - s * phase.conjugate() * gq
-                g[:, :, q] = s * phase * gp + c * gq
+        for k in np.flatnonzero(need.any(axis=0)):
+            rotated |= _rotate_columns(g, rows[k], cols[k], negligible, need[:, k])
         if not rotated:
             return np.sqrt(np.sum(np.abs(g) ** 2, axis=1))
     raise ContractError("singular values: Jacobi sweep limit reached without convergence")
+
+
+def _rotate_columns(g: np.ndarray, p: int, q: int, negligible: np.ndarray, screened: np.ndarray) -> bool:
+    """One one-sided Jacobi rotation on columns (p, q) of the screened stack
+    members whose two columns are both above negligible and not orthogonal
+    to 1e-15 of their norms, in place; the others keep their columns.
+    Returns whether any member was rotated."""
+    gp = g[:, :, p].copy()
+    gq = g[:, :, q].copy()
+    a = np.sum(np.abs(gp) ** 2, axis=1)
+    b = np.sum(np.abs(gq) ** 2, axis=1)
+    overlap = np.sum(gp.conj() * gq, axis=1)
+    live = screened & (np.abs(overlap) > 1e-15 * np.sqrt(a * b)) & (np.minimum(a, b) > negligible)
+    if not live.any():
+        return False
+    c, s, phase = _plane(overlap, b - a, live)
+    g[:, :, p] = c * gp - s * phase.conjugate() * gq
+    g[:, :, q] = s * phase * gp + c * gq
+    return True
 
 
 def _require_psd(lowest: np.ndarray, what: str) -> None:

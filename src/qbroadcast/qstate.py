@@ -50,7 +50,8 @@ class Register(NamedTuple("Register", [("labels", tuple[Label, ...])])):
 
     __slots__ = ()
 
-    def __new__(cls, labels: tuple[Label, ...]):
+    def __new__(cls, labels: Sequence[Label]):
+        labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ContractError(f"Register: duplicate labels in {labels}")
         return tuple.__new__(cls, (labels,))

@@ -58,6 +58,7 @@ _SWEEPS = (
     "sweep --pairs 14 --from 0.5 --to 0.5 --steps 1 --format json",
     "sweep --pairs 12,46 --from 0 --to 1 --steps 3000",
     "sweep --pairs 12,15 --from 0.1 --to 0.9 --steps 9 --beta-phase 4.71",
+    "sweep --pairs 12 --from 0.1 --to 0.2 --steps 2 --beta-phase -1e2",
     "sweep --pairs 12,25,36 --from 0 --to 1 --steps 4 --out {dir}/rows.csv",
     "sweep --pairs 12,25,36 --from 0 --to 1 --steps 4 --format json --out {dir}/rows.json",
 )
@@ -81,6 +82,7 @@ _USAGE_ERRORS = (
     "baseline --grid many",
     "baseline --tol 0",
     "baseline --tol=-1e-3",
+    "baseline --tol -1e-3",
     "baseline --tol nan",
     "baseline --tol inf",
     "thresholds --branch Q2Q2",
@@ -88,6 +90,7 @@ _USAGE_ERRORS = (
     "sweep --pairs 17 --from 0 --to 1 --steps 3",
     "sweep --pairs , --from 0 --to 1 --steps 3",
     "sweep --pairs 12 --from -0.1 --to 1 --steps 3",
+    "sweep --pairs 12 --from -1e-9 --to 1 --steps 3",
     "sweep --pairs 12 --from 0 --to 1.5 --steps 3",
     "sweep --pairs 12 --from nan --to 1 --steps 3",
     "sweep --pairs 12 --from 0 --to 1 --steps 0",
@@ -127,7 +130,7 @@ CORPUS = (
     (0, "thresholds --branch Q1Q1 --config {dir}/coarse.cfg"),
     (0, "report --grid 200 --config {dir}/coarse.cfg"),
     *((0, argv) for argv in _SWAPS),
-    *((0, f"swap --alpha2 {x} --corrections {c} {PHI471}") for x in ("0.3", "0.8") for c in ("derived", "published")),
+    *((0, f"{argv} {PHI471}") for argv in _SWAPS),
     (0, f"swap --alpha2 0.8 --corrections paper {PHI471}"),
     *((0, argv) for argv in _SWEEPS),
     (0, f"sweep --pairs {ALL_PAIRS} --from 0 --to 1 --steps 11 --format json {PHI471}"),

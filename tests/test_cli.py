@@ -577,6 +577,24 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys
     assert cli_module._build_parser.__wrapped__(None).format_help() == top_help[1]
 
 
+def test_negative_values_with_an_exponent_are_values_on_every_python(capsys):
+    # "--flag -1e2" parses as "--flag=-1e2": argparse's own rule took an
+    # exponent for an option on Python 3.10 to 3.13 ("expected one argument")
+    for argv, flag, value, code, err in (
+        (["sweep", "--pairs", "12", "--from", "0.1", "--to", "0.2", "--steps", "2"], "--beta-phase", "-1e2", 0, ""),
+        (["baseline"], "--tol", "-1e-3", 2, "error: tol must be positive, got -0.001\n"),
+        (["sweep", "--pairs", "12", "--to", "1", "--steps", "3"], "--from", "-1e-9", 2,
+         "error: sweep: --from must be in [0, 1], got -1e-09\n"),
+    ):
+        spaced = _run(capsys, argv + [flag, value])
+        assert spaced == _run(capsys, argv + [f"{flag}={value}"])
+        assert (spaced[0], spaced[2]) == (code, err)
+    # a value that is no decimal number still reads as an option
+    for value in ("-1x", "-abc", "-1e"):
+        code, out, err = _run(capsys, ["baseline", "--tol", value])
+        assert (code, out) == (2, "") and err.endswith("error: argument --tol: expected one argument\n")
+
+
 # Per subcommand: help, an error inside the subcommand, and an unknown flag.
 _PARSER_ARGV = [
     argv

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qbroadcast import ContractError, DensityOp, Register, concurrence, ppt_verdict
+from qbroadcast import ContractError, DensityOp, Register, branch_marginal, concurrence, correction_plans, ppt_verdict
+from qbroadcast import linalg as linalg_module
 from qbroadcast.linalg import (
     dagger,
     eig_hermitian,
@@ -403,6 +404,70 @@ def test_stacked_fidelity_equals_the_per_rho_calls():
             assert np.array_equal(fidelity(rho, row), want)
             assert [fidelity(rho, sigma) for sigma in row] == want.tolist()
     assert fidelity(np.zeros((0, 4, 4)), np.zeros((0, 3, 4, 4))).shape == (0, 3)
+
+
+# The diagonal blocks of rho325, and of the swap targets report scores.
+_RHO325_BLOCKS = ((0, 5, 6), (1, 2, 7), (3,), (4,))
+
+
+def _block_state(rng, blocks, n=8):
+    """A random full-rank state that is 0.0 outside the diagonal blocks."""
+    rho = np.zeros((n, n), dtype=complex)
+    for block in blocks:
+        g = rng.standard_normal((len(block),) * 2) + 1j * rng.standard_normal((len(block),) * 2)
+        rho[np.ix_(block, block)] = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _mixed_stack(rng, g):
+    """g 8 x 8 states cycling through rho325-like, diagonal, rank-two and
+    dense members, so that each sweep screens the members to different
+    planes."""
+    makers = (
+        lambda: _block_state(rng, _RHO325_BLOCKS),
+        lambda: _block_state(rng, [(k,) for k in range(8)]),
+        lambda: _rank_two_state(rng, 8),
+        lambda: _block_state(rng, [tuple(range(8))]),
+    )
+    return np.stack([makers[i % len(makers)]() for i in range(g)])
+
+
+def test_screened_solves_give_each_member_the_bits_it_gets_alone():
+    # a member is rotated only on the planes its own screen selected, so
+    # its bits do not depend on which planes its neighbours still need
+    rng = np.random.default_rng(1212)
+    stack = _mixed_stack(rng, 16)
+    together = eig_hermitian(stack)
+    assert np.max(np.abs(together.values - np.linalg.eigvalsh(stack))) <= 1e-12
+    for i, member in enumerate(stack):
+        alone = eig_hermitian(member)
+        assert np.array_equal(together.values[i], alone.values)
+        assert np.array_equal(together.vectors[i], alone.vectors)
+    rhos = stack[:4]
+    sigmas = np.stack([np.concatenate([np.roll(stack, -k - 1, axis=0)[:5], rhos[k:k + 1]]) for k in range(4)])
+    together = fidelity(rhos, sigmas)
+    for rho, row, want in zip(rhos, sigmas, together):
+        assert np.array_equal(fidelity(rho, row), want)
+        assert [fidelity(rho, sigma) for sigma in row] == want.tolist()
+        assert abs(want[-1] - 1.0) <= 1e-12
+
+
+def test_report_swap_scores_visit_few_planes(monkeypatch):
+    # report scores its three swap points with both correction sets in one
+    # fidelity call: a 27-member eigen-solve and a 24-member singular-value
+    # solve of block-sparse operators, which cyclic sweeps visited in 84
+    # planes each
+    visits = dict.fromkeys(("_rotate", "_rotate_columns"), 0)
+    for name in visits:
+
+        def counted(*args, _helper=getattr(linalg_module, name), _name=name):
+            visits[_name] += 1
+            return _helper(*args)
+
+        monkeypatch.setattr(linalg_module, name, counted)
+    rho325 = branch_marginal(np.array([0.3, 0.5, 0.8]), ("Q0", "Q0"), "325", 0.0)
+    assert len(correction_plans(rho325, ("derived", "published"))) == 3
+    assert 0 < visits["_rotate"] <= 20 and 0 < visits["_rotate_columns"] <= 20
 
 
 def test_stacked_fidelity_checks_shapes_and_both_psd_messages():

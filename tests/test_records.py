@@ -18,7 +18,7 @@ import qbroadcast
 from qbroadcast.entanglement import ThresholdInterval
 from qbroadcast.errors import ContractError
 from qbroadcast.gvchannel import GvConfig, GvResult
-from qbroadcast.qstate import DensityOp, PureState, Register
+from qbroadcast.qstate import DensityOp, PureState, Register, tensor
 
 PACKAGE = Path(qbroadcast.__file__).parent
 MODULES = [import_module(f"qbroadcast.{m.name}") for m in pkgutil.iter_modules([str(PACKAGE)])]
@@ -122,6 +122,16 @@ def test_records_compare_by_value():
     iv = ThresholdInterval(0.25, 0.75, 1e-4, "broadcast")
     assert iv == ThresholdInterval(lo=0.25, hi=0.75, tolerance=1e-4, predicate_name="broadcast")
     assert iv._replace(hi=0.5) != iv and iv._replace(hi=0.5).hi == 0.5
+
+
+def test_register_built_from_a_list_holds_a_tuple():
+    listed = Register(["1", "3"])
+    assert listed == Register(("1", "3")) and hash(listed) == hash(Register(("1", "3")))
+    assert isinstance(listed.labels, tuple)
+    zero = PureState(Register(["a"]), [1.0, 0.0])
+    assert tensor(zero, PureState(listed, np.eye(4)[0])).register == Register(("a", "1", "3"))
+    with pytest.raises(ContractError, match="duplicate labels"):
+        Register(["1", "1"])
 
 
 def test_density_op_runs_a_hook_set_on_its_class_once_per_construction(monkeypatch):
