@@ -75,10 +75,10 @@ class UsageError(Exception):
 
 
 class Settings(NamedTuple):
-    tol: float
-    grid: int
-    beta_phase: float
-    seed: int
+    tol: float = SCAN_TOL
+    grid: int = SCAN_GRID
+    beta_phase: float = 0.0
+    seed: int = 0
 
 
 def main() -> None:
@@ -207,7 +207,7 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict:
     keys = {"tol": float, "grid": int, "beta_phase": float, "seed": int}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
@@ -231,16 +231,9 @@ def _load_config(path: str) -> dict:
 
 def _settings(args) -> Settings:
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    tol = getattr(args, "tol", None)
-    grid = getattr(args, "grid", None)
-    beta_phase = getattr(args, "beta_phase", None)
-    seed = getattr(args, "seed", None)
-    s = Settings(
-        tol=tol if tol is not None else cfg.get("tol", SCAN_TOL),
-        grid=grid if grid is not None else cfg.get("grid", SCAN_GRID),
-        beta_phase=beta_phase if beta_phase is not None else cfg.get("beta_phase", 0.0),
-        seed=seed if seed is not None else cfg.get("seed", 0),
-    )
+    # A flag beats the config file, which beats the default.
+    flags = {name: getattr(args, name, None) for name in Settings._fields}
+    s = Settings(**{**cfg, **{name: value for name, value in flags.items() if value is not None}})
     for name in ("tol", "beta_phase"):
         if not math.isfinite(getattr(s, name)):
             raise UsageError(f"{name} must be finite, got {getattr(s, name)}")
@@ -289,7 +282,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    s = _settings(args)
+    _settings(args)  # checked, though sweep computes at phase 0 and reads no setting
     pairs = [p.strip() for p in args.pairs.split(",") if p.strip()]
     if not pairs:
         raise UsageError("sweep: --pairs is empty")
@@ -396,7 +389,7 @@ def _cmd_thresholds(args) -> int:
 def _cmd_branches(args) -> int:
     s = _settings(args)
     # The outcome distribution depends on the input weight; it is reported at 1/2.
-    probabilities = branch_probabilities(0.5, s.beta_phase)
+    probabilities = branch_probabilities(0.5)
     payload = []
     for branch in OUTCOME_ORDER:
         scans = branch_scan(branch, ("broadcast", "closed-146"), s.grid, s.tol)
@@ -412,21 +405,22 @@ def _cmd_branches(args) -> int:
     return _emit_json(payload)
 
 
-def _swap_points(points, beta_phase: float, sources) -> tuple[list, list]:
+def _swap_points(points, sources) -> tuple[list, list]:
     """Bell outcomes and correction plans of branch Q0Q0's rho325 at each
-    alpha^2 in points: one Bell measurement, one search and one fidelity
-    call for all (raises unless every derived plan reaches 1)."""
-    rho325 = branch_marginal(np.array(points), ("Q0", "Q0"), "325", beta_phase)
+    alpha^2 in points, at input phase 0 (the phase is a local rotation that
+    no probability or fidelity reads): one Bell measurement, one search and
+    one fidelity call for all (raises unless every derived plan reaches 1)."""
+    rho325 = branch_marginal(np.array(points), ("Q0", "Q0"), "325")
     outcomes = bsm(swap_extend(rho325))
     return outcomes, correction_plans(rho325, sources, outcomes)
 
 
 def _cmd_swap(args) -> int:
-    s = _settings(args)
+    _settings(args)  # checked, though swap computes at phase 0 and reads no setting
     if not 0.0 < args.alpha2 < 1.0:
         raise UsageError(f"swap: --alpha2 must be in (0, 1), got {args.alpha2}")
     source = "published" if args.corrections in ("paper", "published") else "derived"
-    outcomes, (plans,) = _swap_points([args.alpha2], s.beta_phase, (source,))
+    outcomes, (plans,) = _swap_points([args.alpha2], (source,))
     rows = []
     for outcome in outcomes:
         plan = plans[source][outcome.label]
@@ -586,7 +580,7 @@ def _cmd_report(args) -> int:
 
     # Swapping: outcome statistics and both correction sets.
     points = (0.3, 0.5, 0.8)
-    outcomes, plans = _swap_points(points, s.beta_phase, ("derived", "published"))
+    outcomes, plans = _swap_points(points, ("derived", "published"))
     for g, (alpha2, point_plans) in enumerate(zip(points, plans)):
         p_str = ", ".join(f"{o.label} {o.probability[g]:.6f}" for o in outcomes)
         say(_line(f"bell outcome probabilities at alpha2={alpha2}", p_str, "0.25 each", "info"))

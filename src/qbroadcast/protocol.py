@@ -28,10 +28,13 @@ w = rho[0,3]. The cloner's amplitudes are rational, so these coefficients
 are integers over 1296 (over 1296^2 for |G01[0,3]|^2): the module keeps
 them as checked-in integers, one table per branch, which the Tier-1 tests
 derive from the Gram blocks. pair_verdicts evaluates a table with the
-closed forms of entanglement._x_verdict, so scans and sweeps run no cloner,
-no complex matrix and no eigen-solve. The phase enters only through the
-phase of w, which no verdict or measure reads. The per-point routes the
-tests hold this map to are kept in tests/reference.py.
+closed forms of entanglement._x_verdict, and branch_probabilities sums its
+diagonals, so scans, sweeps and branch probabilities run no cloner, no
+complex matrix and no eigen-solve. The input phase is a local diagonal
+unitary on Alice's qubits, and the cloner is covariant, so it only turns w:
+no verdict, measure, probability or fidelity reads it, and the CLI computes
+at phase 0. The per-point routes the tests hold this map to are kept in
+tests/reference.py.
 """
 from __future__ import annotations
 
@@ -116,16 +119,10 @@ def _as_branch(branch) -> tuple[str, str] | None:
     return pair
 
 
-def _basis_input(index: int) -> PureState:
-    amps = np.zeros(4, dtype=complex)
-    amps[index] = 1.0
-    return PureState(Register.qubits("1", "3"), amps)
-
-
 @cache
 def _first_stage_runs() -> tuple[tuple[PureState, list[BranchOutcome]], ...]:
     """run_first_stage for the basis inputs |00> and |11>, in that order."""
-    return tuple(run_first_stage(_basis_input(index)) for index in (0b00, 0b11))
+    return tuple(run_first_stage(PureState(Register.qubits("1", "3"), np.eye(4)[index])) for index in (0b00, 0b11))
 
 
 @cache
@@ -296,11 +293,18 @@ def six_qubit_branch(
     return branch_marginal(alpha2, branch, SIX_LABELS, beta_phase)
 
 
-def branch_probabilities(alpha2: float, beta_phase: float = 0.0) -> dict[tuple[str, str], float]:
-    """Machine outcome distribution at the given input weight."""
-    psi = build_initial(float(np.sqrt(alpha2)), beta_phase)
-    _, branches = run_first_stage(psi)
-    return {b.machine_labels: b.probability for b in branches}
+def branch_probabilities(alpha2: float) -> dict[tuple[str, str], float]:
+    """Machine outcome distribution at the input weight alpha2 in [0, 1]:
+    x*tr G00 + (1 - x)*tr G11 at x = alpha2, which no phase moves. 1296
+    times each trace is the diagonal sum of a half row of the branch's pair
+    table (every row has the same), an integer, and the integers meet
+    before the one division: 5/18 or 2/9, correctly rounded, at 1/2."""
+    x = float(alpha2)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"alpha2 must be in [0, 1], got {alpha2!r}")
+    # the table holds the integers over 1296, so rint restores their sums
+    sums = {b: np.rint(1296.0 * _pair_table(b)[1][0, :, :4].sum(axis=1)) for b in OUTCOME_ORDER}
+    return {b: float((x * t00 + (1.0 - x) * t11) / 1296.0) for b, (t00, t11) in sums.items()}
 
 
 def _scan_row(name: str, keys):
@@ -396,7 +400,7 @@ def run_protocol(
     if branch_policy == "sampled":
         if seed is None:
             raise ValueError("run_protocol: sampled branch policy requires a seed")
-        probs = branch_probabilities(alpha2, beta_phase)
+        probs = branch_probabilities(alpha2)
         (pair,) = random.Random(seed).choices(list(probs), list(probs.values()))
     else:
         pair = _as_branch(branch)

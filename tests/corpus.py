@@ -1,6 +1,7 @@
 """The argv corpus of the same-bytes check: all seven subcommands at phase 0
-and with beta_phase=4.71 from a config file, `--out` runs, and every usage
-error the README lists.
+and with beta_phase=4.71 from a config file, the commands whose output the
+phase could reach (branches, report, thresholds and swap) at two more
+phases, `--out` runs, and every usage error the README lists.
 
 Each entry is (the exit code the README documents, the argv as one string
 split on spaces). "{dir}" stands for a directory that write_files fills
@@ -12,6 +13,9 @@ from pathlib import Path
 
 FILES = {
     "phi471.cfg": b"beta_phase=4.71\n",
+    "phi1.cfg": b"beta_phase=1.0\n",
+    "phim25.cfg": b"beta_phase=-2.5\n",
+    "bom.cfg": b"\xef\xbb\xbfgrid=60\n",
     "coarse.cfg": b"# a coarse scan\ngrid=60\ntol=1e-3\n",
     "seed.cfg": b"seed=11\nbeta_phase=4.71\n",
     "latin.cfg": b"\xff\xfegrid=60\n",
@@ -71,6 +75,8 @@ _GVS = (
     "gv --bits 64 --eve none --trials 3 --seed 0",
     "gv --bits 100 --eve intercept --config {dir}/seed.cfg",
     "gv --bits 100 --eve intercept --seed 2 --config {dir}/seed.cfg",
+    "gv --bits 250 --eve intercept --seed 5 --trials 4",
+    "gv --bits 3 --eve none --trials 1000",
 )
 
 _USAGE_ERRORS = (
@@ -132,6 +138,12 @@ CORPUS = (
     *((0, argv) for argv in _SWAPS),
     *((0, f"{argv} {PHI471}") for argv in _SWAPS),
     (0, f"swap --alpha2 0.8 --corrections paper {PHI471}"),
+    *(
+        (0, f"{argv} --config {{dir}}/{cfg}")
+        for cfg in ("phi1.cfg", "phim25.cfg")
+        for argv in ("branches", "report", "thresholds --branch Q0Q1", *_SWAPS)
+    ),
+    (0, "baseline --config {dir}/bom.cfg"),
     *((0, argv) for argv in _SWEEPS),
     (0, f"sweep --pairs {ALL_PAIRS} --from 0 --to 1 --steps 11 --format json {PHI471}"),
     (0, f"sweep --pairs 16,46 --branch Q0Q1 --from 0.2 --to 0.8 --steps 13 {PHI471}"),

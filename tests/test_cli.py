@@ -413,6 +413,16 @@ def test_config_missing_file_and_coarse_grid(tmp_path, capsys):
     assert "grid" in err
 
 
+def test_config_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # the mark some editors write at the head of a UTF-8 file is not part of
+    # the first key
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfgrid=60\n")
+    want = _run(capsys, ["baseline", "--grid", "60"])
+    assert want[0] == 0
+    assert _run(capsys, ["baseline", "--config", str(cfg)]) == want
+
+
 class _Reached(Exception):
     """Raised by a stand-in for the computation a size bound guards."""
 

@@ -4,7 +4,9 @@ The files under golden/ were produced when every alpha^2 point still built
 its own six-qubit state through run_first_stage and run_second_stage (the
 per-point pipeline tests/reference.py keeps), and every scan tested one
 point at a time. The commands are run at
-beta_phase 0 and 4.71 (set through a config file).
+beta_phase 0 and 4.71 (set through a config file). Since then the branch
+probabilities in the branches files are the exact 5/18 and 2/9, correctly
+rounded, so the two branches files are the same bytes.
 
 report, branches, thresholds and baseline print verdicts, bisection
 midpoints and rounded figures, so they must match byte for byte. sweep and
@@ -12,8 +14,10 @@ swap print unrounded floats, which may move in the last bits when the
 arithmetic is regrouped: their numbers must agree within 1e-12, and every
 other field (labels, pairs, words, entangled flags) must be equal.
 
-The scan commands and sweep read protocol's checked-in pair tables; the
-last test runs them with the cloning pipeline made to raise.
+The scan commands and sweep read protocol's checked-in pair tables, and
+branches takes its probabilities from them too; the last test runs them
+with the cloning pipeline (the basis images, run_first_stage and
+clone_subsystem) made to raise.
 """
 import csv
 import json
@@ -121,8 +125,9 @@ def _refuse(*args):
 @pytest.mark.parametrize("phase", ["phi0", "phi471"])
 def test_scans_and_sweep_run_no_cloner(tmp_path, capsys, monkeypatch, phase):
     # thresholds on every branch, branches, baseline and a 10-pair sweep,
-    # from cold caches with the basis images refused: the goldens where they
-    # exist, and otherwise the bytes of tables built by the float pipeline
+    # from cold caches with the basis images, run_first_stage and
+    # clone_subsystem refused: the goldens where they exist, and otherwise
+    # the bytes of tables built by the float pipeline
     args = _phase_args(tmp_path, phase)
     scans = [["thresholds", "--branch", name] + args for name in BRANCH_NAMES] + [["branches"] + args, ["baseline"] + args]
     with monkeypatch.context() as patch:
@@ -130,8 +135,8 @@ def test_scans_and_sweep_run_no_cloner(tmp_path, capsys, monkeypatch, phase):
         want = [_stdout(capsys, argv) for argv in scans]
     for cached in (protocol_module._pair_table, protocol_module._basis_images, protocol_module._first_stage_runs):
         cached.cache_clear()
-    monkeypatch.setattr(protocol_module, "_basis_images", _refuse)
-    monkeypatch.setattr(protocol_module, "_first_stage_runs", _refuse)
+    for name in ("_basis_images", "_first_stage_runs", "run_first_stage", "clone_subsystem"):
+        monkeypatch.setattr(protocol_module, name, _refuse)
     got = [_stdout(capsys, argv) for argv in scans]
     assert got == want
     for name, out in (("thresholds_Q1Q1", got[3]), ("branches", got[4]), ("baseline", got[5])):

@@ -83,3 +83,20 @@ def test_stored_integers_hold_the_protocols_symmetries():
         flipped = tables[("Q0", "Q0")][key]
         g00, g11 = flipped[:5], flipped[5:10]
         assert row == [*g11[3::-1], g11[4], *g00[3::-1], g00[4], flipped[10]], key
+
+
+def test_every_row_holds_its_branchs_probability():
+    # 1296 tr G00 and 1296 tr G11 are the diagonal sums of each half row; a
+    # branch has one of each, whichever pair is kept, and the four branches
+    # split each basis input's whole weight, 1296
+    sums = {}
+    for branch in OUTCOME_ORDER:
+        rows = {(sum(row[:4]), sum(row[5:9])) for row in _stored(branch).values()}
+        assert len(rows) == 1, branch
+        sums[branch] = rows.pop()
+    assert [sum(t[i] for t in sums.values()) for i in (0, 1)] == [1296, 1296]
+    # branch_probabilities reads them: at alpha^2 = 1 and 0 it is each sum
+    # over 1296
+    for branch, (t00, t11) in sums.items():
+        probs = [protocol_module.branch_probabilities(x)[branch] for x in (1.0, 0.0)]
+        assert probs == [t00 / 1296, t11 / 1296], branch

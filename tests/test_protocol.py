@@ -101,7 +101,7 @@ def test_branch_mixture_equals_machine_traced_state():
     # measuring the machines and forgetting the outcome is the same channel
     # as tracing the machines out
     for alpha2, phi in ((0.37, 0.0), (0.8, 0.6)):
-        probs = branch_probabilities(alpha2, phi)
+        probs = branch_probabilities(alpha2)
         mix = sum(
             p * six_qubit_branch(alpha2, branch, phi).matrix for branch, p in probs.items()
         )
