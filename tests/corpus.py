@@ -1,7 +1,8 @@
 """The argv corpus of the same-bytes check: all seven subcommands at phase 0
 and with beta_phase=4.71 from a config file, the commands whose output the
 phase could reach (branches, report, thresholds and swap) at two more
-phases, `--out` runs, and every usage error the README lists.
+phases, scans at fine tolerances and on grids that hold exact roots,
+`--out` runs, and every usage error the README lists.
 
 Each entry is (the exit code the README documents, the argv as one string
 split on spaces). "{dir}" stands for a directory that write_files fills
@@ -45,6 +46,20 @@ _SCANS = (
     "report",
     "report --grid 60 --tol 1e-3",
     "report --grid 2000 --tol 1e-9",
+)
+
+# Fine tolerances, where the scan's dead band and its last bits show, and
+# grids with exact roots on grid points: 55 = 5 * 11 puts 3/11, 8/11, 2/5
+# and 3/5 on the grid of --grid 54, and --grid 59's points are k/60.
+_FINE_SCANS = (
+    "thresholds --tol 1e-300",
+    "thresholds --branch Q0Q1 --tol 1e-300",
+    "thresholds --branch Q1Q0 --tol 1e-300",
+    "thresholds --branch Q1Q1 --tol 1e-300",
+    "baseline --grid 100000 --tol 1e-300",
+    "branches --tol 1e-12",
+    "thresholds --branch Q1Q0 --tol 1e-12",
+    *(f"{command} --grid {grid}" for grid in (54, 59) for command in ("thresholds", "baseline", "report")),
 )
 
 _SWAPS = tuple(
@@ -135,6 +150,7 @@ CORPUS = (
     *((0, f"{argv} {PHI471}") for argv in _SCANS),
     (0, "thresholds --branch Q1Q1 --config {dir}/coarse.cfg"),
     (0, "report --grid 200 --config {dir}/coarse.cfg"),
+    *((0, argv) for argv in _FINE_SCANS),
     *((0, argv) for argv in _SWAPS),
     *((0, f"{argv} {PHI471}") for argv in _SWAPS),
     (0, f"swap --alpha2 0.8 --corrections paper {PHI471}"),

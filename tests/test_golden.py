@@ -6,7 +6,9 @@ per-point pipeline tests/reference.py keeps), and every scan tested one
 point at a time. The commands are run at
 beta_phase 0 and 4.71 (set through a config file). Since then the branch
 probabilities in the branches files are the exact 5/18 and 2/9, correctly
-rounded, so the two branches files are the same bytes.
+rounded, so the two branches files are the same bytes. The thresholds
+files of the asymmetric branches Q0Q1 and Q1Q0 were written later, by the
+float scan over the pair tables, before the scans moved to exact signs.
 
 report, branches, thresholds and baseline print verdicts, bisection
 midpoints and rounded figures, so they must match byte for byte. sweep and
@@ -62,6 +64,14 @@ def _phase_args(tmp_path, phase):
 def test_scan_commands_match_golden_bytes(tmp_path, capsys, name, argv, phase):
     out = _stdout(capsys, argv + _phase_args(tmp_path, phase))
     assert out == (GOLDEN / f"{name}_{phase}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("branch", ["Q0Q1", "Q1Q0"])
+def test_asymmetric_thresholds_match_golden_bytes(capsys, branch):
+    # Q1Q0 at the default grid probes fl(134/201), 3.7e-17 below the root
+    # 2/3 of rho14 and rho16: inside PPT_TOL's dead band, so separable
+    out = _stdout(capsys, ["thresholds", "--branch", branch])
+    assert out == (GOLDEN / f"thresholds_{branch}_phi0.txt").read_text(encoding="utf-8")
 
 
 def _assert_close(want, got, where="$"):
