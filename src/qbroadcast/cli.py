@@ -52,10 +52,11 @@ BRANCH_NAMES = tuple("".join(b) for b in OUTCOME_ORDER)
 # 30 MB after import; 2 vCPUs, Python 3.11, numpy 2.4).
 GV_MAX_BITS = 10**6
 
-# Largest scan grid (--grid, or grid= in a config file): the grid is tested
-# in chunks of 4096 points. `thresholds --grid 20000` takes about 0.02 s, and
-# `thresholds --grid 100000 --tol 1e-300` about 0.1 s (run_command timed in a
-# fresh interpreter; 2 vCPUs, Python 3.11, numpy 2.4).
+# Largest scan grid (--grid, or grid= in a config file). A scan finds its
+# sign changes by binary search, so the grid costs O(log grid) exact signs:
+# `thresholds --grid 100000 --tol 1e-300` takes about 3.3 ms, as long as the
+# default `thresholds` (3.6 ms; run_command timed in a fresh interpreter,
+# median of 12; 2 vCPUs, Python 3.11, numpy 2.4).
 SCAN_MAX_GRID = 10**5
 
 # Most rows one sweep computes (--steps times the number of pairs). The

@@ -2,7 +2,7 @@
 plus threshold scanning over the input weight alpha^2.
 
 The partial-transpose eigenvalue test is the verdict (ppt_verdict, and
-its closed form for X-states, which scans and sweeps use). The W3 and W4 determinants of the transposed
+its closed form for X-states, which sweeps use). The W3 and W4 determinants of the transposed
 operator are printed beside it; they are not an independent check. For two
 qubits a negative W4 is equivalent to a negative eigenvalue, while W3 can
 only go negative when the state is entangled.
@@ -15,12 +15,12 @@ with no eigen-solve.
 
 The tests and measures take one operator or a stack of them (a DensityOp
 with a leading stack axis) and answer with numbers or with arrays of the
-same length. Scans evaluate their predicate on whole arrays of alpha^2
-values, so a grid is one stacked evaluation.
+same length. scan_predicates evaluates its predicates on whole arrays of
+alpha^2 values, so a grid is one stacked evaluation; the pipeline's own
+scans (protocol.branch_scan) read exact signs instead.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -48,9 +48,6 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 # stacks a fine grid builds stay a few megabytes.
 _SCAN_CHUNK = 4096
 
-# Most bisection steps one test call takes: 2^6 - 1 = 63 points per edge.
-_BISECT_LEVELS = 6
-
 
 class PPTVerdict(NamedTuple):
     """Separability verdict for one two-qubit operator; for a stack, each
@@ -65,8 +62,12 @@ class PPTVerdict(NamedTuple):
 class ThresholdInterval(NamedTuple):
     """Maximal alpha^2 interval on which a predicate holds.
 
-    Endpoints are bisection midpoints accurate to `tolerance` (the setting,
-    or float spacing where that is wider); 0.0 and 1.0 mark the domain edge.
+    Endpoints are bisection midpoints within `tolerance` (the setting, or
+    float spacing where that is wider) of where the predicate changes; 0.0
+    and 1.0 mark the domain edge. For protocol.branch_scan's rows the
+    predicate is "lowest PT eigenvalue < -PPT_TOL", and that dead band moves
+    the change off the algebraic threshold: at tol 1e-300 Q0Q0's pair 12
+    turns separable at 0.27272727205289..., 6.7e-10 below 3/11.
     """
 
     lo: float
@@ -199,12 +200,10 @@ def _bisect_edges(
     """Midpoints of the flips of predicate row[i] between a[i] and b[i]
     (fa[i] is its value at a[i]), all edges refined together.
 
-    Each step halves an edge: it closes when it is no wider than tol, or
-    when its midpoint is one of its endpoints (a and b are adjacent floats),
-    so every tol ends. One test call takes the next `levels` steps of up to
-    _SCAN_CHUNK // (2^levels - 1) open edges: every node of their bisection
-    trees, each the midpoint (lo + hi) / 2.0 of the floats a one-step loop
-    would hold, so the edges are the ones that loop returns, bit for bit.
+    Each test call takes one step of up to _SCAN_CHUNK open edges: it tests
+    their midpoints (a + b) / 2.0 and keeps the halves whose ends differ. An
+    edge closes when it is no wider than tol, or when its midpoint is one
+    of its endpoints (a and b are adjacent floats), so every tol ends.
     """
     a, b = a.copy(), b.copy()
     while True:
@@ -212,31 +211,16 @@ def _bisect_edges(
         live = np.nonzero((b - a > tol) & (mid > a) & (mid < b))[0][:_SCAN_CHUNK]
         if not live.size:
             return mid
-        # As many steps as the widest edge needs, at most _BISECT_LEVELS and
-        # no more than the chunk holds for these edges.
-        fit = (_SCAN_CHUNK // live.size + 1).bit_length() - 1
-        need = math.ceil(math.log2(np.max(b[live] - a[live])) - math.log2(tol))
-        levels = max(1, min(_BISECT_LEVELS, fit, need))
-        n, each = live.size, np.arange(live.size)
-        # Each tree's ends and nodes in order: step k sets every 2^(levels-k)-th
-        # column, halfway between two columns set before it.
-        tree = np.empty((n, 2**levels + 1))
-        tree[:, 0], tree[:, -1] = a[live], b[live]
-        for k in range(levels):
-            gap = 2 ** (levels - k)
-            tree[:, gap // 2::gap] = (tree[:, :-1:gap] + tree[:, gap::gap]) / 2.0
-        flags = _flags(test, tree[:, 1:-1].ravel(), rows).reshape(rows, n, -1)[row[live], each]
-        # Walk down each tree by the one-step rule; lo and hi are columns.
-        lo, hi = np.zeros(n, dtype=int), np.full(n, 2**levels)
-        going = np.ones(n, dtype=bool)
-        for _ in range(levels):
-            m = (lo + hi) // 2
-            x0, x, x1 = tree[each, lo], tree[each, m], tree[each, hi]
-            going &= (x1 - x0 > tol) & (x > x0) & (x < x1)
-            same = flags[each, m - 1] == fa[live]
-            lo = np.where(going & same, m, lo)
-            hi = np.where(going & ~same, m, hi)
-        a[live], b[live] = tree[each, lo], tree[each, hi]
+        same = _flags(test, mid[live], rows)[row[live], np.arange(live.size)] == fa[live]
+        a[live[same]] = mid[live[same]]
+        b[live[~same]] = mid[live[~same]]
+
+
+def _require_scan_settings(grid: int, tol: float) -> None:
+    if grid < 50:
+        raise ContractError(f"scan: grid {grid} is too coarse (need >= 50)")
+    if not 0.0 < tol < float("inf"):
+        raise ContractError("scan: tolerance must be positive and finite")
 
 
 def scan_predicates(
@@ -252,14 +236,13 @@ def scan_predicates(
     (len(names), n), one row per name. A coarse grid of `grid` interior
     points, tested as one array (in chunks of _SCAN_CHUNK points), finds
     each row's sign structure; bisection refines the interior edges of all
-    rows together to `tol`, up to _BISECT_LEVELS steps of every open edge
-    per test call. A row that is constant across the whole grid yields no
-    crossings and an empty list.
+    rows together to `tol`, one step of every open edge per test call. A
+    row that is constant across the whole grid yields no crossings and an
+    empty list. protocol.branch_scan finds its rows' edges at the same
+    points from exact signs instead; this is the scan for any other
+    predicate, and the float cross-check of that route.
     """
-    if grid < 50:
-        raise ContractError(f"scan: grid {grid} is too coarse (need >= 50)")
-    if not 0.0 < tol < float("inf"):
-        raise ContractError("scan: tolerance must be positive and finite")
+    _require_scan_settings(grid, tol)
     names = tuple(names)
     pts = np.arange(1, grid + 1) / (grid + 1)
     flags = np.concatenate(

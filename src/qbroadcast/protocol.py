@@ -27,10 +27,12 @@ in x over the trace, and |w|^2 = x(1 - x)|G01[0,3]|^2 / trace^2 for
 w = rho[0,3]. The cloner's amplitudes are rational, so these coefficients
 are integers over 1296 (over 1296^2 for |G01[0,3]|^2): the module keeps
 them as checked-in integers, one table per branch, which the Tier-1 tests
-derive from the Gram blocks. pair_verdicts evaluates a table with the
-closed forms of entanglement._x_verdict, and branch_probabilities sums its
+derive from the Gram blocks, parsed once and checked to be a state at
+every x in [0, 1]. pair_verdicts evaluates a table with the closed forms
+of entanglement._x_verdict, branch_scan reads each pair's verdict as the
+exact sign of two integer quadratics, and branch_probabilities sums the
 diagonals, so scans, sweeps and branch probabilities run no cloner, no
-complex matrix and no eigen-solve. The input phase is a local diagonal
+complex matrix and no eigen-solve, and scans no numpy. The input phase is a local diagonal
 unitary on Alice's qubits, and the cloner is covariant, so it only turns w:
 no verdict, measure, probability or fidelity reads it, and the CLI computes
 at phase 0. The per-point routes the tests hold this map to are kept in
@@ -45,8 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cloner import OUTCOME_ORDER, BranchOutcome, clone_subsystem, machine_branches
-from .constants import SCAN_GRID, SCAN_TOL
-from .entanglement import PPTVerdict, ThresholdInterval, _x_verdict, broadcast_holds, scan_predicates
+from .constants import PPT_TOL, SCAN_GRID, SCAN_TOL
+from .entanglement import PPTVerdict, ThresholdInterval, _broadcast_pairs, _require_scan_settings, _x_verdict
 from .errors import ContractError
 from .gvchannel import DeliveryRecord, GvConfig, _integer_at_least, secure_send
 from .linalg import dagger
@@ -247,16 +249,89 @@ _PAIR_INTEGERS = {
 }
 
 
+def _x_forms(row) -> tuple[tuple[int, ...], ...]:
+    """A table row's a, b, c, d as linear forms (u, v), u + v*x, and |z|^2,
+    |w|^2 as quadratics (c0, c1, c2), c0 + c1*x + c2*x^2: the entries of
+    the marginal times 1296 times its trace."""
+    a, b, c, d, z = ((g11, g00 - g11) for g00, g11 in zip(row[:5], row[5:10]))
+    return a, b, c, d, _times(z, z), (0, row[10], -row[10])
+
+
+def _times(p, q) -> tuple[int, int, int]:
+    """The product of linear forms, a quadratic."""
+    return p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1]
+
+
+def _minus(f, g) -> tuple[int, int, int]:
+    return f[0] - g[0], f[1] - g[1], f[2] - g[2]
+
+
+def _nonnegative(f) -> bool:
+    """Whether the quadratic f is >= 0 on all of [0, 1]: at both ends, and
+    at its vertex -c1 / (2 c2) where that is a minimum inside."""
+    c0, c1, c2 = f
+    if c0 < 0 or c0 + c1 + c2 < 0:
+        return False
+    return not 0 < -c1 < 2 * c2 or 4 * c0 * c2 >= c1 * c1
+
+
+def _is_state(row) -> bool:
+    """Whether a table row is a state at every x in [0, 1]: its diagonal
+    nonnegative, its trace positive, and rho's blocks [[a, w], [w*, d]] and
+    [[b, z], [z, c]] of nonnegative determinant."""
+    a, b, c, d, z2, w2 = _x_forms(row)
+    return (min(row[:4] + row[5:9] + row[10:]) >= 0 and sum(row[:4]) > 0 and sum(row[5:9]) > 0
+            and _nonnegative(_minus(_times(a, d), w2)) and _nonnegative(_minus(_times(b, c), z2)))
+
+
+@cache
+def _pair_integers(branch: tuple[str, str] | None) -> dict[str, tuple[int, ...]]:
+    """The eleven integers of each pair key of _PAIR_INTEGERS[branch], in
+    line order: the one parse of the tables. ContractError unless every
+    row is a state on all of [0, 1] (_is_state)."""
+    tokens = _PAIR_INTEGERS[branch].split()
+    numbers = list(map(int, tokens))
+    rows = {tokens[i]: tuple(numbers[i + 1:i + 12]) for i in range(0, len(tokens), 12)}
+    for row in set(rows.values()):
+        if not _is_state(row):
+            key = next(key for key, other in rows.items() if other == row)
+            raise ContractError(f"pair table {branch}: row {key} is not a state on all of [0, 1]")
+    return rows
+
+
 @cache
 def _pair_table(branch: tuple[str, str] | None) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     """The row of each pair key and the X-state coefficients of all rows,
-    read from _PAIR_INTEGERS: (K, 2, 5) rows [diag G00, G00[1,2]] and
+    from _pair_integers: (K, 2, 5) rows [diag G00, G00[1,2]] and
     [diag G11, G11[1,2]], and (K,) |G01[0,3]|^2. The keys are PAIR_KEYS for
     a branch and those on qubits 1 to 4 for None."""
-    lines = [line.split() for line in _PAIR_INTEGERS[branch].strip().splitlines()]
-    numbers = np.array([line[1:] for line in lines], dtype=float)
-    row = {line[0]: k for k, line in enumerate(lines)}
-    return row, numbers[:, :10].reshape(-1, 2, 5) / 1296.0, numbers[:, 10] / 1679616.0
+    table = _pair_integers(branch)
+    numbers = np.array(list(table.values()), dtype=float)
+    return {key: k for k, key in enumerate(table)}, numbers[:, :10].reshape(-1, 2, 5) / 1296.0, numbers[:, 10] / 1679616.0
+
+
+@cache
+def _pair_signs(branch: tuple[str, str] | None) -> tuple[tuple[tuple[int, int, int], ...], dict[str, tuple[int, int]]]:
+    """The distinct integer quadratics (c0, c1, c2) of a branch's partial
+    transpose blocks, and each pair key's two, as indices into them.
+
+    A pair is entangled at x where either is negative: a block
+    [[P, U], [U*, Q]] of 1296*T times the partial transpose (T the trace)
+    has an eigenvalue below -t*T, t = PPT_TOL, exactly when
+    (P + t*T)(Q + t*T) < |U|^2, since P, Q >= 0. With t = tn/td, td^2 times
+    that difference is the quadratic.
+    """
+    tn, td = PPT_TOL.as_integer_ratio()
+    quads: dict[tuple[int, int, int], int] = {}
+    pairs = {}
+    for key, row in _pair_integers(branch).items():
+        a, b, c, d, z2, w2 = _x_forms(row)
+        t = [tn * (a[i] + b[i] + c[i] + d[i]) for i in (0, 1)]
+        a, b, c, d = ((td * p[0] + t[0], td * p[1] + t[1]) for p in (a, b, c, d))
+        fz = _minus(_times(a, d), [td * td * k for k in z2])
+        fw = _minus(_times(b, c), [td * td * k for k in w2])
+        pairs[key] = tuple(quads.setdefault(f, len(quads)) for f in (fz, fw))
+    return tuple(quads), pairs
 
 
 def pair_verdicts(alpha2, branch, keys) -> tuple[PPTVerdict, np.ndarray]:
@@ -302,28 +377,93 @@ def branch_probabilities(alpha2: float) -> dict[tuple[str, str], float]:
     x = float(alpha2)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"alpha2 must be in [0, 1], got {alpha2!r}")
-    # the table holds the integers over 1296, so rint restores their sums
-    sums = {b: np.rint(1296.0 * _pair_table(b)[1][0, :, :4].sum(axis=1)) for b in OUTCOME_ORDER}
-    return {b: float((x * t00 + (1.0 - x) * t11) / 1296.0) for b, (t00, t11) in sums.items()}
+    rows = {b: next(iter(_pair_integers(b).values())) for b in OUTCOME_ORDER}
+    return {b: (x * sum(row[:4]) + (1.0 - x) * sum(row[5:9])) / 1296 for b, row in rows.items()}
 
 
-def _scan_row(name: str, keys):
-    """The predicate named `name` over the entangled flags of the pairs
-    `keys`; ValueError for an unknown row or one that reads other pairs."""
+def _scan_row(name: str, keys) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The pairs that must be entangled and those that must be separable
+    for the row named `name` to hold; ValueError for an unknown row or one
+    that reads other pairs than `keys`."""
     if name == "broadcast":
-        reads, row = PAIR_KEYS, broadcast_holds
+        separable, entangled = _broadcast_pairs(("1", "2", "5"), ("3", "4", "6"))
+        row = tuple(x + y for x, y in entangled), tuple(x + y for x, y in separable)
     elif name == "closed-146":
         # rho146 is closed when its pairs (1,4), (4,6) and (1,6) are all entangled
-        reads, row = ("14", "46", "16"), lambda entangled: entangled["14"] & entangled["46"] & entangled["16"]
+        row = ("14", "46", "16"), ()
     else:
         key, _, predicate = name.partition(":")
         if predicate not in ("entangled", "separable"):
             raise ValueError(f"branch_scan: unknown row {name!r}")
-        want = predicate == "entangled"
-        reads, row = (key,), lambda entangled: entangled[key] == want
-    if not set(reads) <= set(keys):
+        row = ((key,), ()) if predicate == "entangled" else ((), (key,))
+    if not set(row[0] + row[1]) <= set(keys):
         raise ValueError(f"branch_scan: unknown row {name!r}")
     return row
+
+
+def _negative(f: tuple[int, int, int], x: float) -> bool:
+    """Whether c0 + c1*x + c2*x^2 < 0 at the float x, exactly: with
+    x = m/e, the sign of c0*e^2 + c1*m*e + c2*m^2."""
+    m, e = x.as_integer_ratio()
+    return (f[0] * e + f[1] * m) * e + f[2] * m * m < 0
+
+
+def _sign_changes(f: tuple[int, int, int], grid: int) -> tuple[bool, list[int], int]:
+    """Where f < 0 flips along the grid x_k = k / (grid + 1), k = 1..grid:
+    (f < 0 at x_1, the k whose flag differs at k + 1, and the vertex cell
+    s, the last k with x_k at or left of f's vertex; grid for a line).
+
+    f is monotone on 1..s and on s + 1..grid, so each side flips at most
+    once, and a binary search finds where: O(log grid) exact signs.
+    """
+    c0, c1, c2 = f
+    s = grid
+    if c2:
+        # the vertex num/den, den > 0; x_k <= num/den is m*den <= num*e
+        num, den = (-c1, 2 * c2) if c2 > 0 else (c1, -2 * c2)
+
+        def left(k):
+            m, e = (k / (grid + 1)).as_integer_ratio()
+            return m * den <= num * e
+
+        s = min(max(num * (grid + 1) // den, 0), grid)
+        while s > 0 and not left(s):
+            s -= 1
+        while s < grid and left(s + 1):
+            s += 1
+    value: dict[int, bool] = {}
+
+    def negative(k):
+        if k not in value:
+            value[k] = _negative(f, k / (grid + 1))
+        return value[k]
+
+    ends = sorted({k for k in (1, s, s + 1, grid) if 1 <= k <= grid})
+    flips = []
+    for lo, hi in zip(ends, ends[1:]):
+        start = negative(lo)
+        if negative(hi) != start:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if negative(mid) == start else (lo, mid)
+            flips.append(lo)
+    return negative(1), flips, s
+
+
+def _edge(grid: int, k: int, tol: float, start: bool, holds) -> float:
+    """The midpoint a row's one-step bisection ends on between x_k and
+    x_{k+1}, where it holds `start` at x_k: each step keeps the half whose
+    ends differ, and an edge closes when it is no wider than tol or its
+    midpoint is one of its ends (adjacent floats)."""
+    a, b = k / (grid + 1), (k + 1) / (grid + 1)
+    while True:
+        mid = (a + b) / 2.0
+        if not (b - a > tol and a < mid < b):
+            return mid
+        if holds(mid) == start:
+            a = mid
+        else:
+            b = mid
 
 
 def branch_scan(
@@ -338,25 +478,65 @@ def branch_scan(
     PAIR_KEYS, "broadcast" (broadcast_holds) or "closed-146" (pairs 14, 46
     and 16 all entangled); branch None, the first round with the machines
     traced out, has the pair rows on qubits 1 to 4. All rows are checked
-    before any point is tested. Each test call takes the pairs' verdicts
-    from one pair_verdicts call, and the edges of all rows are bisected
-    together, several steps per call (scan_predicates). Pair rows' intervals are named by their predicate
-    ("entangled" or "separable"). No verdict depends on the input phase.
+    before any point is tested. Pair rows' intervals are named by their
+    predicate ("entangled" or "separable"). No verdict depends on the input
+    phase.
+
+    The verdicts are exact signs of the pairs' quadratics (_pair_signs) at
+    the floats scan_predicates would probe: the grid points k / (grid + 1)
+    and the midpoints (a + b) / 2.0 of a one-step bisection. Between the
+    quadratics' flips along the grid (_sign_changes) every row is constant.
     """
-    pair = _as_branch(branch)
-    keys = tuple(_pair_table(pair)[0])
+    quads, pairs = _pair_signs(_as_branch(branch))
     names = tuple(names)
-    rows = [_scan_row(name, keys) for name in names]
+    rows = [tuple(tuple(pairs[key] for key in keys) for keys in _scan_row(name, pairs)) for name in names]
+    _require_scan_settings(grid, tol)
 
-    def test(xs: np.ndarray) -> np.ndarray:
-        entangled = dict(zip(keys, pair_verdicts(xs, pair, keys)[0].entangled))
-        return np.stack([row(entangled) for row in rows])
+    def holds(row, value) -> bool:
+        entangled, separable = row
+        return all(value[i] or value[j] for i, j in entangled) and not any(value[i] or value[j] for i, j in separable)
 
-    scans = scan_predicates(test, names, grid, tol)
-    return {
-        name: [iv._replace(predicate_name=name.rpartition(":")[2]) for iv in ivs]
-        for name, ivs in scans.items()
-    }
+    # value[q]: whether quadratic q is negative at the grid point reached
+    value, flips, live = [], {}, {}
+    for q, f in enumerate(quads):
+        negative, changes, s = _sign_changes(f, grid)
+        value.append(negative)
+        for k in changes:
+            flips.setdefault(k, []).append(q)
+        if f[2] and 0 < s < grid:
+            live.setdefault(s, []).append(q)
+    first = [holds(row, value) for row in rows]
+    edges: list[list[float]] = [[] for _ in rows]
+    was = first
+    for k in sorted(flips):
+        # Only the quadratics that flip, or have their vertex, in cell k can
+        # differ inside it from their value at x_k.
+        cell = set(flips[k] + live.get(k, []))
+        probed: dict[float, list[bool]] = {}
+
+        def at(x, row):
+            if x not in probed:
+                probed[x] = [_negative(quads[q], x) if q in cell else v for q, v in enumerate(value)]
+            return holds(row, probed[x])
+
+        for q in flips[k]:
+            value[q] = not value[q]
+        now = [holds(row, value) for row in rows]
+        for r, row in enumerate(rows):
+            if now[r] != was[r]:
+                edges[r].append(_edge(grid, k, tol, was[r], lambda x: at(x, row)))
+        was = now
+    out = {}
+    for name, holds_first, cuts in zip(names, first, edges):
+        # Cut points alternate between the row's entries and exits, starting
+        # with an exit when the row holds at the first grid point.
+        cuts = [0.0, *cuts, 1.0]
+        start = 0 if holds_first else 1
+        out[name] = [] if len(cuts) == 2 else [
+            ThresholdInterval(lo=lo, hi=hi, tolerance=tol, predicate_name=name.rpartition(":")[2])
+            for lo, hi in zip(cuts[start::2], cuts[start + 1::2])
+        ]
+    return out
 
 
 def buzek_baseline(grid: int = SCAN_GRID, tol: float = SCAN_TOL) -> tuple[float, float]:

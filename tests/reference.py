@@ -10,26 +10,32 @@ traced out) and six_qubit_branch to these routes entrywise, and tests/golden/ ho
 through a whole-row template from its own pair's numbers; the CLI's
 `sweep` output is held to it byte for byte.
 
-`bisect_edges` is the scans' bisection one step per test call; the
-package's _bisect_edges takes several of its steps per call. `on_reference`
-runs a scan with it, and the package's scans are held to those edges bit
-for bit.
+`scan_points` is a scan one point at a time: it tests every grid point,
+and bisects each edge of each row one step per test call. `exact_scan` runs
+it on each pair's verdict in Fraction arithmetic, and `float_scan` is the
+float route, scan_predicates over pair_verdicts: protocol.branch_scan is
+held to the first bit for bit at every grid and tol, and the second to it
+at tol >= 1e-12.
 
-`pipeline_pair_table` is the one route here that reads Gram blocks: it
-builds a branch's table of X-state coefficients from protocol's float
-blocks, each pair certified by `x_coefficients`, the float route that
-protocol's checked-in integer tables are held to.
+`pipeline_pair_integers` is the one route here that reads Gram blocks: it
+builds a branch's integer table from protocol's basis images, each pair's
+float blocks certified by `x_coefficients`; protocol's checked-in integer
+tables are held to it.
 """
 import collections
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
-import pytest
 
-from qbroadcast import ContractError, DensityOp, PureState, clone_subsystem, partial_trace, run_first_stage, to_density
+from qbroadcast import (
+    ContractError, DensityOp, PureState, ThresholdInterval, broadcast_holds, clone_subsystem, partial_trace,
+    run_first_stage, scan_predicates, to_density,
+)
 from qbroadcast.cli import CSV_HEADER
-import qbroadcast.entanglement as entanglement
-from qbroadcast.entanglement import _flags, eof
-from qbroadcast.protocol import PAIR_KEYS, SIX_LABELS, _gram_blocks, pair_verdicts
+from qbroadcast.constants import PPT_TOL
+from qbroadcast.entanglement import eof
+from qbroadcast.protocol import _PAIR_INTEGERS, PAIR_KEYS, SIX_LABELS, _basis_images, _gram_blocks, pair_verdicts
 
 TRIPLE_KEYS = ("146", "325")
 
@@ -119,31 +125,130 @@ def x_coefficients(g00, g01, g11):
     return lin, g01[0, 3].real ** 2 + g01[0, 3].imag ** 2
 
 
-def pipeline_pair_table(branch):
-    """protocol._pair_table's (row, lin, g2) for `branch`, built from the
-    float Gram blocks of the pipeline and certified pair by pair."""
+def stored_integers(branch) -> dict[str, list[int]]:
+    """The stored integers of each key of one table, in its line order:
+    1296*(a, b, c, d, z) of G00, the same of G11, and 1296^2*|G01[0,3]|^2."""
+    lines = (line.split() for line in _PAIR_INTEGERS[branch].strip().splitlines())
+    return {key: [int(n) for n in numbers] for key, *numbers in lines}
+
+
+def pipeline_pair_integers(branch) -> dict[str, tuple[int, ...]]:
+    """protocol._pair_integers for `branch`, from the pipeline: 36 times each
+    basis image rounded to an integer vector (ContractError above 1e-9),
+    and each pair's Gram entries of those vectors, its float Gram blocks
+    certified by x_coefficients."""
+    reg, *images = _basis_images(branch)
+    ints = []
+    for v in images:
+        scaled = 36.0 * v
+        rounded = np.rint(scaled.real)
+        if np.max(np.abs(scaled - rounded)) > 1e-9:
+            raise ContractError(f"pair table: 36 times a basis image of {branch} is not an integer vector")
+        ints.append(rounded.astype(np.int64))
     keys = PAIR_KEYS if branch else tuple(key for key in PAIR_KEYS if set(key) <= set("1234"))
-    lin, g2 = zip(*(x_coefficients(*_gram_blocks(branch, tuple(key))[1:]) for key in keys))
-    return {key: row for row, key in enumerate(keys)}, np.stack(lin), np.array(g2)
+    table = {}
+    for key in keys:
+        x_coefficients(*_gram_blocks(branch, tuple(key))[1:])
+        a, b = (reg.front(v, tuple(key), 1) for v in ints)
+        g00, g01, g11 = a @ a.T, a @ b.T, b @ b.T
+        table[key] = tuple(int(n) for n in (*g00.diagonal(), g00[1, 2], *g11.diagonal(), g11[1, 2], g01[0, 3] ** 2))
+    return table
 
 
-def bisect_edges(test, rows, row, a, b, fa, tol):
-    """entanglement._bisect_edges one step per test call: each call tests
-    the midpoints of all edges still open. An edge closes when it is no
-    wider than tol, or when its midpoint is one of its endpoints."""
-    a, b = a.copy(), b.copy()
-    while True:
-        mid = (a + b) / 2.0
-        live = np.nonzero((b - a > tol) & (mid > a) & (mid < b))[0]
-        if not live.size:
-            return mid
-        same = _flags(test, mid[live], rows)[row[live], np.arange(live.size)] == fa[live]
-        a[live[same]] = mid[live[same]]
-        b[live[~same]] = mid[live[~same]]
+def scan_points(test, names, grid, tol) -> dict[str, list[ThresholdInterval]]:
+    """Intervals where each row holds, test mapping one alpha^2 float to a
+    bool per name: every grid point k / (grid + 1) tested, and each flip of
+    a row between grid neighbours bisected one step per test call, to the
+    midpoint (a + b) / 2.0 at which the edge is no wider than tol or the
+    midpoint is one of its ends. Intervals alternate from the row's value
+    at the first grid point; a row constant over the grid has none."""
+    xs = [k / (grid + 1) for k in range(1, grid + 1)]
+    flags = [tuple(test(x)) for x in xs]
+    out = {}
+    for r, name in enumerate(names):
+        cuts = [0.0]
+        for k in range(grid - 1):
+            start = flags[k][r]
+            if flags[k + 1][r] == start:
+                continue
+            a, b = xs[k], xs[k + 1]
+            mid = (a + b) / 2.0
+            while b - a > tol and a < mid < b:
+                if test(mid)[r] == start:
+                    a = mid
+                else:
+                    b = mid
+                mid = (a + b) / 2.0
+            cuts.append(mid)
+        cuts.append(1.0)
+        first = 0 if flags[0][r] else 1
+        out[name] = [] if len(cuts) == 2 else [
+            ThresholdInterval(lo, hi, tol, name) for lo, hi in zip(cuts[first::2], cuts[first + 1::2])
+        ]
+    return out
 
 
-def on_reference(scan, *args):
-    """scan(*args) with every scan inside bisecting through bisect_edges."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(entanglement, "_bisect_edges", bisect_edges)
-        return scan(*args)
+def _rows(names):
+    """Each named row of branch_scan as a function of the pairs' entangled
+    flags: a pair row reads its pair, "broadcast" is broadcast_holds and
+    "closed-146" needs pairs 14, 46 and 16 entangled."""
+    def row(name):
+        if name == "broadcast":
+            return broadcast_holds
+        if name == "closed-146":
+            return lambda entangled: entangled["14"] & entangled["46"] & entangled["16"]
+        key, _, predicate = name.partition(":")
+        return lambda entangled: entangled[key] == (predicate == "entangled")
+
+    return [row(name) for name in names]
+
+
+def _below(p, q, u2, t) -> bool:
+    """Whether the Hermitian block [[p, u], [u*, q]], |u|^2 = u2 and p, q
+    >= 0, has an eigenvalue below -t: its lower root
+    (p + q)/2 - sqrt(((p - q)/2)^2 + u2) < -t, squared, since (p + q)/2 + t
+    > 0."""
+    assert p >= 0 and q >= 0
+    return ((p - q) / 2) ** 2 + u2 > ((p + q) / 2 + t) ** 2
+
+
+@cache
+def _entangled(row: tuple[int, ...], alpha2: float) -> bool:
+    """One stored row's PPT verdict at the float alpha2, in Fraction
+    arithmetic: the partial transpose's lowest eigenvalue is below
+    -PPT_TOL. The blocks are scaled by the trace, which is positive."""
+    x = Fraction(alpha2)
+    a, b, c, d, z = (v + (u - v) * x for u, v in zip(row[:5], row[5:10]))
+    t = Fraction(PPT_TOL) * (a + b + c + d)
+    return _below(a, d, z * z, t) or _below(b, c, x * (1 - x) * row[10], t)
+
+
+def _renamed(scans):
+    return {name: [iv._replace(predicate_name=name.rpartition(":")[2]) for iv in ivs] for name, ivs in scans.items()}
+
+
+def exact_scan(branch, names, grid, tol):
+    """branch_scan's intervals from scan_points over the pairs' exact
+    verdicts (_entangled), each point's rows evaluated once."""
+    table = {key: tuple(row) for key, row in stored_integers(branch).items()}
+    rows = _rows(names)
+
+    @cache
+    def test(x):
+        entangled = {key: _entangled(row, x) for key, row in table.items()}
+        return tuple(row(entangled) for row in rows)
+
+    return _renamed(scan_points(test, names, grid, tol))
+
+
+def float_scan(branch, names, grid, tol):
+    """branch_scan's intervals from scan_predicates over pair_verdicts, the
+    float route: each call's verdicts from one pair_verdicts call."""
+    keys = list(stored_integers(branch))
+    rows = _rows(names)
+
+    def test(xs):
+        entangled = dict(zip(keys, pair_verdicts(xs, branch, keys)[0].entangled))
+        return np.stack([row(entangled) for row in rows])
+
+    return _renamed(scan_predicates(test, names, grid, tol))

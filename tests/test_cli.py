@@ -12,7 +12,7 @@ import qbroadcast.linalg as linalg_module
 import qbroadcast.protocol as protocol_module
 import qbroadcast.swap as swap_module
 from qbroadcast.cli import BRANCH_NAMES, CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, SWEEP_MAX_ROWS, run_command
-from qbroadcast.entanglement import ThresholdInterval, scan_predicates
+from qbroadcast.entanglement import ThresholdInterval
 from qbroadcast.errors import ContractError
 from qbroadcast.protocol import PAIR_KEYS, pair_verdicts
 from reference import sweep_text
@@ -630,22 +630,27 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkey
     assert alone[0] in (0, 2) and (alone[1] or alone[2])
 
 
-def test_report_makes_ten_scan_test_calls(capsys, monkeypatch):
+def test_scan_commands_make_no_float_scan(capsys, monkeypatch):
+    # the scans run on exact signs: with the float scan refused, report,
+    # branches, thresholds and baseline print the same bytes, and
+    # pair_verdicts is called once in all, for report's concurrence lines
+    argvs = (["report"], ["branches"], ["thresholds", "--branch", "Q0Q1"], ["baseline"])
+    want = [_run(capsys, argv) for argv in argvs]
     calls = []
 
-    def counting(test, names, grid, tol):
-        def counted(xs):
-            calls.append(xs.size)
-            return test(xs)
+    def refuse(*args):
+        raise AssertionError("the float scan ran")
 
-        return scan_predicates(counted, names, grid, tol)
+    def counted(*args):
+        calls.append(args[2])
+        return pair_verdicts(*args)
 
-    monkeypatch.setattr(protocol_module, "scan_predicates", counting)
-    assert _run(capsys, ["report"])[0] == 0
-    # five scans, the baseline's and one per branch: each its 200-point grid,
-    # then one call that takes all six bisection steps of its edges
-    assert len(calls) == 10
-    assert calls[::2] == [200] * 5
+    for name in ("scan_predicates", "_flags", "_bisect_edges"):
+        monkeypatch.setattr(entanglement_module, name, refuse)
+    monkeypatch.setattr(cli_module, "pair_verdicts", counted)
+    monkeypatch.setattr(protocol_module, "pair_verdicts", counted)
+    assert [_run(capsys, argv) for argv in argvs] == want
+    assert calls == [["16", "46"]]
 
 
 def test_contract_violation_exits_1(capsys, monkeypatch):

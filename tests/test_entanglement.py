@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from qbroadcast import (
 import qbroadcast.entanglement as entanglement_module
 from qbroadcast.linalg import eig_hermitian
 from qbroadcast.protocol import PAIR_KEYS, branch_scan
-from reference import on_reference
+from reference import exact_scan, float_scan, scan_points
 from stacks import pointwise, scan_family, scan_row
 
 _S = 1.0 / np.sqrt(2.0)
@@ -459,9 +461,9 @@ def test_scan_predicate_tests_the_grid_as_one_array():
 
     ivs = scan_row(test, grid=80, tol=1e-6)
     assert [(round(iv.lo, 5), round(iv.hi, 5)) for iv in ivs] == [(0.25, 0.6)]
-    # the grid first, then both edges refined together: six steps of each
-    # (2 x 63 points) per call until 2^-14 of the grid spacing is below tol
-    assert calls == [80, 126, 126, 6]
+    # the grid first, then both edges refined together, one step of each
+    # per call, until 2^-14 of the grid spacing is below tol
+    assert calls == [80] + [2] * 14
 
 
 def test_scan_predicate_tests_fine_grids_in_chunks():
@@ -473,9 +475,9 @@ def test_scan_predicate_tests_fine_grids_in_chunks():
 
     ivs = scan_row(test, grid=10000, tol=1e-6)
     assert len(ivs) == 1 and ivs[0].lo == pytest.approx(0.3, abs=1e-6)
-    # the grid in chunks, then the one edge: six steps (63 points), then the
-    # seventh it needs to narrow 1/10001 below tol
-    assert calls == [4096, 4096, 1808, 63, 1]
+    # the grid in chunks, then the one edge: the seven steps it needs to
+    # narrow 1/10001 below tol, one per call
+    assert calls == [4096, 4096, 1808] + [1] * 7
 
 
 def test_scan_predicate_ends_below_the_float_spacing():
@@ -533,8 +535,8 @@ def test_scan_predicates_rows_equal_separate_scans():
     assert scans["union"][0].lo == scans["low"][0].lo == 0.0
     assert scans["union"][1].hi == scans["high"][0].hi == 1.0
     # the grid in one call, then the ten steps all eight edges need to
-    # narrow 1/101 below tol: six (8 x 63 points), then four (8 x 15)
-    assert calls == [100, 504, 120]
+    # narrow 1/101 below tol, one step of each per call
+    assert calls == [100] + [8] * 10
 
 
 def _ends(scans):
@@ -543,15 +545,39 @@ def _ends(scans):
     return {name: [(iv.lo.hex(), iv.hi.hex()) for iv in ivs] for name, ivs in scans.items()}
 
 
-@pytest.mark.parametrize("branch", [("Q0", "Q0"), ("Q0", "Q1"), ("Q1", "Q0"), ("Q1", "Q1"), None])
-def test_branch_scans_bisect_to_the_one_step_edges(branch):
+_BRANCHES = [("Q0", "Q0"), ("Q0", "Q1"), ("Q1", "Q0"), ("Q1", "Q1"), None]
+
+
+def _all_rows(branch):
     keys = PAIR_KEYS if branch else [key for key in PAIR_KEYS if set(key) <= set("1234")]
     names = [f"{key}:{p}" for key in keys for p in ("entangled", "separable")]
-    names += ["broadcast", "closed-146"] if branch else []
-    for grid, tol in ((200, 1e-4), (60, 1e-300), (3000, 5e-324)):
+    return names + (["broadcast", "closed-146"] if branch else [])
+
+
+@pytest.mark.parametrize("branch", _BRANCHES)
+def test_branch_scans_bisect_to_the_one_step_edges(branch):
+    # the exact route against the naive exact scan (every grid point, one
+    # bisection step per call, Fraction verdicts), bit for bit at any tol,
+    # on grids that hold roots (54: k/55, 59: k/60) and below float spacing
+    names = _all_rows(branch)
+    for grid, tol in ((200, 1e-4), (54, 1e-12), (59, 1e-9), (60, 1e-300), (3000, 5e-324)):
         scans = branch_scan(branch, names, grid, tol)
-        assert _ends(scans) == _ends(on_reference(branch_scan, branch, names, grid, tol)), (grid, tol)
+        expected = exact_scan(branch, names, grid, tol)
+        assert _ends(scans) == _ends(expected) and scans == expected, (grid, tol)
+        if tol >= 1e-12:
+            assert _ends(float_scan(branch, names, grid, tol)) == _ends(expected), (grid, tol)
         assert any(scans.values())
+
+
+@pytest.mark.parametrize("branch", _BRANCHES)
+def test_float_scan_finds_the_exact_edges_down_to_1e_12(branch):
+    # scan_predicates over pair_verdicts, the float cross-check, against
+    # branch_scan (held to the exact reference above): the float verdicts
+    # differ from the exact ones only inside roundoff of the dead band
+    names = _all_rows(branch)
+    for grid in (50, 54, 59, 60, 200, 299, 2000, 2999):
+        for tol in (1e-3, 1e-4, 1e-6, 1e-9, 1e-12):
+            assert _ends(float_scan(branch, names, grid, tol)) == _ends(branch_scan(branch, names, grid, tol)), (grid, tol)
 
 
 def test_scan_with_thousands_of_open_edges_stays_in_chunks():
@@ -566,7 +592,8 @@ def test_scan_with_thousands_of_open_edges_stays_in_chunks():
     ivs = scan_row(test, grid=grid, tol=1e-9)
     assert len(ivs) == 5000
     assert max(calls) == entanglement_module._SCAN_CHUNK
-    assert _ends({"": ivs}) == _ends({"": on_reference(scan_row, test, grid, 1e-9)})
+    expected = scan_points(lambda x: [math.floor(x * (grid + 1) + 0.5) % 2 == 1], ["predicate"], grid, 1e-9)
+    assert _ends({"": ivs}) == _ends({"": expected["predicate"]})
 
 
 def test_scan_predicates_checks_the_row_count_and_settings():

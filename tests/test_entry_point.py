@@ -94,6 +94,29 @@ def test_no_command_imports_numpy_random():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_the_cli_imports_only_its_own_modules_and_scans_import_none():
+    # the scans' exact arithmetic is on Python integers: no fractions (2.7 ms
+    # of import) or sympy, no package module beyond the CLI's, and no
+    # module imported while the scan commands run (after a usage error,
+    # which loads what argument parsing loads on first use)
+    script = (
+        "import contextlib, io, sys\n"
+        "from qbroadcast.cli import run_command\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert run_command(['baseline', '--grid', '10']) == 2\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['thresholds'], ['branches'], ['baseline'], ['report']):\n"
+        "        assert run_command(argv) == 0\n"
+        "print(sorted(set(sys.modules) - before))\n"
+        "print(sorted(m for m in before if m.startswith('qbroadcast') or m in ('fractions', 'sympy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_env(), timeout=120)
+    package = ["cli", "cloner", "constants", "entanglement", "errors", "gvchannel", "linalg", "protocol", "qstate", "swap"]
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["[]", str(["qbroadcast"] + [f"qbroadcast.{name}" for name in package])]
+
+
 def test_readme_library_example_runs(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]

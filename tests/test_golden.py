@@ -30,7 +30,7 @@ import pytest
 
 import qbroadcast.protocol as protocol_module
 from qbroadcast.cli import BRANCH_NAMES, run_command
-from reference import pipeline_pair_table
+from reference import pipeline_pair_integers
 
 GOLDEN = Path(__file__).parent / "golden"
 PAIRS = "12,15,34,36,25,46,23,35,14,16"
@@ -137,13 +137,16 @@ def test_scans_and_sweep_run_no_cloner(tmp_path, capsys, monkeypatch, phase):
     # thresholds on every branch, branches, baseline and a 10-pair sweep,
     # from cold caches with the basis images, run_first_stage and
     # clone_subsystem refused: the goldens where they exist, and otherwise
-    # the bytes of tables built by the float pipeline
+    # the bytes of integer tables built by the pipeline
     args = _phase_args(tmp_path, phase)
     scans = [["thresholds", "--branch", name] + args for name in BRANCH_NAMES] + [["branches"] + args, ["baseline"] + args]
+    tables = (protocol_module._pair_integers, protocol_module._pair_table, protocol_module._pair_signs)
     with monkeypatch.context() as patch:
-        patch.setattr(protocol_module, "_pair_table", cache(pipeline_pair_table))
+        for cached in tables:
+            cached.cache_clear()
+        patch.setattr(protocol_module, "_pair_integers", cache(pipeline_pair_integers))
         want = [_stdout(capsys, argv) for argv in scans]
-    for cached in (protocol_module._pair_table, protocol_module._basis_images, protocol_module._first_stage_runs):
+    for cached in (*tables, protocol_module._basis_images, protocol_module._first_stage_runs):
         cached.cache_clear()
     for name in ("_basis_images", "_first_stage_runs", "run_first_stage", "clone_subsystem"):
         monkeypatch.setattr(protocol_module, name, _refuse)

@@ -1,14 +1,16 @@
 """The checked-in integer pair tables (protocol._PAIR_INTEGERS).
 
-Every number in them is re-derived here from the float pipeline: the basis
-images times 36 must round to integer vectors, each pair's float Gram
-blocks must be 0.0 off the X pattern, and the Gram entries of the integer
-vectors must equal the stored integers exactly. The symmetries of the
-protocol are then checked on the integers, with no tolerance.
+Every number in them is re-derived from the float pipeline
+(reference.pipeline_pair_integers): the basis images times 36 must round
+to integer vectors, each pair's float Gram blocks must be 0.0 off the X
+pattern, and the Gram entries of the integer vectors must equal the stored
+integers exactly. The symmetries of the protocol are then checked on the
+integers, with no tolerance, and the parse's check that each row is a
+state on all of [0, 1].
 """
-import numpy as np
 import pytest
 
+from qbroadcast import ContractError
 import qbroadcast.protocol as protocol_module
 from qbroadcast.cloner import OUTCOME_ORDER
 from qbroadcast.protocol import PAIR_KEYS
@@ -18,43 +20,43 @@ BRANCHES = (*OUTCOME_ORDER, None)
 BRANCH_IDS = ["".join(branch) if branch else "first-round" for branch in BRANCHES]
 
 
-def _stored(branch) -> dict[str, list[int]]:
-    """The stored integers of each key of one table, in its line order:
-    1296*(a, b, c, d, z) of G00, the same of G11, and 1296^2*|G01[0,3]|^2."""
-    lines = (line.split() for line in protocol_module._PAIR_INTEGERS[branch].strip().splitlines())
-    return {key: [int(n) for n in numbers] for key, *numbers in lines}
-
-
-def _integer_images(branch):
-    """The register and 36*v00, 36*v11 rounded to integers; fails when
-    either is further than 1e-9 from its integer vector."""
-    reg, *images = protocol_module._basis_images(branch)
-    out = []
-    for v in images:
-        scaled = 36.0 * v
-        ints = np.rint(scaled.real)
-        assert np.max(np.abs(scaled - ints)) <= 1e-9, branch
-        out.append(ints.astype(np.int64))
-    return reg, out
+_stored = reference.stored_integers
 
 
 @pytest.mark.parametrize("branch", BRANCHES, ids=BRANCH_IDS)
 def test_stored_integers_are_the_pipelines_gram_entries(branch):
-    reg, (i00, i11) = _integer_images(branch)
-    stored = _stored(branch)
-    keys = PAIR_KEYS if branch else ("12", "34", "23", "14")
-    assert tuple(stored) == keys
+    # 36 times each basis image is an integer vector, each pair's float
+    # blocks are an X-state, and the Gram entries of the integer vectors
+    # are the stored integers, exactly (reference.pipeline_pair_integers)
+    stored = protocol_module._pair_integers(branch)
+    assert stored == reference.pipeline_pair_integers(branch)
+    assert tuple(stored) == (PAIR_KEYS if branch else ("12", "34", "23", "14"))
+    assert {key: list(row) for key, row in stored.items()} == _stored(branch)
     _, lin, g2 = protocol_module._pair_table(branch)
-    for k, key in enumerate(keys):
-        # the float blocks are an X-state exactly, or x_coefficients raises
-        reference.x_coefficients(*protocol_module._gram_blocks(branch, tuple(key))[1:])
-        a, b = (reg.front(v, tuple(key), 1) for v in (i00, i11))
-        g00, g01, g11 = a @ a.T, a @ b.T, b @ b.T
-        want = [*g00.diagonal(), g00[1, 2], *g11.diagonal(), g11[1, 2], g01[0, 3] ** 2]
-        assert stored[key] == [int(n) for n in want], (branch, key)
+    for k, row in enumerate(stored.values()):
         # the table divides each integer once, so it holds the nearest float
-        assert lin[k].ravel().tolist() == [n / 1296 for n in stored[key][:10]]
-        assert g2[k] == stored[key][10] / 1296**2
+        assert lin[k].ravel().tolist() == [n / 1296 for n in row[:10]]
+        assert g2[k] == row[10] / 1296**2
+
+
+@pytest.mark.parametrize(
+    "field,value", [(0, -1), (10, 10**6), (4, 500)], ids=["negative diagonal", "large |w|", "large z"]
+)
+def test_the_parse_rejects_a_row_that_is_no_state(monkeypatch, field, value):
+    # every row must be a state at every x in [0, 1]: diagonal >= 0, trace
+    # > 0 and both 2 x 2 blocks of rho of determinant >= 0, exactly; a
+    # large |w| fails only inside, at x = 1/2
+    table = protocol_module._PAIR_INTEGERS[("Q0", "Q0")]
+    line = table.strip().splitlines()[0]
+    key, *numbers = line.split()
+    numbers[field] = str(value)
+    monkeypatch.setitem(protocol_module._PAIR_INTEGERS, ("Q0", "Q0"), table.replace(line, " ".join([key, *numbers])))
+    protocol_module._pair_integers.cache_clear()
+    try:
+        with pytest.raises(ContractError, match="row 12 is not a state"):
+            protocol_module._pair_integers(("Q0", "Q0"))
+    finally:
+        protocol_module._pair_integers.cache_clear()
 
 
 def _reversed(row):

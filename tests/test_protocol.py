@@ -1,4 +1,6 @@
+import math
 from collections import Counter
+from fractions import Fraction
 from functools import partial, reduce
 
 import numpy as np
@@ -24,12 +26,11 @@ from qbroadcast import (
     to_density,
 )
 import qbroadcast.entanglement as entanglement_module
-import qbroadcast.linalg as linalg_module
 import qbroadcast.protocol as protocol_module
 from qbroadcast.cloner import OUTCOME_ORDER
-from qbroadcast.entanglement import concurrence, ppt_verdict, scan_predicates
+from qbroadcast.entanglement import concurrence, ppt_verdict
 from qbroadcast.protocol import PAIR_KEYS, SIX_LABELS, pair_verdicts
-from reference import TRIPLE_KEYS, extract_marginals, machine_traced_six, run_second_stage
+from reference import TRIPLE_KEYS, extract_marginals, machine_traced_six, run_second_stage, scan_points
 from stacks import scan_family, scan_row
 from published_forms import (
     published_rho12 as _published_rho12,
@@ -284,35 +285,80 @@ def test_pair_verdicts_at_the_domain_edges():
             assert np.isfinite(verdict.min_pt_eigenvalue).all() and np.isfinite(conc).all()
 
 
-def _no_solve(*args, **kwargs):
-    raise AssertionError("an eigen-solve or a singular-value solve was made")
+def _refuse(*args, **kwargs):
+    raise AssertionError("a float verdict or the float scan ran")
 
 
-def test_branch_scan_solves_one_pair_stack_per_step(monkeypatch):
-    # one pair_verdicts call per test call, from the table's closed forms:
-    # no step makes an eigen-solve or a singular-value solve
-    counts = {"test": 0, "pairs": 0}
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was called")
 
-    def scan(test, names, grid, tol):
-        def counted(xs):
-            counts["test"] += 1
-            return test(xs)
 
-        return scan_predicates(counted, names, grid, tol)
+def _all_rows(branch):
+    keys = PAIR_KEYS if branch else ("12", "34", "23", "14")
+    names = [f"{key}:{p}" for key in keys for p in ("entangled", "separable")]
+    return names + (["broadcast", "closed-146"] if branch else [])
 
-    def pairs(*args):
-        counts["pairs"] += 1
-        return pair_verdicts(*args)
 
-    monkeypatch.setattr(protocol_module, "scan_predicates", scan)
-    monkeypatch.setattr(protocol_module, "pair_verdicts", pairs)
-    for module in (entanglement_module, linalg_module):
-        monkeypatch.setattr(module, "eig_hermitian", _no_solve)
-        monkeypatch.setattr(module, "_singular_values", _no_solve)
-    scans = branch_scan(("Q0", "Q1"), ("12:separable", "broadcast", "closed-146"), grid=60, tol=1e-4)
-    assert scans["12:separable"]
-    assert counts["test"] > 1
-    assert counts["pairs"] == counts["test"]
+def test_branch_scan_makes_no_float_verdict_and_no_numpy_call(monkeypatch):
+    # the scans read exact signs of the tables' integers: with the float
+    # verdicts, the float scan and protocol's numpy refused, from cold
+    # caches, every branch's rows and the baseline still come out
+    want = {branch: branch_scan(branch, _all_rows(branch)) for branch in (*OUTCOME_ORDER, None)}
+    baseline = buzek_baseline()
+    for cached in (protocol_module._pair_integers, protocol_module._pair_table, protocol_module._pair_signs):
+        cached.cache_clear()
+    for module, name in ((protocol_module, "pair_verdicts"), (protocol_module, "_x_verdict"),
+                         (entanglement_module, "_x_verdict"), (entanglement_module, "scan_predicates"),
+                         (entanglement_module, "_flags")):
+        monkeypatch.setattr(module, name, _refuse)
+    monkeypatch.setattr(protocol_module, "np", _NoNumpy())
+    assert {branch: branch_scan(branch, _all_rows(branch)) for branch in want} == want
+    assert buzek_baseline() == baseline
+    assert buzek_baseline(grid=100000, tol=1e-300)[0] == pytest.approx(baseline[0], abs=1e-4)
+
+
+@pytest.mark.parametrize("grid,tol", [(50, 1e-4), (200, 1e-4), (2999, 1e-12), (100000, 1e-300), (100000, 5e-324)])
+def test_branch_scan_makes_few_exact_evaluations(monkeypatch, grid, tol):
+    # O(roots log grid + edges steps) exact signs, not one per grid point:
+    # each distinct quadratic's search evaluates its ends and vertex cell
+    # and binary-searches each flip; each bisection step of a flip's cell
+    # evaluates the one or two quadratics that can change inside it
+    count = [0]
+    negative = protocol_module._negative
+
+    def counted(f, x):
+        count[0] += 1
+        return negative(f, x)
+
+    monkeypatch.setattr(protocol_module, "_negative", counted)
+    steps = min(64, math.ceil(-math.log2(grid + 1) - math.log2(tol)))
+    for branch in (*OUTCOME_ORDER, None):
+        quads, _ = protocol_module._pair_signs(branch)
+        flips = sum(len(protocol_module._sign_changes(f, grid)[1]) for f in quads)
+        count[0] = 0
+        branch_scan(branch, _all_rows(branch), grid, tol)
+        assert 0 < count[0] <= 4 * len(quads) + 2 * flips * (math.ceil(math.log2(grid)) + 1 + steps), branch
+        assert count[0] < 1000
+
+
+def test_branch_scan_sees_a_dip_between_grid_points(monkeypatch):
+    # pair 12 of a made-up table: a line that turns negative at 0.505 and a
+    # parabola negative only on 0.5 +- 0.0032, both inside the grid cell
+    # (25/51, 26/51); the bisection must read the parabola there, though
+    # its sign is the same at both grid points
+    quads = ((1010, -2000, 0), (24999, -100000, 100000))
+    monkeypatch.setattr(protocol_module, "_pair_signs", lambda branch: (quads, {"12": (0, 1)}))
+
+    def point(x):
+        x = Fraction(x)
+        return [any(c0 + c1 * x + c2 * x * x < 0 for c0, c1, c2 in quads)]
+
+    for tol in (1e-4, 1e-12, 5e-324):
+        (scan,) = branch_scan(("Q0", "Q0"), ["12:entangled"], 50, tol).values()
+        (expected,) = scan_points(point, ["12:entangled"], 50, tol).values()
+        assert [(iv.lo, iv.hi) for iv in scan] == [(iv.lo, iv.hi) for iv in expected]
+        assert abs(scan[0].lo - (0.5 - 1e-5**0.5)) <= max(tol, 1e-16)
 
 
 def test_branch_scan_broadcast_agrees_with_the_per_point_verdict():

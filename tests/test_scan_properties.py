@@ -1,11 +1,13 @@
 """Property test of the scan's bisection: on random interval predicates,
-scan_predicates finds the edges the one-step reference loop finds, bit for
+scan_predicates finds the edges the per-point reference scan finds, bit for
 bit, at any grid and tolerance."""
+import bisect
+
 import numpy as np
 import pytest
 
 from qbroadcast import scan_predicates
-from reference import on_reference
+from reference import scan_points
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -32,9 +34,12 @@ def test_scans_find_the_one_step_edges(rows, grid, tol):
     def test(xs):
         return np.stack([(np.searchsorted(cuts, xs) % 2 == 1) != start for start, cuts in rows])
 
+    def point(x):
+        return [(bisect.bisect_left(cuts.tolist(), x) % 2 == 1) != start for start, cuts in rows]
+
     names = [f"row{i}" for i in range(len(rows))]
     scans = scan_predicates(test, names, grid, tol)
-    expected = on_reference(scan_predicates, test, names, grid, tol)
+    expected = scan_points(point, names, grid, tol)
     assert {name: [(iv.lo.hex(), iv.hi.hex()) for iv in ivs] for name, ivs in scans.items()} == {
         name: [(iv.lo.hex(), iv.hi.hex()) for iv in ivs] for name, ivs in expected.items()
     }
