@@ -17,10 +17,12 @@ The tests and measures take one operator or a stack of them (a DensityOp
 with a leading stack axis) and answer with numbers or with arrays of the
 same length. scan_predicates evaluates its predicates on whole arrays of
 alpha^2 values, so a grid is one stacked evaluation; the pipeline's own
-scans (protocol.branch_scan) read exact signs instead.
+scans (protocol.branch_scan) read exact signs instead. Both bisect their
+edges in _bisect and build their intervals in _intervals.
 """
 from __future__ import annotations
 
+import operator
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -62,7 +64,7 @@ class PPTVerdict(NamedTuple):
 class ThresholdInterval(NamedTuple):
     """Maximal alpha^2 interval on which a predicate holds.
 
-    Endpoints are bisection midpoints within `tolerance` (the setting, or
+    Endpoints are _bisect's midpoints, within `tolerance` (the setting, or
     float spacing where that is wider) of where the predicate changes; 0.0
     and 1.0 mark the domain edge. For protocol.branch_scan's rows the
     predicate is "lowest PT eigenvalue < -PPT_TOL", and that dead band moves
@@ -194,33 +196,50 @@ def _flags(test: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, rows: int) 
     return flags
 
 
-def _bisect_edges(
-    test, rows: int, row: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float
-) -> np.ndarray:
-    """Midpoints of the flips of predicate row[i] between a[i] and b[i]
-    (fa[i] is its value at a[i]), all edges refined together.
+def _bisect(a: list[float], b: list[float], start: list[bool], tol: float, probe) -> list[float]:
+    """Where edge i's predicate changes between a[i] and b[i] (start[i] its
+    value at a[i]; a and b are narrowed in place): the midpoint a one-step
+    bisection ends on, all edges refined together in Python floats.
 
-    Each test call takes one step of up to _SCAN_CHUNK open edges: it tests
-    their midpoints (a + b) / 2.0 and keeps the halves whose ends differ. An
-    edge closes when it is no wider than tol, or when its midpoint is one
-    of its endpoints (a and b are adjacent floats), so every tol ends.
+    Each probe(live, mids) call takes one step of up to _SCAN_CHUNK open
+    edges (`live`, in index order): it gives each one's predicate at its
+    midpoint (a + b) / 2.0, and the edge keeps the half whose ends differ.
+    An edge closes when it is no wider than tol, or when its midpoint is
+    one of its ends (a and b are adjacent floats), so every tol ends.
     """
-    a, b = a.copy(), b.copy()
+    mid = [(x + y) / 2.0 for x, y in zip(a, b)]
+    # live: the edges stepped last (all, at first), which may have closed;
+    # rest: open edges not yet stepped, all after them in index order
+    live, rest = range(len(mid)), []
     while True:
-        mid = (a + b) / 2.0
-        live = np.nonzero((b - a > tol) & (mid > a) & (mid < b))[0][:_SCAN_CHUNK]
-        if not live.size:
+        live = [i for i in live if b[i] - a[i] > tol and a[i] < mid[i] < b[i]] + rest
+        if not live:
             return mid
-        same = _flags(test, mid[live], rows)[row[live], np.arange(live.size)] == fa[live]
-        a[live[same]] = mid[live[same]]
-        b[live[~same]] = mid[live[~same]]
+        live, rest = live[:_SCAN_CHUNK], live[_SCAN_CHUNK:]
+        for i, held in zip(live, probe(live, [mid[i] for i in live])):
+            (a if held == start[i] else b)[i] = mid[i]
+            mid[i] = (a[i] + b[i]) / 2.0
 
 
-def _require_scan_settings(grid: int, tol: float) -> None:
-    if grid < 50:
-        raise ContractError(f"scan: grid {grid} is too coarse (need >= 50)")
-    if not 0.0 < tol < float("inf"):
-        raise ContractError("scan: tolerance must be positive and finite")
+def _intervals(first: bool, cuts: list[float], tol: float, name: str) -> list[ThresholdInterval]:
+    """A row's intervals from its edges in order, which alternate between
+    entries and exits, starting with an exit when the row holds (`first`)
+    at the first grid point; none for a row with no edge."""
+    cuts = [0.0, *cuts, 1.0] if cuts else []
+    start = 0 if first else 1
+    return [ThresholdInterval(lo, hi, tol, name) for lo, hi in zip(cuts[start::2], cuts[start + 1::2])]
+
+
+def _require_scan_settings(grid, tol: float) -> int:
+    """grid as an int; ContractError unless it is an integer >= 50 (through
+    operator.index, so no float gets in) and tol is positive and finite."""
+    try:
+        number = operator.index(grid)
+    except TypeError:
+        number = None
+    if number is None or number < 50 or not 0.0 < tol < float("inf"):
+        raise ContractError(f"scan: grid {grid!r} must be an integer >= 50 and tol {tol!r} positive and finite")
+    return number
 
 
 def scan_predicates(
@@ -235,32 +254,26 @@ def scan_predicates(
     test maps a 1-D array of n alpha^2 values to booleans of shape
     (len(names), n), one row per name. A coarse grid of `grid` interior
     points, tested as one array (in chunks of _SCAN_CHUNK points), finds
-    each row's sign structure; bisection refines the interior edges of all
-    rows together to `tol`, one step of every open edge per test call. A
-    row that is constant across the whole grid yields no crossings and an
-    empty list. protocol.branch_scan finds its rows' edges at the same
-    points from exact signs instead; this is the scan for any other
-    predicate, and the float cross-check of that route.
+    each row's sign structure; _bisect refines the interior edges of all
+    rows together to `tol`, one test call per step. A row that is constant
+    across the whole grid yields no crossings and an empty list.
+    protocol.branch_scan finds its rows' edges at the same points from
+    exact signs instead; this is the scan for any other predicate, and the
+    float cross-check of that route.
     """
-    _require_scan_settings(grid, tol)
+    grid = _require_scan_settings(grid, tol)
     names = tuple(names)
     pts = np.arange(1, grid + 1) / (grid + 1)
     flags = np.concatenate(
         [_flags(test, pts[i:i + _SCAN_CHUNK], len(names)) for i in range(0, grid, _SCAN_CHUNK)], axis=1
     )
     row, left = np.nonzero(flags[:, 1:] != flags[:, :-1])
-    edges = _bisect_edges(test, len(names), row, pts[left], pts[left + 1], flags[row, left], tol)
-    out = {}
-    for r, name in enumerate(names):
-        # Cut points alternate between the row's entries and exits, starting
-        # with an exit when the row holds at the first grid point.
-        cuts = [0.0, *edges[row == r].tolist(), 1.0]
-        start = 0 if flags[r, 0] else 1
-        out[name] = [] if len(cuts) == 2 else [
-            ThresholdInterval(lo=lo, hi=hi, tolerance=tol, predicate_name=name)
-            for lo, hi in zip(cuts[start::2], cuts[start + 1::2])
-        ]
-    return out
+
+    def probe(live, mids):
+        return _flags(test, np.array(mids), len(names))[row[live], np.arange(len(live))].tolist()
+
+    edges = np.array(_bisect(pts[left].tolist(), pts[left + 1].tolist(), flags[row, left].tolist(), tol, probe))
+    return {name: _intervals(flags[r, 0], edges[row == r].tolist(), tol, name) for r, name in enumerate(names)}
 
 
 def _broadcast_pairs(alice, bob):

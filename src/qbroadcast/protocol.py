@@ -48,7 +48,8 @@ import numpy as np
 
 from .cloner import OUTCOME_ORDER, BranchOutcome, clone_subsystem, machine_branches
 from .constants import PPT_TOL, SCAN_GRID, SCAN_TOL
-from .entanglement import PPTVerdict, ThresholdInterval, _broadcast_pairs, _require_scan_settings, _x_verdict
+from .entanglement import (PPTVerdict, ThresholdInterval, _bisect, _broadcast_pairs, _intervals,
+                           _require_scan_settings, _x_verdict)
 from .errors import ContractError
 from .gvchannel import DeliveryRecord, GvConfig, _integer_at_least, secure_send
 from .linalg import dagger
@@ -450,22 +451,6 @@ def _sign_changes(f: tuple[int, int, int], grid: int) -> tuple[bool, list[int], 
     return negative(1), flips, s
 
 
-def _edge(grid: int, k: int, tol: float, start: bool, holds) -> float:
-    """The midpoint a row's one-step bisection ends on between x_k and
-    x_{k+1}, where it holds `start` at x_k: each step keeps the half whose
-    ends differ, and an edge closes when it is no wider than tol or its
-    midpoint is one of its ends (adjacent floats)."""
-    a, b = k / (grid + 1), (k + 1) / (grid + 1)
-    while True:
-        mid = (a + b) / 2.0
-        if not (b - a > tol and a < mid < b):
-            return mid
-        if holds(mid) == start:
-            a = mid
-        else:
-            b = mid
-
-
 def branch_scan(
     branch,
     names,
@@ -484,13 +469,13 @@ def branch_scan(
 
     The verdicts are exact signs of the pairs' quadratics (_pair_signs) at
     the floats scan_predicates would probe: the grid points k / (grid + 1)
-    and the midpoints (a + b) / 2.0 of a one-step bisection. Between the
-    quadratics' flips along the grid (_sign_changes) every row is constant.
+    and the midpoints of _bisect. Between the quadratics' flips along the
+    grid (_sign_changes) every row is constant.
     """
     quads, pairs = _pair_signs(_as_branch(branch))
     names = tuple(names)
     rows = [tuple(tuple(pairs[key] for key in keys) for keys in _scan_row(name, pairs)) for name in names]
-    _require_scan_settings(grid, tol)
+    grid = _require_scan_settings(grid, tol)
 
     def holds(row, value) -> bool:
         entangled, separable = row
@@ -506,37 +491,36 @@ def branch_scan(
         if f[2] and 0 < s < grid:
             live.setdefault(s, []).append(q)
     first = [holds(row, value) for row in rows]
-    edges: list[list[float]] = [[] for _ in rows]
+    # Each edge: its row, cell k, the row's value at x_k, the quadratics that
+    # can change inside the cell (they flip or have their vertex in it), and
+    # every quadratic's value at x_k.
+    edges = []
     was = first
     for k in sorted(flips):
-        # Only the quadratics that flip, or have their vertex, in cell k can
-        # differ inside it from their value at x_k.
         cell = set(flips[k] + live.get(k, []))
-        probed: dict[float, list[bool]] = {}
-
-        def at(x, row):
-            if x not in probed:
-                probed[x] = [_negative(quads[q], x) if q in cell else v for q, v in enumerate(value)]
-            return holds(row, probed[x])
-
+        at_k = value[:]
         for q in flips[k]:
             value[q] = not value[q]
         now = [holds(row, value) for row in rows]
-        for r, row in enumerate(rows):
-            if now[r] != was[r]:
-                edges[r].append(_edge(grid, k, tol, was[r], lambda x: at(x, row)))
+        edges += [(r, k, was[r], cell, at_k) for r in range(len(rows)) if now[r] != was[r]]
         was = now
-    out = {}
-    for name, holds_first, cuts in zip(names, first, edges):
-        # Cut points alternate between the row's entries and exits, starting
-        # with an exit when the row holds at the first grid point.
-        cuts = [0.0, *cuts, 1.0]
-        start = 0 if holds_first else 1
-        out[name] = [] if len(cuts) == 2 else [
-            ThresholdInterval(lo=lo, hi=hi, tolerance=tol, predicate_name=name.rpartition(":")[2])
-            for lo, hi in zip(cuts[start::2], cuts[start + 1::2])
-        ]
-    return out
+    # Each probe lies strictly inside one cell, so x alone keys its values.
+    probed: dict[float, list[bool]] = {}
+
+    def probe(live, mids):
+        for i, x in zip(live, mids):
+            r, _, _, cell, at_k = edges[i]
+            value = probed.get(x)
+            if value is None:
+                value = probed[x] = [_negative(quads[q], x) if q in cell else v for q, v in enumerate(at_k)]
+            yield holds(rows[r], value)
+
+    cuts = _bisect([e[1] / (grid + 1) for e in edges], [(e[1] + 1) / (grid + 1) for e in edges],
+                   [e[2] for e in edges], tol, probe)
+    per_row: list[list[float]] = [[] for _ in rows]
+    for (r, *_), cut in zip(edges, cuts):
+        per_row[r].append(cut)
+    return {name: _intervals(held, c, tol, name.rpartition(":")[2]) for name, held, c in zip(names, first, per_row)}
 
 
 def buzek_baseline(grid: int = SCAN_GRID, tol: float = SCAN_TOL) -> tuple[float, float]:

@@ -227,9 +227,9 @@ def _renamed(scans):
     return {name: [iv._replace(predicate_name=name.rpartition(":")[2]) for iv in ivs] for name, ivs in scans.items()}
 
 
-def exact_scan(branch, names, grid, tol):
-    """branch_scan's intervals from scan_points over the pairs' exact
-    verdicts (_entangled), each point's rows evaluated once."""
+def _exact_rows(branch, names):
+    """Each named row at one float alpha^2 from the pairs' exact verdicts
+    (_entangled), each point's rows evaluated once."""
     table = {key: tuple(row) for key, row in stored_integers(branch).items()}
     rows = _rows(names)
 
@@ -238,7 +238,20 @@ def exact_scan(branch, names, grid, tol):
         entangled = {key: _entangled(row, x) for key, row in table.items()}
         return tuple(row(entangled) for row in rows)
 
-    return _renamed(scan_points(test, names, grid, tol))
+    return test
+
+
+def exact_scan(branch, names, grid, tol):
+    """branch_scan's intervals from scan_points over the pairs' exact
+    verdicts (_exact_rows)."""
+    return _renamed(scan_points(_exact_rows(branch, names), names, grid, tol))
+
+
+def exact_array_scan(branch, names, grid, tol):
+    """branch_scan's intervals from scan_predicates over the pairs' exact
+    verdicts (_exact_rows), lifted to arrays point by point."""
+    test = _exact_rows(branch, names)
+    return _renamed(scan_predicates(lambda xs: np.array([test(x) for x in xs.tolist()]).T, names, grid, tol))
 
 
 def float_scan(branch, names, grid, tol):

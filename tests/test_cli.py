@@ -632,11 +632,13 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkey
 
 def test_scan_commands_make_no_float_scan(capsys, monkeypatch):
     # the scans run on exact signs: with the float scan refused, report,
-    # branches, thresholds and baseline print the same bytes, and
-    # pair_verdicts is called once in all, for report's concurrence lines
+    # branches, thresholds and baseline print the same bytes, each
+    # branch_scan bisects all its edges in one _bisect call (report scans
+    # four branches and the baseline), and pair_verdicts is called once in
+    # all, for report's concurrence lines
     argvs = (["report"], ["branches"], ["thresholds", "--branch", "Q0Q1"], ["baseline"])
     want = [_run(capsys, argv) for argv in argvs]
-    calls = []
+    calls, bisections = [], []
 
     def refuse(*args):
         raise AssertionError("the float scan ran")
@@ -645,12 +647,22 @@ def test_scan_commands_make_no_float_scan(capsys, monkeypatch):
         calls.append(args[2])
         return pair_verdicts(*args)
 
-    for name in ("scan_predicates", "_flags", "_bisect_edges"):
+    def bisect(*args):
+        bisections[-1] += 1
+        return entanglement_module._bisect(*args)
+
+    for name in ("scan_predicates", "_flags"):
         monkeypatch.setattr(entanglement_module, name, refuse)
     monkeypatch.setattr(cli_module, "pair_verdicts", counted)
     monkeypatch.setattr(protocol_module, "pair_verdicts", counted)
-    assert [_run(capsys, argv) for argv in argvs] == want
+    monkeypatch.setattr(protocol_module, "_bisect", bisect)
+    got = []
+    for argv in argvs:
+        bisections.append(0)
+        got.append(_run(capsys, argv))
+    assert got == want
     assert calls == [["16", "46"]]
+    assert bisections == [5, 4, 1, 1]
 
 
 def test_contract_violation_exits_1(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from qbroadcast import (
 import qbroadcast.entanglement as entanglement_module
 from qbroadcast.linalg import eig_hermitian
 from qbroadcast.protocol import PAIR_KEYS, branch_scan
-from reference import exact_scan, float_scan, scan_points
+from reference import exact_array_scan, exact_scan, float_scan, scan_points
 from stacks import pointwise, scan_family, scan_row
 
 _S = 1.0 / np.sqrt(2.0)
@@ -497,6 +497,34 @@ def test_scan_predicate_ends_below_the_float_spacing():
     assert len(calls) < 100
 
 
+@pytest.mark.parametrize("grid,tol", [(200.5, 1e-4), (1e3, 1e-4), (49, 1e-4),
+                                      (200, 0.0), (200, -1e-3), (200, float("nan")), (200, float("inf"))])
+def test_every_scan_rejects_a_grid_that_is_no_integer_and_a_bad_tol(grid, tol):
+    # a float grid would put the points k / (grid + 1) off the lattice the
+    # grid names
+    for scan in (lambda: scan_predicates(lambda xs: np.stack([xs > 0.5]), ("a",), grid, tol),
+                 lambda: branch_scan(("Q0", "Q0"), ["46:entangled"], grid, tol),
+                 lambda: buzek_baseline(grid, tol)):
+        with pytest.raises(ContractError):
+            scan()
+
+
+def test_every_scan_takes_a_numpy_integer_grid():
+    # the scans take a numpy integer as an int: branch_scan's exact signs
+    # stay in Python integers, which do not overflow, and ends are floats
+    def test(xs):
+        return np.stack([(0.3 < xs) & (xs < 0.7)])
+
+    pairs = [
+        (scan_predicates(test, ("a",), np.int64(200)), scan_predicates(test, ("a",), 200)),
+        (branch_scan(("Q0", "Q0"), ["46:entangled"], np.int64(200)), branch_scan(("Q0", "Q0"), ["46:entangled"], 200)),
+    ]
+    for got, want in pairs:
+        assert _ends(got) == _ends(want) and got == want
+        assert all(type(end) is float for ivs in got.values() for iv in ivs for end in (iv.lo, iv.hi))
+    assert buzek_baseline(np.int64(200)) == buzek_baseline(200)
+
+
 def test_scan_predicate_rejects_non_finite_tol_and_bad_shapes():
     for tol in (float("nan"), float("inf")):
         with pytest.raises(ContractError):
@@ -567,6 +595,10 @@ def test_branch_scans_bisect_to_the_one_step_edges(branch):
         if tol >= 1e-12:
             assert _ends(float_scan(branch, names, grid, tol)) == _ends(expected), (grid, tol)
         assert any(scans.values())
+    # scan_predicates over the same exact verdicts probes the same floats
+    # as branch_scan below 1e-12 too, where the float verdicts may not agree
+    for grid, tol in ((60, 1e-300), (54, 1e-12), (59, 5e-324)):
+        assert _ends(exact_array_scan(branch, names, grid, tol)) == _ends(branch_scan(branch, names, grid, tol)), (grid, tol)
 
 
 @pytest.mark.parametrize("branch", _BRANCHES)
