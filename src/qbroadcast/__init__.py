@@ -12,7 +12,6 @@ from .entanglement import (
     concurrence,
     eof,
     ppt_verdict,
-    scan_predicates,
 )
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, GvResult, secure_send, transmit_bits
@@ -89,7 +88,6 @@ __all__ = [
     "recovery_target",
     "run_first_stage",
     "run_protocol",
-    "scan_predicates",
     "secure_send",
     "six_qubit_branch",
     "swap_extend",

@@ -1,5 +1,5 @@
 """Separability tests and entanglement measures for two-qubit operators,
-plus threshold scanning over the input weight alpha^2.
+and the record of a threshold scan's alpha^2 intervals.
 
 The partial-transpose eigenvalue test is the verdict (ppt_verdict, and
 its closed form for X-states, which sweeps use). The W3 and W4 determinants of the transposed
@@ -15,19 +15,16 @@ with no eigen-solve.
 
 The tests and measures take one operator or a stack of them (a DensityOp
 with a leading stack axis) and answer with numbers or with arrays of the
-same length. scan_predicates evaluates its predicates on whole arrays of
-alpha^2 values, so a grid is one stacked evaluation; the pipeline's own
-scans (protocol.branch_scan) read exact signs instead. Both bisect their
-edges in _bisect and build their intervals in _intervals.
+same length. The scan itself is protocol.branch_scan, which reads exact
+signs; ThresholdInterval, the record it returns, is kept here.
 """
 from __future__ import annotations
 
-import operator
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .constants import PPT_TOL, SCAN_GRID, SCAN_TOL
+from .constants import PPT_TOL
 from .errors import ContractError
 from .linalg import _psd_roots, _require_psd, _singular_values, dagger, eig_hermitian
 from .qstate import PAIR_REGISTER, DensityOp, partial_trace, partial_transpose
@@ -38,17 +35,12 @@ __all__ = [
     "ppt_verdict",
     "concurrence",
     "eof",
-    "scan_predicates",
     "broadcast_holds",
     "broadcast_verdict",
 ]
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
-
-# Largest number of alpha^2 points a scan tests in one call, so that the
-# stacks a fine grid builds stay a few megabytes.
-_SCAN_CHUNK = 4096
 
 
 class PPTVerdict(NamedTuple):
@@ -62,11 +54,11 @@ class PPTVerdict(NamedTuple):
 
 
 class ThresholdInterval(NamedTuple):
-    """Maximal alpha^2 interval on which a predicate holds.
+    """Maximal alpha^2 interval on which a row of protocol.branch_scan holds.
 
-    Endpoints are _bisect's midpoints, within `tolerance` (the setting, or
-    float spacing where that is wider) of where the predicate changes; 0.0
-    and 1.0 mark the domain edge. For protocol.branch_scan's rows the
+    Endpoints are the midpoints protocol._bisect ends on, within
+    `tolerance` (the setting, or float spacing where that is wider) of
+    where the row changes; 0.0 and 1.0 mark the domain edge. A pair row's
     predicate is "lowest PT eigenvalue < -PPT_TOL", and that dead band moves
     the change off the algebraic threshold: at tol 1e-300 Q0Q0's pair 12
     turns separable at 0.27272727205289..., 6.7e-10 below 3/11.
@@ -187,93 +179,6 @@ def eof(c):
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.where(x >= 1.0, 0.0, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
     return float(e) if e.ndim == 0 else e
-
-
-def _flags(test: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, rows: int) -> np.ndarray:
-    flags = np.asarray(test(xs), dtype=bool)
-    if flags.shape != (rows,) + xs.shape:
-        raise ContractError(f"scan: predicates gave shape {flags.shape} for {rows} rows of {xs.shape} points")
-    return flags
-
-
-def _bisect(a: list[float], b: list[float], start: list[bool], tol: float, probe) -> list[float]:
-    """Where edge i's predicate changes between a[i] and b[i] (start[i] its
-    value at a[i]; a and b are narrowed in place): the midpoint a one-step
-    bisection ends on, all edges refined together in Python floats.
-
-    Each probe(live, mids) call takes one step of up to _SCAN_CHUNK open
-    edges (`live`, in index order): it gives each one's predicate at its
-    midpoint (a + b) / 2.0, and the edge keeps the half whose ends differ.
-    An edge closes when it is no wider than tol, or when its midpoint is
-    one of its ends (a and b are adjacent floats), so every tol ends.
-    """
-    mid = [(x + y) / 2.0 for x, y in zip(a, b)]
-    # live: the edges stepped last (all, at first), which may have closed;
-    # rest: open edges not yet stepped, all after them in index order
-    live, rest = range(len(mid)), []
-    while True:
-        live = [i for i in live if b[i] - a[i] > tol and a[i] < mid[i] < b[i]] + rest
-        if not live:
-            return mid
-        live, rest = live[:_SCAN_CHUNK], live[_SCAN_CHUNK:]
-        for i, held in zip(live, probe(live, [mid[i] for i in live])):
-            (a if held == start[i] else b)[i] = mid[i]
-            mid[i] = (a[i] + b[i]) / 2.0
-
-
-def _intervals(first: bool, cuts: list[float], tol: float, name: str) -> list[ThresholdInterval]:
-    """A row's intervals from its edges in order, which alternate between
-    entries and exits, starting with an exit when the row holds (`first`)
-    at the first grid point; none for a row with no edge."""
-    cuts = [0.0, *cuts, 1.0] if cuts else []
-    start = 0 if first else 1
-    return [ThresholdInterval(lo, hi, tol, name) for lo, hi in zip(cuts[start::2], cuts[start + 1::2])]
-
-
-def _require_scan_settings(grid, tol: float) -> int:
-    """grid as an int; ContractError unless it is an integer >= 50 (through
-    operator.index, so no float gets in) and tol is positive and finite."""
-    try:
-        number = operator.index(grid)
-    except TypeError:
-        number = None
-    if number is None or number < 50 or not 0.0 < tol < float("inf"):
-        raise ContractError(f"scan: grid {grid!r} must be an integer >= 50 and tol {tol!r} positive and finite")
-    return number
-
-
-def scan_predicates(
-    test: Callable[[np.ndarray], np.ndarray],
-    names: Sequence[str],
-    grid: int = SCAN_GRID,
-    tol: float = SCAN_TOL,
-) -> dict[str, list[ThresholdInterval]]:
-    """Locate all maximal alpha^2 intervals on (0,1) where each of several
-    predicates holds, keyed by predicate name.
-
-    test maps a 1-D array of n alpha^2 values to booleans of shape
-    (len(names), n), one row per name. A coarse grid of `grid` interior
-    points, tested as one array (in chunks of _SCAN_CHUNK points), finds
-    each row's sign structure; _bisect refines the interior edges of all
-    rows together to `tol`, one test call per step. A row that is constant
-    across the whole grid yields no crossings and an empty list.
-    protocol.branch_scan finds its rows' edges at the same points from
-    exact signs instead; this is the scan for any other predicate, and the
-    float cross-check of that route.
-    """
-    grid = _require_scan_settings(grid, tol)
-    names = tuple(names)
-    pts = np.arange(1, grid + 1) / (grid + 1)
-    flags = np.concatenate(
-        [_flags(test, pts[i:i + _SCAN_CHUNK], len(names)) for i in range(0, grid, _SCAN_CHUNK)], axis=1
-    )
-    row, left = np.nonzero(flags[:, 1:] != flags[:, :-1])
-
-    def probe(live, mids):
-        return _flags(test, np.array(mids), len(names))[row[live], np.arange(len(live))].tolist()
-
-    edges = np.array(_bisect(pts[left].tolist(), pts[left + 1].tolist(), flags[row, left].tolist(), tol, probe))
-    return {name: _intervals(flags[r, 0], edges[row == r].tolist(), tol, name) for r, name in enumerate(names)}
 
 
 def _broadcast_pairs(alice, bob):

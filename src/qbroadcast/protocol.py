@@ -32,14 +32,18 @@ every x in [0, 1]. pair_verdicts evaluates a table with the closed forms
 of entanglement._x_verdict, branch_scan reads each pair's verdict as the
 exact sign of two integer quadratics, and branch_probabilities sums the
 diagonals, so scans, sweeps and branch probabilities run no cloner, no
-complex matrix and no eigen-solve, and scans no numpy. The input phase is a local diagonal
-unitary on Alice's qubits, and the cloner is covariant, so it only turns w:
+complex matrix and no eigen-solve, and scans no numpy. branch_scan is the
+package's one scan: it finds where each row flips along a grid, bisects
+each such edge on its own (_bisect) and builds each row's intervals
+(_intervals). The input phase is a local diagonal unitary on Alice's
+qubits, and the cloner is covariant, so it only turns w:
 no verdict, measure, probability or fidelity reads it, and the CLI computes
 at phase 0. The per-point routes the tests hold this map to are kept in
 tests/reference.py.
 """
 from __future__ import annotations
 
+import operator
 import random
 from functools import cache
 from typing import NamedTuple
@@ -48,8 +52,7 @@ import numpy as np
 
 from .cloner import OUTCOME_ORDER, BranchOutcome, clone_subsystem, machine_branches
 from .constants import PPT_TOL, SCAN_GRID, SCAN_TOL
-from .entanglement import (PPTVerdict, ThresholdInterval, _bisect, _broadcast_pairs, _intervals,
-                           _require_scan_settings, _x_verdict)
+from .entanglement import PPTVerdict, ThresholdInterval, _broadcast_pairs, _x_verdict
 from .errors import ContractError
 from .gvchannel import DeliveryRecord, GvConfig, _integer_at_least, secure_send
 from .linalg import dagger
@@ -451,6 +454,45 @@ def _sign_changes(f: tuple[int, int, int], grid: int) -> tuple[bool, list[int], 
     return negative(1), flips, s
 
 
+def _bisect(a: float, b: float, start: bool, tol: float, holds) -> float:
+    """Where a row changes between a and b (start its value at a): the
+    midpoint (a + b) / 2.0 a one-step bisection ends on. Each step reads
+    holds(mid) and keeps the half whose ends differ; the edge closes when
+    it is no wider than tol, or when its midpoint is one of its ends (a and
+    b are adjacent floats), so every positive tol ends."""
+    mid = (a + b) / 2.0
+    while b - a > tol and a < mid < b:
+        if holds(mid) == start:
+            a = mid
+        else:
+            b = mid
+        mid = (a + b) / 2.0
+    return mid
+
+
+def _intervals(first: bool, cuts: list[float], tol: float, name: str) -> list[ThresholdInterval]:
+    """A row's intervals from its edges in order, which alternate between
+    entries and exits, starting with an exit when the row holds (`first`)
+    at the first grid point; none for a row with no edge."""
+    cuts = [0.0, *cuts, 1.0] if cuts else []
+    start = 0 if first else 1
+    return [ThresholdInterval(lo, hi, tol, name) for lo, hi in zip(cuts[start::2], cuts[start + 1::2])]
+
+
+def _require_scan_settings(grid, tol: float) -> int:
+    """grid as an int; ContractError unless it is an integer >= 50 (through
+    operator.index, so no float gets in) and tol is a positive, finite
+    number (a string or None compares with no float)."""
+    try:
+        number = operator.index(grid)
+        valid = number >= 50 and 0.0 < tol < float("inf")
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ContractError(f"scan: grid {grid!r} must be an integer >= 50 and tol {tol!r} positive and finite")
+    return number
+
+
 def branch_scan(
     branch,
     names,
@@ -467,10 +509,12 @@ def branch_scan(
     predicate ("entangled" or "separable"). No verdict depends on the input
     phase.
 
-    The verdicts are exact signs of the pairs' quadratics (_pair_signs) at
-    the floats scan_predicates would probe: the grid points k / (grid + 1)
-    and the midpoints of _bisect. Between the quadratics' flips along the
-    grid (_sign_changes) every row is constant.
+    The grid is the points k / (grid + 1), k = 1..grid; each flip of a row
+    between grid neighbours is an edge, which _bisect refines to tol. The
+    verdicts are exact signs of the pairs' quadratics (_pair_signs) at
+    those floats. Between the quadratics' flips along the grid
+    (_sign_changes) every row is constant, so only the cells where some
+    quadratic flips are visited.
     """
     quads, pairs = _pair_signs(_as_branch(branch))
     names = tuple(names)
@@ -490,36 +534,29 @@ def branch_scan(
             flips.setdefault(k, []).append(q)
         if f[2] and 0 < s < grid:
             live.setdefault(s, []).append(q)
-    first = [holds(row, value) for row in rows]
-    # Each edge: its row, cell k, the row's value at x_k, the quadratics that
-    # can change inside the cell (they flip or have their vertex in it), and
-    # every quadratic's value at x_k.
-    edges = []
-    was = first
+    # Each probe lies strictly inside one cell, so x alone keys its values.
+    probed: dict[float, list[bool]] = {}
+
+    def values(x, cell, at_k):
+        """Every quadratic's sign at x in the cell of x_k: those in `cell`
+        (they flip or have their vertex in it) evaluated, the rest as at x_k."""
+        if x not in probed:
+            probed[x] = [_negative(quads[q], x) if q in cell else v for q, v in enumerate(at_k)]
+        return probed[x]
+
+    first = was = [holds(row, value) for row in rows]
+    per_row: list[list[float]] = [[] for _ in rows]
     for k in sorted(flips):
         cell = set(flips[k] + live.get(k, []))
         at_k = value[:]
         for q in flips[k]:
             value[q] = not value[q]
         now = [holds(row, value) for row in rows]
-        edges += [(r, k, was[r], cell, at_k) for r in range(len(rows)) if now[r] != was[r]]
+        for row, cuts, held, changed in zip(rows, per_row, was, now):
+            if held != changed:
+                cuts.append(_bisect(k / (grid + 1), (k + 1) / (grid + 1), held, tol,
+                                    lambda x: holds(row, values(x, cell, at_k))))
         was = now
-    # Each probe lies strictly inside one cell, so x alone keys its values.
-    probed: dict[float, list[bool]] = {}
-
-    def probe(live, mids):
-        for i, x in zip(live, mids):
-            r, _, _, cell, at_k = edges[i]
-            value = probed.get(x)
-            if value is None:
-                value = probed[x] = [_negative(quads[q], x) if q in cell else v for q, v in enumerate(at_k)]
-            yield holds(rows[r], value)
-
-    cuts = _bisect([e[1] / (grid + 1) for e in edges], [(e[1] + 1) / (grid + 1) for e in edges],
-                   [e[2] for e in edges], tol, probe)
-    per_row: list[list[float]] = [[] for _ in rows]
-    for (r, *_), cut in zip(edges, cuts):
-        per_row[r].append(cut)
     return {name: _intervals(held, c, tol, name.rpartition(":")[2]) for name, held, c in zip(names, first, per_row)}
 
 

@@ -10,12 +10,12 @@ traced out) and six_qubit_branch to these routes entrywise, and tests/golden/ ho
 through a whole-row template from its own pair's numbers; the CLI's
 `sweep` output is held to it byte for byte.
 
-`scan_points` is a scan one point at a time: it tests every grid point,
-and bisects each edge of each row one step per test call. `exact_scan` runs
-it on each pair's verdict in Fraction arithmetic, and `float_scan` is the
-float route, scan_predicates over pair_verdicts: protocol.branch_scan is
-held to the first bit for bit at every grid and tol, and the second to it
-at tol >= 1e-12.
+`scan_points` is the reference scan: it tests the whole grid in one call,
+then one bisection step of every open edge per call. `exact_scan` runs it
+on each pair's verdict in Fraction arithmetic, and `float_scan` is the
+float route, scan_points over pair_verdicts: protocol.branch_scan is held
+to the first bit for bit at every grid and tol, and the second to it at
+tol >= 1e-12.
 
 `pipeline_pair_integers` is the one route here that reads Gram blocks: it
 builds a branch's integer table from protocol's basis images, each pair's
@@ -30,12 +30,14 @@ import numpy as np
 
 from qbroadcast import (
     ContractError, DensityOp, PureState, ThresholdInterval, broadcast_holds, clone_subsystem, partial_trace,
-    run_first_stage, scan_predicates, to_density,
+    run_first_stage, to_density,
 )
 from qbroadcast.cli import CSV_HEADER
 from qbroadcast.constants import PPT_TOL
 from qbroadcast.entanglement import eof
-from qbroadcast.protocol import _PAIR_INTEGERS, PAIR_KEYS, SIX_LABELS, _basis_images, _gram_blocks, pair_verdicts
+from qbroadcast.protocol import (
+    _PAIR_INTEGERS, PAIR_KEYS, SIX_LABELS, _basis_images, _gram_blocks, _require_scan_settings, pair_verdicts,
+)
 
 TRIPLE_KEYS = ("146", "325")
 
@@ -155,33 +157,42 @@ def pipeline_pair_integers(branch) -> dict[str, tuple[int, ...]]:
     return table
 
 
+def _flags(test, xs, rows) -> list[list[bool]]:
+    """test at the points xs, as one list of flags per row."""
+    flags = np.asarray(test(np.array(xs)), dtype=bool)
+    if flags.shape != (rows, len(xs)):
+        raise ContractError(f"scan: test gave shape {flags.shape} for {rows} rows of {len(xs)} points")
+    return flags.tolist()
+
+
 def scan_points(test, names, grid, tol) -> dict[str, list[ThresholdInterval]]:
-    """Intervals where each row holds, test mapping one alpha^2 float to a
-    bool per name: every grid point k / (grid + 1) tested, and each flip of
-    a row between grid neighbours bisected one step per test call, to the
-    midpoint (a + b) / 2.0 at which the edge is no wider than tol or the
-    midpoint is one of its ends. Intervals alternate from the row's value
-    at the first grid point; a row constant over the grid has none."""
+    """Intervals where each row holds, test mapping a 1-D array of n
+    alpha^2 values to booleans of shape (len(names), n), one row per name.
+    The grid points k / (grid + 1) are tested in one call. Each flip of a
+    row between grid neighbours is an edge, and each later call takes one
+    step of every open edge: it tests the edge's midpoint (a + b) / 2.0
+    and keeps the half whose ends differ. An edge ends on the midpoint at
+    which it is no wider than tol or the midpoint is one of its ends.
+    Intervals alternate from the row's value at the first grid point; a
+    row constant over the grid has none. ContractError for the settings
+    branch_scan refuses, or for a test result of another shape."""
+    _require_scan_settings(grid, tol)
     xs = [k / (grid + 1) for k in range(1, grid + 1)]
-    flags = [tuple(test(x)) for x in xs]
+    flags = _flags(test, xs, len(names))
+    # each edge as [row, a, b, the row's value at a]; a and b narrow in place
+    edges = [[r, xs[k], xs[k + 1], flags[r][k]] for r in range(len(names))
+             for k in range(grid - 1) if flags[r][k + 1] != flags[r][k]]
+    mids = [(a + b) / 2.0 for _, a, b, _ in edges]
+    while live := [i for i, (_, a, b, _) in enumerate(edges) if b - a > tol and a < mids[i] < b]:
+        got = _flags(test, [mids[i] for i in live], len(names))
+        for j, i in enumerate(live):
+            edge = edges[i]
+            edge[1 if got[edge[0]][j] == edge[3] else 2] = mids[i]
+            mids[i] = (edge[1] + edge[2]) / 2.0
     out = {}
     for r, name in enumerate(names):
-        cuts = [0.0]
-        for k in range(grid - 1):
-            start = flags[k][r]
-            if flags[k + 1][r] == start:
-                continue
-            a, b = xs[k], xs[k + 1]
-            mid = (a + b) / 2.0
-            while b - a > tol and a < mid < b:
-                if test(mid)[r] == start:
-                    a = mid
-                else:
-                    b = mid
-                mid = (a + b) / 2.0
-            cuts.append(mid)
-        cuts.append(1.0)
-        first = 0 if flags[0][r] else 1
+        cuts = [0.0, *(mid for edge, mid in zip(edges, mids) if edge[0] == r), 1.0]
+        first = 0 if flags[r][0] else 1
         out[name] = [] if len(cuts) == 2 else [
             ThresholdInterval(lo, hi, tol, name) for lo, hi in zip(cuts[first::2], cuts[first + 1::2])
         ]
@@ -243,19 +254,13 @@ def _exact_rows(branch, names):
 
 def exact_scan(branch, names, grid, tol):
     """branch_scan's intervals from scan_points over the pairs' exact
-    verdicts (_exact_rows)."""
-    return _renamed(scan_points(_exact_rows(branch, names), names, grid, tol))
-
-
-def exact_array_scan(branch, names, grid, tol):
-    """branch_scan's intervals from scan_predicates over the pairs' exact
     verdicts (_exact_rows), lifted to arrays point by point."""
     test = _exact_rows(branch, names)
-    return _renamed(scan_predicates(lambda xs: np.array([test(x) for x in xs.tolist()]).T, names, grid, tol))
+    return _renamed(scan_points(lambda xs: np.array([test(x) for x in xs.tolist()]).T, names, grid, tol))
 
 
 def float_scan(branch, names, grid, tol):
-    """branch_scan's intervals from scan_predicates over pair_verdicts, the
+    """branch_scan's intervals from scan_points over pair_verdicts, the
     float route: each call's verdicts from one pair_verdicts call."""
     keys = list(stored_integers(branch))
     rows = _rows(names)
@@ -264,4 +269,4 @@ def float_scan(branch, names, grid, tol):
         entangled = dict(zip(keys, pair_verdicts(xs, branch, keys)[0].entangled))
         return np.stack([row(entangled) for row in rows])
 
-    return _renamed(scan_predicates(test, names, grid, tol))
+    return _renamed(scan_points(test, names, grid, tol))

@@ -1,14 +1,15 @@
-"""Adapters from per-point test helpers to the stacked scan contract.
+"""Adapters from per-point test helpers to the reference scan's contract.
 
-scan_predicates calls its test with a 1-D array of alpha^2 values. A helper
-written for one value at a time is lifted with `pointwise`: it is called
-once per value, and its results are stacked. scan_row and scan_family scan
-one predicate as a one-row scan_predicates call.
+reference.scan_points calls its test with a 1-D array of alpha^2 values. A
+helper written for one value at a time is lifted with `pointwise`: it is
+called once per value, and its results are stacked. scan_row and
+scan_family scan one predicate as a one-row scan_points call.
 """
 import numpy as np
 
-from qbroadcast import DensityOp, ppt_verdict, scan_predicates
+from qbroadcast import DensityOp, ppt_verdict
 from qbroadcast.constants import SCAN_GRID, SCAN_TOL
+from reference import scan_points
 
 
 def pointwise(f):
@@ -25,7 +26,7 @@ def pointwise(f):
 
 def scan_row(test, grid=SCAN_GRID, tol=SCAN_TOL, name="predicate"):
     """Intervals where test, which maps alpha^2 values to booleans, holds."""
-    return scan_predicates(lambda xs: np.asarray(test(xs))[None], (name,), grid, tol)[name]
+    return scan_points(lambda xs: np.asarray(test(xs))[None], (name,), grid, tol)[name]
 
 
 def scan_family(family, predicate, grid=SCAN_GRID, tol=SCAN_TOL):

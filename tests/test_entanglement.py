@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from qbroadcast import (
     pair_verdicts,
     partial_trace,
     ppt_verdict,
-    scan_predicates,
     six_qubit_branch,
     tensor,
     to_density,
@@ -24,7 +21,7 @@ from qbroadcast import (
 import qbroadcast.entanglement as entanglement_module
 from qbroadcast.linalg import eig_hermitian
 from qbroadcast.protocol import PAIR_KEYS, branch_scan
-from reference import exact_array_scan, exact_scan, float_scan, scan_points
+from reference import exact_scan, float_scan
 from stacks import pointwise, scan_family, scan_row
 
 _S = 1.0 / np.sqrt(2.0)
@@ -452,34 +449,6 @@ def test_broadcast_holds_on_stacked_reports():
     assert list(broadcast_holds(report)) == [True, False]
 
 
-def test_scan_predicate_tests_the_grid_as_one_array():
-    calls = []
-
-    def test(xs):
-        calls.append(len(xs))
-        return (xs > 0.25) & (xs < 0.6)
-
-    ivs = scan_row(test, grid=80, tol=1e-6)
-    assert [(round(iv.lo, 5), round(iv.hi, 5)) for iv in ivs] == [(0.25, 0.6)]
-    # the grid first, then both edges refined together, one step of each
-    # per call, until 2^-14 of the grid spacing is below tol
-    assert calls == [80] + [2] * 14
-
-
-def test_scan_predicate_tests_fine_grids_in_chunks():
-    calls = []
-
-    def test(xs):
-        calls.append(len(xs))
-        return xs > 0.3
-
-    ivs = scan_row(test, grid=10000, tol=1e-6)
-    assert len(ivs) == 1 and ivs[0].lo == pytest.approx(0.3, abs=1e-6)
-    # the grid in chunks, then the one edge: the seven steps it needs to
-    # narrow 1/10001 below tol, one per call
-    assert calls == [4096, 4096, 1808] + [1] * 7
-
-
 def test_scan_predicate_ends_below_the_float_spacing():
     # adjacent floats cannot be split further; bisection stops there
     calls = []
@@ -497,13 +466,12 @@ def test_scan_predicate_ends_below_the_float_spacing():
     assert len(calls) < 100
 
 
-@pytest.mark.parametrize("grid,tol", [(200.5, 1e-4), (1e3, 1e-4), (49, 1e-4),
-                                      (200, 0.0), (200, -1e-3), (200, float("nan")), (200, float("inf"))])
+@pytest.mark.parametrize("grid,tol", [(200.5, 1e-4), (1e3, 1e-4), (49, 1e-4), (200, 0.0), (200, -1e-3),
+                                      (200, float("nan")), (200, float("inf")), (200, "1e-4"), (200, None)])
 def test_every_scan_rejects_a_grid_that_is_no_integer_and_a_bad_tol(grid, tol):
     # a float grid would put the points k / (grid + 1) off the lattice the
     # grid names
-    for scan in (lambda: scan_predicates(lambda xs: np.stack([xs > 0.5]), ("a",), grid, tol),
-                 lambda: branch_scan(("Q0", "Q0"), ["46:entangled"], grid, tol),
+    for scan in (lambda: branch_scan(("Q0", "Q0"), ["46:entangled"], grid, tol),
                  lambda: buzek_baseline(grid, tol)):
         with pytest.raises(ContractError):
             scan()
@@ -512,16 +480,10 @@ def test_every_scan_rejects_a_grid_that_is_no_integer_and_a_bad_tol(grid, tol):
 def test_every_scan_takes_a_numpy_integer_grid():
     # the scans take a numpy integer as an int: branch_scan's exact signs
     # stay in Python integers, which do not overflow, and ends are floats
-    def test(xs):
-        return np.stack([(0.3 < xs) & (xs < 0.7)])
-
-    pairs = [
-        (scan_predicates(test, ("a",), np.int64(200)), scan_predicates(test, ("a",), 200)),
-        (branch_scan(("Q0", "Q0"), ["46:entangled"], np.int64(200)), branch_scan(("Q0", "Q0"), ["46:entangled"], 200)),
-    ]
-    for got, want in pairs:
-        assert _ends(got) == _ends(want) and got == want
-        assert all(type(end) is float for ivs in got.values() for iv in ivs for end in (iv.lo, iv.hi))
+    got = branch_scan(("Q0", "Q0"), ["46:entangled"], np.int64(200))
+    want = branch_scan(("Q0", "Q0"), ["46:entangled"], 200)
+    assert _ends(got) == _ends(want) and got == want
+    assert all(type(end) is float for ivs in got.values() for iv in ivs for end in (iv.lo, iv.hi))
     assert buzek_baseline(np.int64(200)) == buzek_baseline(200)
 
 
@@ -531,40 +493,6 @@ def test_scan_predicate_rejects_non_finite_tol_and_bad_shapes():
             scan_row(pointwise(lambda x: x > 0.5), grid=60, tol=tol)
     with pytest.raises(ContractError):
         scan_row(lambda xs: True, grid=60, tol=1e-4)
-
-
-# Rows of one multi-predicate scan: a window, a union of two edge-touching
-# intervals, one interval touching each edge, two constant rows, and a
-# window sharing its left edge with the first row.
-_ROWS = {
-    "window": lambda xs: (xs > 0.3) & (xs < 0.7),
-    "union": lambda xs: (xs < 0.25) | (xs > 0.8),
-    "low": lambda xs: xs < 0.41,
-    "high": lambda xs: xs > 0.9,
-    "always": lambda xs: xs == xs,
-    "never": lambda xs: xs != xs,
-    "shared": lambda xs: (xs > 0.3) & (xs < 0.55),
-}
-
-
-def test_scan_predicates_rows_equal_separate_scans():
-    calls = []
-
-    def test(xs):
-        calls.append(len(xs))
-        return np.stack([row(xs) for row in _ROWS.values()])
-
-    scans = scan_predicates(test, _ROWS, grid=100, tol=1e-5)
-    assert list(scans) == list(_ROWS)
-    for name, row in _ROWS.items():
-        assert scans[name] == scan_row(row, grid=100, tol=1e-5, name=name), name
-    assert scans["always"] == scans["never"] == []
-    assert len(scans["union"]) == 2
-    assert scans["union"][0].lo == scans["low"][0].lo == 0.0
-    assert scans["union"][1].hi == scans["high"][0].hi == 1.0
-    # the grid in one call, then the ten steps all eight edges need to
-    # narrow 1/101 below tol, one step of each per call
-    assert calls == [100] + [8] * 10
 
 
 def _ends(scans):
@@ -584,56 +512,25 @@ def _all_rows(branch):
 
 @pytest.mark.parametrize("branch", _BRANCHES)
 def test_branch_scans_bisect_to_the_one_step_edges(branch):
-    # the exact route against the naive exact scan (every grid point, one
-    # bisection step per call, Fraction verdicts), bit for bit at any tol,
+    # the exact route against the reference exact scan (every grid point,
+    # one bisection step per open edge, Fraction verdicts), bit for bit at any tol,
     # on grids that hold roots (54: k/55, 59: k/60) and below float spacing
     names = _all_rows(branch)
-    for grid, tol in ((200, 1e-4), (54, 1e-12), (59, 1e-9), (60, 1e-300), (3000, 5e-324)):
+    for grid, tol in ((200, 1e-4), (54, 1e-12), (59, 1e-9), (59, 5e-324), (60, 1e-300), (3000, 5e-324)):
         scans = branch_scan(branch, names, grid, tol)
         expected = exact_scan(branch, names, grid, tol)
         assert _ends(scans) == _ends(expected) and scans == expected, (grid, tol)
         if tol >= 1e-12:
             assert _ends(float_scan(branch, names, grid, tol)) == _ends(expected), (grid, tol)
         assert any(scans.values())
-    # scan_predicates over the same exact verdicts probes the same floats
-    # as branch_scan below 1e-12 too, where the float verdicts may not agree
-    for grid, tol in ((60, 1e-300), (54, 1e-12), (59, 5e-324)):
-        assert _ends(exact_array_scan(branch, names, grid, tol)) == _ends(branch_scan(branch, names, grid, tol)), (grid, tol)
 
 
 @pytest.mark.parametrize("branch", _BRANCHES)
 def test_float_scan_finds_the_exact_edges_down_to_1e_12(branch):
-    # scan_predicates over pair_verdicts, the float cross-check, against
+    # the reference scan over pair_verdicts, the float cross-check, against
     # branch_scan (held to the exact reference above): the float verdicts
     # differ from the exact ones only inside roundoff of the dead band
     names = _all_rows(branch)
     for grid in (50, 54, 59, 60, 200, 299, 2000, 2999):
         for tol in (1e-3, 1e-4, 1e-6, 1e-9, 1e-12):
             assert _ends(float_scan(branch, names, grid, tol)) == _ends(branch_scan(branch, names, grid, tol)), (grid, tol)
-
-
-def test_scan_with_thousands_of_open_edges_stays_in_chunks():
-    # the predicate flips between every two grid points: 9999 edges, each
-    # tested in calls of at most _SCAN_CHUNK points
-    grid, calls = 10**4, []
-
-    def test(xs):
-        calls.append(len(xs))
-        return np.floor(xs * (grid + 1) + 0.5) % 2 == 1
-
-    ivs = scan_row(test, grid=grid, tol=1e-9)
-    assert len(ivs) == 5000
-    assert max(calls) == entanglement_module._SCAN_CHUNK
-    expected = scan_points(lambda x: [math.floor(x * (grid + 1) + 0.5) % 2 == 1], ["predicate"], grid, 1e-9)
-    assert _ends({"": ivs}) == _ends({"": expected["predicate"]})
-
-
-def test_scan_predicates_checks_the_row_count_and_settings():
-    with pytest.raises(ContractError):
-        scan_predicates(lambda xs: np.stack([xs > 0.5]), ("a", "b"), grid=60, tol=1e-4)
-    with pytest.raises(ContractError):
-        scan_predicates(lambda xs: xs > 0.5, ("a",), grid=60, tol=1e-4)
-    with pytest.raises(ContractError):
-        scan_predicates(lambda xs: np.stack([xs > 0.5]), ("a",), grid=10, tol=1e-4)
-    with pytest.raises(ContractError):
-        scan_predicates(lambda xs: np.stack([xs > 0.5]), ("a",), grid=60, tol=float("nan"))

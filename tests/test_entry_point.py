@@ -126,4 +126,4 @@ def test_readme_library_example_runs(capsys):
     assert len(lines) == 4
     assert lines[0].startswith("True ")
     assert "lo=0.6177" in lines[1] and "hi=1.0" in lines[1] and "lo=0.6177" in lines[2]
-    assert "lo=0.0" in lines[3] and "hi=0.3822" in lines[3]
+    assert "lo=0.1097" in lines[3] and "hi=0.8902" in lines[3]

@@ -302,15 +302,14 @@ def _all_rows(branch):
 
 def test_branch_scan_makes_no_float_verdict_and_no_numpy_call(monkeypatch):
     # the scans read exact signs of the tables' integers: with the float
-    # verdicts, the float scan and protocol's numpy refused, from cold
-    # caches, every branch's rows and the baseline still come out
+    # verdicts and protocol's numpy refused, from cold caches, every
+    # branch's rows and the baseline still come out
     want = {branch: branch_scan(branch, _all_rows(branch)) for branch in (*OUTCOME_ORDER, None)}
     baseline = buzek_baseline()
     for cached in (protocol_module._pair_integers, protocol_module._pair_table, protocol_module._pair_signs):
         cached.cache_clear()
     for module, name in ((protocol_module, "pair_verdicts"), (protocol_module, "_x_verdict"),
-                         (entanglement_module, "_x_verdict"), (entanglement_module, "scan_predicates"),
-                         (entanglement_module, "_flags")):
+                         (entanglement_module, "_x_verdict")):
         monkeypatch.setattr(module, name, _refuse)
     monkeypatch.setattr(protocol_module, "np", _NoNumpy())
     assert {branch: branch_scan(branch, _all_rows(branch)) for branch in want} == want
@@ -350,13 +349,12 @@ def test_branch_scan_sees_a_dip_between_grid_points(monkeypatch):
     quads = ((1010, -2000, 0), (24999, -100000, 100000))
     monkeypatch.setattr(protocol_module, "_pair_signs", lambda branch: (quads, {"12": (0, 1)}))
 
-    def point(x):
-        x = Fraction(x)
-        return [any(c0 + c1 * x + c2 * x * x < 0 for c0, c1, c2 in quads)]
+    def test(xs):
+        return [[any(c0 + c1 * x + c2 * x * x < 0 for c0, c1, c2 in quads) for x in map(Fraction, xs.tolist())]]
 
     for tol in (1e-4, 1e-12, 5e-324):
         (scan,) = branch_scan(("Q0", "Q0"), ["12:entangled"], 50, tol).values()
-        (expected,) = scan_points(point, ["12:entangled"], 50, tol).values()
+        (expected,) = scan_points(test, ["12:entangled"], 50, tol).values()
         assert [(iv.lo, iv.hi) for iv in scan] == [(iv.lo, iv.hi) for iv in expected]
         assert abs(scan[0].lo - (0.5 - 1e-5**0.5)) <= max(tol, 1e-16)
 

@@ -1,45 +1,29 @@
-"""Property test of the scan's bisection: on random interval predicates,
-scan_predicates finds the edges the per-point reference scan finds, bit for
-bit, at any grid and tolerance."""
-import bisect
-
-import numpy as np
+"""Property test of the scan: on any of the five pair tables, at any grid
+and tolerance, protocol.branch_scan finds the edges the reference exact
+scan finds, bit for bit."""
 import pytest
 
-from qbroadcast import scan_predicates
-from reference import scan_points
+from qbroadcast.protocol import PAIR_KEYS, branch_scan
+from reference import exact_scan
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-CHECKS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+CHECKS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
 
 
-@st.composite
-def _interval_rows(draw):
-    """Rows that flip at cut points drawn from one shared pool, so that rows
-    can share edges; a row with no cuts is constant."""
-    pool = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=8))
-    rows = draw(st.lists(st.tuples(st.booleans(), st.sets(st.sampled_from(pool), max_size=6)), min_size=1, max_size=5))
-    return [(start, np.array(sorted(cuts))) for start, cuts in rows]
+def _ends(scans):
+    return {name: [(iv.lo.hex(), iv.hi.hex()) for iv in ivs] for name, ivs in scans.items()}
 
 
 @CHECKS
 @given(
-    rows=_interval_rows(),
-    grid=st.integers(50, 5000),
-    tol=st.sampled_from([5e-324, 1e-300, 1e-9, 1e-4, 0.5]),
+    branch=st.sampled_from([("Q0", "Q0"), ("Q0", "Q1"), ("Q1", "Q0"), ("Q1", "Q1"), None]),
+    grid=st.integers(50, 600),
+    tol=st.sampled_from([5e-324, 1e-300, 1e-12, 1e-9, 1e-4, 0.5]),
 )
-def test_scans_find_the_one_step_edges(rows, grid, tol):
-    def test(xs):
-        return np.stack([(np.searchsorted(cuts, xs) % 2 == 1) != start for start, cuts in rows])
-
-    def point(x):
-        return [(bisect.bisect_left(cuts.tolist(), x) % 2 == 1) != start for start, cuts in rows]
-
-    names = [f"row{i}" for i in range(len(rows))]
-    scans = scan_predicates(test, names, grid, tol)
-    expected = scan_points(point, names, grid, tol)
-    assert {name: [(iv.lo.hex(), iv.hi.hex()) for iv in ivs] for name, ivs in scans.items()} == {
-        name: [(iv.lo.hex(), iv.hi.hex()) for iv in ivs] for name, ivs in expected.items()
-    }
+def test_branch_scan_finds_the_reference_edges(branch, grid, tol):
+    keys = PAIR_KEYS if branch else [key for key in PAIR_KEYS if set(key) <= set("1234")]
+    names = [f"{key}:{p}" for key in keys for p in ("entangled", "separable")]
+    names += ["broadcast", "closed-146"] if branch else []
+    assert _ends(branch_scan(branch, names, grid, tol)) == _ends(exact_scan(branch, names, grid, tol))
