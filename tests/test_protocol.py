@@ -498,6 +498,75 @@ def test_baseline_is_the_first_round_row():
     assert buzek_baseline() == (interval.lo, interval.hi)
 
 
+def _bisect_probes(a, b, threshold, tol):
+    """protocol._bisect on the step x > threshold from a to b, with the
+    points it probed in order."""
+    probes = []
+
+    def holds(x):
+        probes.append(x)
+        return x > threshold
+
+    return protocol_module._bisect(a, b, a > threshold, tol, holds), probes
+
+
+def test_bisect_halves_the_edge_once_per_probe_until_tol():
+    # 0.25 and 0.5 are dyadic, so every halving is exact: n probes leave a
+    # cell 0.25 / 2**n wide, and the loop stops at the first n where that
+    # is no wider than tol, returning the cell's midpoint
+    for tol in (0.25, 0.1, 1e-3, 1e-6, 2.0**-20):
+        mid, probes = _bisect_probes(0.25, 0.5, 1.0 / 3.0, tol)
+        assert len(probes) == max(0, math.ceil(math.log2(0.25 / tol))), tol
+        assert abs(mid - 1.0 / 3.0) <= 0.25 / 2.0 ** len(probes) / 2.0, tol
+        assert all(0.25 < x < 0.5 for x in probes) and len(set(probes)) == len(probes)
+    # a tol as wide as the edge probes nothing and returns the midpoint
+    assert _bisect_probes(0.25, 0.5, 1.0 / 3.0, 1.0) == (0.375, [])
+    # a row that holds at a and exits at the threshold bisects the same cells
+    exit_mid = protocol_module._bisect(0.25, 0.5, True, 1e-6, lambda x: x < 1.0 / 3.0)
+    assert exit_mid == _bisect_probes(0.25, 0.5, 1.0 / 3.0, 1e-6)[0]
+
+
+def test_bisect_below_float_spacing_ends_on_adjacent_floats():
+    # a tol under the spacing of the floats near the edge stops when the
+    # midpoint is one of the cell's ends, one ulp from the threshold
+    third = 1.0 / 3.0
+    for tol in (5e-324, 1e-300):
+        mid, probes = _bisect_probes(0.25, 0.5, third, tol)
+        assert abs(mid - third) <= math.ulp(third), tol
+        assert len(probes) <= 60 and len(set(probes)) == len(probes)
+
+
+def test_intervals_alternate_entries_and_exits():
+    def ends(first, cuts):
+        ivs = protocol_module._intervals(first, cuts, 1e-4, "row")
+        assert all(iv.tolerance == 1e-4 and iv.predicate_name == "row" for iv in ivs)
+        return [(iv.lo, iv.hi) for iv in ivs]
+
+    # a row that holds at the first grid point opens at 0.0 and its first
+    # edge is an exit; otherwise its first edge is an entry
+    assert ends(True, [0.2, 0.5]) == [(0.0, 0.2), (0.5, 1.0)]
+    assert ends(False, [0.2, 0.5]) == [(0.2, 0.5)]
+    assert ends(False, [0.2]) == [(0.2, 1.0)]
+    assert ends(True, [0.7]) == [(0.0, 0.7)]
+    # a row with no edge gives none, whether it holds throughout or not
+    assert ends(True, []) == [] and ends(False, []) == []
+
+
+def test_package_has_one_scan_route():
+    # branch_scan is the one scan: entanglement keeps verdicts, measures and
+    # the ThresholdInterval record, and the bisection helpers live beside
+    # branch_scan in protocol
+    import qbroadcast
+
+    for name in ("scan_predicates", "_flags", "_SCAN_CHUNK", "_bisect", "_intervals", "_require_scan_settings"):
+        assert not hasattr(entanglement_module, name), name
+        assert not hasattr(qbroadcast, name), name
+    assert "branch_scan" in qbroadcast.__all__ and "scan_predicates" not in qbroadcast.__all__
+    assert protocol_module.ThresholdInterval is entanglement_module.ThresholdInterval
+    for name in ("_bisect", "_intervals", "_require_scan_settings"):
+        assert getattr(protocol_module, name).__module__ == protocol_module.__name__, name
+
+
 @pytest.mark.parametrize("branch", OUTCOME_ORDER)
 def test_branch_scan_rows_equal_their_own_scans(branch):
     # one scan of all rows must give exactly what each row's own scan gives
