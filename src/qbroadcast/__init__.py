@@ -41,11 +41,10 @@ from .qstate import (
 from .swap import (
     BellOutcome,
     CorrectionPlan,
-    bsm,
+    bell_outcomes,
     correction_plans,
     published_corrections,
     recovery_target,
-    swap_extend,
 )
 
 __version__ = "0.1.0"
@@ -65,13 +64,13 @@ __all__ = [
     "Register",
     "ThresholdInterval",
     "apply_isometry",
+    "bell_outcomes",
     "bh_isometry",
     "branch_marginal",
     "branch_probabilities",
     "branch_scan",
     "broadcast_holds",
     "broadcast_verdict",
-    "bsm",
     "build_initial",
     "buzek_baseline",
     "clone_subsystem",
@@ -90,7 +89,6 @@ __all__ = [
     "run_protocol",
     "secure_send",
     "six_qubit_branch",
-    "swap_extend",
     "tensor",
     "to_density",
     "transmit_bits",

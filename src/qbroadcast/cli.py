@@ -25,8 +25,8 @@ from .constants import SCAN_GRID, SCAN_TOL
 from .entanglement import eof
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, transmit_bits
-from .protocol import PAIR_KEYS, branch_marginal, branch_probabilities, branch_scan, buzek_baseline, pair_verdicts
-from .swap import bsm, correction_plans, swap_extend
+from .protocol import PAIR_KEYS, _rho325, branch_probabilities, branch_scan, buzek_baseline, pair_verdicts
+from .swap import bell_outcomes, correction_plans
 
 __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
 
@@ -407,13 +407,13 @@ def _cmd_branches(args) -> int:
 
 
 def _swap_points(points, sources) -> tuple[list, list]:
-    """Bell outcomes and correction plans of branch Q0Q0's rho325 at each
-    alpha^2 in points, at input phase 0 (the phase is a local rotation that
-    no probability or fidelity reads): one Bell measurement, one search and
-    one fidelity call for all (raises unless every derived plan reaches 1)."""
-    rho325 = branch_marginal(np.array(points), ("Q0", "Q0"), "325")
-    outcomes = bsm(swap_extend(rho325))
-    return outcomes, correction_plans(rho325, sources, outcomes)
+    """Bell outcomes and correction plans of branch Q0Q0's rho325, from its
+    checked-in table, at each alpha^2 in points, at input phase 0 (the
+    phase is a local rotation that no probability or fidelity reads): by
+    the teleportation identity, with one fidelity call for the plans that
+    do not recover the target exactly and none when all do."""
+    rho325 = _rho325(np.array(points))
+    return bell_outcomes(rho325), correction_plans(rho325, sources)
 
 
 def _cmd_swap(args) -> int:

@@ -32,14 +32,16 @@ every x in [0, 1]. pair_verdicts evaluates a table with the closed forms
 of entanglement._x_verdict, branch_scan reads each pair's verdict as the
 exact sign of two integer quadratics, and branch_probabilities sums the
 diagonals, so scans, sweeps and branch probabilities run no cloner, no
-complex matrix and no eigen-solve, and scans no numpy. branch_scan is the
-package's one scan: it finds where each row flips along a grid, bisects
-each such edge on its own (_bisect) and builds each row's intervals
-(_intervals). The input phase is a local diagonal unitary on Alice's
-qubits, and the cloner is covariant, so it only turns w:
-no verdict, measure, probability or fidelity reads it, and the CLI computes
-at phase 0. The per-point routes the tests hold this map to are kept in
-tests/reference.py.
+complex matrix and no eigen-solve, and scans no numpy. The swap stage's
+input, branch Q0Q0's marginal on (3, 2, 5), is a checked-in integer table
+too (_RHO325_INTEGERS, read by _rho325), so no CLI command runs the
+cloner. branch_scan is the package's one scan: it finds where each row
+flips along a grid, bisects each such edge on its own (_bisect) and builds
+each row's intervals (_intervals). The input phase is a local diagonal
+unitary on Alice's qubits, and the cloner is covariant, so it only turns
+w: no verdict, measure, probability or fidelity reads it, and the CLI
+computes at phase 0. The per-point routes the tests hold this map to are
+kept in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -251,6 +253,48 @@ _PAIR_INTEGERS = {
         14   900 180 180  36   0    36 180 180 900   0   331776
     """,
 }
+
+
+# The swap stage's input, branch Q0Q0's marginal on qubits (3, 2, 5), as
+# exact integers: 1296 times every nonzero entry of its Gram blocks G00,
+# G01 and G11, which are all real. Each entry is four tokens: the block, the
+# row, the column and the integer; a line holds entries of one block.
+# tests/test_pair_tables.py derives every entry from _gram_blocks.
+_RHO325_INTEGERS = """
+    00 0 0 384    00 1 1  96    00 1 2  96    00 2 1  96    00 2 2  96
+    01 0 5  48    01 0 6  48    01 1 7  48    01 2 7  48
+    11 0 0  24    11 1 1  12    11 1 2  12    11 2 1  12    11 2 2  12    11 3 3  24
+    11 4 4  24    11 5 5  12    11 5 6  12    11 6 5  12    11 6 6  12    11 7 7  24
+"""
+
+
+@cache
+def _rho325_blocks() -> np.ndarray:
+    """1296 times G00, G01 and G11 of _RHO325_INTEGERS as one (3, 8, 8)
+    float array (exact integers), read-only: the one parse of the table.
+    ContractError unless G00 and G11 are symmetric with the traces of the
+    branch's pair table, 1296 tr G00 and 1296 tr G11."""
+    tokens = _RHO325_INTEGERS.split()
+    blocks = np.zeros((3, 8, 8))
+    for i in range(0, len(tokens), 4):
+        blocks[("00", "01", "11").index(tokens[i]), int(tokens[i + 1]), int(tokens[i + 2])] = int(tokens[i + 3])
+    row = next(iter(_pair_integers(("Q0", "Q0")).values()))
+    traces = [float(sum(row[:4])), float(sum(row[5:9]))]
+    if not (np.array_equal(blocks[::2], blocks[::2].transpose(0, 2, 1))
+            and np.trace(blocks[::2], axis1=1, axis2=2).tolist() == traces):
+        raise ContractError("rho325 table: G00 and G11 must be symmetric with the pair table's traces")
+    blocks.flags.writeable = False
+    return blocks
+
+
+def _rho325(alpha2) -> DensityOp:
+    """branch_marginal(alpha2, ("Q0", "Q0"), "325") at phase 0, from the
+    checked-in _RHO325_INTEGERS, with no cloner: the same combination of
+    the blocks over its trace, to roundoff."""
+    alpha, beta = (v[..., None, None] for v in _amplitudes(alpha2))
+    g00, g01, g11 = _rho325_blocks()
+    mat = (alpha * alpha) * g00 + (beta * beta) * g11 + (alpha * beta) * (g01 + g01.T)
+    return DensityOp(Register.qubits("3", "2", "5"), mat / np.trace(mat, axis1=-2, axis2=-1)[..., None, None])
 
 
 def _x_forms(row) -> tuple[tuple[int, ...], ...]:
@@ -473,8 +517,9 @@ def _bisect(a: float, b: float, start: bool, tol: float, holds) -> float:
 def _intervals(first: bool, cuts: list[float], tol: float, name: str) -> list[ThresholdInterval]:
     """A row's intervals from its edges in order, which alternate between
     entries and exits, starting with an exit when the row holds (`first`)
-    at the first grid point; none for a row with no edge."""
-    cuts = [0.0, *cuts, 1.0] if cuts else []
+    at the first grid point. A row with no edge has (0, 1) when it holds
+    at every grid point and no interval when it holds at none."""
+    cuts = [0.0, *cuts, 1.0]
     start = 0 if first else 1
     return [ThresholdInterval(lo, hi, tol, name) for lo, hi in zip(cuts[start::2], cuts[start + 1::2])]
 

@@ -1,11 +1,22 @@
-"""Third-party extension: adjoin a singlet shared with Carol, Bell-measure
-qubits (2, 8), and correct Carol's qubit to hand her qubit 2's role, for
-one rho325 or for a stack of them in one call per step.
+"""Third-party extension: adjoin a singlet shared with Carol on qubits
+(8, 7), Bell-measure qubits (2, 8), and correct Carol's qubit to hand her
+qubit 2's role, for one rho325 or for a stack of them in one call per step.
+
+The stage is evaluated by the teleportation identity (Bennett et al., PRL
+70, 1895 (1993)), not simulated. Through the singlet, every Bell outcome
+has probability exactly 1/4 for any rho325, and its post state on (3, 5, 7)
+is sigma T sigma^dagger, with T the recovery target and sigma the Pauli
+word SIGMA[outcome]. A Pauli word conjugates an operator by moving its
+entries and multiplying them by 1, -1, i or -i, so every post state and
+every corrected state here is exact in floats.
 
 The correction plans come in two flavors: the published set of four
 Pauli words, and an independently derived set found by searching all
 three-qubit Pauli words. The derived set is authoritative for the
-recovery claim; the published one is measured and reported.
+recovery claim; the published one is measured and reported. The simulated
+stage (the singlet extension, the Bell measurement of the five-qubit joint
+state, and a fidelity for every plan) is kept in tests/reference.py, which
+the tests hold this module to.
 """
 from __future__ import annotations
 
@@ -15,17 +26,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import PROB_FLOOR
 from .errors import ContractError
-from .linalg import dagger, fidelity
-from .qstate import DensityOp, PureState, Register, tensor, to_density
+from .linalg import fidelity
+from .qstate import DensityOp, Register
 
 __all__ = [
     "BELL_ORDER",
     "BellOutcome",
     "CorrectionPlan",
-    "swap_extend",
-    "bsm",
+    "bell_outcomes",
     "recovery_target",
     "published_corrections",
     "correction_plans",
@@ -36,6 +45,10 @@ BELL_ORDER = ("B1+", "B1-", "B2+", "B2-")
 # The Bell vectors on (2, 8), one row per label of BELL_ORDER.
 _BELL = (1.0 / np.sqrt(2.0)) * np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex)
 
+# The Pauli word on (3, 5, 7) that each outcome's post state is the target
+# conjugated by.
+SIGMA = {"B1+": "iiy", "B1-": "iix", "B2+": "iiz", "B2-": "iii"}
+
 _I2 = np.eye(2, dtype=complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -43,6 +56,14 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Lexicographic Pauli order used for tie-breaking in the search.
 _PAULI = (("i", _I2), ("x", _SX), ("y", _SY), ("z", _SZ))
+
+# The (x, z) bits of each Pauli: up to a phase, a product of Paulis is the
+# Pauli of the XOR of their bits.
+_BITS = {"i": 0, "z": 1, "x": 2, "y": 3}
+
+# A residual max|V T V^dagger - T| at or below this makes V T V^dagger the
+# target to roundoff: fidelity 1.0, with no solve.
+_EXACT = 1e-12
 
 
 class BellOutcome(NamedTuple):
@@ -73,50 +94,6 @@ def _on_325(rho325: DensityOp, order: str) -> np.ndarray:
             f"expected a three-qubit operator on labels 3,2,5, got {rho325.register.labels}"
         )
     return rho325.register.front(rho325.matrix, order).reshape(rho325.matrix.shape)
-
-
-def swap_extend(rho325: DensityOp) -> DensityOp:
-    """Adjoin the singlet (|01> - |10>)/sqrt(2) on (8, 7): labels (3,2,5,8,7)."""
-    rho = DensityOp(Register.qubits("3", "2", "5"), _on_325(rho325, "325"))
-    s = 1.0 / np.sqrt(2.0)
-    singlet = PureState(
-        Register.qubits("8", "7"),
-        np.array([0.0, s, -s, 0.0], dtype=complex),
-    )
-    return tensor(rho, to_density(singlet))
-
-
-def bsm(joint: DensityOp) -> list[BellOutcome]:
-    """Bell-measure qubits (2, 8) of the five-qubit joint state, or of each
-    member of a stack.
-
-    Returns the four outcomes in BELL_ORDER with renormalized post states
-    on (3, 5, 7). Each member's probabilities must sum to 1.
-    """
-    if set(joint.register.labels) != set("32587"):
-        raise ContractError(f"bsm: expected an operator on labels 3,2,5,8,7, got {joint.register.labels}")
-    lead = joint.matrix.shape[:-2]
-    t = joint.register.front(joint.matrix, "35728").reshape(lead + (8, 4, 8, 4))
-    out = []
-    total = 0.0
-    for label, vec in zip(BELL_ORDER, _BELL):
-        mat = np.einsum("...aibj,i,j->...ab", t, vec.conj(), vec)
-        p = np.trace(mat, axis1=-2, axis2=-1).real
-        if np.any(p < PROB_FLOOR):
-            raise ContractError(f"bsm: outcome {label} has vanishing probability")
-        total += p
-        out.append(
-            BellOutcome(
-                label=label,
-                projector=np.outer(vec, vec.conj()),
-                probability=float(p) if not lead else p,
-                post_state=DensityOp(Register.qubits("3", "5", "7"), mat / p[..., None, None]),
-            )
-        )
-    off = np.abs(total - 1.0)
-    if np.any(off > 1e-10):
-        raise ContractError(f"bsm: outcome probabilities sum to {np.ravel(total)[np.argmax(off)]}, not 1")
-    return out
 
 
 def recovery_target(rho325: DensityOp) -> DensityOp:
@@ -150,72 +127,113 @@ def _pauli_words() -> tuple[tuple[str, ...], np.ndarray]:
     return names, unitaries
 
 
-def _searched_words(posts: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Index of the word with the smallest entrywise residual
-    max|U post U^dagger - target| for each post state, over all 64 words;
-    posts (..., K, 8, 8) against targets (..., 8, 8) give indices (..., K).
+@functools.cache
+def _word_moves() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each word V as a signed permutation of an 8 x 8 operator's entries,
+    and the words after each Bell outcome's sigma, built once.
 
-    Each post state is a Pauli conjugate of the target, so that residual is
-    roundoff. Residuals within 1e-12 of the smallest tie (the parity
-    symmetry of rho325 makes two words exact), and ties go to the first
-    word in lexicographic order (i < x < y < z, qubit order 3, 5, 7).
-    A word moves entries and multiplies them by 1, -1, i or -i, exactly, so
-    the residual is read as max|post - U^dagger target U|, which conjugates
-    each target, not each post, 64 times.
+    Row r of V has one nonzero, V[r, p(r)], so (V T V^dagger)[r, c] is
+    signs[v, r, c] * T[p(r), p(c)], with signs in {1, -1, i, -i}, and
+    sources[v, r, c] = 8 p(r) + p(c) is where that entry comes from in the
+    flat T. after[k, w] is the word W * SIGMA[k] up to a phase, for
+    outcome k of BELL_ORDER: the words' (x, z) bits XOR.
     """
-    _, unitaries = _pauli_words()
-    moved = dagger(unitaries) @ target[..., None, :, :] @ unitaries
-    residual = np.max(np.abs(posts[..., None, :, :] - moved[..., None, :, :, :]), axis=(-2, -1))
-    return np.argmax(residual <= residual.min(axis=-1, keepdims=True) + 1e-12, axis=-1)
+    names, unitaries = _pauli_words()
+    p = np.argmax(np.abs(unitaries), axis=-1)
+    phases = np.take_along_axis(unitaries, p[..., None], axis=-1)[..., 0]
+    signs = phases[:, :, None] * phases.conj()[:, None, :]
+    bits = np.array([_BITS[c] for name in names for c in name]).reshape(64, 3) @ [16, 4, 1]
+    sigma = bits[[names.index(SIGMA[label]) for label in BELL_ORDER]]
+    return 8 * p[:, :, None] + p[:, None, :], signs, np.argsort(bits)[bits ^ sigma[:, None]]
 
 
-def correction_plans(rho325: DensityOp, sources=("derived",), outcomes: list | None = None):
+def _conjugates(targets: np.ndarray, words) -> np.ndarray:
+    """V T V^dagger for each target T of (G, 8, 8) and each word V of
+    `words` (indices in search order, or a slice of them), shaped
+    (G, len(words), 8, 8): entries moved and multiplied by signs, exactly."""
+    sources, signs, _ = _word_moves()
+    return signs[words] * np.take(targets.reshape(len(targets), 64), sources[words], axis=1)
+
+
+def bell_outcomes(rho325: DensityOp) -> list[BellOutcome]:
+    """The four Bell outcomes on qubits (2, 8), in BELL_ORDER, of rho325
+    with the singlet (|01> - |10>)/sqrt(2) on (8, 7) adjoined, by the
+    teleportation identity: probability exactly 0.25 (for a stack, an array
+    of them), and post state SIGMA[label] T SIGMA[label]^dagger on (3, 5, 7)
+    for T = recovery_target(rho325), exact in floats."""
+    target = recovery_target(rho325)
+    names, _ = _pauli_words()
+    posts = _conjugates(target.matrix.reshape(-1, 8, 8), [names.index(SIGMA[label]) for label in BELL_ORDER])
+    lead = rho325.matrix.shape[:-2]
+    return [
+        BellOutcome(
+            label=label,
+            projector=np.outer(vec, vec.conj()),
+            probability=np.full(lead, 0.25) if lead else 0.25,
+            post_state=DensityOp(target.register, posts[:, k].reshape(target.matrix.shape)),
+        )
+        for k, (label, vec) in enumerate(zip(BELL_ORDER, _BELL))
+    ]
+
+
+def correction_plans(rho325: DensityOp, sources=("derived",)):
     """The plan of each source ("derived" or "published") for each Bell
-    outcome, with the fidelity it reaches against the recovery target.
+    outcome, with the fidelity it reaches against the recovery target T.
 
-    Derived words are searched by residual, with no fidelity (see
-    _searched_words). Only the chosen words of every source are scored, in
-    one fidelity call, and every derived word must reach fidelity 1, since
-    the shared resource is a maximally entangled pair. outcomes is
-    bsm(swap_extend(rho325)), measured here unless the caller passes it.
+    Outcome k's post state is sigma_k T sigma_k^dagger (bell_outcomes), so
+    a word W corrects it to V T V^dagger with V = W sigma_k. Each point's
+    64 word residuals r(V) = max|V T V^dagger - T| are computed once. The
+    derived word of outcome k is the first word W, in search order
+    (i < x < y < z, qubit order 3, 5, 7), whose r(W sigma_k) lies within
+    1e-12 of the smallest: the parity symmetry of rho325 makes two words
+    exact, and the tie goes to the first. A plan whose r is at most 1e-12
+    has fidelity 1.0, since then F >= 1 - 8 sqrt(8) r > 1 - 2.3e-11
+    (Fuchs-van de Graaf, with the trace norm of an 8 x 8 difference at
+    most 8 sqrt(8) times its largest entry); the others are scored in one
+    fidelity call. A derived word with r above 1e-12 is a ContractError,
+    since the shared resource is a maximally entangled pair.
 
     Returns {source: {outcome label: plan}}; for a stack of G operators, a
-    list of G such dicts, from one search and one fidelity call.
+    list of G such dicts.
     """
+    sources = tuple(sources)
     if not set(sources) <= {"derived", "published"}:
         raise ValueError(f"correction_plans: unknown sources in {sources!r}")
-    if outcomes is None:
-        outcomes = bsm(swap_extend(rho325))
     lead = rho325.matrix.shape[:-2]
-    posts = np.stack([o.post_state.matrix for o in outcomes], axis=-3)
-    if posts.shape[:-3] != lead:
-        raise ContractError(f"correction_plans: outcomes shaped {posts.shape[:-3]} for operators shaped {lead}")
     targets = recovery_target(rho325).matrix.reshape(-1, 8, 8)
-    posts = posts.reshape(len(targets), len(outcomes), 8, 8)
     names, unitaries = _pauli_words()
-    published = np.broadcast_to([names.index(PUBLISHED_WORDS[o.label]) for o in outcomes], posts.shape[:2])
-    derived = _searched_words(posts, targets) if "derived" in sources else None
-    # words[g, j, k]: the word of source j for outcome k of point g.
+    _, _, after = _word_moves()
+    moved = _conjugates(targets, slice(None))
+    residuals = np.max(np.abs(moved - targets[:, None]), axis=(-2, -1))
+    # per_outcome[g, k, w]: r(W sigma_k) at point g
+    per_outcome = residuals[:, after]
+    derived = np.argmax(per_outcome <= per_outcome.min(axis=-1, keepdims=True) + _EXACT, axis=-1)
+    published = np.broadcast_to([names.index(PUBLISHED_WORDS[label]) for label in BELL_ORDER], derived.shape)
+    # words[g, j, k]: the word of source j for outcome k of point g; moves
+    # its V = W sigma_k, and off the residual r(V)
     words = np.stack([derived if source == "derived" else published for source in sources], axis=1)
-    chosen = unitaries[words]
-    corrected = chosen @ posts[:, None] @ dagger(chosen)
-    # Explicit sizes, so that an empty stack reshapes too.
-    corrected = corrected.reshape(len(targets), len(sources) * len(outcomes), 8, 8)
-    scores = fidelity(targets, corrected).reshape(words.shape)
+    moves = after[np.arange(len(BELL_ORDER)), words]
+    off = residuals[np.arange(len(targets))[:, None, None], moves]
+    exact = off <= _EXACT
+    j = sources.index("derived") if "derived" in sources else None
+    if j is not None and not exact[:, j].all():
+        g, k = np.argwhere(~exact[:, j])[0]
+        raise ContractError(
+            f"correction_plans: outcome {BELL_ORDER[k]}'s best word {names[derived[g, k]]} leaves "
+            f"a residual {off[g, j, k]:.3e}, above {_EXACT}"
+        )
+    scores = np.ones(words.shape)
+    if not exact.all():
+        g = np.nonzero(~exact)[0]
+        scores[~exact] = fidelity(targets[g], moved[g, moves[~exact]][:, None])[:, 0]
     plans = [
         {
             source: {
-                outcome.label: CorrectionPlan(outcome.label, unitaries[w], source, float(f), names[w])
-                for outcome, w, f in zip(outcomes, row.tolist(), fids)
+                label: CorrectionPlan(label, unitaries[w], source, f, names[w])
+                for label, w, f in zip(BELL_ORDER, row.tolist(), fids.tolist())
             }
             for source, row, fids in zip(sources, point_words, point_scores)
         }
         for point_words, point_scores in zip(words, scores)
     ]
-    for plan in (plan for point in plans for plan in point.get("derived", {}).values()):
-        if plan.achieved_fidelity < 1.0 - 1e-9:
-            raise ContractError(
-                f"correction_plans: outcome {plan.outcome} only reaches "
-                f"fidelity {plan.achieved_fidelity:.12f}"
-            )
     return plans if lead else plans[0]

@@ -17,10 +17,16 @@ float route, scan_points over pair_verdicts: protocol.branch_scan is held
 to the first bit for bit at every grid and tol, and the second to it at
 tol >= 1e-12.
 
-`pipeline_pair_integers` is the one route here that reads Gram blocks: it
-builds a branch's integer table from protocol's basis images, each pair's
-float blocks certified by `x_coefficients`; protocol's checked-in integer
-tables are held to it.
+`pipeline_pair_integers` and `pipeline_rho325_integers` are the routes
+here that read Gram blocks: they build a branch's integer pair table, and
+the entries of rho325's table, from protocol's basis images; protocol's
+checked-in integer tables are held to them.
+
+`swap_extend`, `bsm` and `simulated_plans` are the simulated swap stage:
+the singlet adjoined as a 32 x 32 joint state, the Bell measurement of it,
+the residual search over the measured post states (`searched_words`), and
+a fidelity solve for every plan. The swap module's teleportation identity
+is held to them.
 """
 import collections
 from fractions import Fraction
@@ -29,12 +35,14 @@ from functools import cache
 import numpy as np
 
 from qbroadcast import (
-    ContractError, DensityOp, PureState, ThresholdInterval, broadcast_holds, clone_subsystem, partial_trace,
-    run_first_stage, to_density,
+    ContractError, CorrectionPlan, DensityOp, PureState, Register, ThresholdInterval, broadcast_holds,
+    clone_subsystem, partial_trace, recovery_target, run_first_stage, tensor, to_density,
 )
 from qbroadcast.cli import CSV_HEADER
-from qbroadcast.constants import PPT_TOL
+from qbroadcast.constants import PPT_TOL, PROB_FLOOR
 from qbroadcast.entanglement import eof
+from qbroadcast.linalg import dagger, fidelity
+from qbroadcast.swap import BELL_ORDER, PUBLISHED_WORDS, BellOutcome, _on_325, _pauli_words
 from qbroadcast.protocol import (
     _PAIR_INTEGERS, PAIR_KEYS, SIX_LABELS, _basis_images, _gram_blocks, _require_scan_settings, pair_verdicts,
 )
@@ -174,7 +182,8 @@ def scan_points(test, names, grid, tol) -> dict[str, list[ThresholdInterval]]:
     and keeps the half whose ends differ. An edge ends on the midpoint at
     which it is no wider than tol or the midpoint is one of its ends.
     Intervals alternate from the row's value at the first grid point; a
-    row constant over the grid has none. ContractError for the settings
+    row that holds at every grid point has (0, 1), and one that holds at
+    none has no interval. ContractError for the settings
     branch_scan refuses, or for a test result of another shape."""
     _require_scan_settings(grid, tol)
     xs = [k / (grid + 1) for k in range(1, grid + 1)]
@@ -193,9 +202,7 @@ def scan_points(test, names, grid, tol) -> dict[str, list[ThresholdInterval]]:
     for r, name in enumerate(names):
         cuts = [0.0, *(mid for edge, mid in zip(edges, mids) if edge[0] == r), 1.0]
         first = 0 if flags[r][0] else 1
-        out[name] = [] if len(cuts) == 2 else [
-            ThresholdInterval(lo, hi, tol, name) for lo, hi in zip(cuts[first::2], cuts[first + 1::2])
-        ]
+        out[name] = [ThresholdInterval(lo, hi, tol, name) for lo, hi in zip(cuts[first::2], cuts[first + 1::2])]
     return out
 
 
@@ -270,3 +277,108 @@ def float_scan(branch, names, grid, tol):
         return np.stack([row(entangled) for row in rows])
 
     return _renamed(scan_points(test, names, grid, tol))
+
+
+def pipeline_rho325_integers() -> dict[str, dict[tuple[int, int], int]]:
+    """protocol._RHO325_INTEGERS from the pipeline: 1296 times each nonzero
+    entry of branch Q0Q0's Gram blocks G00, G01 and G11 on (3, 2, 5), keyed
+    by (row, column) per block. ContractError unless every entry is a real
+    integer to 1e-9."""
+    blocks = {}
+    for name, g in zip(("00", "01", "11"), _gram_blocks(("Q0", "Q0"), ("3", "2", "5"))[1:]):
+        scaled = 1296.0 * g
+        rounded = np.rint(scaled.real)
+        if np.max(np.abs(scaled - rounded)) > 1e-9:
+            raise ContractError(f"rho325 table: 1296 G{name} is not a real integer matrix")
+        blocks[name] = {(int(i), int(j)): int(rounded[i, j]) for i, j in zip(*np.nonzero(rounded))}
+    return blocks
+
+
+# The Bell vectors on (2, 8), one row per label of BELL_ORDER.
+_BELL = (1.0 / np.sqrt(2.0)) * np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex)
+
+
+def swap_extend(rho325: DensityOp) -> DensityOp:
+    """Adjoin the singlet (|01> - |10>)/sqrt(2) on (8, 7): labels (3,2,5,8,7)."""
+    rho = DensityOp(Register.qubits("3", "2", "5"), _on_325(rho325, "325"))
+    s = 1.0 / np.sqrt(2.0)
+    singlet = PureState(Register.qubits("8", "7"), np.array([0.0, s, -s, 0.0], dtype=complex))
+    return tensor(rho, to_density(singlet))
+
+
+def bsm(joint: DensityOp) -> list[BellOutcome]:
+    """Bell-measure qubits (2, 8) of the five-qubit joint state, or of each
+    member of a stack: the four outcomes in BELL_ORDER with renormalized
+    post states on (3, 5, 7). ContractError for another register, an
+    outcome below probability PROB_FLOOR, or probabilities that do not sum to 1
+    within 1e-10."""
+    if set(joint.register.labels) != set("32587"):
+        raise ContractError(f"bsm: expected an operator on labels 3,2,5,8,7, got {joint.register.labels}")
+    lead = joint.matrix.shape[:-2]
+    t = joint.register.front(joint.matrix, "35728").reshape(lead + (8, 4, 8, 4))
+    out = []
+    total = 0.0
+    for label, vec in zip(BELL_ORDER, _BELL):
+        mat = np.einsum("...aibj,i,j->...ab", t, vec.conj(), vec)
+        p = np.trace(mat, axis1=-2, axis2=-1).real
+        if np.any(p < PROB_FLOOR):
+            raise ContractError(f"bsm: outcome {label} has vanishing probability")
+        total += p
+        out.append(BellOutcome(label, np.outer(vec, vec.conj()), float(p) if not lead else p,
+                               DensityOp(Register.qubits("3", "5", "7"), mat / p[..., None, None])))
+    off = np.abs(total - 1.0)
+    if np.any(off > 1e-10):
+        raise ContractError(f"bsm: outcome probabilities sum to {np.ravel(total)[np.argmax(off)]}, not 1")
+    return out
+
+
+def searched_words(posts: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Index of the word with the smallest entrywise residual
+    max|U post U^dagger - target| for each post state, over all 64 words;
+    posts (..., K, 8, 8) against targets (..., 8, 8) give indices (..., K).
+    Residuals within 1e-12 of the smallest tie, and ties go to the first
+    word in search order. The residual is read as
+    max|post - U^dagger target U|, which conjugates each target 64 times."""
+    _, unitaries = _pauli_words()
+    moved = dagger(unitaries) @ target[..., None, :, :] @ unitaries
+    residual = np.max(np.abs(posts[..., None, :, :] - moved[..., None, :, :, :]), axis=(-2, -1))
+    return np.argmax(residual <= residual.min(axis=-1, keepdims=True) + 1e-12, axis=-1)
+
+
+def simulated_plans(rho325: DensityOp, sources=("derived",), outcomes=None):
+    """correction_plans by simulation: outcomes (bsm(swap_extend(rho325))
+    unless given), the derived words by searched_words over the measured
+    post states, and every plan of every source scored in one fidelity
+    call. ContractError when a derived plan reaches less than 1 - 1e-9.
+    Returns what correction_plans returns."""
+    if not set(sources) <= {"derived", "published"}:
+        raise ValueError(f"simulated_plans: unknown sources in {sources!r}")
+    if outcomes is None:
+        outcomes = bsm(swap_extend(rho325))
+    lead = rho325.matrix.shape[:-2]
+    posts = np.stack([o.post_state.matrix for o in outcomes], axis=-3)
+    if posts.shape[:-3] != lead:
+        raise ContractError(f"simulated_plans: outcomes shaped {posts.shape[:-3]} for operators shaped {lead}")
+    targets = recovery_target(rho325).matrix.reshape(-1, 8, 8)
+    posts = posts.reshape(len(targets), len(outcomes), 8, 8)
+    names, unitaries = _pauli_words()
+    published = np.broadcast_to([names.index(PUBLISHED_WORDS[o.label]) for o in outcomes], posts.shape[:2])
+    derived = searched_words(posts, targets) if "derived" in sources else None
+    words = np.stack([derived if source == "derived" else published for source in sources], axis=1)
+    chosen = unitaries[words]
+    corrected = (chosen @ posts[:, None] @ dagger(chosen)).reshape(len(targets), len(sources) * len(outcomes), 8, 8)
+    scores = fidelity(targets, corrected).reshape(words.shape)
+    plans = [
+        {
+            source: {
+                outcome.label: CorrectionPlan(outcome.label, unitaries[w], source, float(f), names[w])
+                for outcome, w, f in zip(outcomes, row.tolist(), fids)
+            }
+            for source, row, fids in zip(sources, point_words, point_scores)
+        }
+        for point_words, point_scores in zip(words, scores)
+    ]
+    for plan in (plan for point in plans for plan in point.get("derived", {}).values()):
+        if plan.achieved_fidelity < 1.0 - 1e-9:
+            raise ContractError(f"simulated_plans: outcome {plan.outcome} only reaches fidelity {plan.achieved_fidelity:.12f}")
+    return plans if lead else plans[0]

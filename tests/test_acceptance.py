@@ -38,7 +38,6 @@ from qbroadcast import (
     bh_isometry,
     branch_probabilities,
     broadcast_verdict,
-    bsm,
     buzek_baseline,
     clone_subsystem,
     concurrence,
@@ -46,7 +45,6 @@ from qbroadcast import (
     partial_trace,
     ppt_verdict,
     six_qubit_branch,
-    swap_extend,
     to_density,
     transmit_bits,
 )
@@ -62,6 +60,7 @@ from published_forms import (
     published_rho46,
     truncated,
 )
+from reference import bsm, swap_extend
 from stacks import pointwise, scan_family, scan_row
 
 _BASE_LO = 0.5 - np.sqrt(39.0) / 16.0

@@ -287,8 +287,9 @@ def test_scans_and_concurrence_lines_make_no_pair_solve(capsys, monkeypatch, arg
     # the scans, the baseline and the report's concurrence lines read the
     # pair table and never reach the Jacobi routes of ppt_verdict and
     # concurrence; the report's only eigen-solve is the 8 x 8 one of its
-    # swap fidelities, over 3 targets and 3 x 8 corrected states, and its
-    # only singular-value solve covers the 3 x 8 products
+    # swap fidelities, over 3 targets and the 3 published B1+ plans (every
+    # other plan recovers its target exactly), and its only singular-value
+    # solve covers their 3 products
     want = _run(capsys, argv + ["--grid", "60"])
     _forbid_pair_solves(monkeypatch)
     solves = []
@@ -300,7 +301,7 @@ def test_scans_and_concurrence_lines_make_no_pair_solve(capsys, monkeypatch, arg
         monkeypatch.setattr(linalg_module, name, solve)
     assert _run(capsys, argv + ["--grid", "60"]) == want
     assert want[0] == 0
-    report = [("eig_hermitian", (27, 8, 8)), ("_singular_values", (24, 8, 8))]
+    report = [("eig_hermitian", (6, 8, 8)), ("_singular_values", (3, 8, 8))]
     assert solves == (report if argv == ["report"] else [])
     assert ("concurrence(rho46)" in want[1]) == (argv == ["report"])
 
@@ -687,8 +688,7 @@ def test_swap_derived_output(capsys):
     assert payload["corrections"] == "derived"
     assert [o["label"] for o in payload["outcomes"]] == ["B1+", "B1-", "B2+", "B2-"]
     for o in payload["outcomes"]:
-        assert o["probability"] == pytest.approx(0.25, abs=1e-9)
-        assert o["fidelity"] >= 1.0 - 1e-9
+        assert (o["probability"], o["fidelity"]) == (0.25, 1.0)
     words = {o["label"]: o["word"] for o in payload["outcomes"]}
     assert words == {"B1+": "iiy", "B1-": "iix", "B2+": "iiz", "B2-": "iii"}
 
@@ -702,7 +702,7 @@ def test_swap_published_output(capsys):
     assert "word" not in by_label["B1+"]
     assert by_label["B1+"]["fidelity"] == pytest.approx(0.943670, abs=1e-5)
     for label in ("B1-", "B2+", "B2-"):
-        assert by_label[label]["fidelity"] >= 1.0 - 1e-9
+        assert by_label[label]["fidelity"] == 1.0
 
 
 def test_swap_rejects_bad_alpha2(capsys):
@@ -732,24 +732,24 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 @pytest.mark.parametrize(
-    "argv,points,members",
-    [(["swap", "--alpha2", "0.3"], 1, 4), (["swap", "--alpha2", "0.3", "--corrections", "published"], 1, 4),
-     (["report", "--grid", "50", "--tol", "1e-2"], 3, 8)],
+    "argv,solved",
+    [(["swap", "--alpha2", "0.3"], 0), (["swap", "--alpha2", "0.3", "--corrections", "published"], 1),
+     (["report", "--grid", "50", "--tol", "1e-2"], 3)],
 )
-def test_swap_points_measure_once_each_and_score_together(capsys, monkeypatch, argv, points, members):
-    # one Bell measurement for all points, shared by the derived search, the
-    # published check and the printed probabilities; then one fidelity call
-    # over every corrected state of every point
+def test_swap_points_solve_only_the_inexact_plans(capsys, monkeypatch, argv, solved):
+    # rho325 from its table, the Bell outcomes by the teleportation
+    # identity, and one fidelity call for the published B1+ plan of each
+    # point, the only plans that do not recover the target exactly; none
+    # for derived plans alone. No Bell measurement is simulated.
+    for module in (swap_module, cli_module):
+        assert not {"bsm", "swap_extend", "_searched_words"} & set(vars(module))
     calls = []
-    for module in (cli_module, swap_module):
-        _count_calls(monkeypatch, module, "bsm", calls)
+    for name in ("_rho325", "bell_outcomes", "correction_plans"):
+        _count_calls(monkeypatch, cli_module, name, calls)
     _count_calls(monkeypatch, swap_module, "fidelity", calls)
-    _count_calls(monkeypatch, swap_module, "_searched_words", calls)
     assert _run(capsys, argv)[0] == 0
-    searched = [] if "published" in argv else [("_searched_words", None)]
-    assert calls == [("bsm", None)] + searched + [
-        ("fidelity", ((points, 8, 8), (points, members, 8, 8)))
-    ]
+    scored = [("fidelity", ((solved, 8, 8), (solved, 1, 8, 8)))] if solved else []
+    assert calls == [("_rho325", None), ("bell_outcomes", None), ("correction_plans", None)] + scored
 
 
 # ---------------------------------------------------------------------- gv

@@ -6,6 +6,7 @@ from qbroadcast import (
     DensityOp,
     PureState,
     Register,
+    ThresholdInterval,
     broadcast_holds,
     broadcast_verdict,
     buzek_baseline,
@@ -284,8 +285,10 @@ def test_scan_predicate_edge_intervals_and_unions():
     assert ivs[1].hi == 1.0
 
 
-def test_scan_predicate_constant_yields_nothing():
-    assert scan_row(pointwise(lambda x: True), grid=60, tol=1e-4) == []
+def test_scan_predicate_constant_yields_the_domain_or_nothing():
+    # a row that holds at every grid point is (0, 1); one that holds at none
+    # has no interval
+    assert scan_row(pointwise(lambda x: True), grid=60, tol=1e-4) == [ThresholdInterval(0.0, 1.0, 1e-4, "predicate")]
     assert scan_row(pointwise(lambda x: False), grid=60, tol=1e-4) == []
 
 

@@ -12,14 +12,19 @@ float scan over the pair tables, before the scans moved to exact signs.
 
 report, branches, thresholds and baseline print verdicts, bisection
 midpoints and rounded figures, so they must match byte for byte. sweep and
-swap print unrounded floats, which may move in the last bits when the
-arithmetic is regrouped: their numbers must agree within 1e-12, and every
-other field (labels, pairs, words, entangled flags) must be equal.
+the published swap check print unrounded floats, which may move in the
+last bits when the arithmetic is regrouped: their numbers must agree
+within 1e-12, and every other field (labels, pairs, words, entangled
+flags) must be equal. The derived swap check prints exact numbers, the
+probability 0.25 and the fidelity 1.0 of the teleportation identity, so
+swap_phi0.json, rewritten when they became exact, must match byte for
+byte; swap_phi471.json keeps the simulated measurement's numbers.
 
 The scan commands and sweep read protocol's checked-in pair tables, and
-branches takes its probabilities from them too; the last test runs them
-with the cloning pipeline (the basis images, run_first_stage and
-clone_subsystem) made to raise.
+branches takes its probabilities from them too; report and swap read
+rho325 from its checked-in table. The last test runs them with the cloning
+pipeline (the basis images, run_first_stage and clone_subsystem) made to
+raise.
 """
 import csv
 import json
@@ -66,6 +71,17 @@ def test_scan_commands_match_golden_bytes(tmp_path, capsys, name, argv, phase):
     assert out == (GOLDEN / f"{name}_{phase}.txt").read_text(encoding="utf-8")
 
 
+SWAP = ["swap", "--alpha2", "0.3"]
+
+
+@pytest.mark.parametrize("phase", ["phi0", "phi471"])
+def test_derived_swap_matches_golden_bytes(tmp_path, capsys, phase):
+    # probabilities exactly 0.25 and derived fidelities exactly 1.0, at
+    # any phase
+    out = _stdout(capsys, SWAP + _phase_args(tmp_path, phase))
+    assert out == (GOLDEN / "swap_phi0.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("branch", ["Q0Q1", "Q1Q0"])
 def test_asymmetric_thresholds_match_golden_bytes(capsys, branch):
     # Q1Q0 at the default grid probes fl(134/201), 3.7e-17 below the root
@@ -98,7 +114,6 @@ def _assert_close(want, got, where="$"):
              "--steps", "9", "--beta-phase", "4.71", "--format", "json"],
             "phi0",
         ),
-        ("swap_phi0.json", ["swap", "--alpha2", "0.3"], "phi0"),
         ("swap_phi471.json", ["swap", "--alpha2", "0.8", "--corrections", "published"], "phi471"),
     ],
 )
@@ -132,12 +147,15 @@ def _refuse(*args):
     raise AssertionError("the cloning pipeline ran")
 
 
+SWAP_PUBLISHED = ["swap", "--alpha2", "0.8", "--corrections", "published"]
+
+
 @pytest.mark.parametrize("phase", ["phi0", "phi471"])
 def test_scans_and_sweep_run_no_cloner(tmp_path, capsys, monkeypatch, phase):
-    # thresholds on every branch, branches, baseline and a 10-pair sweep,
-    # from cold caches with the basis images, run_first_stage and
-    # clone_subsystem refused: the goldens where they exist, and otherwise
-    # the bytes of integer tables built by the pipeline
+    # thresholds on every branch, branches, baseline, report, both swap
+    # checks and a 10-pair sweep, from cold caches with the basis images,
+    # run_first_stage and clone_subsystem refused: the goldens where they
+    # exist, and otherwise the bytes of integer tables built by the pipeline
     args = _phase_args(tmp_path, phase)
     scans = [["thresholds", "--branch", name] + args for name in BRANCH_NAMES] + [["branches"] + args, ["baseline"] + args]
     tables = (protocol_module._pair_integers, protocol_module._pair_table, protocol_module._pair_signs)
@@ -146,7 +164,8 @@ def test_scans_and_sweep_run_no_cloner(tmp_path, capsys, monkeypatch, phase):
             cached.cache_clear()
         patch.setattr(protocol_module, "_pair_integers", cache(pipeline_pair_integers))
         want = [_stdout(capsys, argv) for argv in scans]
-    for cached in (*tables, protocol_module._basis_images, protocol_module._first_stage_runs):
+    for cached in (*tables, protocol_module._rho325_blocks, protocol_module._basis_images,
+                   protocol_module._first_stage_runs):
         cached.cache_clear()
     for name in ("_basis_images", "_first_stage_runs", "run_first_stage", "clone_subsystem"):
         monkeypatch.setattr(protocol_module, name, _refuse)
@@ -154,4 +173,8 @@ def test_scans_and_sweep_run_no_cloner(tmp_path, capsys, monkeypatch, phase):
     assert got == want
     for name, out in (("thresholds_Q1Q1", got[3]), ("branches", got[4]), ("baseline", got[5])):
         assert out == (GOLDEN / f"{name}_{phase}.txt").read_text(encoding="utf-8"), name
+    assert _stdout(capsys, ["report"] + args) == (GOLDEN / f"report_{phase}.txt").read_text(encoding="utf-8")
+    assert _stdout(capsys, SWAP + args) == (GOLDEN / "swap_phi0.json").read_text(encoding="utf-8")
+    published = json.loads(_stdout(capsys, SWAP_PUBLISHED + args))
+    _assert_close(json.loads((GOLDEN / "swap_phi471.json").read_text(encoding="utf-8")), published)
     _assert_csv_close(_stdout(capsys, SWEEP_CSV + args))

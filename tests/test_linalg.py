@@ -453,10 +453,10 @@ def test_screened_solves_give_each_member_the_bits_it_gets_alone():
 
 
 def test_report_swap_scores_visit_few_planes(monkeypatch):
-    # report scores its three swap points with both correction sets in one
-    # fidelity call: a 27-member eigen-solve and a 24-member singular-value
-    # solve of block-sparse operators, which cyclic sweeps visited in 84
-    # planes each
+    # report scores its three swap points' published B1+ plans, the only
+    # plans that miss the target, in one fidelity call: a 6-member
+    # eigen-solve and a 3-member singular-value solve of block-sparse
+    # operators, which cyclic sweeps visited in 84 planes each
     visits = dict.fromkeys(("_rotate", "_rotate_columns"), 0)
     for name in visits:
 

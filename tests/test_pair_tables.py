@@ -1,4 +1,5 @@
-"""The checked-in integer pair tables (protocol._PAIR_INTEGERS).
+"""The checked-in integer tables: the pair tables (protocol._PAIR_INTEGERS)
+and the swap stage's rho325 (protocol._RHO325_INTEGERS).
 
 Every number in them is re-derived from the float pipeline
 (reference.pipeline_pair_integers): the basis images times 36 must round
@@ -6,8 +7,11 @@ to integer vectors, each pair's float Gram blocks must be 0.0 off the X
 pattern, and the Gram entries of the integer vectors must equal the stored
 integers exactly. The symmetries of the protocol are then checked on the
 integers, with no tolerance, and the parse's check that each row is a
-state on all of [0, 1].
+state on all of [0, 1]. rho325's entries are 1296 times its float Gram
+blocks, which must round to real integers within 1e-9
+(reference.pipeline_rho325_integers).
 """
+import numpy as np
 import pytest
 
 from qbroadcast import ContractError
@@ -102,3 +106,57 @@ def test_every_row_holds_its_branchs_probability():
     for branch, (t00, t11) in sums.items():
         probs = [protocol_module.branch_probabilities(x)[branch] for x in (1.0, 0.0)]
         assert probs == [t00 / 1296, t11 / 1296], branch
+
+
+def _rho325_entries(text):
+    """The entries of an _RHO325_INTEGERS text, {block: {(row, column): n}}."""
+    entries = {}
+    for block, row, col, value in zip(*[iter(text.split())] * 4):
+        entries.setdefault(block, {})[(int(row), int(col))] = int(value)
+    return entries
+
+
+def test_rho325_integers_are_the_pipelines_gram_entries():
+    # 1296 times each Gram block of branch Q0Q0's rho325 is a real integer
+    # matrix, and its nonzero entries are the stored ones, exactly: 5 in
+    # G00, 4 in G01 and 12 in G11
+    stored = _rho325_entries(protocol_module._RHO325_INTEGERS)
+    assert stored == reference.pipeline_rho325_integers()
+    assert [len(stored[block]) for block in ("00", "01", "11")] == [5, 4, 12]
+    blocks = protocol_module._rho325_blocks()
+    assert not blocks.flags.writeable
+    for k, block in enumerate(("00", "01", "11")):
+        want = np.zeros((8, 8))
+        for (i, j), n in stored[block].items():
+            want[i, j] = n
+        assert np.array_equal(blocks[k], want), block
+
+
+def test_rho325_from_the_table_is_the_pipelines_marginal():
+    # the marginal the CLI's swap stage reads, against branch_marginal's
+    # float Gram blocks, at the edges and at random weights
+    rng = np.random.default_rng(29)
+    weights = np.concatenate([[0.0, 1e-300, 1e-6, 0.3, 0.5, 0.8, 1.0 - 1e-6, 1.0], rng.uniform(0.0, 1.0, 20)])
+    got = protocol_module._rho325(weights)
+    want = protocol_module.branch_marginal(weights, ("Q0", "Q0"), "325")
+    assert got.register == want.register
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-15
+    one = protocol_module._rho325(0.3)
+    assert one.matrix.shape == (8, 8) and np.array_equal(one.matrix, got.matrix[3])
+
+
+@pytest.mark.parametrize(
+    "old,new", [("00 1 2  96", "00 1 2  97"), ("11 7 7  24", "11 7 7  25"), ("00 0 0 384", "00 0 0 385")],
+    ids=["asymmetric G00", "G11 trace", "G00 trace"],
+)
+def test_the_rho325_parse_rejects_a_broken_table(monkeypatch, old, new):
+    # G00 and G11 must be symmetric, and their traces the pair table's
+    # 1296 tr G00 = 576 and 1296 tr G11 = 144
+    assert protocol_module._RHO325_INTEGERS.count(old) == 1
+    monkeypatch.setattr(protocol_module, "_RHO325_INTEGERS", protocol_module._RHO325_INTEGERS.replace(old, new))
+    protocol_module._rho325_blocks.cache_clear()
+    try:
+        with pytest.raises(ContractError, match="rho325 table"):
+            protocol_module._rho325_blocks()
+    finally:
+        protocol_module._rho325_blocks.cache_clear()

@@ -548,8 +548,9 @@ def test_intervals_alternate_entries_and_exits():
     assert ends(False, [0.2, 0.5]) == [(0.2, 0.5)]
     assert ends(False, [0.2]) == [(0.2, 1.0)]
     assert ends(True, [0.7]) == [(0.0, 0.7)]
-    # a row with no edge gives none, whether it holds throughout or not
-    assert ends(True, []) == [] and ends(False, []) == []
+    # a row with no edge is the whole domain when it holds at every grid
+    # point, and empty when it holds at none
+    assert ends(True, []) == [(0.0, 1.0)] and ends(False, []) == []
 
 
 def test_package_has_one_scan_route():

@@ -1,25 +1,32 @@
+"""The swap stage: the teleportation identity of bell_outcomes and
+correction_plans, held to the simulated stage of tests/reference.py (the
+singlet extension, the Bell measurement and a fidelity for every plan),
+which is tested here too.
+"""
 import itertools
 
 import numpy as np
 import pytest
 
+import qbroadcast.swap as swap_module
 from qbroadcast import (
     ContractError,
     DensityOp,
     Register,
+    bell_outcomes,
     branch_marginal,
-    bsm,
     correction_plans,
     partial_trace,
     permute_subsystems,
     published_corrections,
     recovery_target,
     six_qubit_branch,
-    swap_extend,
 )
 from qbroadcast.linalg import fidelity
-from qbroadcast.swap import BELL_ORDER, _pauli_words
+from qbroadcast.protocol import _rho325 as _table_rho325
+from qbroadcast.swap import BELL_ORDER, SIGMA, _pauli_words
 from published_forms import published_b1p_post as _published_b1p_post
+from reference import bsm, simulated_plans, swap_extend
 from stacks import pointwise, scan_family
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -118,6 +125,60 @@ def test_bsm_uniform_for_any_input():
         assert o.probability == pytest.approx(0.25, abs=1e-9)
 
 
+def _identity_cases():
+    """rho325 from its table at alpha^2 1e-6, 0.3, 0.5, 0.8, 1 - 1e-6 and
+    five random weights, as one stack, and 20 random states of rank 8, 2
+    and 1."""
+    rng = np.random.default_rng(30)
+    weights = np.concatenate([[1e-6, 0.3, 0.5, 0.8, 1.0 - 1e-6], rng.uniform(0.0, 1.0, 5)])
+    yield _table_rho325(weights)
+    for seed in range(20):
+        yield _random_325(100 + seed, (8, 2, 1)[seed % 3])
+
+
+@pytest.mark.parametrize("rho", list(_identity_cases()))
+def test_the_identity_equals_the_simulated_stage(rho):
+    # probabilities 1/4 and post states sigma T sigma^dagger, against the
+    # Bell measurement of the 32 x 32 joint state; the derived words equal
+    # the simulated search's, and every fidelity the one solved there
+    lead = rho.matrix.shape[:-2]
+    for got, want in zip(bell_outcomes(rho), bsm(swap_extend(rho)), strict=True):
+        assert got.label == want.label
+        assert np.array_equal(got.projector, want.projector)
+        assert np.shape(got.probability) == lead
+        assert np.all(np.asarray(got.probability) == 0.25)
+        assert np.max(np.abs(got.probability - want.probability)) <= 1e-12
+        assert got.post_state.register == want.post_state.register
+        assert np.max(np.abs(got.post_state.matrix - want.post_state.matrix)) <= 1e-12
+    sources = ("derived", "published")
+    got, want = correction_plans(rho, sources), simulated_plans(rho, sources)
+    for g, w in zip(*((p,) if not lead else p for p in (got, want)), strict=True):
+        for source in sources:
+            for label in BELL_ORDER:
+                a, b = g[source][label], w[source][label]
+                assert (a.word, a.source, a.outcome) == (b.word, b.source, b.outcome)
+                assert np.array_equal(a.unitary, b.unitary)
+                assert abs(a.achieved_fidelity - b.achieved_fidelity) <= 1e-12, (source, label)
+
+
+def test_bell_outcome_post_states_are_exact_pauli_conjugates():
+    # each post state holds the target's entries, moved and multiplied by
+    # 1, -1, i or -i, with no roundoff: the same multiset of absolute values
+    rho = _random_325(7)
+    target = recovery_target(rho).matrix
+    names, unitaries = _pauli_words()
+    for o in bell_outcomes(rho):
+        u = unitaries[names.index(SIGMA[o.label])]
+        post = o.post_state.matrix
+        assert np.max(np.abs(post - u @ target @ u.conj().T)) <= 1e-15
+        assert np.array_equal(np.sort(np.abs(post).ravel()), np.sort(np.abs(target).ravel()))
+
+
+def test_bell_outcomes_reject_other_registers():
+    with pytest.raises(ContractError, match="labels 3,2,5"):
+        bell_outcomes(DensityOp(Register.qubits("a", "b", "c"), np.eye(8) / 8.0))
+
+
 def test_bsm_projectors_are_bell_states():
     outcomes = bsm(swap_extend(_rho325(0.5)))
     for o in outcomes:
@@ -126,7 +187,7 @@ def test_bsm_projectors_are_bell_states():
         assert np.trace(p).real == pytest.approx(1.0)
 
 
-def _bsm_cases():
+def _stack_members():
     rng = np.random.default_rng(47)
     for members in range(1, 7):
         branch = ("Q0", "Q0") if members % 2 else ("Q1", "Q0")
@@ -137,13 +198,14 @@ def _bsm_cases():
     yield DensityOp(randoms[0].register, np.stack([rho.matrix for rho in randoms]))
 
 
-@pytest.mark.parametrize("stack", list(_bsm_cases()))
-def test_stacked_bsm_equals_the_per_member_calls(stack):
-    # one measurement of a stack gives each member the bits of its own call
-    stacked = bsm(swap_extend(stack))
+@pytest.mark.parametrize("stack", list(_stack_members()))
+@pytest.mark.parametrize("outcomes", [bell_outcomes, lambda rho: bsm(swap_extend(rho))], ids=["identity", "simulated"])
+def test_stacked_outcomes_equal_the_per_member_calls(stack, outcomes):
+    # one call on a stack gives each member the bits of its own call
+    stacked = outcomes(stack)
     assert tuple(o.label for o in stacked) == BELL_ORDER
     for g, m in enumerate(stack.matrix):
-        for alone, o in zip(bsm(swap_extend(DensityOp(stack.register, m))), stacked):
+        for alone, o in zip(outcomes(DensityOp(stack.register, m)), stacked):
             assert isinstance(alone.probability, float)
             assert o.probability.shape == (len(stack.matrix),)
             assert o.probability[g] == alone.probability
@@ -168,9 +230,9 @@ def test_bsm_checks_every_member():
 
 def test_published_b1p_post_state_matches_computed():
     for x, phi in ((0.37, 0.6), (0.37, 0.0), (0.8, 0.0)):
-        outcomes = bsm(swap_extend(_rho325(x, phi)))
-        got = outcomes[0].post_state.matrix
-        assert np.max(np.abs(got - _published_b1p_post(x, phi))) < 1e-12
+        for outcomes in (bell_outcomes(_rho325(x, phi)), bsm(swap_extend(_rho325(x, phi)))):
+            got = outcomes[0].post_state.matrix
+            assert np.max(np.abs(got - _published_b1p_post(x, phi))) < 1e-12
 
 
 # ------------------------------------------------------------- corrections
@@ -221,16 +283,15 @@ def _stack_cases():
 
 @pytest.mark.parametrize("alpha2,phi", list(_stack_cases()))
 def test_stacked_correction_plans_equal_the_per_point_calls(alpha2, phi):
-    # one search and one fidelity call over G points give each point the
-    # words and the fidelity bits of its own call, measured or passed in
+    # one residual table and one fidelity call over G points give each
+    # point the words and the fidelity bits of its own call
     sources = ("derived", "published")
     stack = branch_marginal(alpha2, ("Q0", "Q0"), "325", phi)
     alone = [correction_plans(branch_marginal(float(x), ("Q0", "Q0"), "325", phi), sources) for x in alpha2]
-    measured = correction_plans(stack, sources)
-    passed = correction_plans(stack, sources, bsm(swap_extend(stack)))
-    assert len(measured) == len(passed) == len(alpha2)
-    for point, by_measure, by_pass in zip(alone, measured, passed):
-        assert _plan_bits(by_measure) == _plan_bits(point) == _plan_bits(by_pass)
+    stacked = correction_plans(stack, sources)
+    assert len(stacked) == len(alpha2)
+    for point, in_stack in zip(alone, stacked):
+        assert _plan_bits(in_stack) == _plan_bits(point)
 
 
 @pytest.mark.parametrize("phi", [0.0, 4.71])
@@ -240,8 +301,11 @@ def test_swap_functions_read_labels_not_positions(phi):
     rho = branch_marginal(np.array([1e-300, 0.3, 0.8, 0.99999999]), ("Q0", "Q0"), "325", phi)
     shuffled = permute_subsystems(rho, ["5", "3", "2"])
     joint = swap_extend(rho)
-    canonical = bsm(joint)
-    for outcomes in (bsm(swap_extend(shuffled)), bsm(permute_subsystems(joint, ["8", "7", "3", "2", "5"]))):
+    for outcomes, canonical in (
+        (bell_outcomes(shuffled), bell_outcomes(rho)),
+        (bsm(swap_extend(shuffled)), bsm(joint)),
+        (bsm(permute_subsystems(joint, ["8", "7", "3", "2", "5"])), bsm(joint)),
+    ):
         for o, c in zip(outcomes, canonical, strict=True):
             assert o.label == c.label
             assert np.array_equal(o.probability, c.probability)
@@ -261,13 +325,13 @@ def test_bsm_rejects_other_registers():
         bsm(partial_trace(joint, ["3", "2", "8", "7"]))
 
 
-def test_correction_plans_reject_outcomes_of_another_member_count():
+def test_simulated_plans_reject_outcomes_of_another_member_count():
     stack = branch_marginal(np.array([0.3, 0.5, 0.8]), ("Q0", "Q0"), "325")
     one = branch_marginal(0.3, ("Q0", "Q0"), "325")
     for rho, other in ((stack, stack.matrix[:2]), (stack, stack.matrix[0]), (one, stack.matrix[:1])):
         outcomes = bsm(swap_extend(DensityOp(stack.register, other)))
         with pytest.raises(ContractError, match="outcomes shaped"):
-            correction_plans(rho, ("derived",), outcomes)
+            simulated_plans(rho, ("derived",), outcomes)
 
 
 def _derived(rho325):
@@ -304,25 +368,36 @@ def _search_cases():
 
 @pytest.mark.parametrize("rho", list(_search_cases()))
 def test_residual_search_picks_the_fidelity_routes_words(rho):
-    outcomes = bsm(swap_extend(rho))
-    want = _fidelity_route(rho, outcomes)
-    plans = correction_plans(rho, ("derived",), outcomes)["derived"]
+    want = _fidelity_route(rho, bsm(swap_extend(rho)))
+    plans = correction_plans(rho, ("derived",))["derived"]
     assert {label: plan.word for label, plan in plans.items()} == {k: w for k, (w, _) in want.items()}
     for label, plan in plans.items():
         assert plan.achieved_fidelity == pytest.approx(want[label][1], abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [6, 7])
-def test_residual_search_fails_where_the_fidelity_route_fails(seed):
+def test_simulated_search_fails_where_the_fidelity_route_fails(seed):
     # outcomes of another state are no Pauli conjugates of this target
     rho, other = _random_325(seed), _random_325(seed + 100, rank=2)
     outcomes = bsm(swap_extend(other))
     with pytest.raises(ContractError):
         _fidelity_route(rho, outcomes)
     with pytest.raises(ContractError, match="only reaches fidelity"):
-        correction_plans(rho, ("derived",), outcomes)
+        simulated_plans(rho, ("derived",), outcomes)
     # the published set is measured, not held to fidelity 1
-    assert set(correction_plans(rho, ("published",), outcomes)["published"]) == set(BELL_ORDER)
+    assert set(simulated_plans(rho, ("published",), outcomes)["published"]) == set(BELL_ORDER)
+
+
+def test_a_derived_word_above_the_residual_bound_is_a_contract_error(monkeypatch):
+    # every derived word leaves residual 0 (W = sigma makes V the identity),
+    # so the check only fires with the bound below 0: then no word ties,
+    # the first word iii is taken, and B1+'s V = iiy leaves 0.4167
+    rho = _rho325(0.5)
+    assert {p.achieved_fidelity for p in _derived(rho).values()} == {1.0}
+    monkeypatch.setattr(swap_module, "_EXACT", -1.0)
+    with pytest.raises(ContractError, match="B1\\+'s best word iii leaves a residual 4.167e-01"):
+        correction_plans(rho, ("published", "derived"))
+    assert set(correction_plans(rho, ("published",))["published"]) == set(BELL_ORDER)
 
 
 def test_words_exact_up_to_roundoff_tie_to_the_first():
@@ -339,14 +414,20 @@ def test_words_exact_up_to_roundoff_tie_to_the_first():
     post = zzx.conj().T @ recovery_target(rho).matrix @ zzx
     outcomes = bsm(swap_extend(rho))
     outcomes[0] = outcomes[0]._replace(post_state=DensityOp(Register.qubits("3", "5", "7"), post))
-    assert correction_plans(rho, ("derived",), outcomes)["derived"]["B1+"].word == "iiy"
+    assert simulated_plans(rho, ("derived",), outcomes)["derived"]["B1+"].word == "iiy"
     assert _fidelity_route(rho, outcomes)["B1+"][0] == "iiy"
+    # by the identity, iiy leaves residual 0 and zzx that of zzz, about
+    # 1e-14: a tie, which goes to iiy; both plans count as exact
+    plans = correction_plans(rho, ("derived",))["derived"]
+    assert plans["B1+"].word == "iiy" and plans["B1+"].achieved_fidelity == 1.0
+    zzz = np.kron(_SZ, np.kron(_SZ, _SZ))
+    target = recovery_target(rho).matrix
+    assert 1e-15 < np.max(np.abs(zzz @ target @ zzz - target)) <= 1e-12
 
 
 def test_correction_plans_score_both_sets_like_their_own_calls():
     rho = _rho325(0.3, 4.71)
-    outcomes = bsm(swap_extend(rho))
-    plans = correction_plans(rho, ("derived", "published"), outcomes)
+    plans = correction_plans(rho, ("derived", "published"))
     alone = _derived(rho)
     for label in BELL_ORDER:
         assert plans["derived"][label].word == alone[label].word
@@ -362,7 +443,7 @@ def test_correction_plans_score_both_sets_like_their_own_calls():
         assert np.array_equal(plan.unitary, published_corrections()[label])
         assert plan.achieved_fidelity == pytest.approx(published[label].achieved_fidelity, abs=1e-12)
     with pytest.raises(ValueError):
-        correction_plans(rho, ("paper",), outcomes)
+        correction_plans(rho, ("paper",))
 
 
 def _fidelities(rho325, source):
@@ -372,9 +453,7 @@ def _fidelities(rho325, source):
 def test_verify_recovery_derived_is_exact():
     for alpha2 in (0.3, 0.5, 0.8):
         fids = _fidelities(_rho325(alpha2), "derived")
-        assert set(fids) == set(BELL_ORDER)
-        for f in fids.values():
-            assert f >= 1.0 - 1e-9
+        assert fids == dict.fromkeys(BELL_ORDER, 1.0)
 
 
 def test_verify_recovery_published_set():
@@ -403,6 +482,7 @@ def test_recovered_state_reproduces_pair_thresholds():
     u = _derived(_rho325(0.5))["B1+"].unitary
 
     def recovered(x):
+        # the simulated measurement: by the identity, this is the target
         post = bsm(swap_extend(_rho325(x)))[0].post_state
         return DensityOp(post.register, u @ post.matrix @ u.conj().T)
 
