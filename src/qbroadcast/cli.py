@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,9 +54,10 @@ GV_MAX_BITS = 10**6
 
 # Largest scan grid (--grid, or grid= in a config file). A scan finds its
 # sign changes by binary search, so the grid costs O(log grid) exact signs:
-# `thresholds --grid 100000 --tol 1e-300` takes about 3.3 ms, as long as the
-# default `thresholds` (3.6 ms; run_command timed in a fresh interpreter,
-# median of 12; 2 vCPUs, Python 3.11, numpy 2.4).
+# `thresholds --grid 100000 --tol 1e-300` takes about 1.7 ms, against 0.7 ms
+# for the default `thresholds`; the extra is bisection steps down to float
+# spacing, not the grid (run_command timed in a fresh interpreter, median
+# of 15; 2 vCPUs, Python 3.11, numpy 2.4).
 SCAN_MAX_GRID = 10**5
 
 # Most rows one sweep computes (--steps times the number of pairs). The
@@ -97,11 +98,13 @@ def main() -> None:
 
 def run_command(argv) -> int:
     argv = list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
+    args = _direct_args(argv)
+    if args is None:
+        parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.handler(args)
     except UsageError as exc:
@@ -115,16 +118,27 @@ def run_command(argv) -> int:
 # ---------------------------------------------------------------- parsing
 
 
-# The subcommands with their help lines, in the order help lists them.
-_COMMANDS = {
-    "baseline": "inseparability interval of the single-stage nonlocal pair",
-    "sweep": "per-pair PPT/concurrence table over alpha^2",
-    "thresholds": "entanglement thresholds for one branch",
-    "branches": "broadcast ranges for all four branches",
-    "swap": "Bell-measurement outcomes and recovery fidelities",
-    "gv": "secret channel statistics",
-    "report": "full computed-vs-published reproduction report",
-}
+class _Option(NamedTuple):
+    """One flag of a subcommand, in add_argument's terms; None leaves a
+    setting at argparse's default (type None keeps the string)."""
+
+    flag: str
+    dest: str
+    type: type | None = None
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    metavar: str | None = None
+
+
+class _Command(NamedTuple):
+    """A subcommand: its help line, its handler and its flags in the order
+    help lists them."""
+
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    options: tuple[_Option, ...]
 
 
 # A negative decimal, with or without an exponent ("-1e2", "-.5", "-3."), is
@@ -132,6 +146,38 @@ _COMMANDS = {
 # Python versions (3.10 to 3.13 read "-1e2" as an option), so every parser
 # here uses this one.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+def _direct_args(argv: list) -> argparse.Namespace | None:
+    """The Namespace parse_args returns for argv, read from _COMMANDS
+    without building a parser, or None. argv is read here only when it is
+    a subcommand and exact `--flag value` pairs of its own, no value
+    starting with "-" unless it is a negative decimal, every value
+    converting by its type and in its choices, and every required flag
+    given; argparse reads every other argv (help, errors, abbreviations,
+    --flag=value), with its own bytes. A repeated flag keeps its last
+    value, as in argparse."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    options = {opt.flag: opt for opt in command.options}
+    values = {opt.dest: opt.default for opt in command.options}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        opt = options.get(flag)
+        if opt is None or (value.startswith("-") and not _NEGATIVE_NUMBER.match(value)):
+            return None
+        if opt.type is not None:
+            try:
+                value = opt.type(value)
+            except (TypeError, ValueError):
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+    # a required flag has no default, and a given value is never None
+    if any(opt.required and values[opt.dest] is None for opt in command.options):
+        return None
+    return argparse.Namespace(command=argv[0], handler=command.handler, **values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,49 +205,10 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else (command,):
-        p = sub.add_parser(name, help=_COMMANDS[name])
-        p.add_argument(
-            "--config",
-            metavar="PATH",
-            help="key=value file overriding defaults (keys: tol, grid, beta_phase, seed)",
-        )
-        if name in ("baseline", "thresholds", "branches", "report"):
-            p.add_argument("--tol", type=float, help=f"bisection tolerance (default {SCAN_TOL})")
-            p.add_argument("--grid", type=int, help=f"coarse grid size (default {SCAN_GRID})")
-        if name == "baseline":
-            p.set_defaults(handler=_cmd_baseline)
-        elif name == "sweep":
-            p.add_argument("--pairs", required=True, help=f"comma list from: {','.join(PAIR_KEYS)}")
-            p.add_argument("--branch", choices=BRANCH_NAMES, default="Q0Q0")
-            p.add_argument("--from", dest="from_", type=float, required=True, metavar="A")
-            p.add_argument("--to", dest="to", type=float, required=True, metavar="B")
-            p.add_argument("--steps", type=int, required=True)
-            p.add_argument("--beta-phase", dest="beta_phase", type=float, help="phase of beta in radians")
-            p.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-            p.set_defaults(handler=_cmd_sweep)
-        elif name == "thresholds":
-            p.add_argument("--branch", choices=BRANCH_NAMES, default="Q0Q0")
-            p.set_defaults(handler=_cmd_thresholds)
-        elif name == "branches":
-            p.set_defaults(handler=_cmd_branches)
-        elif name == "swap":
-            p.add_argument("--alpha2", type=float, required=True)
-            p.add_argument(
-                "--corrections",
-                choices=("derived", "published", "paper"),
-                default="derived",
-                help="correction set to verify (paper is an alias for published)",
-            )
-            p.set_defaults(handler=_cmd_swap)
-        elif name == "gv":
-            p.add_argument("--bits", type=int, required=True)
-            p.add_argument("--eve", choices=("none", "intercept"), default="none")
-            p.add_argument("--seed", type=int)
-            p.add_argument("--trials", type=int, default=1)
-            p.set_defaults(handler=_cmd_gv)
-        else:
-            p.set_defaults(handler=_cmd_report)
+        p = sub.add_parser(name, help=_COMMANDS[name].help)
+        for opt in _COMMANDS[name].options:
+            p.add_argument(opt.flag, **{k: v for k, v in opt._asdict().items() if k != "flag" and v is not None})
+        p.set_defaults(handler=_COMMANDS[name].handler)
     return parser
 
 
@@ -597,6 +604,74 @@ def _cmd_report(args) -> int:
 
     sys.stdout.write("\n".join(out) + "\n")
     return 0
+
+
+# ------------------------------------------------------------ option table
+
+
+# The flags every subcommand takes, and those of the four scan commands.
+_CONFIG = _Option(
+    "--config",
+    "config",
+    metavar="PATH",
+    help="key=value file overriding defaults (keys: tol, grid, beta_phase, seed)",
+)
+_SCAN = (
+    _CONFIG,
+    _Option("--tol", "tol", float, help=f"bisection tolerance (default {SCAN_TOL})"),
+    _Option("--grid", "grid", int, help=f"coarse grid size (default {SCAN_GRID})"),
+)
+_BRANCH = _Option("--branch", "branch", choices=BRANCH_NAMES, default="Q0Q0")
+
+# The subcommands, in the order help lists them: the one table that both
+# _build_parser and _direct_args read.
+_COMMANDS = {
+    "baseline": _Command("inseparability interval of the single-stage nonlocal pair", _cmd_baseline, _SCAN),
+    "sweep": _Command(
+        "per-pair PPT/concurrence table over alpha^2",
+        _cmd_sweep,
+        (
+            _CONFIG,
+            _Option("--pairs", "pairs", required=True, help=f"comma list from: {','.join(PAIR_KEYS)}"),
+            _BRANCH,
+            _Option("--from", "from_", float, required=True, metavar="A"),
+            _Option("--to", "to", float, required=True, metavar="B"),
+            _Option("--steps", "steps", int, required=True),
+            _Option("--beta-phase", "beta_phase", float, help="phase of beta in radians"),
+            _Option("--out", "out", metavar="PATH", help="write to a file instead of stdout"),
+            _Option("--format", "format", choices=("csv", "json"), default="csv"),
+        ),
+    ),
+    "thresholds": _Command("entanglement thresholds for one branch", _cmd_thresholds, (*_SCAN, _BRANCH)),
+    "branches": _Command("broadcast ranges for all four branches", _cmd_branches, _SCAN),
+    "swap": _Command(
+        "Bell-measurement outcomes and recovery fidelities",
+        _cmd_swap,
+        (
+            _CONFIG,
+            _Option("--alpha2", "alpha2", float, required=True),
+            _Option(
+                "--corrections",
+                "corrections",
+                choices=("derived", "published", "paper"),
+                default="derived",
+                help="correction set to verify (paper is an alias for published)",
+            ),
+        ),
+    ),
+    "gv": _Command(
+        "secret channel statistics",
+        _cmd_gv,
+        (
+            _CONFIG,
+            _Option("--bits", "bits", int, required=True),
+            _Option("--eve", "eve", choices=("none", "intercept"), default="none"),
+            _Option("--seed", "seed", int),
+            _Option("--trials", "trials", int, default=1),
+        ),
+    ),
+    "report": _Command("full computed-vs-published reproduction report", _cmd_report, _SCAN),
+}
 
 
 if __name__ == "__main__":

@@ -54,14 +54,17 @@ class PPTVerdict(NamedTuple):
 
 
 class ThresholdInterval(NamedTuple):
-    """Maximal alpha^2 interval on which a row of protocol.branch_scan holds.
+    """alpha^2 interval on which a row of protocol.branch_scan holds.
 
-    Endpoints are the midpoints protocol._bisect ends on, within
+    Inner endpoints are the midpoints protocol._bisect ends on, within
     `tolerance` (the setting, or float spacing where that is wider) of
-    where the row changes; 0.0 and 1.0 mark the domain edge. A pair row's
-    predicate is "lowest PT eigenvalue < -PPT_TOL", and that dead band moves
-    the change off the algebraic threshold: at tol 1e-300 Q0Q0's pair 12
-    turns separable at 0.27272727205289..., 6.7e-10 below 3/11.
+    where the row changes. An end of 0.0 or 1.0 is the domain end, not a
+    located change: the scan sees no change between its outermost grid
+    point and the domain end. A pair row's predicate is "lowest PT
+    eigenvalue < -PPT_TOL", and that dead band moves the change off the
+    algebraic threshold: at tol 1e-300 Q0Q0's pair 12 turns separable at
+    0.27272727205289..., 6.7e-10 below 3/11, and Q0Q0's broadcast and pair
+    14 rows, printed up to 1.0, fail within 1e-9 of it.
     """
 
     lo: float

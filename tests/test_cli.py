@@ -556,12 +556,14 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys
     sweep = ["sweep", "--pairs", "16,46", "--from", "0.2", "--to", "0.8", "--steps", "3"]
     first = _run(capsys, sweep)
     assert first[0] == 0
-    # the top parser and the one subcommand argv names
-    assert len(builds) == 2
+    # exact --flag value pairs are read from the option table, with no parser
+    assert len(builds) == 0
     top_help = _run(capsys, ["--help"])
     # argv that names no subcommand: the top parser and all seven
-    assert len(builds) == 2 + 8
+    assert len(builds) == 8
     sweep_help = _run(capsys, ["sweep", "--help"])
+    # the top parser and the one subcommand argv names
+    assert len(builds) == 8 + 2
     assert top_help[0] == sweep_help[0] == 0
     assert top_help[1].startswith("usage: qbroadcast ") and "--format" in sweep_help[1]
 
@@ -582,8 +584,12 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys
     assert (json.loads(out)["beta_phase"], json.loads(out)["tol"]) == (0.0, 1e-4)
     args = cli_module._build_parser("sweep").parse_args(sweep)
     assert (args.config, args.beta_phase, args.format, args.out) == (None, None, "csv", None)
-    # one more build, for thresholds
-    assert len(builds) == 2 + 8 + 2
+    # valid thresholds calls built nothing; an abbreviation builds its parser once
+    assert len(builds) == 8 + 2
+    assert _run(capsys, ["thresholds", "--gr", "50"]) == (code, out, "")
+    assert len(builds) == 8 + 2 + 2
+    assert _run(capsys, ["thresholds", "--grid=50"]) == (code, out, "")
+    assert len(builds) == 8 + 2 + 2
     # the help a fresh parser prints
     assert cli_module._build_parser.__wrapped__(None).format_help() == top_help[1]
 
@@ -604,6 +610,39 @@ def test_negative_values_with_an_exponent_are_values_on_every_python(capsys):
     for value in ("-1x", "-abc", "-1e"):
         code, out, err = _run(capsys, ["baseline", "--tol", value])
         assert (code, out) == (2, "") and err.endswith("error: argument --tol: expected one argument\n")
+
+
+_SWEEP = ["sweep", "--pairs", "16", "--from", "0.2", "--to", "0.8", "--steps", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--gr", "60"],
+    ["thresholds", "--grid=60"],
+    ["thresholds", "--grid"],
+    ["thresholds", "--grid", "60", "-h"],
+    ["thresholds", "--branch", "Q2Q2"],
+    ["thresholds", "--grid", "1e3"],
+    ["baseline", "--tol", "-inf"],
+    ["baseline", "--config", "-x"],
+    ["sweep", "--pairs", "16", "--from", "0.2", "--to", "0.8"],
+    _SWEEP[:1] + ["--pairs", "-h"] + _SWEEP[3:],
+    _SWEEP + ["--f", "0.1"],
+    _SWEEP + ["--fr", "0.1"],
+    ["--config", "x", "report"],
+    ["report", "bogus"],
+    [],
+], ids=lambda argv: " ".join(argv) or "no-args")
+def test_argv_that_is_not_exact_pairs_goes_to_argparse(argv):
+    # abbreviations (an ambiguous one among them), joined values, help,
+    # option-like values and anything argparse rejects
+    assert cli_module._direct_args(argv) is None
+
+
+def test_exact_pairs_are_read_from_the_option_table():
+    args = cli_module._direct_args(_SWEEP + ["--beta-phase", "-1e2", "--format", "json", "--steps", "5"])
+    assert args == cli_module._build_parser("sweep").parse_args(_SWEEP + ["--beta-phase=-1e2", "--format=json",
+                                                                          "--steps=5"])
+    assert (args.steps, args.beta_phase, args.format, args.branch, args.out) == (5, -100.0, "json", "Q0Q0", None)
 
 
 # Per subcommand: help, an error inside the subcommand, and an unknown flag.

@@ -1,5 +1,7 @@
 """Property tests over the CLI's argv space: every call ends with exit 0, 1
 or 2 without raising, and what it prints is strict JSON or the sweep CSV.
+Argv read from the option table without a parser is read as argparse
+reads it, and argv argparse rejects is never read there.
 
 Sizes are kept small (grids of 50-80 points, at most 30 sweep steps, a few
 swap, gv and report calls) so the module stays a few seconds; nothing here
@@ -15,6 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import qbroadcast.cli as cli_module  # noqa: E402
 from qbroadcast.cli import BRANCH_NAMES, CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, run_command  # noqa: E402
 from qbroadcast.protocol import PAIR_KEYS  # noqa: E402
 
@@ -261,3 +264,109 @@ def test_report_flags_beat_the_config_file(config_path, flag_grid, flag_tol, fil
     if code == 0:
         header = f"reproduction report (grid={grid}, tol={tol}, beta_phase={float(values['beta_phase'])})\n"
         assert out.startswith(header), (argv, out.splitlines()[0])
+
+
+# ------------------------------------------------- argv read without argparse
+
+# Values that argparse reads as options, rejects or reads as values of the
+# wrong type or choice, beside decimals that are values.
+ODD_VALUES = st.sampled_from([
+    "-1.5", "-1e2", "-.5", "-3.", "-h", "--help", "", "nan", "inf", "-inf", "1e3", "1.5", "60", "Q2Q2", "xml",
+    "x", "-x", "-", "--", "- 1", "-1x",
+])
+
+
+def _good_values(opt):
+    """Values of opt that convert by its type and lie in its choices."""
+    if opt.choices is not None:
+        return st.sampled_from(opt.choices)
+    if opt.type is int:
+        return st.integers(min_value=-(10**6), max_value=10**6).map(str)
+    if opt.type is float:
+        finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        return st.one_of(st.sampled_from(["nan", "inf", "-1e2", "-.5", "3."]), finite)
+    return st.sampled_from(["16,46", "12", "x.cfg", "-5", ""])
+
+
+@st.composite
+def well_formed_argv(draw):
+    """A subcommand with exact --flag value pairs of its own in any order,
+    every required flag among them, some flags repeated."""
+    command = draw(st.sampled_from(list(cli_module._COMMANDS)))
+    options = cli_module._COMMANDS[command].options
+    chosen = [opt for opt in options if opt.required] + draw(st.lists(st.sampled_from(options), max_size=6))
+    argv = [command]
+    for opt in draw(st.permutations(chosen)):
+        argv += [opt.flag, draw(_good_values(opt))]
+    return argv
+
+
+@st.composite
+def changed(draw, argv):
+    """argv with two neighbouring words, a flag and its value in a
+    well-formed argv, changed: the value made odd, the flag abbreviated,
+    joined to the value by "=", unknown, "-h" or bare, or both dropped. A
+    lone subcommand gets "-h", an unknown flag or a flag with no value."""
+    if len(argv) < 3:
+        return argv + draw(st.sampled_from([["-h"], ["--bogus", "1"], ["--config"]]))
+    i = 1 + 2 * draw(st.integers(min_value=0, max_value=(len(argv) - 3) // 2))
+    flag, value = argv[i:i + 2]
+    pair = draw(st.sampled_from([
+        [flag, draw(ODD_VALUES)],
+        [flag[:draw(st.integers(min_value=3, max_value=max(3, len(flag) - 1)))], value],
+        [f"{flag}={value}"],
+        [draw(st.sampled_from(["--bogus", "-h"])), value],
+        [flag],
+        [],
+    ]))
+    return argv[:i] + pair + argv[i + 2:]
+
+
+@st.composite
+def any_argv(draw):
+    """A well-formed argv with up to three changes, its subcommand at times
+    dropped or unknown."""
+    argv = draw(well_formed_argv())
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        argv = draw(changed(argv))
+    return draw(st.sampled_from([argv[:1]] * 4 + [[], ["bogus"]])) + argv[1:]
+
+
+def _parsed(argv):
+    """What a fresh parser makes of argv, as run_command picks it: the
+    Namespace, or None where it exits (help or a usage error)."""
+    command = argv[0] if argv and argv[0] in cli_module._COMMANDS else None
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli_module._build_parser.__wrapped__(command).parse_args(argv)
+    except SystemExit:
+        return None
+
+
+def _same(a, b) -> bool:
+    """Two Namespaces with the same names and values of the same type, a
+    NaN equal to a NaN."""
+    a, b = vars(a), vars(b)
+    return a.keys() == b.keys() and all(
+        type(a[k]) is type(b[k]) and (a[k] == b[k] or a[k] != a[k] and b[k] != b[k]) for k in a
+    )
+
+
+@settings(CHECKS, max_examples=400)
+@given(argv=any_argv())
+def test_direct_args_is_none_or_what_argparse_parses(argv):
+    direct = cli_module._direct_args(argv)
+    want = _parsed(argv)
+    if want is None:
+        assert direct is None, argv
+    else:
+        assert direct is None or _same(direct, want), (argv, direct, want)
+
+
+@settings(CHECKS, max_examples=200)
+@given(argv=well_formed_argv())
+def test_exact_pairs_are_read_without_argparse(argv):
+    direct = cli_module._direct_args(argv)
+    want = _parsed(argv)
+    assert direct is not None and want is not None, argv
+    assert _same(direct, want), (argv, direct, want)

@@ -97,13 +97,10 @@ def test_no_command_imports_numpy_random():
 def test_the_cli_imports_only_its_own_modules_and_scans_import_none():
     # the scans' exact arithmetic is on Python integers: no fractions (2.7 ms
     # of import) or sympy, no package module beyond the CLI's, and no
-    # module imported while the scan commands run (after a usage error,
-    # which loads what argument parsing loads on first use)
+    # module imported while the scan commands run, argument parsing included
     script = (
         "import contextlib, io, sys\n"
         "from qbroadcast.cli import run_command\n"
-        "with contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert run_command(['baseline', '--grid', '10']) == 2\n"
         "before = set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in (['thresholds'], ['branches'], ['baseline'], ['report']):\n"
@@ -115,6 +112,45 @@ def test_the_cli_imports_only_its_own_modules_and_scans_import_none():
     package = ["cli", "cloner", "constants", "entanglement", "errors", "gvchannel", "linalg", "protocol", "qstate", "swap"]
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["[]", str(["qbroadcast"] + [f"qbroadcast.{name}" for name in package])]
+
+
+def test_well_formed_argv_builds_no_parser_and_imports_no_locale(tmp_path):
+    # exact --flag value pairs are read from the option table: no
+    # ArgumentParser is built, so argparse's gettext never imports locale
+    cfg = tmp_path / "phase.cfg"
+    cfg.write_text("beta_phase=4.71\n", encoding="utf-8")
+    argvs = [
+        ["thresholds", "--branch", "Q1Q1", "--config", str(cfg)],
+        ["branches", "--config", str(cfg)],
+        ["report", "--grid", "60", "--tol", "1e-3"],
+        ["sweep", "--pairs", "16,46", "--from", "0.2", "--to", "0.8", "--steps", "3", "--beta-phase", "-1e2",
+         "--format", "json"],
+    ]
+    script = (
+        "import argparse, contextlib, io, json, sys\n"
+        "from qbroadcast.cli import run_command\n"
+        "builds = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    builds.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in json.loads({json.dumps(json.dumps(argvs))}):\n"
+        "        assert run_command(argv) == 0, argv\n"
+        "print(len(builds), 'locale' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_env(), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
+
+
+def test_abbreviated_and_joined_flags_print_what_exact_pairs_print():
+    # these take argparse's route, exact pairs the option table's
+    want = _cli("thresholds", "--grid", "60")
+    assert want.returncode == 0 and want.stdout
+    for argv in (["--gr", "60"], ["--grid=60"]):
+        proc = _cli("thresholds", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want.stdout, want.stderr), argv
 
 
 def test_readme_library_example_runs(capsys):

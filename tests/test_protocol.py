@@ -28,6 +28,7 @@ from qbroadcast import (
 import qbroadcast.entanglement as entanglement_module
 import qbroadcast.protocol as protocol_module
 from qbroadcast.cloner import OUTCOME_ORDER
+from qbroadcast.constants import SCAN_TOL
 from qbroadcast.entanglement import concurrence, ppt_verdict
 from qbroadcast.protocol import PAIR_KEYS, SIX_LABELS, pair_verdicts
 from reference import TRIPLE_KEYS, extract_marginals, machine_traced_six, run_second_stage, scan_points
@@ -478,6 +479,26 @@ def test_branch_scan_main_branch():
     assert len(scans["closed-146"]) == 1
     assert scans["closed-146"][0].lo == pytest.approx(0.6177, abs=3e-3)
     assert scans["closed-146"][0].predicate_name == "closed-146"
+
+
+def test_a_printed_end_of_one_is_the_domain_end():
+    # Q0Q0's broadcast and pair 14 rows print up to 1.0, yet the dead band
+    # of their exact-sign predicate turns them off within 1e-9 of it, past
+    # the last grid point
+    quads, pairs = protocol_module._pair_signs(("Q0", "Q0"))
+
+    def holds(name, x):
+        entangled, separable = protocol_module._scan_row(name, pairs)
+
+        def negative(key):
+            return any(protocol_module._negative(quads[q], x) for q in pairs[key])
+
+        return all(map(negative, entangled)) and not any(map(negative, separable))
+
+    for tol in (SCAN_TOL, 1e-300):
+        for name, intervals in branch_scan(("Q0", "Q0"), ("broadcast", "14:entangled"), tol=tol).items():
+            assert intervals[-1].hi == 1.0, name
+            assert holds(name, 1 - 2e-9) and not holds(name, 1 - 5e-10), name
 
 
 def test_branch_scan_rejects_unknown_branches_and_rows():

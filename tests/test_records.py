@@ -26,7 +26,7 @@ MODULES = [import_module(f"qbroadcast.{m.name}") for m in pkgutil.iter_modules([
 RECORDS = {
     "Settings", "Published", "BranchOutcome", "PPTVerdict", "ThresholdInterval", "GvResult",
     "DeliveryRecord", "EigenDecomposition", "ProtocolRun", "BellOutcome", "CorrectionPlan",
-    "Register", "PureState", "DensityOp", "GvConfig",
+    "Register", "PureState", "DensityOp", "GvConfig", "_Option", "_Command",
 }
 
 PAIR = Register(("a", "b"))
