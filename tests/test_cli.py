@@ -286,10 +286,8 @@ def test_sweep_solves_one_pair_stack(capsys, monkeypatch):
 def test_scans_and_concurrence_lines_make_no_pair_solve(capsys, monkeypatch, argv):
     # the scans, the baseline and the report's concurrence lines read the
     # pair table and never reach the Jacobi routes of ppt_verdict and
-    # concurrence; the report's only eigen-solve is the 8 x 8 one of its
-    # swap fidelities, over 3 targets and the 3 published B1+ plans (every
-    # other plan recovers its target exactly), and its only singular-value
-    # solve covers their 3 products
+    # concurrence; the report's swap fidelities are closed forms too
+    # (swap._block_fidelity), so no command makes any solve
     want = _run(capsys, argv + ["--grid", "60"])
     _forbid_pair_solves(monkeypatch)
     solves = []
@@ -301,8 +299,7 @@ def test_scans_and_concurrence_lines_make_no_pair_solve(capsys, monkeypatch, arg
         monkeypatch.setattr(linalg_module, name, solve)
     assert _run(capsys, argv + ["--grid", "60"]) == want
     assert want[0] == 0
-    report = [("eig_hermitian", (6, 8, 8)), ("_singular_values", (3, 8, 8))]
-    assert solves == (report if argv == ["report"] else [])
+    assert solves == []
     assert ("concurrence(rho46)" in want[1]) == (argv == ["report"])
 
 
@@ -422,6 +419,29 @@ def test_config_may_start_with_a_byte_order_mark(tmp_path, capsys):
     want = _run(capsys, ["baseline", "--grid", "60"])
     assert want[0] == 0
     assert _run(capsys, ["baseline", "--config", str(cfg)]) == want
+
+
+@pytest.mark.parametrize(
+    "data", [b"\xef\xbb\xbf\xff\xfegrid=60\n", b"a=\xff\n", b"\xff\xfegrid=60\n", b"grid=60\n\xc3", b"\xef\xbb"]
+)
+def test_config_decode_errors_are_the_utf8_sig_codecs(tmp_path, capsys, data):
+    # the file's bytes decode as UTF-8 after one leading byte-order mark,
+    # with the message the utf-8-sig codec gives, byte for byte; a file of
+    # a truncated mark alone is not UTF-8 either
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        data.decode("utf-8-sig")
+    want = f"error: cannot read config {cfg}: {exc.value}\n"
+    assert _run(capsys, ["baseline", "--config", str(cfg)]) == (2, "", want)
+
+
+def test_config_drops_only_one_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfgrid=60\r\n")
+    code, out, err = _run(capsys, ["baseline", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}:1: unknown key '\\ufeffgrid'\n"
 
 
 class _Reached(Exception):
@@ -758,37 +778,34 @@ def test_swap_recovers_near_the_edge(capsys, alpha2):
         assert abs(o["fidelity"] - 1.0) <= 1e-12
 
 
-def _count_calls(monkeypatch, module, name, calls):
-    fn = getattr(module, name)
-
-    def counted(*args):
-        # a fidelity call is recorded with the shapes of its targets and of
-        # the stack scored against them
-        calls.append((name, (args[0].shape, args[1].shape) if name == "fidelity" else None))
-        return fn(*args)
-
-    monkeypatch.setattr(module, name, counted)
-
-
 @pytest.mark.parametrize(
-    "argv,solved",
+    "argv,scored",
     [(["swap", "--alpha2", "0.3"], 0), (["swap", "--alpha2", "0.3", "--corrections", "published"], 1),
      (["report", "--grid", "50", "--tol", "1e-2"], 3)],
 )
-def test_swap_points_solve_only_the_inexact_plans(capsys, monkeypatch, argv, solved):
-    # rho325 from its table, the Bell outcomes by the teleportation
-    # identity, and one fidelity call for the published B1+ plan of each
-    # point, the only plans that do not recover the target exactly; none
-    # for derived plans alone. No Bell measurement is simulated.
+def test_swap_stage_scores_only_the_inexact_plans(capsys, monkeypatch, argv, scored):
+    # one table-route call per command, and one closed-form call for the
+    # published B1+ plan of each point, the only plans that do not recover
+    # the target exactly; none for derived plans alone. Nothing of the
+    # library route (rho325's DensityOp, its outcomes and plans) is built.
     for module in (swap_module, cli_module):
         assert not {"bsm", "swap_extend", "_searched_words"} & set(vars(module))
     calls = []
-    for name in ("_rho325", "bell_outcomes", "correction_plans"):
-        _count_calls(monkeypatch, cli_module, name, calls)
-    _count_calls(monkeypatch, swap_module, "fidelity", calls)
+    for module, name in ((cli_module, "_swap_plans"), (swap_module, "_block_fidelity")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls.append((_name, np.shape(args[1]) if _name == "_block_fidelity" else None))
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for module, name in ((protocol_module, "_rho325"), (swap_module, "bell_outcomes"),
+                         (swap_module, "correction_plans"), (swap_module, "recovery_target")):
+        monkeypatch.setattr(module, name, _refuse_call)
     assert _run(capsys, argv)[0] == 0
-    scored = [("fidelity", ((solved, 8, 8), (solved, 1, 8, 8)))] if solved else []
-    assert calls == [("_rho325", None), ("bell_outcomes", None), ("correction_plans", None)] + scored
+    assert calls == [("_swap_plans", None)] + ([("_block_fidelity", (scored, 8, 8))] if scored else [])
+
+
+def _refuse_call(*args):
+    raise AssertionError("the library swap route ran")
 
 
 # ---------------------------------------------------------------------- gv

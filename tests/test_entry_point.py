@@ -116,9 +116,10 @@ def test_the_cli_imports_only_its_own_modules_and_scans_import_none():
 
 def test_well_formed_argv_builds_no_parser_and_imports_no_locale(tmp_path):
     # exact --flag value pairs are read from the option table: no
-    # ArgumentParser is built, so argparse's gettext never imports locale
+    # ArgumentParser is built, so argparse's gettext never imports locale;
+    # a config file's byte-order mark is dropped without the utf-8-sig codec
     cfg = tmp_path / "phase.cfg"
-    cfg.write_text("beta_phase=4.71\n", encoding="utf-8")
+    cfg.write_bytes(b"\xef\xbb\xbfbeta_phase=4.71\n")
     argvs = [
         ["thresholds", "--branch", "Q1Q1", "--config", str(cfg)],
         ["branches", "--config", str(cfg)],
@@ -138,10 +139,10 @@ def test_well_formed_argv_builds_no_parser_and_imports_no_locale(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    for argv in json.loads({json.dumps(json.dumps(argvs))}):\n"
         "        assert run_command(argv) == 0, argv\n"
-        "print(len(builds), 'locale' in sys.modules)\n"
+        "print(len(builds), 'locale' in sys.modules, 'encodings.utf_8_sig' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_env(), timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False False\n", "")
 
 
 def test_abbreviated_and_joined_flags_print_what_exact_pairs_print():

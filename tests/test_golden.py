@@ -18,13 +18,16 @@ within 1e-12, and every other field (labels, pairs, words, entangled
 flags) must be equal. The derived swap check prints exact numbers, the
 probability 0.25 and the fidelity 1.0 of the teleportation identity, so
 swap_phi0.json, rewritten when they became exact, must match byte for
-byte; swap_phi471.json keeps the simulated measurement's numbers.
+byte; swap_phi471.json keeps the simulated measurement's numbers. The
+published check at alpha^2 0.3, swap_published_phi0.json, was written when
+its B1+ fidelity became a closed form in plain float arithmetic on the
+rho325 table's integers, so it must match byte for byte too.
 
 The scan commands and sweep read protocol's checked-in pair tables, and
 branches takes its probabilities from them too; report and swap read
-rho325 from its checked-in table. The last test runs them with the cloning
-pipeline (the basis images, run_first_stage and clone_subsystem) made to
-raise.
+rho325 from its checked-in table. The last two tests run them with the
+cloning pipeline (the basis images, run_first_stage and clone_subsystem)
+made to raise, and with every eigen-solve made to raise.
 """
 import csv
 import json
@@ -33,7 +36,11 @@ from pathlib import Path
 
 import pytest
 
+import qbroadcast.entanglement as entanglement_module
+import qbroadcast.linalg as linalg_module
 import qbroadcast.protocol as protocol_module
+import qbroadcast.qstate as qstate_module
+import qbroadcast.swap as swap_module
 from qbroadcast.cli import BRANCH_NAMES, run_command
 from reference import pipeline_pair_integers
 
@@ -75,11 +82,13 @@ SWAP = ["swap", "--alpha2", "0.3"]
 
 
 @pytest.mark.parametrize("phase", ["phi0", "phi471"])
-def test_derived_swap_matches_golden_bytes(tmp_path, capsys, phase):
-    # probabilities exactly 0.25 and derived fidelities exactly 1.0, at
-    # any phase
-    out = _stdout(capsys, SWAP + _phase_args(tmp_path, phase))
-    assert out == (GOLDEN / "swap_phi0.json").read_text(encoding="utf-8")
+@pytest.mark.parametrize("corrections,name", [("derived", "swap_phi0.json"), ("published", "swap_published_phi0.json")])
+def test_swap_matches_golden_bytes(tmp_path, capsys, corrections, name, phase):
+    # probabilities exactly 0.25 and derived fidelities exactly 1.0; the
+    # published B1+ fidelity is a closed form in plain float arithmetic on
+    # the rho325 table's integers; all at any phase
+    out = _stdout(capsys, SWAP + ["--corrections", corrections] + _phase_args(tmp_path, phase))
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("branch", ["Q0Q1", "Q1Q0"])
@@ -164,8 +173,8 @@ def test_scans_and_sweep_run_no_cloner(tmp_path, capsys, monkeypatch, phase):
             cached.cache_clear()
         patch.setattr(protocol_module, "_pair_integers", cache(pipeline_pair_integers))
         want = [_stdout(capsys, argv) for argv in scans]
-    for cached in (*tables, protocol_module._rho325_blocks, protocol_module._basis_images,
-                   protocol_module._first_stage_runs):
+    for cached in (*tables, protocol_module._rho325_blocks, swap_module._target_blocks,
+                   protocol_module._basis_images, protocol_module._first_stage_runs):
         cached.cache_clear()
     for name in ("_basis_images", "_first_stage_runs", "run_first_stage", "clone_subsystem"):
         monkeypatch.setattr(protocol_module, name, _refuse)
@@ -175,6 +184,33 @@ def test_scans_and_sweep_run_no_cloner(tmp_path, capsys, monkeypatch, phase):
         assert out == (GOLDEN / f"{name}_{phase}.txt").read_text(encoding="utf-8"), name
     assert _stdout(capsys, ["report"] + args) == (GOLDEN / f"report_{phase}.txt").read_text(encoding="utf-8")
     assert _stdout(capsys, SWAP + args) == (GOLDEN / "swap_phi0.json").read_text(encoding="utf-8")
+    published = json.loads(_stdout(capsys, SWAP_PUBLISHED + args))
+    _assert_close(json.loads((GOLDEN / "swap_phi471.json").read_text(encoding="utf-8")), published)
+    _assert_csv_close(_stdout(capsys, SWEEP_CSV + args))
+
+
+def _refuse_solve(*args):
+    raise AssertionError("an eigen-solve ran")
+
+
+@pytest.mark.parametrize("phase", ["phi0", "phi471"])
+def test_report_swap_and_sweep_run_no_eigen_solve(tmp_path, capsys, monkeypatch, phase):
+    # the swap stage is scored in closed form from the rho325 table and the
+    # pair numbers come from the pair tables: from cold caches, with the
+    # Jacobi solver (under every name it is imported by) and the library
+    # fidelity refused, report, both swap sources and a sweep print what
+    # they print with them
+    args = _phase_args(tmp_path, phase)
+    for cached in (protocol_module._rho325_blocks, swap_module._target_blocks):
+        cached.cache_clear()
+    for module in (linalg_module, qstate_module, entanglement_module):
+        monkeypatch.setattr(module, "eig_hermitian", _refuse_solve)
+    monkeypatch.setattr(swap_module, "fidelity", _refuse_solve)
+    assert _stdout(capsys, ["report"] + args) == (GOLDEN / f"report_{phase}.txt").read_text(encoding="utf-8")
+    assert _stdout(capsys, SWAP + args) == (GOLDEN / "swap_phi0.json").read_text(encoding="utf-8")
+    for corrections in ("published", "paper"):
+        out = _stdout(capsys, SWAP + ["--corrections", corrections] + args)
+        assert out == (GOLDEN / "swap_published_phi0.json").read_text(encoding="utf-8")
     published = json.loads(_stdout(capsys, SWAP_PUBLISHED + args))
     _assert_close(json.loads((GOLDEN / "swap_phi471.json").read_text(encoding="utf-8")), published)
     _assert_csv_close(_stdout(capsys, SWEEP_CSV + args))
