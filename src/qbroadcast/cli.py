@@ -2,6 +2,12 @@
 scans, per-branch reports, swap verification, channel statistics, and the
 full computed-vs-published reproduction report.
 
+Every command runs on the standard library: the closed forms of the
+checked-in integer tables (tables, scan, measures, plans) and the channel
+(gvchannel), with no numpy, cloner or eigen-solve. Everything a command
+reads is imported with this module, so no command imports anything while
+it runs.
+
 Exit codes: 0 success, 2 usage error, 1 numerical contract violation. A
 reader that closes stdout early ends the program quietly with 0.
 """
@@ -18,15 +24,24 @@ import re
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
+# argparse imports locale (through gettext), shutil (for the terminal
+# width) and textwrap while it builds a parser or prints help, and from 3.14
+# _colorize; imported here, so that no command imports anything while it
+# runs.
+import locale  # noqa: F401
+import shutil  # noqa: F401
+import textwrap  # noqa: F401
 
-from .cloner import OUTCOME_ORDER
+if sys.version_info >= (3, 14):
+    import _colorize  # noqa: F401
+
 from .constants import SCAN_GRID, SCAN_TOL
-from .entanglement import eof
 from .errors import ContractError
 from .gvchannel import ANALYTIC_DETECTION_RATE, GvConfig, transmit_bits
-from .protocol import PAIR_KEYS, branch_probabilities, branch_scan, buzek_baseline, pair_verdicts
-from .swap import _swap_plans
+from .measures import eof
+from .plans import _swap_plans
+from .scan import branch_scan, buzek_baseline
+from .tables import OUTCOME_ORDER, PAIR_KEYS, branch_probabilities, table_verdicts
 
 __all__ = ["main", "run_command", "CSV_HEADER", "PUBLISHED"]
 
@@ -46,26 +61,31 @@ _JSON_ROW = (
 BRANCH_NAMES = tuple("".join(b) for b in OUTCOME_ORDER)
 
 # Most bits one gv call sends (--bits times --trials): the channel holds
-# them in one bool array, tiled once per trial, with three coins per bit
-# from getrandbits. `gv --bits 1000000 --eve intercept` takes 0.005-0.006 s
-# and peaks at 36 MB process RSS (run_command timed in a fresh interpreter,
-# 30 MB after import; 2 vCPUs, Python 3.11, numpy 2.4).
+# them in one Python integer, tiled once per trial, with three coin
+# integers from getrandbits. `gv --bits 1000000 --eve intercept` runs in
+# 0.0065-0.0076 s and peaks at 18 MB process RSS, 16 MB after import; the
+# whole cold command takes 0.08 s (median of 7 fresh interpreters; 2 vCPUs,
+# Python 3.11; with numpy it took 0.006 s of 0.27 s and peaked at 36 MB).
 GV_MAX_BITS = 10**6
 
 # Largest scan grid (--grid, or grid= in a config file). A scan finds its
 # sign changes by binary search, so the grid costs O(log grid) exact signs:
-# `thresholds --grid 100000 --tol 1e-300` takes about 1.7 ms, against 0.7 ms
+# `thresholds --grid 100000 --tol 1e-300` takes about 1.1 ms, against 0.8 ms
 # for the default `thresholds`; the extra is bisection steps down to float
-# spacing, not the grid (run_command timed in a fresh interpreter, median
-# of 15; 2 vCPUs, Python 3.11, numpy 2.4).
+# spacing, not the grid. Both peak at 16 MB, and the whole cold command
+# takes 0.08-0.09 s (run_command timed in a fresh interpreter, median of
+# 15; 2 vCPUs, Python 3.11).
 SCAN_MAX_GRID = 10**5
 
 # Most rows one sweep computes (--steps times the number of pairs). The
 # worst case is one pair: a 10^5-step `sweep --pairs 16 --format json --out`
-# takes 0.4-0.45 s and peaks at 68 MB process RSS, where the all-pair
-# 10^4-step one takes 0.15-0.16 s and peaks at 51 MB (ru_maxrss, fresh
-# interpreter, 30 MB after import; 2 vCPUs, Python 3.11, numpy 2.4). The
-# pair numbers take 0.01-0.02 s of it, the rest is the text of the rows.
+# runs in 0.84-1.1 s and peaks at 73 MB process RSS, where the all-pair
+# 10^4-step one runs in 0.30-0.43 s and peaks at 29 MB (ru_maxrss, median
+# of 7 fresh interpreters, 16 MB after import; 2 vCPUs, Python 3.11). The
+# pair numbers on Python floats take about 0.37 s and 0.11 s of it (each
+# distinct table row once), the rest is the text of the rows. The whole
+# cold commands take 0.96 s and 0.41 s, against 0.97 s and 0.48 s, peaking
+# at 67 MB and 51 MB, when numpy's import (0.16 s) and arrays served them.
 SWEEP_MAX_ROWS = 10**5
 
 # Rows sweep turns into text and writes at a time, so the Python numbers
@@ -318,11 +338,19 @@ def _cmd_sweep(args) -> int:
     # each distinct pair once; the phase moves no number a row prints.
     counts = sorted(collections.Counter(values).items())
     keys = sorted(set(pairs))
-    verdict, conc = pair_verdicts([x for x, _ in counts], branch, keys)
-    reals = (verdict.min_pt_eigenvalue, verdict.w3, verdict.w4, conc)
-    if not all(np.isfinite(a).all() for a in reals):
-        raise ContractError("result is not finite: a sweep witness or concurrence is NaN or infinite")
-    cols = (*reals, eof(conc), verdict.entangled.astype(int))
+    verdict, conc = table_verdicts([x for x, _ in counts], branch, keys)
+    # The fields of each key after the pair, one sequence per CSV_HEADER
+    # column. Keys that share a table row share its sequences, and so one
+    # tuple of them here: each is checked, and its eof taken, once.
+    fields: dict[tuple[int, ...], tuple] = {}
+    cols = []
+    for own in zip(verdict.min_pt_eigenvalue, verdict.w3, verdict.w4, conc, verdict.entangled):
+        shared = tuple(map(id, own))
+        if shared not in fields:
+            if not all(map(math.isfinite, itertools.chain(*own[:4]))):
+                raise ContractError("result is not finite: a sweep witness or concurrence is NaN or infinite")
+            fields[shared] = (*own[:4], list(map(eof, own[3])), list(map(int, own[4])))
+        cols.append(fields[shared])
     if args.format == "csv":
         row, text = _CSV_ROW, (CSV_HEADER + "\n", "\n", "\n")
     else:
@@ -342,21 +370,18 @@ def _cmd_sweep(args) -> int:
 
 def _sweep_rows(counts, order, keys, cols, row):
     """One row of text per (alpha^2, pair), repeats kept, from row, a
-    template in three parts: alpha^2, pair, and the fields of cols (those
-    after the pair in CSV_HEADER order, row k for keys[k]). Each alpha^2,
-    and the fields of each group of keys with the same bits in every
-    column, are formatted once per point, a block of about SWEEP_CHUNK_ROWS
-    rows at a time."""
-    # Each key maps to the first key whose fields have its bytes.
-    first: dict[bytes, int] = {}
-    group = {key: first.setdefault(b"".join(col[k].tobytes() for col in cols), k) for k, key in enumerate(keys)}
+    template in three parts: alpha^2, pair, and the fields of cols[k], the
+    field sequences of keys[k] (those after the pair in CSV_HEADER order).
+    Each alpha^2, and the fields of each group of keys with the same tuple
+    of sequences, are formatted once per point, a block of about
+    SWEEP_CHUNK_ROWS rows at a time."""
+    # Each key maps to the first key with its tuple of sequences.
+    first: dict[int, int] = {}
+    group = {key: first.setdefault(id(cols[k]), k) for k, key in enumerate(keys)}
     block = max(1, SWEEP_CHUNK_ROWS // len(order))
     for start in range(0, len(counts), block):
         stop = start + block
-        tails = {
-            k: [row[2] % fields for fields in zip(*(col[k, start:stop].tolist() for col in cols))]
-            for k in first.values()
-        }
+        tails = {k: [row[2] % fields for fields in zip(*(col[start:stop] for col in cols[k]))] for k in first.values()}
         parts = [(row[1] % pair, tails[group[pair]]) for pair in order]
         for j, (x, n) in enumerate(counts[start:stop]):
             head = row[0] % x
@@ -422,20 +447,18 @@ def _cmd_swap(args) -> int:
     source = "published" if args.corrections in ("paper", "published") else "derived"
     (plans,) = _swap_plans([args.alpha2], (source,))
     rows = []
-    for label, plan in plans[source].items():
+    for label, (word, fidelity) in plans[source].items():
         # every Bell outcome has probability 1/4 (the teleportation identity)
-        row = {"label": label, "probability": 0.25, "fidelity": plan.achieved_fidelity}
+        row = {"label": label, "probability": 0.25, "fidelity": fidelity}
         if source == "derived":
-            row["word"] = plan.word
+            row["word"] = word
         rows.append(row)
     return _emit_json({"alpha2": args.alpha2, "corrections": source, "outcomes": rows})
 
 
-def _alternating_bits(n: int) -> np.ndarray:
-    """0, 1, 0, 1, ... as n bools: the bit pattern gv and report send."""
-    bits = np.zeros(n, dtype=bool)
-    bits[1::2] = True
-    return bits
+def _alternating_bits(n: int) -> bytes:
+    """0, 1, 0, 1, ... as n bytes: the bit pattern gv and report send."""
+    return (b"\x00\x01" * (n // 2 + 1))[:n]
 
 
 def _cmd_gv(args) -> int:
@@ -569,9 +592,9 @@ def _cmd_report(args) -> int:
         r_lo, r_hi = rho46[0]
         values = [r_lo + (r_hi - r_lo) * k / 102 for k in range(1, 102)]
         published = {"16": ("[0.17, 0.29]", "[0.06, 0.15]"), "46": ("[0.08, 0.15]", "[0.01, 0.03]")}
-        _, conc = pair_verdicts(values, ("Q0", "Q0"), list(published))
+        _, conc = table_verdicts(values, ("Q0", "Q0"), list(published))
         for (pair, (pub_c, pub_e)), samples in zip(published.items(), conc):
-            c_min, c_max = float(samples.min()), float(samples.max())
+            c_min, c_max = min(samples), max(samples)
             say(_line(f"concurrence(rho{pair}) over computed interval",
                       f"[{c_min:.4f}, {c_max:.4f}]", pub_c, "report"))
             say(_line(f"eof(rho{pair}) over computed interval",
@@ -583,7 +606,7 @@ def _cmd_report(args) -> int:
         p_str = ", ".join(f"{label} {0.25:.6f}" for label in point_plans["derived"])
         say(_line(f"bell outcome probabilities at alpha2={alpha2}", p_str, "0.25 each", "info"))
         for source, marker in (("derived", "ok"), ("published", "report")):
-            fids = ", ".join(f"{k} {p.achieved_fidelity:.6f}" for k, p in point_plans[source].items())
+            fids = ", ".join(f"{k} {f:.6f}" for k, (_, f) in point_plans[source].items())
             say(_line(f"  {source}-correction fidelities", fids, "1.0 each", marker))
 
     # Channel statistics.

@@ -16,6 +16,7 @@ import numpy as np
 from .constants import PROB_FLOOR
 from .errors import ContractError
 from .qstate import PureState, apply_isometry
+from .tables import OUTCOME_ORDER
 
 __all__ = [
     "BranchOutcome",
@@ -24,15 +25,6 @@ __all__ = [
     "clone_subsystem",
     "machine_branches",
 ]
-
-# Machine-measurement outcomes in fixed report order: (Alice, Bob).
-OUTCOME_ORDER: tuple[tuple[str, str], ...] = (
-    ("Q0", "Q0"),
-    ("Q0", "Q1"),
-    ("Q1", "Q0"),
-    ("Q1", "Q1"),
-)
-
 
 class BranchOutcome(NamedTuple):
     """One joint machine outcome: labels, probability, postselected state."""

@@ -9,25 +9,26 @@ only go negative when the state is entangled.
 
 ppt_verdict and concurrence take any two-qubit operator through the
 in-package Jacobi eigen-solve. The pipeline's pair marginals are X-states,
-0.0 off the diagonal and the anti-diagonal; protocol.pair_verdicts reads
-their six real entries and evaluates the closed forms here (_x_verdict),
-with no eigen-solve.
+0.0 off the diagonal and the anti-diagonal; their closed forms, with no
+eigen-solve, are measures.x_verdict and measures.eof on Python floats, and
+_x_verdict and eof here are their array fronts, entry by entry.
 
 The tests and measures take one operator or a stack of them (a DensityOp
 with a leading stack axis) and answer with numbers or with arrays of the
-same length. The scan itself is protocol.branch_scan, which reads exact
-signs; ThresholdInterval, the record it returns, is kept here.
+same length. The scan itself is scan.branch_scan, which reads exact signs;
+ThresholdInterval, the record it returns, is exported here too.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
+from . import measures
 from .constants import PPT_TOL
 from .errors import ContractError
-from .linalg import _psd_roots, _require_psd, _singular_values, dagger, eig_hermitian
+from .linalg import _psd_roots, _singular_values, dagger, eig_hermitian
+from .measures import PPTVerdict, _broadcast_pairs
 from .qstate import PAIR_REGISTER, DensityOp, partial_trace, partial_transpose
+from .scan import ThresholdInterval
 
 __all__ = [
     "PPTVerdict",
@@ -43,52 +44,9 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-class PPTVerdict(NamedTuple):
-    """Separability verdict for one two-qubit operator; for a stack, each
-    field is an array with one entry per member."""
-
-    min_pt_eigenvalue: float
-    w3: float
-    w4: float
-    entangled: bool
-
-
-class ThresholdInterval(NamedTuple):
-    """alpha^2 interval on which a row of protocol.branch_scan holds.
-
-    Inner endpoints are the midpoints protocol._bisect ends on, within
-    `tolerance` (the setting, or float spacing where that is wider) of
-    where the row changes. An end of 0.0 or 1.0 is the domain end, not a
-    located change: the scan sees no change between its outermost grid
-    point and the domain end. A pair row's predicate is "lowest PT
-    eigenvalue < -PPT_TOL", and that dead band moves the change off the
-    algebraic threshold: at tol 1e-300 Q0Q0's pair 12 turns separable at
-    0.27272727205289..., 6.7e-10 below 3/11, and Q0Q0's broadcast and pair
-    14 rows, printed up to 1.0, fail within 1e-9 of it.
-    """
-
-    lo: float
-    hi: float
-    tolerance: float
-    predicate_name: str
-
-
 def _require_two_qubits(rho: DensityOp, op: str) -> None:
     if len(rho.register.labels) != 2:
         raise ContractError(f"{op}: expected a two-qubit operator, got labels {rho.register.labels}")
-
-
-def _block_roots(p: np.ndarray, q: np.ndarray, u2: np.ndarray):
-    """Determinant and smaller eigenvalue of each Hermitian 2 x 2 block
-    [[p, u], [u*, q]] with |u|^2 = u2. Where the larger eigenvalue
-    mean + rad is positive the smaller is det / (mean + rad), so an
-    eigenvalue near 0 keeps its relative accuracy."""
-    det = p * q - u2
-    mean = (p + q) / 2.0
-    rad = np.sqrt(((p - q) / 2.0) ** 2 + u2)
-    high = mean + rad
-    up = high > 0.0
-    return det, np.where(up, det / np.where(up, high, 1.0), mean - rad)
 
 
 def _pt_witnesses(t: np.ndarray):
@@ -122,26 +80,15 @@ def ppt_verdict(rho: DensityOp) -> PPTVerdict:
 
 
 def _x_verdict(a, b, c, d, z2, w2) -> tuple[PPTVerdict, np.ndarray]:
-    """The PPT verdict and the concurrence of X-states rho, from arrays of
-    their diagonal a, b, c, d and the squared moduli z2 = |rho[1,2]|^2 and
-    w2 = |rho[0,3]|^2; each field an array of their shape.
-
-    The partial transpose splits into the blocks [[a, z], [z*, d]] and
-    [[b, w], [w*, c]]: its smallest eigenvalue is the smaller of their lower
-    roots, W3 = a (bc - |w|^2) its leading 3 x 3 minor and W4 the product of
-    the block determinants. C = 2 max(0, |z| - sqrt(ad), |w| - sqrt(bc))
-    (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)), after the PSD check
-    on rho's blocks [[a, w], [w*, d]] and [[b, z], [z*, c]].
-    """
-    det_z, low_z = _block_roots(a, d, z2)
-    det_w, low_w = _block_roots(b, c, w2)
-    _require_psd(np.minimum(_block_roots(a, d, w2)[1], _block_roots(b, c, z2)[1]), "concurrence: rho")
-    # A diagonal entry at roundoff below 0 counts as 0, as the eigenvalues
-    # of the Jacobi route do.
-    edge = np.maximum(np.sqrt(z2) - np.sqrt(np.maximum(a * d, 0.0)),
-                      np.sqrt(w2) - np.sqrt(np.maximum(b * c, 0.0)))
-    l0 = np.minimum(low_z, low_w)
-    return PPTVerdict(l0, a * det_w, det_z * det_w, l0 < -PPT_TOL), np.clip(2.0 * edge, 0.0, 1.0)
+    """measures.x_verdict of arrays of X-state entries (the diagonal a, b,
+    c, d and the squared moduli z2, w2), entry by entry: each field of the
+    verdict, and the concurrence, an array of their shape."""
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c, d, z2, w2)))
+    points = [measures.x_verdict(*entry) for entry in zip(*(v.ravel().tolist() for v in args))]
+    shape = args[0].shape
+    fields = [np.array([point[k] for point in points], dtype=bool if k == 3 else float).reshape(shape)
+              for k in range(5)]
+    return PPTVerdict(*fields[:4]), fields[4]
 
 
 def _wootters(m: np.ndarray):
@@ -170,26 +117,13 @@ def concurrence(rho: DensityOp):
 
 def eof(c):
     """Entanglement of formation as a function of concurrence: of a float
-    (returns a float) or of each entry of an array (returns an array)."""
+    (returns a float, measures.eof) or of each entry of an array (returns
+    an array of measures.eof of its entries)."""
+    if isinstance(c, (int, float)):
+        return measures.eof(float(c))
     c = np.asarray(c, dtype=float)
-    # Written so that NaN, which fails every comparison, is rejected too.
-    bad = ~((-1e-12 <= c) & (c <= 1.0 + 1e-12))
-    if bad.any():
-        raise ContractError(f"eof: concurrence {c[bad].flat[0]} outside [0, 1]")
-    c = np.clip(c, 0.0, 1.0)
-    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
-    # x = 1 (C = 0) has no entropy; 0 * log2(0) is NaN and is masked.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.where(x >= 1.0, 0.0, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+    e = np.array([measures.eof(v) for v in c.ravel().tolist()], dtype=float).reshape(c.shape)
     return float(e) if e.ndim == 0 else e
-
-
-def _broadcast_pairs(alice, bob):
-    a1, a2, a3 = (str(x) for x in alice)
-    b1, b2, b3 = (str(x) for x in bob)
-    separable = ((a1, a2), (a1, a3), (b1, b2), (b1, b3))
-    entangled = ((a2, a3), (b2, b3), (a2, b1), (b1, a3), (a1, b2), (a1, b3))
-    return separable, entangled
 
 
 def broadcast_holds(

@@ -26,14 +26,14 @@ The coins are three independent fair-bit streams from the stdlib Mersenne
 Twister, `random.Random(seed).getrandbits(n)`, drawn in the order Eve's
 outcome, the receiver's decode, the timing anomaly. A seed is an integer
 >= 0, and the same seed gives the same counts on every supported Python.
+Bit i of a draw is the coin of sent bit i; the bits sent are one integer
+too, so the channel is a few integer operations and int.bit_count.
 """
 from __future__ import annotations
 
 import operator
 import random
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = [
     "ANALYTIC_DETECTION_RATE",
@@ -97,45 +97,60 @@ class DeliveryRecord(NamedTuple):
     channel: GvResult
 
 
-def _coins(rng: random.Random, n: int) -> np.ndarray:
-    """n fair coins from one getrandbits(n) draw, as a bool array."""
-    raw = rng.getrandbits(n).to_bytes((n + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little").view(bool)
+# Bytes 0 and 1 as the digits "0" and "1".
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bit_bytes(bits) -> bytes:
+    """A one-dimensional sequence of 0/1 entries (or bools), one byte per
+    bit: bytes and bytearrays as they are, anything with tolist (a numpy
+    array) through it, and every other sequence entry by entry. ValueError
+    for another shape, an empty sequence, or an entry not equal to 0 or 1."""
+    if isinstance(bits, (bytes, bytearray)):
+        raw = bytes(bits)
+    else:
+        items = bits.tolist() if hasattr(bits, "tolist") else bits
+        try:
+            items = list(items)
+            values = set(items)
+        except TypeError:
+            raise ValueError(f"transmit_bits: expected a one-dimensional bit sequence, got {bits!r}") from None
+        if not values <= {0, 1}:
+            raise ValueError("transmit_bits: bits must be 0 or 1")
+        raw = bytes(map(bool, items))
+    if not raw:
+        raise ValueError("transmit_bits: expected a non-empty bit sequence")
+    if raw.translate(None, b"\x00\x01"):
+        raise ValueError("transmit_bits: bits must be 0 or 1")
+    return raw
 
 
 def transmit_bits(bits, strategy: str, config: GvConfig) -> GvResult:
     """Send a bit sequence through the channel under the given eavesdropper.
 
-    bits is a one-dimensional sequence or array of 0/1 (or bool) entries.
-    The sequence is repeated config.trials times; results are deterministic
-    for a fixed seed.
+    bits is a one-dimensional sequence of 0/1 (or bool) entries: a list,
+    bytes, or a numpy array. The sequence is repeated config.trials times;
+    results are deterministic for a fixed seed.
     """
-    seq = np.asarray(bits)
-    if seq.ndim != 1 or seq.size == 0:
-        raise ValueError(f"transmit_bits: expected a non-empty bit sequence, got shape {seq.shape}")
-    # A bool array is taken as it is; anything else must equal its bool cast.
-    sent = seq.astype(bool, copy=False)
-    if sent is not seq and not np.array_equal(sent, seq):
-        raise ValueError("transmit_bits: bits must be 0 or 1")
+    raw = _bit_bytes(bits)
     if strategy not in _STRATEGIES:
         raise ValueError(f"transmit_bits: unknown strategy {strategy!r}")
-    if config.trials > 1:
-        sent = np.tile(sent, config.trials)
-    n = sent.shape[0]
+    n = len(raw) * config.trials
     if strategy == "none":
         return GvResult(bits_sent=n, bit_errors=0, eve_detected=False, detection_events=0)
 
+    # bit i of `sent` is bit i of the repeated sequence
+    sent = int((raw * config.trials).translate(_DIGITS)[::-1], 2)
     rng = random.Random(config.seed)
-    late = _coins(rng, n)       # Eve's packet-basis outcome is |b>
-    decoded = _coins(rng, n)    # receiver's decode after the collapse
-    errors = decoded != sent
-    anomaly = late & _coins(rng, n)
-    detected = errors | anomaly
+    late = rng.getrandbits(n)       # Eve's packet-basis outcome is |b>
+    decoded = rng.getrandbits(n)    # receiver's decode after the collapse
+    errors = decoded ^ sent
+    detected = errors | (late & rng.getrandbits(n))
     return GvResult(
         bits_sent=n,
-        bit_errors=int(np.count_nonzero(errors)),
-        eve_detected=bool(detected.any()),
-        detection_events=int(np.count_nonzero(detected)),
+        bit_errors=errors.bit_count(),
+        eve_detected=detected != 0,
+        detection_events=detected.bit_count(),
     )
 
 

@@ -13,22 +13,31 @@ through a whole-row template from its own pair's numbers; the CLI's
 `scan_points` is the reference scan: it tests the whole grid in one call,
 then one bisection step of every open edge per call. `exact_scan` runs it
 on each pair's verdict in Fraction arithmetic, and `float_scan` is the
-float route, scan_points over pair_verdicts: protocol.branch_scan is held
+float route, scan_points over pair_verdicts: scan.branch_scan is held
 to the first bit for bit at every grid and tol, and the second to it at
 tol >= 1e-12.
 
 `pipeline_pair_integers` and `pipeline_rho325_integers` are the routes
 here that read Gram blocks: they build a branch's integer pair table, and
-the entries of rho325's table, from protocol's basis images; protocol's
-checked-in integer tables are held to them.
+the entries of rho325's table, from protocol's basis images; the
+checked-in integer tables of the module tables are held to them.
 
 `swap_extend`, `bsm` and `simulated_plans` are the simulated swap stage:
 the singlet adjoined as a 32 x 32 joint state, the Bell measurement of it,
 the residual search over the measured post states (`searched_words`), and
 a fidelity solve for every plan. The swap module's teleportation identity
 is held to them.
+
+The rest is the numpy code the standard-library kernels replaced, kept as
+their references: `x_verdict_arrays` and `eof_array` (the X-state closed
+forms and the entanglement of formation on arrays, by numpy's log2),
+`numpy_pair_verdicts` (the pair tables evaluated on arrays),
+`numpy_swap_plans` with `numpy_table_targets` and `numpy_block_fidelity`
+(the plan search over signed-permutation arrays), and `numpy_transmit_bits`
+(the channel on bool arrays from unpacked getrandbits bytes).
 """
 import collections
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -39,13 +48,16 @@ from qbroadcast import (
     clone_subsystem, partial_trace, recovery_target, run_first_stage, tensor, to_density,
 )
 from qbroadcast.cli import CSV_HEADER
-from qbroadcast.constants import PPT_TOL, PROB_FLOOR
+from qbroadcast.constants import PPT_TOL, PROB_FLOOR, PSD_FAIL
 from qbroadcast.entanglement import eof
+from qbroadcast.gvchannel import GvResult
 from qbroadcast.linalg import dagger, fidelity
+from qbroadcast.measures import PPTVerdict
+from qbroadcast.plans import SIGMA
+from qbroadcast.protocol import PAIR_KEYS, SIX_LABELS, _basis_images, _gram_blocks, _rho325_blocks, pair_verdicts
+from qbroadcast.scan import _require_scan_settings
 from qbroadcast.swap import BELL_ORDER, PUBLISHED_WORDS, BellOutcome, _on_325, _pauli_words
-from qbroadcast.protocol import (
-    _PAIR_INTEGERS, PAIR_KEYS, SIX_LABELS, _basis_images, _gram_blocks, _require_scan_settings, pair_verdicts,
-)
+from qbroadcast.tables import _PAIR_INTEGERS, _pair_integers
 
 TRIPLE_KEYS = ("146", "325")
 
@@ -97,11 +109,14 @@ def sweep_text(values, branch, pairs, fmt, verdicts=pair_verdicts) -> str:
     """The `sweep` output at the alpha^2 points `values`, one row per
     (point, pair) in (alpha^2, pair) order with repeats kept, each row
     formatted through CSV_ROW or JSON_ROW from its own pair's numbers.
-    `verdicts` is pair_verdicts or a stand-in with its signature."""
+    `verdicts` is pair_verdicts, tables.table_verdicts or a stand-in with
+    their signature."""
     counts = sorted(collections.Counter(values).items())
     keys = sorted(set(pairs))
     verdict, conc = verdicts([x for x, _ in counts], branch, keys)
-    cols = [verdict.min_pt_eigenvalue, verdict.w3, verdict.w4, conc, eof(conc), verdict.entangled]
+    conc = np.asarray(conc, dtype=float)
+    cols = [np.asarray(verdict.min_pt_eigenvalue), np.asarray(verdict.w3), np.asarray(verdict.w4), conc, eof(conc),
+            np.asarray(verdict.entangled)]
     template = CSV_ROW if fmt == "csv" else JSON_ROW
     rows = []
     for j, (x, n) in enumerate(counts):
@@ -143,7 +158,7 @@ def stored_integers(branch) -> dict[str, list[int]]:
 
 
 def pipeline_pair_integers(branch) -> dict[str, tuple[int, ...]]:
-    """protocol._pair_integers for `branch`, from the pipeline: 36 times each
+    """tables._pair_integers for `branch`, from the pipeline: 36 times each
     basis image rounded to an integer vector (ContractError above 1e-9),
     and each pair's Gram entries of those vectors, its float Gram blocks
     certified by x_coefficients."""
@@ -280,7 +295,7 @@ def float_scan(branch, names, grid, tol):
 
 
 def pipeline_rho325_integers() -> dict[str, dict[tuple[int, int], int]]:
-    """protocol._RHO325_INTEGERS from the pipeline: 1296 times each nonzero
+    """tables._RHO325_INTEGERS from the pipeline: 1296 times each nonzero
     entry of branch Q0Q0's Gram blocks G00, G01 and G11 on (3, 2, 5), keyed
     by (row, column) per block. ContractError unless every entry is a real
     integer to 1e-9."""
@@ -382,3 +397,155 @@ def simulated_plans(rho325: DensityOp, sources=("derived",), outcomes=None):
         if plan.achieved_fidelity < 1.0 - 1e-9:
             raise ContractError(f"simulated_plans: outcome {plan.outcome} only reaches fidelity {plan.achieved_fidelity:.12f}")
     return plans if lead else plans[0]
+
+
+# ------------------------------------------------- numpy routes replaced
+
+
+def _block_roots(p, q, u2):
+    """Determinant and smaller eigenvalue of each Hermitian 2 x 2 block
+    [[p, u], [u*, q]] with |u|^2 = u2, on arrays."""
+    det = p * q - u2
+    mean = (p + q) / 2.0
+    rad = np.sqrt(((p - q) / 2.0) ** 2 + u2)
+    high = mean + rad
+    up = high > 0.0
+    return det, np.where(up, det / np.where(up, high, 1.0), mean - rad)
+
+
+def x_verdict_arrays(a, b, c, d, z2, w2):
+    """The PPT verdict and the concurrence of X-states from arrays of their
+    diagonal and squared moduli, in numpy: the array route measures.x_verdict
+    replaced. ContractError for a member below -PSD_FAIL."""
+    det_z, low_z = _block_roots(a, d, z2)
+    det_w, low_w = _block_roots(b, c, w2)
+    lowest = float(np.min(np.minimum(_block_roots(a, d, w2)[1], _block_roots(b, c, z2)[1]), initial=np.inf))
+    if lowest < -PSD_FAIL:
+        raise ContractError(f"concurrence: rho is not PSD (min eigenvalue {lowest:.3e})")
+    edge = np.maximum(np.sqrt(z2) - np.sqrt(np.maximum(a * d, 0.0)),
+                      np.sqrt(w2) - np.sqrt(np.maximum(b * c, 0.0)))
+    l0 = np.minimum(low_z, low_w)
+    return PPTVerdict(l0, a * det_w, det_z * det_w, l0 < -PPT_TOL), np.clip(2.0 * edge, 0.0, 1.0)
+
+
+def eof_array(c):
+    """Entanglement of formation of each entry of an array of concurrences,
+    by numpy's log2 (which may be a SIMD routine that differs from libm's
+    in the last bit)."""
+    c = np.clip(np.asarray(c, dtype=float), 0.0, 1.0)
+    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x >= 1.0, 0.0, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+
+
+def numpy_pair_verdicts(alpha2, branch, keys):
+    """pair_verdicts as numpy evaluated the pair tables: the coefficients
+    of every row as one (K, 2, 5) array and one (K,) array, combined for
+    all points at once, then x_verdict_arrays."""
+    table = _pair_integers(branch)
+    numbers = np.array([table[key] for key in keys], dtype=float)
+    lin, g2 = numbers[:, :10].reshape(-1, 2, 5) / 1296.0, numbers[:, 10] / 1679616.0
+    alpha = np.sqrt(np.asarray(alpha2, dtype=float))
+    beta = np.sqrt(1.0 - alpha * alpha)
+    a, b, c, d, z = np.multiply.outer(lin[:, 0].T, alpha * alpha) + np.multiply.outer(lin[:, 1].T, beta * beta)
+    trace = a + b + c + d
+    w2 = np.multiply.outer(g2, (alpha * beta) ** 2) / (trace * trace)
+    z = z / trace
+    return x_verdict_arrays(a / trace, b / trace, c / trace, d / trace, z * z, w2)
+
+
+# The (x, z) bits of each Pauli: up to a phase, a product of Paulis is the
+# Pauli of the XOR of their bits.
+_BITS = {"i": 0, "z": 1, "x": 2, "y": 3}
+
+
+@cache
+def _word_moves():
+    """Each word V as a signed permutation of an 8 x 8 operator's entries
+    (sources and complex signs from the unitaries), and the words after
+    each Bell outcome's sigma."""
+    names, unitaries = _pauli_words()
+    p = np.argmax(np.abs(unitaries), axis=-1)
+    phases = np.take_along_axis(unitaries, p[..., None], axis=-1)[..., 0]
+    signs = phases[:, :, None] * phases.conj()[:, None, :]
+    bits = np.array([_BITS[c] for name in names for c in name]).reshape(64, 3) @ [16, 4, 1]
+    sigma = bits[[names.index(SIGMA[label]) for label in BELL_ORDER]]
+    return 8 * p[:, :, None] + p[:, None, :], signs, np.argsort(bits)[bits ^ sigma[:, None]]
+
+
+def numpy_conjugates(targets, words):
+    """V T V^dagger for each target of (G, 8, 8) and each word of `words`."""
+    sources, signs, _ = _word_moves()
+    return signs[words] * np.take(targets.reshape(len(targets), 64), sources[words], axis=1)
+
+
+_TARGET_ORDER = [0, 2, 1, 3, 4, 6, 5, 7]
+
+
+def numpy_table_targets(alpha2):
+    """The recovery targets at each alpha^2 of alpha2 from the rho325
+    table's blocks, as a (G, 8, 8) float array."""
+    alpha = np.sqrt(np.asarray(alpha2, dtype=float))[..., None, None]
+    beta = np.sqrt(1.0 - alpha * alpha)
+    g00, g01, g11 = _rho325_blocks()[:, _TARGET_ORDER][:, :, _TARGET_ORDER]
+    mat = (alpha * alpha) * g00 + (beta * beta) * g11 + (alpha * beta) * (g01 + g01.T)
+    return mat / np.trace(mat, axis1=-2, axis2=-1)[..., None, None]
+
+
+def numpy_block_fidelity(t, s):
+    """The closed-form block fidelity of two (K, 8, 8) stacks."""
+    roots = np.sqrt(t[:, 3, 3].real * s[:, 3, 3].real) + np.sqrt(t[:, 4, 4].real * s[:, 4, 4].real)
+    for i, j in ((0, 5), (7, 1)):
+        (ti, tij, tj), (si, sij, sj) = ((m[:, i, i].real, m[:, i, j], m[:, j, j].real) for m in (t, s))
+        trace = ti * si + 4.0 * ((tij * sij.conjugate()).real + tj * sj)
+        dets = 4.0 * (ti * tj - abs(tij) ** 2) * (si * sj - abs(sij) ** 2)
+        roots += np.sqrt(trace + 2.0 * np.sqrt(np.maximum(dets, 0.0)))
+    return roots**2
+
+
+def numpy_swap_plans(targets, sources, score=numpy_block_fidelity):
+    """{source: {label: (word, fidelity)}} at each target of (G, 8, 8): the
+    residual search on arrays, the inexact plans scored by `score` in one
+    call on two (K, 8, 8) stacks."""
+    names, _ = _pauli_words()
+    _, _, after = _word_moves()
+    moved = numpy_conjugates(targets, slice(None))
+    residuals = np.max(np.abs(moved - targets[:, None]), axis=(-2, -1))
+    per_outcome = residuals[:, after]
+    derived = np.argmax(per_outcome <= per_outcome.min(axis=-1, keepdims=True) + 1e-12, axis=-1)
+    published = np.broadcast_to([names.index(PUBLISHED_WORDS[label]) for label in BELL_ORDER], derived.shape)
+    words = np.stack([derived if source == "derived" else published for source in sources], axis=1)
+    moves = after[np.arange(len(BELL_ORDER)), words]
+    off = residuals[np.arange(len(targets))[:, None, None], moves]
+    exact = off <= 1e-12
+    scores = np.ones(words.shape)
+    if not exact.all():
+        g = np.nonzero(~exact)[0]
+        scores[~exact] = score(targets[g], moved[g, moves[~exact]])
+    return [
+        {
+            source: {label: (names[w], f) for label, w, f in zip(BELL_ORDER, row.tolist(), fids.tolist())}
+            for source, row, fids in zip(sources, point_words, point_scores)
+        }
+        for point_words, point_scores in zip(words, scores)
+    ]
+
+
+def _coins(rng: random.Random, n: int) -> np.ndarray:
+    """n fair coins from one getrandbits(n) draw, as a bool array."""
+    raw = rng.getrandbits(n).to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little").view(bool)
+
+
+def numpy_transmit_bits(bits, strategy, config) -> GvResult:
+    """transmit_bits on bool arrays: the sequence tiled config.trials times
+    and each coin stream unpacked from its getrandbits bytes."""
+    sent = np.tile(np.asarray(bits).astype(bool), config.trials)
+    n = sent.shape[0]
+    if strategy == "none":
+        return GvResult(bits_sent=n, bit_errors=0, eve_detected=False, detection_events=0)
+    rng = random.Random(config.seed)
+    late = _coins(rng, n)
+    errors = _coins(rng, n) != sent
+    detected = errors | (late & _coins(rng, n))
+    return GvResult(n, int(np.count_nonzero(errors)), bool(detected.any()), int(np.count_nonzero(detected)))

@@ -9,12 +9,15 @@ import pytest
 import qbroadcast.cli as cli_module
 import qbroadcast.entanglement as entanglement_module
 import qbroadcast.linalg as linalg_module
+import qbroadcast.plans as plans_module
 import qbroadcast.protocol as protocol_module
+import qbroadcast.scan as scan_module
 import qbroadcast.swap as swap_module
 from qbroadcast.cli import BRANCH_NAMES, CSV_HEADER, GV_MAX_BITS, SCAN_MAX_GRID, SWEEP_MAX_ROWS, run_command
 from qbroadcast.entanglement import ThresholdInterval
 from qbroadcast.errors import ContractError
 from qbroadcast.protocol import PAIR_KEYS, pair_verdicts
+from qbroadcast.tables import table_verdicts
 from reference import sweep_text
 
 
@@ -198,12 +201,12 @@ def test_sweep_pairs_that_differ_in_one_field_at_one_point_print_their_own(capsy
     # 12 and 15 are interchangeable clones, the same bits in every column;
     # here 15 differs from 12 only in w4 at the last point
     def verdicts(alpha2, branch, keys):
-        verdict, conc = pair_verdicts(alpha2, branch, keys)
-        w4 = verdict.w4.copy()
-        w4[keys.index("15"), -1] += 0.25
+        verdict, conc = table_verdicts(alpha2, branch, keys)
+        w4 = [list(row) for row in verdict.w4]
+        w4[keys.index("15")][-1] += 0.25
         return verdict._replace(w4=w4), conc
 
-    monkeypatch.setattr(cli_module, "pair_verdicts", verdicts)
+    monkeypatch.setattr(cli_module, "table_verdicts", verdicts)
     argv = ["sweep", "--pairs", "12,15,23", "--from", "0.2", "--to", "0.8", "--steps", "5", "--format", fmt]
     code, out, _ = _run(capsys, argv)
     assert code == 0
@@ -261,7 +264,7 @@ def _forbid_pair_solves(monkeypatch):
 
 
 def test_sweep_solves_one_pair_stack(capsys, monkeypatch):
-    # one pair_verdicts call per sweep, on each distinct pair and alpha^2
+    # one table_verdicts call per sweep, on each distinct pair and alpha^2
     # once, from the table's closed forms: no eigen-solve or singular-value
     # solve anywhere
     argv = ["sweep", "--pairs", "12,15,34,36,25,46,23,35,14,16,46", "--from", "0.1", "--to", "0.9",
@@ -271,9 +274,9 @@ def test_sweep_solves_one_pair_stack(capsys, monkeypatch):
 
     def pairs(alpha2, branch, keys):
         calls.append((len(alpha2), branch, list(keys)))
-        return pair_verdicts(alpha2, branch, keys)
+        return table_verdicts(alpha2, branch, keys)
 
-    monkeypatch.setattr(cli_module, "pair_verdicts", pairs)
+    monkeypatch.setattr(cli_module, "table_verdicts", pairs)
     _forbid_pair_solves(monkeypatch)
     monkeypatch.setattr(linalg_module, "eig_hermitian", _no_solve)
     monkeypatch.setattr(linalg_module, "_singular_values", _no_solve)
@@ -287,7 +290,7 @@ def test_scans_and_concurrence_lines_make_no_pair_solve(capsys, monkeypatch, arg
     # the scans, the baseline and the report's concurrence lines read the
     # pair table and never reach the Jacobi routes of ppt_verdict and
     # concurrence; the report's swap fidelities are closed forms too
-    # (swap._block_fidelity), so no command makes any solve
+    # (plans._block_fidelity), so no command makes any solve
     want = _run(capsys, argv + ["--grid", "60"])
     _forbid_pair_solves(monkeypatch)
     solves = []
@@ -478,7 +481,7 @@ def test_grid_above_the_bound_is_a_usage_error(tmp_path, capsys, monkeypatch, co
 
 
 def test_sweep_rows_above_the_bound_are_a_usage_error(capsys, monkeypatch):
-    _guard(monkeypatch, "pair_verdicts")
+    _guard(monkeypatch, "table_verdicts")
     ten = "12,15,34,36,25,46,23,35,14,16"
     for pairs, steps in (("16", 10**13), ("16", SWEEP_MAX_ROWS + 1), (ten, SWEEP_MAX_ROWS // 10 + 1)):
         argv = ["sweep", "--pairs", pairs, "--from", "0", "--to", "1", "--steps", str(steps)]
@@ -527,17 +530,17 @@ def test_non_finite_settings_are_usage_errors(tmp_path, capsys, value):
 def test_non_finite_results_never_reach_json(tmp_path, capsys, monkeypatch):
     # the sweep checks its row reals once, before either format is written
     def nan_concurrence(*args):
-        v, c = pair_verdicts(*args)
-        return v, np.full_like(c, np.nan)
+        v, c = table_verdicts(*args)
+        return v, [[np.nan] * len(row) for row in c]
 
     def inf_w4(*args):
-        v, c = pair_verdicts(*args)
-        return v._replace(w4=np.where(np.arange(v.w4.shape[-1]) == 1, np.inf, v.w4)), c
+        v, c = table_verdicts(*args)
+        return v._replace(w4=[[np.inf if j == 1 else w for j, w in enumerate(row)] for row in v.w4]), c
 
     out_path = tmp_path / "rows.txt"
     for name, patch in (("concurrence", nan_concurrence), ("w4", inf_w4)):
         with monkeypatch.context() as m:
-            m.setattr("qbroadcast.cli.pair_verdicts", patch)
+            m.setattr("qbroadcast.cli.table_verdicts", patch)
             for fmt in ("json", "csv"):
                 argv = ["sweep", "--pairs", "16", "--from", "0.2", "--to", "0.4", "--steps", "2",
                         "--format", fmt]
@@ -691,33 +694,28 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkey
 
 
 def test_scan_commands_make_no_float_scan(capsys, monkeypatch):
-    # the scans run on exact signs: with protocol's numpy refused inside
-    # every branch_scan, report, branches, thresholds and baseline print the
-    # same bytes (report scans four branches and the baseline), and
-    # pair_verdicts is called once in all, for report's concurrence lines
+    # the scans run on exact signs, in a module with no numpy: report,
+    # branches, thresholds and baseline print the same bytes through
+    # counted scans (report scans four branches and the baseline), and the
+    # table's float verdicts are read once in all, for report's concurrence
+    # lines
     argvs = (["report"], ["branches"], ["thresholds", "--branch", "Q0Q1"], ["baseline"])
     want = [_run(capsys, argv) for argv in argvs]
     calls, scans = [], []
-    scan = protocol_module.branch_scan
-
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"numpy.{name} was called in a scan")
+    scan = scan_module.branch_scan
+    assert not {"np", "numpy"} & set(vars(scan_module))
 
     def counted(*args):
         calls.append(args[2])
-        return pair_verdicts(*args)
+        return table_verdicts(*args)
 
     def exact(*args):
         scans[-1] += 1
-        with monkeypatch.context() as m:
-            m.setattr(protocol_module, "np", NoNumpy())
-            return scan(*args)
+        return scan(*args)
 
-    monkeypatch.setattr(cli_module, "pair_verdicts", counted)
-    monkeypatch.setattr(protocol_module, "pair_verdicts", counted)
+    monkeypatch.setattr(cli_module, "table_verdicts", counted)
     monkeypatch.setattr(cli_module, "branch_scan", exact)
-    monkeypatch.setattr(protocol_module, "branch_scan", exact)
+    monkeypatch.setattr(scan_module, "branch_scan", exact)
     got = []
     for argv in argvs:
         scans.append(0)
@@ -788,12 +786,12 @@ def test_swap_stage_scores_only_the_inexact_plans(capsys, monkeypatch, argv, sco
     # published B1+ plan of each point, the only plans that do not recover
     # the target exactly; none for derived plans alone. Nothing of the
     # library route (rho325's DensityOp, its outcomes and plans) is built.
-    for module in (swap_module, cli_module):
+    for module in (swap_module, plans_module, cli_module):
         assert not {"bsm", "swap_extend", "_searched_words"} & set(vars(module))
     calls = []
-    for module, name in ((cli_module, "_swap_plans"), (swap_module, "_block_fidelity")):
+    for module, name in ((cli_module, "_swap_plans"), (plans_module, "_block_fidelity")):
         def counted(*args, _fn=getattr(module, name), _name=name):
-            calls.append((_name, np.shape(args[1]) if _name == "_block_fidelity" else None))
+            calls.append((_name, len(args[1]) if _name == "_block_fidelity" else None))
             return _fn(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -801,7 +799,7 @@ def test_swap_stage_scores_only_the_inexact_plans(capsys, monkeypatch, argv, sco
                          (swap_module, "correction_plans"), (swap_module, "recovery_target")):
         monkeypatch.setattr(module, name, _refuse_call)
     assert _run(capsys, argv)[0] == 0
-    assert calls == [("_swap_plans", None)] + ([("_block_fidelity", (scored, 8, 8))] if scored else [])
+    assert calls == [("_swap_plans", None)] + [("_block_fidelity", 64)] * scored
 
 
 def _refuse_call(*args):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -214,14 +216,14 @@ def test_eof_rejects_non_finite_concurrence(c):
 
 
 def _scalar_eof(c):
-    # eof as it was written for one float at a time
+    # eof as it was written for one float at a time, on libm's sqrt and log2
     c = min(max(c, 0.0), 1.0)
     if c == 0.0:
         return 0.0
-    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    x = (1.0 + math.sqrt(1.0 - c * c)) / 2.0
     if x >= 1.0:
         return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def test_eof_of_an_array_has_the_bits_of_each_entry_alone():

@@ -96,8 +96,9 @@ def test_no_command_imports_numpy_random():
 
 def test_the_cli_imports_only_its_own_modules_and_scans_import_none():
     # the scans' exact arithmetic is on Python integers: no fractions (2.7 ms
-    # of import) or sympy, no package module beyond the CLI's, and no
-    # module imported while the scan commands run, argument parsing included
+    # of import) or sympy, no package module beyond the CLI's standard-
+    # library ones, and no module imported while the scan commands run,
+    # argument parsing included
     script = (
         "import contextlib, io, sys\n"
         "from qbroadcast.cli import run_command\n"
@@ -109,15 +110,55 @@ def test_the_cli_imports_only_its_own_modules_and_scans_import_none():
         "print(sorted(m for m in before if m.startswith('qbroadcast') or m in ('fractions', 'sympy')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_env(), timeout=120)
-    package = ["cli", "cloner", "constants", "entanglement", "errors", "gvchannel", "linalg", "protocol", "qstate", "swap"]
+    package = ["cli", "constants", "errors", "gvchannel", "measures", "plans", "scan", "tables"]
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["[]", str(["qbroadcast"] + [f"qbroadcast.{name}" for name in package])]
 
 
-def test_well_formed_argv_builds_no_parser_and_imports_no_locale(tmp_path):
+def test_the_cli_runs_every_command_without_numpy(tmp_path):
+    # import and all seven subcommands, a config file, --out, a channel run
+    # over trials, both swap sources, help and a usage error: numpy, the
+    # cloner, the operators and the eigen-solver stay out of sys.modules,
+    # and nothing is imported while the commands run
+    cfg = tmp_path / "phase.cfg"
+    cfg.write_text("beta_phase=4.71\n", encoding="utf-8")
+    argvs = [
+        ["baseline", "--config", str(cfg)],
+        ["sweep", "--pairs", "12,16,46", "--from", "0.1", "--to", "0.9", "--steps", "5", "--format", "json",
+         "--out", str(tmp_path / "rows.json")],
+        ["sweep", "--pairs", "14", "--branch", "Q1Q0", "--from", "0", "--to", "1", "--steps", "3"],
+        ["thresholds", "--branch", "Q0Q1", "--config", str(cfg)],
+        ["branches"],
+        ["swap", "--alpha2", "0.3"],
+        ["swap", "--alpha2", "0.8", "--corrections", "published"],
+        ["gv", "--bits", "100", "--eve", "intercept", "--trials", "3"],
+        ["report", "--config", str(cfg)],
+        ["--help"],
+        ["thresholds", "--grid", "10"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qbroadcast.cli import run_command\n"
+        "before = set(sys.modules)\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    for argv in json.loads({json.dumps(json.dumps(argvs))}):\n"
+        "        codes.append(run_command(argv))\n"
+        "print(codes)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+        "print([m for m in ('numpy', 'qbroadcast.cloner', 'qbroadcast.qstate', 'qbroadcast.linalg') if m in sys.modules])\n"
+    )
+    # -S: no site-packages .pth file imports a module ahead of the CLI
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [str([0] * 10 + [2]), "[]", "[]"]
+    assert json.loads((tmp_path / "rows.json").read_text(encoding="utf-8"))[0]["pair"] == "12"
+
+
+def test_well_formed_argv_builds_no_parser_and_imports_nothing(tmp_path):
     # exact --flag value pairs are read from the option table: no
-    # ArgumentParser is built, so argparse's gettext never imports locale;
-    # a config file's byte-order mark is dropped without the utf-8-sig codec
+    # ArgumentParser is built, and no module is imported while they run; a
+    # config file's byte-order mark is dropped without the utf-8-sig codec
     cfg = tmp_path / "phase.cfg"
     cfg.write_bytes(b"\xef\xbb\xbfbeta_phase=4.71\n")
     argvs = [
@@ -136,13 +177,14 @@ def test_well_formed_argv_builds_no_parser_and_imports_no_locale(tmp_path):
         "    builds.append(self)\n"
         "    init(self, *args, **kwargs)\n"
         "argparse.ArgumentParser.__init__ = counting_init\n"
+        "before = set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    for argv in json.loads({json.dumps(json.dumps(argvs))}):\n"
         "        assert run_command(argv) == 0, argv\n"
-        "print(len(builds), 'locale' in sys.modules, 'encodings.utf_8_sig' in sys.modules)\n"
+        "print(len(builds), sorted(set(sys.modules) - before), 'encodings.utf_8_sig' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_env(), timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 [] False\n", "")
 
 
 def test_abbreviated_and_joined_flags_print_what_exact_pairs_print():

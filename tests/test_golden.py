@@ -23,9 +23,9 @@ published check at alpha^2 0.3, swap_published_phi0.json, was written when
 its B1+ fidelity became a closed form in plain float arithmetic on the
 rho325 table's integers, so it must match byte for byte too.
 
-The scan commands and sweep read protocol's checked-in pair tables, and
-branches takes its probabilities from them too; report and swap read
-rho325 from its checked-in table. The last two tests run them with the
+The scan commands and sweep read the checked-in pair tables of the module
+tables, and branches takes its probabilities from them too; report and
+swap read rho325 from its checked-in table there. The last two tests run them with the
 cloning pipeline (the basis images, run_first_stage and clone_subsystem)
 made to raise, and with every eigen-solve made to raise.
 """
@@ -38,7 +38,9 @@ import pytest
 
 import qbroadcast.entanglement as entanglement_module
 import qbroadcast.linalg as linalg_module
+import qbroadcast.plans as plans_module
 import qbroadcast.protocol as protocol_module
+import qbroadcast.tables as tables_module
 import qbroadcast.qstate as qstate_module
 import qbroadcast.swap as swap_module
 from qbroadcast.cli import BRANCH_NAMES, run_command
@@ -167,13 +169,13 @@ def test_scans_and_sweep_run_no_cloner(tmp_path, capsys, monkeypatch, phase):
     # exist, and otherwise the bytes of integer tables built by the pipeline
     args = _phase_args(tmp_path, phase)
     scans = [["thresholds", "--branch", name] + args for name in BRANCH_NAMES] + [["branches"] + args, ["baseline"] + args]
-    tables = (protocol_module._pair_integers, protocol_module._pair_table, protocol_module._pair_signs)
+    tables = (tables_module._pair_integers, tables_module._pair_coefficients, tables_module._pair_signs)
     with monkeypatch.context() as patch:
         for cached in tables:
             cached.cache_clear()
-        patch.setattr(protocol_module, "_pair_integers", cache(pipeline_pair_integers))
+        patch.setattr(tables_module, "_pair_integers", cache(pipeline_pair_integers))
         want = [_stdout(capsys, argv) for argv in scans]
-    for cached in (*tables, protocol_module._rho325_blocks, swap_module._target_blocks,
+    for cached in (*tables, tables_module._rho325_entries, plans_module._target_blocks,
                    protocol_module._basis_images, protocol_module._first_stage_runs):
         cached.cache_clear()
     for name in ("_basis_images", "_first_stage_runs", "run_first_stage", "clone_subsystem"):
@@ -201,11 +203,12 @@ def test_report_swap_and_sweep_run_no_eigen_solve(tmp_path, capsys, monkeypatch,
     # fidelity refused, report, both swap sources and a sweep print what
     # they print with them
     args = _phase_args(tmp_path, phase)
-    for cached in (protocol_module._rho325_blocks, swap_module._target_blocks):
+    for cached in (tables_module._rho325_entries, plans_module._target_blocks):
         cached.cache_clear()
     for module in (linalg_module, qstate_module, entanglement_module):
         monkeypatch.setattr(module, "eig_hermitian", _refuse_solve)
-    monkeypatch.setattr(swap_module, "fidelity", _refuse_solve)
+    for module in (linalg_module, swap_module):
+        monkeypatch.setattr(module, "fidelity", _refuse_solve)
     assert _stdout(capsys, ["report"] + args) == (GOLDEN / f"report_{phase}.txt").read_text(encoding="utf-8")
     assert _stdout(capsys, SWAP + args) == (GOLDEN / "swap_phi0.json").read_text(encoding="utf-8")
     for corrections in ("published", "paper"):

@@ -1,5 +1,5 @@
-"""The checked-in integer tables: the pair tables (protocol._PAIR_INTEGERS)
-and the swap stage's rho325 (protocol._RHO325_INTEGERS).
+"""The checked-in integer tables: the pair tables (tables._PAIR_INTEGERS)
+and the swap stage's rho325 (tables._RHO325_INTEGERS).
 
 Every number in them is re-derived from the float pipeline
 (reference.pipeline_pair_integers): the basis images times 36 must round
@@ -16,6 +16,7 @@ import pytest
 
 from qbroadcast import ContractError
 import qbroadcast.protocol as protocol_module
+import qbroadcast.tables as tables_module
 from qbroadcast.cloner import OUTCOME_ORDER
 from qbroadcast.protocol import PAIR_KEYS
 import reference
@@ -32,15 +33,16 @@ def test_stored_integers_are_the_pipelines_gram_entries(branch):
     # 36 times each basis image is an integer vector, each pair's float
     # blocks are an X-state, and the Gram entries of the integer vectors
     # are the stored integers, exactly (reference.pipeline_pair_integers)
-    stored = protocol_module._pair_integers(branch)
+    stored = tables_module._pair_integers(branch)
     assert stored == reference.pipeline_pair_integers(branch)
     assert tuple(stored) == (PAIR_KEYS if branch else ("12", "34", "23", "14"))
     assert {key: list(row) for key, row in stored.items()} == _stored(branch)
-    _, lin, g2 = protocol_module._pair_table(branch)
-    for k, row in enumerate(stored.values()):
+    coefficients = tables_module._pair_coefficients(branch)
+    assert set(coefficients) == set(stored.values())
+    for row in stored.values():
         # the table divides each integer once, so it holds the nearest float
-        assert lin[k].ravel().tolist() == [n / 1296 for n in row[:10]]
-        assert g2[k] == row[10] / 1296**2
+        assert list(coefficients[row][:10]) == [n / 1296 for n in row[:10]]
+        assert coefficients[row][10] == row[10] / 1296**2
 
 
 @pytest.mark.parametrize(
@@ -50,17 +52,17 @@ def test_the_parse_rejects_a_row_that_is_no_state(monkeypatch, field, value):
     # every row must be a state at every x in [0, 1]: diagonal >= 0, trace
     # > 0 and both 2 x 2 blocks of rho of determinant >= 0, exactly; a
     # large |w| fails only inside, at x = 1/2
-    table = protocol_module._PAIR_INTEGERS[("Q0", "Q0")]
+    table = tables_module._PAIR_INTEGERS[("Q0", "Q0")]
     line = table.strip().splitlines()[0]
     key, *numbers = line.split()
     numbers[field] = str(value)
-    monkeypatch.setitem(protocol_module._PAIR_INTEGERS, ("Q0", "Q0"), table.replace(line, " ".join([key, *numbers])))
-    protocol_module._pair_integers.cache_clear()
+    monkeypatch.setitem(tables_module._PAIR_INTEGERS, ("Q0", "Q0"), table.replace(line, " ".join([key, *numbers])))
+    tables_module._pair_integers.cache_clear()
     try:
         with pytest.raises(ContractError, match="row 12 is not a state"):
-            protocol_module._pair_integers(("Q0", "Q0"))
+            tables_module._pair_integers(("Q0", "Q0"))
     finally:
-        protocol_module._pair_integers.cache_clear()
+        tables_module._pair_integers.cache_clear()
 
 
 def _reversed(row):
@@ -120,9 +122,10 @@ def test_rho325_integers_are_the_pipelines_gram_entries():
     # 1296 times each Gram block of branch Q0Q0's rho325 is a real integer
     # matrix, and its nonzero entries are the stored ones, exactly: 5 in
     # G00, 4 in G01 and 12 in G11
-    stored = _rho325_entries(protocol_module._RHO325_INTEGERS)
+    stored = _rho325_entries(tables_module._RHO325_INTEGERS)
     assert stored == reference.pipeline_rho325_integers()
     assert [len(stored[block]) for block in ("00", "01", "11")] == [5, 4, 12]
+    assert tables_module._rho325_entries() == stored
     blocks = protocol_module._rho325_blocks()
     assert not blocks.flags.writeable
     for k, block in enumerate(("00", "01", "11")):
@@ -152,11 +155,11 @@ def test_rho325_from_the_table_is_the_pipelines_marginal():
 def test_the_rho325_parse_rejects_a_broken_table(monkeypatch, old, new):
     # G00 and G11 must be symmetric, and their traces the pair table's
     # 1296 tr G00 = 576 and 1296 tr G11 = 144
-    assert protocol_module._RHO325_INTEGERS.count(old) == 1
-    monkeypatch.setattr(protocol_module, "_RHO325_INTEGERS", protocol_module._RHO325_INTEGERS.replace(old, new))
-    protocol_module._rho325_blocks.cache_clear()
+    assert tables_module._RHO325_INTEGERS.count(old) == 1
+    monkeypatch.setattr(tables_module, "_RHO325_INTEGERS", tables_module._RHO325_INTEGERS.replace(old, new))
+    tables_module._rho325_entries.cache_clear()
     try:
         with pytest.raises(ContractError, match="rho325 table"):
-            protocol_module._rho325_blocks()
+            tables_module._rho325_entries()
     finally:
-        protocol_module._rho325_blocks.cache_clear()
+        tables_module._rho325_entries.cache_clear()

@@ -27,6 +27,8 @@ from qbroadcast import (
 )
 import qbroadcast.entanglement as entanglement_module
 import qbroadcast.protocol as protocol_module
+import qbroadcast.scan as scan_module
+import qbroadcast.tables as tables_module
 from qbroadcast.cloner import OUTCOME_ORDER
 from qbroadcast.constants import SCAN_TOL
 from qbroadcast.entanglement import concurrence, ppt_verdict
@@ -239,10 +241,10 @@ def test_pair_table_rows_are_equal_for_interchangeable_clones():
     # change to the cloner arithmetic that breaks the symmetry shows here
     xs = np.array([0.2, 0.5, 0.7])
     for branch in OUTCOME_ORDER:
-        row, lin, g2 = protocol_module._pair_table(branch)
-        assert list(row) == list(PAIR_KEYS) and lin.shape == (10, 2, 5) and g2.shape == (10,)
+        table = tables_module._pair_integers(branch)
+        assert list(table) == list(PAIR_KEYS) and {len(row) for row in table.values()} == {11}
         for one, other in (("12", "15"), ("34", "36"), ("14", "16")):
-            assert np.array_equal(lin[row[one]], lin[row[other]]) and g2[row[one]] == g2[row[other]], (branch, one)
+            assert table[one] == table[other], (branch, one)
         verdict, conc = pair_verdicts(xs, branch, ["12", "15", "34", "36", "14", "16"])
         assert verdict.entangled.shape == conc.shape == (6, 3)
         for field in (verdict.min_pt_eigenvalue, verdict.w3, verdict.w4, verdict.entangled, conc):
@@ -252,7 +254,7 @@ def test_pair_table_rows_are_equal_for_interchangeable_clones():
     assert verdict.w3.shape == conc.shape == (3,)
     assert verdict.w3[0] == verdict.w3[2] and conc[0] == conc[2]
     # the machine-traced first round holds the pairs on qubits 1 to 4
-    assert list(protocol_module._pair_table(None)[0]) == ["12", "34", "23", "14"]
+    assert list(tables_module._pair_integers(None)) == ["12", "34", "23", "14"]
 
 
 def test_pair_verdicts_checks_its_inputs():
@@ -307,10 +309,11 @@ def test_branch_scan_makes_no_float_verdict_and_no_numpy_call(monkeypatch):
     # branch's rows and the baseline still come out
     want = {branch: branch_scan(branch, _all_rows(branch)) for branch in (*OUTCOME_ORDER, None)}
     baseline = buzek_baseline()
-    for cached in (protocol_module._pair_integers, protocol_module._pair_table, protocol_module._pair_signs):
+    for cached in (tables_module._pair_integers, tables_module._pair_coefficients, tables_module._pair_signs,
+                   scan_module._sign_changes):
         cached.cache_clear()
-    for module, name in ((protocol_module, "pair_verdicts"), (protocol_module, "_x_verdict"),
-                         (entanglement_module, "_x_verdict")):
+    for module, name in ((protocol_module, "pair_verdicts"), (tables_module, "table_verdicts"),
+                         (tables_module, "x_verdict"), (entanglement_module, "_x_verdict")):
         monkeypatch.setattr(module, name, _refuse)
     monkeypatch.setattr(protocol_module, "np", _NoNumpy())
     assert {branch: branch_scan(branch, _all_rows(branch)) for branch in want} == want
@@ -325,17 +328,19 @@ def test_branch_scan_makes_few_exact_evaluations(monkeypatch, grid, tol):
     # and binary-searches each flip; each bisection step of a flip's cell
     # evaluates the one or two quadratics that can change inside it
     count = [0]
-    negative = protocol_module._negative
+    negative = scan_module._negative
 
     def counted(f, x):
         count[0] += 1
         return negative(f, x)
 
-    monkeypatch.setattr(protocol_module, "_negative", counted)
+    monkeypatch.setattr(scan_module, "_negative", counted)
     steps = min(64, math.ceil(-math.log2(grid + 1) - math.log2(tol)))
     for branch in (*OUTCOME_ORDER, None):
-        quads, _ = protocol_module._pair_signs(branch)
-        flips = sum(len(protocol_module._sign_changes(f, grid)[1]) for f in quads)
+        quads, _ = tables_module._pair_signs(branch)
+        flips = sum(len(scan_module._sign_changes(f, grid)[1]) for f in quads)
+        # every search counted again, as from a cold process
+        scan_module._sign_changes.cache_clear()
         count[0] = 0
         branch_scan(branch, _all_rows(branch), grid, tol)
         assert 0 < count[0] <= 4 * len(quads) + 2 * flips * (math.ceil(math.log2(grid)) + 1 + steps), branch
@@ -348,7 +353,7 @@ def test_branch_scan_sees_a_dip_between_grid_points(monkeypatch):
     # (25/51, 26/51); the bisection must read the parabola there, though
     # its sign is the same at both grid points
     quads = ((1010, -2000, 0), (24999, -100000, 100000))
-    monkeypatch.setattr(protocol_module, "_pair_signs", lambda branch: (quads, {"12": (0, 1)}))
+    monkeypatch.setattr(scan_module, "_pair_signs", lambda branch: (quads, {"12": (0, 1)}))
 
     def test(xs):
         return [[any(c0 + c1 * x + c2 * x * x < 0 for c0, c1, c2 in quads) for x in map(Fraction, xs.tolist())]]
@@ -485,13 +490,13 @@ def test_a_printed_end_of_one_is_the_domain_end():
     # Q0Q0's broadcast and pair 14 rows print up to 1.0, yet the dead band
     # of their exact-sign predicate turns them off within 1e-9 of it, past
     # the last grid point
-    quads, pairs = protocol_module._pair_signs(("Q0", "Q0"))
+    quads, pairs = tables_module._pair_signs(("Q0", "Q0"))
 
     def holds(name, x):
-        entangled, separable = protocol_module._scan_row(name, pairs)
+        entangled, separable = scan_module._scan_row(name, pairs)
 
         def negative(key):
-            return any(protocol_module._negative(quads[q], x) for q in pairs[key])
+            return any(scan_module._negative(quads[q], x) for q in pairs[key])
 
         return all(map(negative, entangled)) and not any(map(negative, separable))
 
@@ -520,7 +525,7 @@ def test_baseline_is_the_first_round_row():
 
 
 def _bisect_probes(a, b, threshold, tol):
-    """protocol._bisect on the step x > threshold from a to b, with the
+    """scan._bisect on the step x > threshold from a to b, with the
     points it probed in order."""
     probes = []
 
@@ -528,7 +533,7 @@ def _bisect_probes(a, b, threshold, tol):
         probes.append(x)
         return x > threshold
 
-    return protocol_module._bisect(a, b, a > threshold, tol, holds), probes
+    return scan_module._bisect(a, b, a > threshold, tol, holds), probes
 
 
 def test_bisect_halves_the_edge_once_per_probe_until_tol():
@@ -543,7 +548,7 @@ def test_bisect_halves_the_edge_once_per_probe_until_tol():
     # a tol as wide as the edge probes nothing and returns the midpoint
     assert _bisect_probes(0.25, 0.5, 1.0 / 3.0, 1.0) == (0.375, [])
     # a row that holds at a and exits at the threshold bisects the same cells
-    exit_mid = protocol_module._bisect(0.25, 0.5, True, 1e-6, lambda x: x < 1.0 / 3.0)
+    exit_mid = scan_module._bisect(0.25, 0.5, True, 1e-6, lambda x: x < 1.0 / 3.0)
     assert exit_mid == _bisect_probes(0.25, 0.5, 1.0 / 3.0, 1e-6)[0]
 
 
@@ -559,7 +564,7 @@ def test_bisect_below_float_spacing_ends_on_adjacent_floats():
 
 def test_intervals_alternate_entries_and_exits():
     def ends(first, cuts):
-        ivs = protocol_module._intervals(first, cuts, 1e-4, "row")
+        ivs = scan_module._intervals(first, cuts, 1e-4, "row")
         assert all(iv.tolerance == 1e-4 and iv.predicate_name == "row" for iv in ivs)
         return [(iv.lo, iv.hi) for iv in ivs]
 
@@ -575,18 +580,18 @@ def test_intervals_alternate_entries_and_exits():
 
 
 def test_package_has_one_scan_route():
-    # branch_scan is the one scan: entanglement keeps verdicts, measures and
-    # the ThresholdInterval record, and the bisection helpers live beside
-    # branch_scan in protocol
+    # branch_scan is the one scan: entanglement keeps verdicts and measures
+    # and exports the ThresholdInterval record, and the bisection helpers
+    # live beside branch_scan in scan
     import qbroadcast
 
     for name in ("scan_predicates", "_flags", "_SCAN_CHUNK", "_bisect", "_intervals", "_require_scan_settings"):
         assert not hasattr(entanglement_module, name), name
         assert not hasattr(qbroadcast, name), name
     assert "branch_scan" in qbroadcast.__all__ and "scan_predicates" not in qbroadcast.__all__
-    assert protocol_module.ThresholdInterval is entanglement_module.ThresholdInterval
+    assert scan_module.ThresholdInterval is entanglement_module.ThresholdInterval
     for name in ("_bisect", "_intervals", "_require_scan_settings"):
-        assert getattr(protocol_module, name).__module__ == protocol_module.__name__, name
+        assert getattr(scan_module, name).__module__ == scan_module.__name__, name
 
 
 @pytest.mark.parametrize("branch", OUTCOME_ORDER)

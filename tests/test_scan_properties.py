@@ -1,5 +1,5 @@
 """Property test of the scan: on any of the five pair tables, at any grid
-and tolerance, protocol.branch_scan finds the edges the reference exact
+and tolerance, scan.branch_scan finds the edges the reference exact
 scan finds, bit for bit."""
 import pytest
 

@@ -3,7 +3,8 @@ pair's partial-transpose quadratic shifted by PPT_TOL's dead band, within
 tol, and so an algebraic threshold of the protocol within tol + 1e-9."""
 import pytest
 
-import qbroadcast.protocol as protocol_module
+import qbroadcast.scan as scan_module
+import qbroadcast.tables as tables_module
 from qbroadcast.cloner import OUTCOME_ORDER
 from qbroadcast.protocol import branch_scan
 
@@ -40,12 +41,12 @@ def _algebraic(row) -> list:
 def test_printed_edges_are_shifted_roots_of_the_algebraic_thresholds(branch):
     tol = 1e-12
     names = PRINTED if branch else ("14:entangled",)
-    quads, pairs = protocol_module._pair_signs(branch)
-    table = protocol_module._pair_integers(branch)
+    quads, pairs = tables_module._pair_signs(branch)
+    table = tables_module._pair_integers(branch)
     forms = [sp.N(f, 30) for f in FORMS]
     checked = 0
     for name, intervals in branch_scan(branch, names, tol=tol).items():
-        keys = sum(protocol_module._scan_row(name, pairs), ())
+        keys = sum(scan_module._scan_row(name, pairs), ())
         shifted = [sp.N(r, 30) for key in keys for q in pairs[key] for r in _roots(sum(
             c * X**i for i, c in enumerate(quads[q])))]
         algebraic = [sp.N(r, 30) for key in keys for r in _algebraic(table[key])]

@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-import qbroadcast.swap as swap_module
+import qbroadcast.plans as plans_module
 from qbroadcast import (
     ContractError,
     DensityOp,
@@ -394,7 +394,7 @@ def test_a_derived_word_above_the_residual_bound_is_a_contract_error(monkeypatch
     # the first word iii is taken, and B1+'s V = iiy leaves 0.4167
     rho = _rho325(0.5)
     assert {p.achieved_fidelity for p in _derived(rho).values()} == {1.0}
-    monkeypatch.setattr(swap_module, "_EXACT", -1.0)
+    monkeypatch.setattr(plans_module, "_EXACT", -1.0)
     with pytest.raises(ContractError, match="B1\\+'s best word iii leaves a residual 4.167e-01"):
         correction_plans(rho, ("published", "derived"))
     assert set(correction_plans(rho, ("published",))["published"]) == set(BELL_ORDER)

@@ -1,6 +1,7 @@
-"""The closed-form X-state verdict and concurrence (entanglement._x_verdict,
-which protocol.pair_verdicts evaluates on its table of pair coefficients),
-held to the Jacobi routes of ppt_verdict and concurrence.
+"""The closed-form X-state verdict and concurrence (measures.x_verdict,
+through its array front entanglement._x_verdict; tables.table_verdicts
+evaluates it on the pair tables), held to the Jacobi routes of ppt_verdict
+and concurrence.
 
 An X-state is 0.0 everywhere off the diagonal and the anti-diagonal. Every
 pair marginal the pipeline forms is one, as reference.x_coefficients
